@@ -45,8 +45,9 @@
 //
 // Observability: GET /metrics serves the daemon's metric registry in
 // Prometheus text exposition format (request latency histograms,
-// admission queue waits, cache/store/peer/cluster counters), and
-// GET /v1/healthz embeds the same registry as JSON. Every request
+// admission queue waits, cache/store/peer/cluster counters) — the
+// only home of every counter. GET /v1/healthz is readiness, build
+// identity and the same registry as a JSON snapshot. Every request
 // carries an X-Netpart-Request-Id (honored when the client sends one,
 // generated otherwise), echoed on the response, attached to log
 // lines, and propagated to workers on coordinator dispatch — grep one

@@ -89,6 +89,17 @@ func resolveMachine(name string) (*bgq.Machine, error) {
 	return m, nil
 }
 
+// PartitionError reports a partition request the machine cannot
+// satisfy: more midplanes than it has, no predefined partition of
+// that size (or no predefined list at all), or no cuboid that fits.
+// Like a disconnecting failure model it is a property of the spec,
+// not a fault of the run.
+type PartitionError struct{ err error }
+
+func (e *PartitionError) Error() string { return e.err.Error() }
+
+func (e *PartitionError) Unwrap() error { return e.err }
+
 // resolvePartition applies the spec's allocation policy to the
 // machine: the bgq geometry policies answer directly; the sched
 // placement policies place a single contention-bound job on the empty
@@ -103,7 +114,7 @@ func resolvePartition(t TopologySpec, blocked []int) (*bgq.Machine, bgq.Partitio
 		return nil, bgq.Partition{}, err
 	}
 	if t.Midplanes > m.Midplanes() {
-		return nil, bgq.Partition{}, fmt.Errorf("scenario: %d midplanes exceed %s's %d", t.Midplanes, m.Name, m.Midplanes())
+		return nil, bgq.Partition{}, &PartitionError{fmt.Errorf("scenario: %d midplanes exceed %s's %d", t.Midplanes, m.Name, m.Midplanes())}
 	}
 	switch t.Policy {
 	case PolicyPredefined, PolicyBestCase, PolicyWorstCase:
@@ -118,7 +129,7 @@ func resolvePartition(t TopologySpec, blocked []int) (*bgq.Machine, bgq.Partitio
 		}
 		p, err := pol.Select(m, t.Midplanes)
 		if err != nil {
-			return nil, bgq.Partition{}, fmt.Errorf("scenario: policy %s: %w", t.Policy, err)
+			return nil, bgq.Partition{}, &PartitionError{fmt.Errorf("scenario: policy %s: %w", t.Policy, err)}
 		}
 		return m, p, nil
 	case PolicyFirstFit, PolicyBestBisection, PolicyContentionAware:
@@ -137,9 +148,9 @@ func resolvePartition(t TopologySpec, blocked []int) (*bgq.Machine, bgq.Partitio
 		cands := grid.Candidates(t.Midplanes)
 		if len(cands) == 0 {
 			if len(blocked) > 0 {
-				return nil, bgq.Partition{}, fmt.Errorf("scenario: no %d-midplane cuboid fits %s with %d failed midplanes", t.Midplanes, m.Name, len(blocked))
+				return nil, bgq.Partition{}, &PartitionError{fmt.Errorf("scenario: no %d-midplane cuboid fits %s with %d failed midplanes", t.Midplanes, m.Name, len(blocked))}
 			}
-			return nil, bgq.Partition{}, fmt.Errorf("scenario: no %d-midplane cuboid fits %s", t.Midplanes, m.Name)
+			return nil, bgq.Partition{}, &PartitionError{fmt.Errorf("scenario: no %d-midplane cuboid fits %s", t.Midplanes, m.Name)}
 		}
 		// The single job is declared contention-bound: that is the
 		// regime the scenario measures, and it is what distinguishes

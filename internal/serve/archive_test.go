@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -10,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"netpart"
 	"netpart/internal/store"
 )
 
@@ -114,8 +116,8 @@ func TestArchiveWarmStart(t *testing.T) {
 	if got := g.calls.Load(); got != 0 {
 		t.Fatalf("warm path invoked the runner %d times", got)
 	}
-	if st := s2.cache.stats(); st.StoreHits == 0 {
-		t.Errorf("store hit not counted: %+v", st)
+	if metric(t, s2, "netpart_cache_store_hits_total") == 0 {
+		t.Error("store hit not counted")
 	}
 }
 
@@ -280,6 +282,30 @@ func TestDeleteEvictsPersistedBlob(t *testing.T) {
 	}
 	if st := s.opts.Store.Stats(); st.Deletes != 2 {
 		t.Errorf("store deletes %d, want 2", st.Deletes)
+	}
+}
+
+// TestShutdownWaitsForPersist: a result completed just before
+// Shutdown is in the store once Shutdown returns — the write-behind
+// persist is registered before the flight releases its waiters, so a
+// released waiter's Shutdown cannot outrun it.
+func TestShutdownWaitsForPersist(t *testing.T) {
+	run := func(ctx context.Context, key Key, opts netpart.RunOptions, payload any, publish func(streamEvent)) (*netpart.Result, error) {
+		return fakeResult(key), nil
+	}
+	for i := 0; i < 200; i++ {
+		st := store.NewMemory(0)
+		s := newServer(Options{Store: st}, run)
+		key := Key{ID: fmt.Sprintf("sweep:%04d", i)}
+		if _, err := s.cache.do(context.Background(), key, netpart.RunOptions{}, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := st.Get(key.ID); !ok {
+			t.Fatalf("iteration %d: result completed before Shutdown was not persisted", i)
+		}
 	}
 }
 

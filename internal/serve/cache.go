@@ -167,40 +167,7 @@ type flight struct {
 	entry *entry
 	err   error
 
-	subMu sync.Mutex
-	subs  map[int]func(streamEvent)
-	nsub  int
-}
-
-// subscribe registers a per-waiter event sink and returns its
-// unsubscribe function. Sinks must not block: they run on the
-// runner's serialized progress path.
-func (f *flight) subscribe(fn func(streamEvent)) func() {
-	if fn == nil {
-		return func() {}
-	}
-	f.subMu.Lock()
-	id := f.nsub
-	f.nsub++
-	f.subs[id] = fn
-	f.subMu.Unlock()
-	return func() {
-		f.subMu.Lock()
-		delete(f.subs, id)
-		f.subMu.Unlock()
-	}
-}
-
-func (f *flight) publish(ev streamEvent) {
-	f.subMu.Lock()
-	sinks := make([]func(streamEvent), 0, len(f.subs))
-	for _, fn := range f.subs {
-		sinks = append(sinks, fn)
-	}
-	f.subMu.Unlock()
-	for _, fn := range sinks {
-		fn(ev)
-	}
+	events fanout // the waiters' event sinks
 }
 
 // maxDynamicEntries bounds the cached results of dynamic (scenario /
@@ -236,19 +203,6 @@ type cache struct {
 	dynOrder []Key // dynamic keys in insertion order, for eviction
 }
 
-// cacheStats is a point-in-time snapshot of the cache counters for
-// the healthz document.
-type cacheStats struct {
-	Entries   int   `json:"entries"`
-	Dynamic   int   `json:"dynamic_entries"`
-	Flights   int   `json:"flights"`
-	Hits      int64 `json:"hits"`
-	StoreHits int64 `json:"store_hits"`
-	Misses    int64 `json:"misses"`
-	Coalesced int64 `json:"coalesced"`
-	Evictions int64 `json:"evictions"`
-}
-
 func newCache(run runFunc, timeout time.Duration, st store.Store, m *serverMetrics, log *slog.Logger) *cache {
 	c := &cache{
 		run:     run,
@@ -268,24 +222,6 @@ func newCache(run runFunc, timeout time.Duration, st store.Store, m *serverMetri
 	m.reg.GaugeFunc("netpart_cache_flights", "Computations currently in flight.",
 		func() float64 { c.mu.Lock(); defer c.mu.Unlock(); return float64(len(c.flights)) })
 	return c
-}
-
-// stats snapshots the cache counters for the healthz document, read
-// back from the same metrics /metrics exposes.
-func (c *cache) stats() cacheStats {
-	c.mu.Lock()
-	entries, dynamic, flights := len(c.entries), len(c.dynOrder), len(c.flights)
-	c.mu.Unlock()
-	return cacheStats{
-		Entries:   entries,
-		Dynamic:   dynamic,
-		Flights:   flights,
-		Hits:      c.m.cacheHits.Value(),
-		StoreHits: c.m.cacheStoreHits.Value(),
-		Misses:    c.m.cacheMisses.Value(),
-		Coalesced: c.m.cacheCoalesced.Value(),
-		Evictions: c.m.cacheEvictions.Value(),
-	}
 }
 
 // cached returns the completed entry for key without triggering work.
@@ -415,7 +351,6 @@ func (c *cache) do(ctx context.Context, key Key, opts netpart.RunOptions, payloa
 			payload: payload,
 			done:    make(chan struct{}),
 			cancel:  cancel,
-			subs:    map[int]func(streamEvent){},
 		}
 		c.flights[key] = f
 		c.m.cacheMisses.Inc()
@@ -426,8 +361,7 @@ func (c *cache) do(ctx context.Context, key Key, opts netpart.RunOptions, payloa
 	f.waiters++
 	c.mu.Unlock()
 
-	unsubscribe := f.subscribe(onEvent)
-	defer unsubscribe()
+	defer f.events.add(onEvent)()
 
 	select {
 	case <-f.done:
@@ -461,7 +395,14 @@ func (c *cache) abandon(f *flight) {
 }
 
 func (c *cache) runFlight(f *flight, ctx context.Context, opts netpart.RunOptions) {
-	res, err := c.run(ctx, f.key, opts, f.payload, f.publish)
+	res, err := c.run(ctx, f.key, opts, f.payload, f.events.publish)
+	// Write-behind: the persist runs after the waiters are released,
+	// off their latency path, but is registered before, so a Shutdown
+	// that a released waiter races still waits for it.
+	persist := err == nil && c.store != nil && f.key.dynamic()
+	if persist {
+		c.persists.Add(1)
+	}
 	c.mu.Lock()
 	if err == nil {
 		f.entry = &entry{res: res, encs: map[string]*encoding{}}
@@ -474,10 +415,7 @@ func (c *cache) runFlight(f *flight, ctx context.Context, opts netpart.RunOption
 	c.mu.Unlock()
 	close(f.done)
 	f.cancel()
-	if err == nil && c.store != nil && f.key.dynamic() {
-		// Write-behind: persist after the waiters are released, off
-		// their latency path. Shutdown waits for outstanding persists.
-		c.persists.Add(1)
+	if persist {
 		go func() {
 			defer c.persists.Done()
 			c.persist(f.key, f.entry)

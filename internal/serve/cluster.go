@@ -7,11 +7,9 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"netpart"
-	"netpart/internal/obs"
 	"netpart/internal/sched"
 	"netpart/internal/sched/cluster"
 )
@@ -49,21 +47,16 @@ const DefaultClusterIdleTimeout = 10 * time.Minute
 const costCluster = netpart.Cost("cluster")
 
 // clusterSession is one live session plus its serving state: the
-// lossy SSE fan-out and the idle-reaper timestamp.
+// SSE fan-out and the idle-reaper timestamp.
 type clusterSession struct {
-	ID   string
-	spec cluster.Spec
-	sess *cluster.Session
-	done chan struct{} // closed when the session ends (close or reap)
-
-	events  *obs.CounterVec // engine events by kind (shared family)
-	drops   *obs.Counter    // shared dropped-frame counter, "cluster" stream
-	dropped atomic.Int64    // this session's drops, for its snapshot doc
+	ID     string
+	spec   cluster.Spec
+	sess   *cluster.Session
+	done   chan struct{} // closed when the session ends (close or reap)
+	events fanout        // engine events, in simulation-time order
 
 	mu    sync.Mutex
-	last  time.Time // last API touch, for the idle reaper
-	subs  map[int]chan streamEvent
-	nsub  int
+	last  time.Time        // last API touch, for the idle reaper
 	final *clusterFinalDoc // set by a successful DELETE before done closes
 }
 
@@ -74,55 +67,15 @@ func (cs *clusterSession) touch() {
 	cs.mu.Unlock()
 }
 
-// publish fans one engine event out to subscribers without blocking
-// (lossy under backpressure, like job streams: the stream is a
-// monitor, the final metrics are the record). Called from the
-// session's OnEvent, so events arrive in simulation-time order.
-func (cs *clusterSession) publish(ev streamEvent) {
-	if e, ok := ev.data.(cluster.Event); ok {
-		cs.events.With(e.Kind).Inc()
-	}
+// doneDoc is the stream's done frame: the final metrics after a
+// graceful close, an aborted marker after a reap or failed drain.
+func (cs *clusterSession) doneDoc() any {
 	cs.mu.Lock()
-	chans := make([]chan streamEvent, 0, len(cs.subs))
-	for _, ch := range cs.subs {
-		chans = append(chans, ch)
+	defer cs.mu.Unlock()
+	if cs.final != nil {
+		return cs.final
 	}
-	cs.mu.Unlock()
-	for _, ch := range chans {
-		select {
-		case ch <- ev:
-		default:
-			cs.drops.Inc()
-			cs.dropped.Add(1)
-		}
-	}
-}
-
-// subscribe registers a lossy event channel; the returned function
-// unsubscribes it.
-func (cs *clusterSession) subscribe() (<-chan streamEvent, func()) {
-	ch := make(chan streamEvent, 64)
-	cs.mu.Lock()
-	id := cs.nsub
-	cs.nsub++
-	cs.subs[id] = ch
-	cs.mu.Unlock()
-	return ch, func() {
-		cs.mu.Lock()
-		delete(cs.subs, id)
-		cs.mu.Unlock()
-	}
-}
-
-// clusterStats are the healthz counters for the session subsystem.
-type clusterStats struct {
-	// ActiveSessions is the number of currently open sessions.
-	ActiveSessions int `json:"active_sessions"`
-	// JobsSubmitted is the lifetime count of accepted job submissions
-	// across all sessions (duplicates excluded).
-	JobsSubmitted int64 `json:"jobs_submitted"`
-	// SessionsReaped counts sessions aborted by the idle timeout.
-	SessionsReaped int64 `json:"sessions_reaped"`
+	return map[string]string{"id": cs.ID, "status": "aborted"}
 }
 
 // clusterManager owns the open sessions: identity, the session-count
@@ -207,14 +160,13 @@ func (m *clusterManager) open(spec cluster.Spec) (*clusterSession, error) {
 	cs := &clusterSession{
 		ID:     fmt.Sprintf("cluster-%06d", m.seq),
 		done:   make(chan struct{}),
-		events: m.metrics.clusterEvents,
-		drops:  m.metrics.dropped.With("cluster"),
+		events: fanout{drops: m.metrics.dropped.With("cluster")},
 		last:   time.Now(),
-		subs:   map[int]chan streamEvent{},
 	}
 	sess, err := cluster.Open(spec, cluster.SessionOptions{
 		OnEvent: func(ev cluster.Event) {
-			cs.publish(streamEvent{name: "event", data: ev})
+			m.metrics.clusterEvents.With(ev.Kind).Inc()
+			cs.events.publish(streamEvent{name: "event", data: ev})
 		},
 	})
 	if err != nil {
@@ -256,19 +208,6 @@ func (m *clusterManager) snapshot() []*clusterSession {
 		out = append(out, cs)
 	}
 	return out
-}
-
-// stats snapshots the healthz counters, read back from the same
-// metrics /metrics exposes.
-func (m *clusterManager) stats() clusterStats {
-	m.mu.Lock()
-	active := len(m.sessions)
-	m.mu.Unlock()
-	return clusterStats{
-		ActiveSessions: active,
-		JobsSubmitted:  m.metrics.clusterJobs.Value(),
-		SessionsReaped: m.metrics.clusterReaped.Value(),
-	}
 }
 
 // drain closes the manager to new sessions and gracefully drains the
@@ -327,7 +266,7 @@ func clusterDocFor(cs *clusterSession, snap cluster.Snapshot) clusterDoc {
 		Title:         cs.spec.Title(),
 		Spec:          cs.spec,
 		Snapshot:      snap,
-		DroppedFrames: cs.dropped.Load(),
+		DroppedFrames: cs.events.dropped.Load(),
 		Links: map[string]string{
 			"self":   path,
 			"jobs":   path + "/jobs",
@@ -484,60 +423,15 @@ func (s *Server) handleClusterEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no cluster session %q", r.PathValue("id"))
 		return
 	}
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-
-	out := newSSEWriter(w)
-	sub, unsubscribe := cs.subscribe()
-	defer unsubscribe()
-
-	snap, err := cs.sess.Snapshot(r.Context())
-	if err == nil {
-		if out.event("status", clusterDocFor(cs, snap)) != nil {
-			return
+	status := func() any {
+		snap, err := cs.sess.Snapshot(r.Context())
+		if err != nil {
+			return nil // an ending session still streams its done frame
 		}
+		return clusterDocFor(cs, snap)
 	}
-	heartbeat := time.NewTicker(sseHeartbeat)
-	defer heartbeat.Stop()
-	for {
-		select {
-		case ev := <-sub:
-			if out.event(ev.name, ev.data) != nil {
-				return
-			}
-		case <-cs.done:
-			for {
-				select {
-				case ev := <-sub:
-					if out.event(ev.name, ev.data) != nil {
-						return
-					}
-					continue
-				default:
-				}
-				break
-			}
-			cs.mu.Lock()
-			final := cs.final
-			cs.mu.Unlock()
-			if final != nil {
-				out.event("done", final) //nolint:errcheck // closing anyway
-			} else {
-				out.event("done", map[string]string{"id": cs.ID, "status": "aborted"}) //nolint:errcheck
-			}
-			return
-		case <-heartbeat.C:
-			cs.touch() // a live consumer keeps the session alive
-			if out.comment() != nil {
-				return
-			}
-		case <-r.Context().Done():
-			return
-		}
-	}
+	// A live consumer's heartbeat keeps the session alive.
+	streamSSE(w, r, &cs.events, cs.done, status, cs.doneDoc, cs.touch)
 }
 
 // writeClusterError maps session operation failures onto statuses:

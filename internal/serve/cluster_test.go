@@ -168,12 +168,17 @@ func TestClusterLifecycle(t *testing.T) {
 	}
 }
 
-// TestClusterHealthzCounters: the healthz document carries the
-// session subsystem's counters.
+// TestClusterHealthzCounters: the registry (on /metrics, and in the
+// healthz metrics snapshot) carries the session subsystem's counters.
 func TestClusterHealthzCounters(t *testing.T) {
-	_, ts := realServer(t, Options{})
-	if st := healthSnapshot(t, ts).Cluster; st.ActiveSessions != 0 || st.JobsSubmitted != 0 {
-		t.Fatalf("fresh stats %+v", st)
+	s, ts := realServer(t, Options{})
+	stats := func() (active, submitted, reaped float64) {
+		return metric(t, s, "netpart_cluster_sessions_active"),
+			metric(t, s, "netpart_cluster_jobs_submitted_total"),
+			metric(t, s, "netpart_cluster_sessions_reaped_total")
+	}
+	if active, submitted, _ := stats(); active != 0 || submitted != 0 {
+		t.Fatalf("fresh stats %v active / %v submitted", active, submitted)
 	}
 	doc := openClusterSession(t, ts, map[string]any{"machine": "2x2x2x1"})
 	code, _, body := post(t, ts.URL+"/v1/cluster/"+doc.ID+"/jobs", map[string]any{
@@ -182,31 +187,30 @@ func TestClusterHealthzCounters(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("jobs: %d %s", code, body)
 	}
-	st := healthSnapshot(t, ts).Cluster
-	if st.ActiveSessions != 1 || st.JobsSubmitted != 1 || st.SessionsReaped != 0 {
-		t.Fatalf("stats %+v, want 1 active / 1 submitted / 0 reaped", st)
+	if active, submitted, reaped := stats(); active != 1 || submitted != 1 || reaped != 0 {
+		t.Fatalf("stats %v/%v/%v, want 1 active / 1 submitted / 0 reaped", active, submitted, reaped)
 	}
 	if code, body := del(t, ts.URL+"/v1/cluster/"+doc.ID); code != http.StatusOK {
 		t.Fatalf("delete: %d %s", code, body)
 	}
-	if st := healthSnapshot(t, ts).Cluster; st.ActiveSessions != 0 || st.JobsSubmitted != 1 {
-		t.Fatalf("stats after delete %+v", st)
+	if active, submitted, _ := stats(); active != 0 || submitted != 1 {
+		t.Fatalf("stats after delete %v active / %v submitted", active, submitted)
 	}
 }
 
 // TestClusterIdleReap: a session nobody touches is aborted by the
-// idle reaper and counted in healthz.
+// idle reaper and counted on the registry.
 func TestClusterIdleReap(t *testing.T) {
-	_, ts := realServer(t, Options{ClusterIdleTimeout: 20 * time.Millisecond})
+	s, ts := realServer(t, Options{ClusterIdleTimeout: 20 * time.Millisecond})
 	doc := openClusterSession(t, ts, map[string]any{"machine": "2x2x2x1"})
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		st := healthSnapshot(t, ts).Cluster
-		if st.SessionsReaped >= 1 && st.ActiveSessions == 0 {
+		reaped, active := metric(t, s, "netpart_cluster_sessions_reaped_total"), metric(t, s, "netpart_cluster_sessions_active")
+		if reaped >= 1 && active == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("session never reaped: %+v", st)
+			t.Fatalf("session never reaped: %v reaped, %v active", reaped, active)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

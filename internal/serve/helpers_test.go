@@ -33,6 +33,42 @@ func realServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
 	return s, ts
 }
 
+// healthSnapshot fetches and decodes /v1/healthz.
+func healthSnapshot(t *testing.T, ts *httptest.Server) healthDoc {
+	t.Helper()
+	code, _, body := get(t, ts.URL+"/v1/healthz", nil)
+	if code != http.StatusOK {
+		t.Fatalf("healthz: %d %s", code, body)
+	}
+	var doc healthDoc
+	if err := json.Unmarshal(body, &doc); err != nil {
+		t.Fatalf("%v in %s", err, body)
+	}
+	return doc
+}
+
+// metric reads one series of the server's registry — the values
+// /metrics exposes — by family name and label pairs.
+func metric(t *testing.T, s *Server, name string, labelPairs ...string) float64 {
+	t.Helper()
+	for _, fam := range s.Metrics().Snapshot() {
+		if fam.Name != name {
+			continue
+		}
+	series:
+		for _, ser := range fam.Series {
+			for i := 0; i+1 < len(labelPairs); i += 2 {
+				if ser.Labels[labelPairs[i]] != labelPairs[i+1] {
+					continue series
+				}
+			}
+			return ser.Value
+		}
+	}
+	t.Fatalf("no series %s %v", name, labelPairs)
+	return 0
+}
+
 // runInfo is one invocation of the gated fake run function. The test
 // controls when it finishes: close proceed for success, cancel the
 // context for failure.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"sync"
 	"time"
 
@@ -40,20 +41,20 @@ const (
 	JobTrace = "trace"
 )
 
-// Job is one submitted run or sweep: a handle with its own identity,
-// event feed and cancellation, even when its computation is coalesced
-// with other jobs onto a single flight.
+// Job is one submitted run, sweep or trace: a handle with its own
+// identity, event feed and cancellation, even when its computation is
+// coalesced with other jobs onto a single flight.
 type Job struct {
 	ID         string
-	Kind       string             // JobRun or JobSweep
-	Experiment netpart.Experiment // synthesized descriptor for sweeps
+	Experiment netpart.Experiment // synthesized descriptor for sweeps and traces
 	Opts       netpart.RunOptions // as submitted
 	Key        Key                // normalized cache identity
 	Created    time.Time
 
+	kind   *jobKind
 	cancel context.CancelFunc
 	done   chan struct{} // closed on terminal status
-	drops  *obs.Counter  // frames dropped by this job's lossy fan-out
+	events fanout        // the job's SSE streams
 
 	mu       sync.Mutex
 	status   Status
@@ -61,21 +62,10 @@ type Job struct {
 	entry    *entry
 	latest   netpart.Progress
 	reported bool // latest is meaningful
-	subs     map[int]chan streamEvent
-	nsub     int
 }
 
 // path returns the job's URL path under /v1.
-func (j *Job) path() string {
-	switch j.Kind {
-	case JobSweep:
-		return "/v1/sweeps/" + j.ID
-	case JobTrace:
-		return "/v1/traces/" + j.ID
-	default:
-		return "/v1/runs/" + j.ID
-	}
-}
+func (j *Job) path() string { return "/v1/" + j.kind.noun + "/" + j.ID }
 
 // Snapshot returns the job's current status, last progress report
 // (ok=false before the first), and terminal error if any.
@@ -99,45 +89,17 @@ func (j *Job) Cancel() { j.cancel() }
 // Done is closed when the job reaches a terminal status.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
-// publish records the latest progress and fans events out to
-// subscribers without blocking: a slow SSE consumer drops
-// intermediate events (progress is monotone, so the latest report
-// subsumes the dropped ones; a dropped sweep point is still present
-// in the final result, the stream is a monitor, not the record).
-func (j *Job) publish(ev streamEvent) {
-	j.mu.Lock()
+// observe is the job's sink on its flight: it records the latest
+// progress for status documents, then relays the event to the job's
+// streams.
+func (j *Job) observe(ev streamEvent) {
 	if p, ok := ev.data.(netpart.Progress); ok {
+		j.mu.Lock()
 		j.latest = p
 		j.reported = true
-	}
-	chans := make([]chan streamEvent, 0, len(j.subs))
-	for _, ch := range j.subs {
-		chans = append(chans, ch)
-	}
-	j.mu.Unlock()
-	for _, ch := range chans {
-		select {
-		case ch <- ev:
-		default:
-			j.drops.Inc() // lossy by design; the drop is still counted
-		}
-	}
-}
-
-// subscribe registers an event channel; the returned function
-// unsubscribes it. The channel is buffered and lossy (see publish).
-func (j *Job) subscribe() (<-chan streamEvent, func()) {
-	ch := make(chan streamEvent, 64)
-	j.mu.Lock()
-	id := j.nsub
-	j.nsub++
-	j.subs[id] = ch
-	j.mu.Unlock()
-	return ch, func() {
-		j.mu.Lock()
-		delete(j.subs, id)
 		j.mu.Unlock()
 	}
+	j.events.publish(ev)
 }
 
 // finish moves the job to its terminal status. Context errors — the
@@ -212,33 +174,32 @@ func (m *jobManager) pruneLocked() {
 	m.order = kept
 }
 
-// submit creates a job and starts it asynchronously. For registry
-// runs (JobRun) the key derives from the experiment and options; for
-// sweeps (JobSweep) the caller supplies the content-hash key and the
-// parsed definition as payload. reqID is the submitting request's ID;
-// the job's context carries it (detached from the request's deadline)
-// so the asynchronous work stays traceable to the submission.
-func (m *jobManager) submit(kind string, exp netpart.Experiment, key Key, opts netpart.RunOptions, payload any, reqID string) (*Job, error) {
+// submit creates a job of kind k and starts it asynchronously. The
+// cache key derives from the experiment and options (a synthesized
+// dynamic descriptor normalizes to its bare content-hash ID). reqID
+// is the submitting request's ID; the job's context carries it
+// (detached from the request's deadline) so the asynchronous work
+// stays traceable to the submission.
+func (m *jobManager) submit(k *jobKind, sub *submission, reqID string) (*Job, error) {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
 		return nil, errShutdown
 	}
 	m.seq++
-	id := fmt.Sprintf("%s-%06d", kind, m.seq)
+	id := fmt.Sprintf("%s-%06d", k.kind, m.seq)
 	ctx, cancel := context.WithCancel(obs.WithRequestID(m.baseCtx, reqID))
 	job := &Job{
 		ID:         id,
-		Kind:       kind,
-		Experiment: exp,
-		Opts:       opts,
-		Key:        key,
+		Experiment: sub.exp,
+		Opts:       sub.opts,
+		Key:        keyFor(sub.exp, sub.opts),
 		Created:    time.Now(),
+		kind:       k,
 		cancel:     cancel,
 		done:       make(chan struct{}),
-		drops:      m.cache.m.dropped.With(kind),
+		events:     fanout{drops: m.cache.m.dropped.With(k.kind)},
 		status:     StatusRunning,
-		subs:       map[int]chan streamEvent{},
 	}
 	m.jobs[id] = job
 	m.order = append(m.order, id)
@@ -249,7 +210,7 @@ func (m *jobManager) submit(kind string, exp netpart.Experiment, key Key, opts n
 	go func() {
 		defer m.wg.Done()
 		defer cancel()
-		e, err := m.cache.do(ctx, job.Key, opts, payload, job.publish)
+		e, err := m.cache.do(ctx, job.Key, sub.opts, sub.payload, job.observe)
 		job.finish(e, err)
 	}()
 	return job, nil
@@ -283,5 +244,138 @@ func (m *jobManager) drain(ctx context.Context) error {
 		m.stop()
 		<-finished
 		return ctx.Err()
+	}
+}
+
+// --- the job resource, once for every kind ---
+
+// submission is what a kind's decode step extracts from a POST body:
+// the experiment descriptor (synthesized for sweeps and traces), the
+// options as submitted, and the parsed definition a dynamic flight
+// executes.
+type submission struct {
+	exp     netpart.Experiment
+	opts    netpart.RunOptions
+	payload any
+}
+
+// jobKind is one asynchronous job namespace. Runs, sweeps and traces
+// share submission, status/result, cancellation and event streams; a
+// kind contributes only its URL noun, the JobKind its jobs carry, and
+// its decode step. decode writes the error response itself and
+// returns nil when the body is unusable.
+type jobKind struct {
+	noun   string
+	kind   string
+	decode func(w http.ResponseWriter, r *http.Request) *submission
+}
+
+// jobKinds is every job namespace; newServer registers POST, GET,
+// DELETE and /events once per entry.
+var jobKinds = []*jobKind{
+	{noun: "runs", kind: JobRun, decode: decodeRun},
+	{noun: "sweeps", kind: JobSweep, decode: decodeSweep},
+	{noun: "traces", kind: JobTrace, decode: decodeTrace},
+}
+
+// jobFor resolves the request's {id} to a job of kind k, answering 404
+// itself when there is none — a job of another kind included, so
+// namespaces never leak into each other.
+func (s *Server) jobFor(k *jobKind, w http.ResponseWriter, r *http.Request) *Job {
+	job, ok := s.jobs.lookup(r.PathValue("id"))
+	if !ok || job.kind != k {
+		writeError(w, http.StatusNotFound, "no %s %q", k.kind, r.PathValue("id"))
+		return nil
+	}
+	return job
+}
+
+// handleSubmit accepts an asynchronous job: 202 with the job document
+// and a Location header. Definitions are fully validated before the
+// job exists; identical concurrent submissions coalesce onto one
+// underlying run but keep distinct job identities.
+func (s *Server) handleSubmit(k *jobKind) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		sub := k.decode(w, r)
+		if sub == nil {
+			return
+		}
+		job, err := s.jobs.submit(k, sub, obs.RequestIDFrom(r.Context()))
+		if err != nil {
+			writeError(w, http.StatusServiceUnavailable, "%v", err)
+			return
+		}
+		w.Header().Set("Location", job.path())
+		writeJSON(w, http.StatusAccepted, jobDocFor(job))
+	}
+}
+
+// handleJob serves a job: the status document (with the latest
+// progress) while it is in flight or after it failed or was canceled,
+// the negotiated result once done. Repeated fetches of a done job are
+// byte-identical with matching strong ETags.
+func (s *Server) handleJob(k *jobKind) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		job := s.jobFor(k, w, r)
+		if job == nil {
+			return
+		}
+		if e := job.Entry(); e != nil {
+			w.Header().Set("X-Netpart-Run", job.ID)
+			writeEntry(w, r, e)
+			return
+		}
+		writeJSON(w, http.StatusOK, jobDocFor(job))
+	}
+}
+
+// handleCancel cancels a job (idempotent); the underlying run stops
+// once no other job or request still wants its result. For a dynamic
+// key (sweeps, traces) it also evicts the completed result from the
+// cache and the persistent store, so re-submitting recomputes;
+// registry results stay cached.
+func (s *Server) handleCancel(k *jobKind) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		job := s.jobFor(k, w, r)
+		if job == nil {
+			return
+		}
+		job.Cancel()
+		if job.Key.dynamic() {
+			s.cache.evict(job.Key)
+		}
+		writeJSON(w, http.StatusAccepted, jobDocFor(job))
+	}
+}
+
+// handleEvents streams a job's life as Server-Sent Events:
+//
+//	event: status    one initial job snapshot on connect
+//	event: progress  every progress report (lossy under backpressure:
+//	                 intermediate reports may be dropped, the stream
+//	                 stays monotone)
+//	event: point     every completed sweep or trace-grid point (sweep
+//	                 and trace-grid jobs only; lossy under
+//	                 backpressure — the final result always carries
+//	                 every point)
+//	event: job       every job start/finish of a trace simulation, in
+//	                 simulation-time order (trace jobs only; lossy
+//	                 under backpressure — the final result carries
+//	                 every job)
+//	event: done      terminal snapshot (status done/failed/canceled),
+//	                 then the stream closes
+//
+// Progress data carries the per-run token (netpart.Progress.Run), so
+// a consumer multiplexing several streams of the same experiment can
+// still tell the underlying runs apart. Disconnecting only detaches
+// the stream; it does not cancel the job (DELETE does).
+func (s *Server) handleEvents(k *jobKind) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		job := s.jobFor(k, w, r)
+		if job == nil {
+			return
+		}
+		doc := func() any { return jobDocFor(job) }
+		streamSSE(w, r, &job.events, job.done, doc, doc, nil)
 	}
 }

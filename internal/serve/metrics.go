@@ -23,8 +23,9 @@ import (
 //     histograms, in-flight gauges, and request-ID minting
 //   - admission: per-cost-class queue-wait histograms and held-slot
 //     gauges (the semaphores' contention, measured)
-//   - cache / store / cluster / peers: their ad-hoc healthz counters,
-//     re-homed as first-class metrics (healthz reads these back)
+//   - cache / store / cluster / peers: hits, misses, persists,
+//     sessions and per-peer dispatch health (the only copy: healthz
+//     carries them inside its registry snapshot)
 //   - simulation internals: contention-memo hit rate and stepper
 //     events, sampled from their process-wide counters at scrape time
 //

@@ -149,10 +149,11 @@ func TestFleetRequestIDPropagation(t *testing.T) {
 }
 
 // TestClusterDroppedFrames: a subscriber that never drains makes the
-// lossy fan-out shed frames, and the loss is visible both in the
-// session document and in the shared SSE-drop metric.
+// lossy fan-out shed frames, for both of its users — a cluster
+// session and a job stream — and the loss is visible per instance (in
+// the session document) and in the shared SSE-drop metric.
 func TestClusterDroppedFrames(t *testing.T) {
-	s, ts := realServer(t, Options{})
+	s, ts, g := gatedServer(t, Options{})
 	code, _, body := post(t, ts.URL+"/v1/cluster", map[string]any{
 		"machine": "mira", "policy": "contention-aware"})
 	if code != http.StatusCreated {
@@ -166,15 +167,27 @@ func TestClusterDroppedFrames(t *testing.T) {
 	if !ok {
 		t.Fatalf("no session %s", doc.ID)
 	}
-
-	// Subscribe but never read: the 64-frame buffer fills, the rest drop.
-	_, unsub := cs.subscribe()
-	defer unsub()
-	for i := 0; i < 100; i++ {
-		cs.publish(streamEvent{name: "event", data: i})
+	// A parked run publishes nothing of its own.
+	run := submit(t, ts, map[string]any{"experiment": "table1"})
+	defer close(g.next(t).proceed)
+	job, ok := s.jobs.lookup(run.ID)
+	if !ok {
+		t.Fatalf("no job %s", run.ID)
 	}
-	if got := cs.dropped.Load(); got != 36 {
-		t.Errorf("session dropped %d frames, want 36", got)
+
+	for _, c := range []struct {
+		stream string
+		events *fanout
+	}{{"cluster", &cs.events}, {JobRun, &job.events}} {
+		// Subscribe but never read: the 64-frame buffer fills, the rest drop.
+		_, unsub := c.events.subscribe()
+		for i := 0; i < 100; i++ {
+			c.events.publish(streamEvent{name: "event", data: i})
+		}
+		unsub()
+		if got := c.events.dropped.Load(); got != 36 {
+			t.Errorf("%s stream dropped %d frames, want 36", c.stream, got)
+		}
 	}
 
 	code, _, body = get(t, ts.URL+"/v1/cluster/"+doc.ID, nil)
@@ -189,8 +202,13 @@ func TestClusterDroppedFrames(t *testing.T) {
 	}
 
 	_, _, text := get(t, ts.URL+"/metrics", nil)
-	if want := `netpart_sse_dropped_frames_total{stream="cluster"} 36`; !strings.Contains(string(text), want) {
-		t.Errorf("exposition missing %q", want)
+	for _, want := range []string{
+		`netpart_sse_dropped_frames_total{stream="cluster"} 36`,
+		`netpart_sse_dropped_frames_total{stream="run"} 36`,
+	} {
+		if !strings.Contains(string(text), want) {
+			t.Errorf("exposition missing %q", want)
+		}
 	}
 }
 

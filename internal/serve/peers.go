@@ -72,19 +72,6 @@ type peer struct {
 	probes     *obs.Counter // health re-probes issued
 }
 
-// peerDoc is a peer's healthz representation. LastProbe is the RFC
-// 3339 time of the last health probe or dispatch failure, empty while
-// the peer has never needed one.
-type peerDoc struct {
-	URL        string `json:"url"`
-	Healthy    bool   `json:"healthy"`
-	LastProbe  string `json:"last_probe,omitempty"`
-	Dispatched int64  `json:"dispatched"`
-	Failed     int64  `json:"failed"`
-	Skipped    int64  `json:"skipped"`
-	Probes     int64  `json:"probes"`
-}
-
 // peerPool shards points across worker daemons.
 type peerPool struct {
 	peers      []*peer
@@ -195,25 +182,6 @@ func (pp *peerPool) maybeProbe(p *peer) {
 	}()
 }
 
-// stats snapshots per-peer health and dispatch counters for healthz.
-func (pp *peerPool) stats() []peerDoc {
-	docs := make([]peerDoc, len(pp.peers))
-	for i, p := range pp.peers {
-		docs[i] = peerDoc{
-			URL:        p.base,
-			Healthy:    p.healthy.Load(),
-			Dispatched: p.dispatched.Value(),
-			Failed:     p.failed.Value(),
-			Skipped:    p.skipped.Value(),
-			Probes:     p.probes.Value(),
-		}
-		if ns := p.lastProbe.Load(); ns != 0 {
-			docs[i].LastProbe = time.Unix(0, ns).UTC().Format(time.RFC3339Nano)
-		}
-	}
-	return docs
-}
-
 // maxPeerResponse bounds a worker reply; a point outcome is a bounded
 // document (specs and traces are bounded at submission).
 const maxPeerResponse = 32 << 20
@@ -243,7 +211,6 @@ func (pp *peerPool) dispatch(ctx context.Context, path, id string, unit, out any
 		return err
 	}
 	p.dispatched.Inc()
-	p.healthy.Store(true)
 	return nil
 }
 

@@ -10,18 +10,23 @@ import (
 	"time"
 )
 
-// healthSnapshot fetches and decodes /v1/healthz.
-func healthSnapshot(t *testing.T, ts *httptest.Server) healthDoc {
+// peerCounters are one peer's dispatch metrics on a coordinator.
+type peerCounters struct {
+	Healthy                             bool
+	Dispatched, Failed, Skipped, Probes int64
+}
+
+// peerMetrics reads a coordinator's registry series for one peer.
+func peerMetrics(t *testing.T, s *Server, url string) peerCounters {
 	t.Helper()
-	code, _, body := get(t, ts.URL+"/v1/healthz", nil)
-	if code != http.StatusOK {
-		t.Fatalf("healthz: %d %s", code, body)
+	read := func(name string) int64 { return int64(metric(t, s, name, "peer", url)) }
+	return peerCounters{
+		Healthy:    read("netpart_peer_healthy") == 1,
+		Dispatched: read("netpart_peer_dispatched_total"),
+		Failed:     read("netpart_peer_failed_total"),
+		Skipped:    read("netpart_peer_skipped_total"),
+		Probes:     read("netpart_peer_probes_total"),
 	}
-	var doc healthDoc
-	if err := json.Unmarshal(body, &doc); err != nil {
-		t.Fatalf("%v in %s", err, body)
-	}
-	return doc
 }
 
 // TestPeerShardedSweep: a sweep run by a coordinator over worker
@@ -39,12 +44,9 @@ func TestPeerShardedSweep(t *testing.T) {
 		t.Fatal("sharded sweep differs from single-process execution")
 	}
 
-	doc := healthSnapshot(t, coordTS)
-	if len(doc.Peers) != 2 {
-		t.Fatalf("peers %+v", doc.Peers)
-	}
 	var dispatched, failed int64
-	for _, p := range doc.Peers {
+	for _, url := range []string{w1.URL, w2.URL} {
+		p := peerMetrics(t, coord, url)
 		dispatched += p.Dispatched
 		failed += p.Failed
 	}
@@ -84,11 +86,7 @@ func TestPeerFailover(t *testing.T) {
 	// marked the peer unhealthy, and every point not already in flight
 	// skipped it instead of burning a dispatch. Each of the 4 points is
 	// accounted for as dispatched, failed, or skipped.
-	doc := healthSnapshot(t, coordTS)
-	if len(doc.Peers) != 1 {
-		t.Fatalf("peers %+v", doc.Peers)
-	}
-	p := doc.Peers[0]
+	p := peerMetrics(t, coord, flaky.URL)
 	if p.Healthy || p.Dispatched > 1 || p.Failed < 1 || p.Dispatched+p.Failed+p.Skipped < 4 {
 		t.Errorf("peer counters %+v, want unhealthy with <= 1 success, >= 1 failure, 4 points accounted", p)
 	}
@@ -102,7 +100,7 @@ func TestPeerFailover(t *testing.T) {
 	if string(got2) != string(want) {
 		t.Fatal("dead-fleet sweep differs from single-process execution")
 	}
-	if p := healthSnapshot(t, coordTS2).Peers[0]; p.Healthy || p.Failed < 1 {
+	if p := peerMetrics(t, coord2, dead.URL); p.Healthy || p.Failed < 1 {
 		t.Errorf("dead peer counters %+v, want unhealthy with >= 1 failure", p)
 	}
 }
@@ -135,7 +133,7 @@ func TestPeerRecovery(t *testing.T) {
 	if string(got) != string(want) {
 		t.Fatal("degraded sweep differs from single-process execution")
 	}
-	if p := healthSnapshot(t, coordTS).Peers[0]; p.Healthy || p.Failed < 1 {
+	if p := peerMetrics(t, coord, ws.URL); p.Healthy || p.Failed < 1 {
 		t.Fatalf("peer counters %+v, want unhealthy with >= 1 failure", p)
 	}
 
@@ -144,7 +142,7 @@ func TestPeerRecovery(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		coord.peers.pick("any-point-id")
-		if p := healthSnapshot(t, coordTS).Peers[0]; p.Healthy {
+		if p := peerMetrics(t, coord, ws.URL); p.Healthy {
 			if p.Probes < 1 {
 				t.Fatalf("peer recovered without a probe: %+v", p)
 			}
@@ -162,7 +160,7 @@ func TestPeerRecovery(t *testing.T) {
 	if string(got2) != string(want2) {
 		t.Fatal("recovered sweep differs from single-process execution")
 	}
-	if p := healthSnapshot(t, coordTS).Peers[0]; p.Dispatched < 1 {
+	if p := peerMetrics(t, coord, ws.URL); p.Dispatched < 1 {
 		t.Errorf("peer counters %+v, want >= 1 dispatch after recovery", p)
 	}
 }
@@ -199,9 +197,8 @@ func TestPeerTraceGrid(t *testing.T) {
 	if got != want || gotTag != wantTag {
 		t.Fatal("peer trace grid differs from single-process execution")
 	}
-	doc := healthSnapshot(t, coordTS)
-	if doc.Peers[0].Dispatched != 4 || doc.Peers[0].Failed != 0 {
-		t.Errorf("peer counters %+v", doc.Peers)
+	if p := peerMetrics(t, coord, w1.URL); p.Dispatched != 4 || p.Failed != 0 {
+		t.Errorf("peer counters %+v", p)
 	}
 }
 
@@ -231,16 +228,15 @@ func TestPeerCoalescing(t *testing.T) {
 	if results[0] != results[1] {
 		t.Error("coordinators disagree")
 	}
-	stats := worker.cache.stats()
-	if stats.Misses != 4 {
-		t.Errorf("worker computed %d flights for 4 unique points (hits=%d coalesced=%d store=%d)",
-			stats.Misses, stats.Hits, stats.Coalesced, stats.StoreHits)
+	if misses := metric(t, worker, "netpart_cache_misses_total"); misses != 4 {
+		t.Errorf("worker computed %v flights for 4 unique points (hits=%v coalesced=%v store=%v)", misses,
+			metric(t, worker, "netpart_cache_hits_total"), metric(t, worker, "netpart_cache_coalesced_total"),
+			metric(t, worker, "netpart_cache_store_hits_total"))
 	}
 	// Dispatch totals: every point went remote from both coordinators.
-	for _, ts := range []*httptest.Server{c1TS, c2TS} {
-		doc := healthSnapshot(t, ts)
-		if doc.Peers[0].Dispatched != 4 || doc.Peers[0].Failed != 0 {
-			t.Errorf("coordinator counters %+v", doc.Peers)
+	for _, c := range []*Server{c1, c2} {
+		if p := peerMetrics(t, c, workerTS.URL); p.Dispatched != 4 || p.Failed != 0 {
+			t.Errorf("coordinator counters %+v", p)
 		}
 	}
 	// The worker's store holds the per-point blobs for its next boot.

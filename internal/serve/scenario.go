@@ -10,40 +10,29 @@ import (
 
 	"netpart"
 	"netpart/internal/obs"
-	"netpart/internal/route"
 	"netpart/internal/scenario"
 	"netpart/internal/scenario/sweep"
-	"netpart/internal/store"
 )
 
 // --- healthz ---
 
 // healthDoc is the GET /v1/healthz response: a real readiness probe
-// (the handler answers only once the mux and cache are wired) plus
-// version/build info and cache / store / fleet observability for
-// debugging a deployment at a glance.
+// (the handler answers only once the mux and cache are wired), build
+// identity, and the full metrics registry snapshot — every family
+// /metrics exposes, in the same order, as JSON. Counters live on the
+// registry alone; healthz carries no copies of its own.
 type healthDoc struct {
-	Status      string `json:"status"`
-	Service     string `json:"service"`
-	Version     string `json:"version"`
-	Revision    string `json:"revision,omitempty"`
-	GoVersion   string `json:"go"`
-	Experiments int    `json:"experiments"`
-
-	Cache   cacheStats   `json:"cache"`
-	Cluster clusterStats `json:"cluster"`
-	Store   *store.Stats `json:"store,omitempty"` // absent without --store-dir
-	Peers   []peerDoc    `json:"peers,omitempty"` // absent outside coordinator mode
-
-	// Metrics is the full registry snapshot — every family /metrics
-	// exposes, in the same order, as JSON. The legacy cache / cluster /
-	// store / peer blocks above read from the same underlying metrics,
-	// so the two views can never disagree.
-	Metrics []obs.FamilySnapshot `json:"metrics"`
+	Status      string               `json:"status"`
+	Service     string               `json:"service"`
+	Version     string               `json:"version"`
+	Revision    string               `json:"revision,omitempty"`
+	GoVersion   string               `json:"go"`
+	Experiments int                  `json:"experiments"`
+	Metrics     []obs.FamilySnapshot `json:"metrics"`
 }
 
-// handleHealthz serves readiness, build identity, and the cache /
-// cluster-session / store / per-peer dispatch counters.
+// handleHealthz serves readiness, build identity and the metrics
+// snapshot.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	doc := healthDoc{
 		Status:      "ok",
@@ -51,16 +40,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Version:     "(devel)",
 		GoVersion:   runtime.Version(),
 		Experiments: len(netpart.Registry()),
-		Cache:       s.cache.stats(),
-		Cluster:     s.clusters.stats(),
 		Metrics:     s.metrics.reg.Snapshot(),
-	}
-	if s.opts.Store != nil {
-		st := s.opts.Store.Stats()
-		doc.Store = &st
-	}
-	if s.peers != nil {
-		doc.Peers = s.peers.stats()
 	}
 	if info, ok := debug.ReadBuildInfo(); ok {
 		if info.Main.Version != "" {
@@ -104,20 +84,11 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	e, err := s.cache.do(r.Context(), Key{ID: norm.ID()}, opts, norm, nil)
-	switch {
-	case err == nil:
-		writeEntry(w, r, e)
-	case errors.Is(err, context.Canceled):
-		writeError(w, 499, "canceled")
-	case errors.Is(err, context.DeadlineExceeded):
-		writeError(w, http.StatusGatewayTimeout, "run exceeded the server's run timeout")
-	case errors.As(err, new(*route.DisconnectedError)):
-		// The submitted failure model disconnects the topology: a
-		// property of the document, not a server fault.
-		writeError(w, http.StatusUnprocessableEntity, "%v", err)
-	default:
-		writeError(w, http.StatusInternalServerError, "%v", err)
+	if err != nil {
+		writeRunError(w, err)
+		return
 	}
+	writeEntry(w, r, e)
 }
 
 // runScenario executes one scenario flight: admission for the
@@ -155,24 +126,21 @@ type sweepTask struct {
 	points []sweep.Point
 }
 
-// handleSweepSubmit accepts a parameter-grid sweep: the body is the
-// grid document, the response 202 with the job document and Location.
-// The grid is expanded (and therefore fully validated) before the job
-// is created; identical concurrent submissions — grids expanding to
-// the same points — coalesce onto one execution while keeping
-// distinct job identities.
-func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeSweep reads a POST /v1/sweeps body: the grid document,
+// expanded (and therefore fully validated) before the job exists, so
+// grids expanding to the same points share one content-hash key.
+func decodeSweep(w http.ResponseWriter, r *http.Request) *submission {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSweepBody))
 	dec.DisallowUnknownFields()
 	var grid netpart.SweepGrid
 	if err := dec.Decode(&grid); err != nil {
 		writeError(w, http.StatusBadRequest, "bad sweep body: %v", err)
-		return
+		return nil
 	}
 	points, err := grid.Expand()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil
 	}
 	exp := netpart.Experiment{
 		ID:    sweep.ID(grid.Name, points),
@@ -180,45 +148,7 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		Kind:  netpart.KindTable,
 		Cost:  netpart.Cost(sweep.Cost(points)),
 	}
-	job, err := s.jobs.submit(JobSweep, exp, Key{ID: exp.ID}, netpart.RunOptions{}, &sweepTask{grid: grid, points: points}, obs.RequestIDFrom(r.Context()))
-	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	}
-	w.Header().Set("Location", job.path())
-	writeJSON(w, http.StatusAccepted, jobDocFor(job))
-}
-
-// handleSweep serves a sweep job: the status document (including the
-// latest per-point progress) while running, the negotiated result
-// once done.
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.jobs.lookup(r.PathValue("id"))
-	if !ok || job.Kind != JobSweep {
-		writeError(w, http.StatusNotFound, "no sweep %q", r.PathValue("id"))
-		return
-	}
-	if e := job.Entry(); e != nil {
-		w.Header().Set("X-Netpart-Run", job.ID)
-		writeEntry(w, r, e)
-		return
-	}
-	writeJSON(w, http.StatusOK, jobDocFor(job))
-}
-
-// handleSweepCancel cancels a sweep job (idempotent); the underlying
-// execution stops once no other job still wants its result. A DELETE
-// of a finished sweep also evicts its completed result from the cache
-// and the persistent store, so re-submitting the grid recomputes.
-func (s *Server) handleSweepCancel(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.jobs.lookup(r.PathValue("id"))
-	if !ok || job.Kind != JobSweep {
-		writeError(w, http.StatusNotFound, "no sweep %q", r.PathValue("id"))
-		return
-	}
-	job.Cancel()
-	s.cache.evict(job.Key)
-	writeJSON(w, http.StatusAccepted, jobDocFor(job))
+	return &submission{exp: exp, payload: &sweepTask{grid: grid, points: points}}
 }
 
 // runSweep executes one sweep flight: admission for the point-count

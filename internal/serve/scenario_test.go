@@ -93,16 +93,31 @@ func TestScenarioSync(t *testing.T) {
 	}
 }
 
+// TestScenarioValidation: malformed documents are 400s; well-formed
+// partition requests the machine cannot satisfy are 422s.
 func TestScenarioValidation(t *testing.T) {
 	_, ts := realServer(t, Options{})
-	for name, doc := range map[string]any{
-		"unknown kind":  map[string]any{"topology": map[string]any{"kind": "moebius"}, "workload": map[string]any{"pattern": "pairing"}},
-		"unknown field": map[string]any{"topology": map[string]any{"kind": "torus", "shape": "4x4"}, "workload": map[string]any{"pattern": "pairing"}, "turbo": true},
-		"bad policy":    map[string]any{"topology": map[string]any{"kind": "torus", "shape": "4x4", "policy": "best-case"}, "workload": map[string]any{"pattern": "pairing"}},
+	partition := func(machine string, midplanes int, policy string) map[string]any {
+		return map[string]any{
+			"topology": map[string]any{"kind": "partition", "machine": machine, "midplanes": midplanes, "policy": policy},
+			"workload": map[string]any{"pattern": "pairing"},
+		}
+	}
+	for _, probe := range []struct {
+		name string
+		doc  any
+		want int
+	}{
+		{"unknown kind", map[string]any{"topology": map[string]any{"kind": "moebius"}, "workload": map[string]any{"pattern": "pairing"}}, http.StatusBadRequest},
+		{"unknown field", map[string]any{"topology": map[string]any{"kind": "torus", "shape": "4x4"}, "workload": map[string]any{"pattern": "pairing"}, "turbo": true}, http.StatusBadRequest},
+		{"bad policy", map[string]any{"topology": map[string]any{"kind": "torus", "shape": "4x4", "policy": "best-case"}, "workload": map[string]any{"pattern": "pairing"}}, http.StatusBadRequest},
+		{"no predefined list", partition("juqueen", 4, "predefined"), http.StatusUnprocessableEntity},
+		{"no predefined size", partition("mira", 5, "predefined"), http.StatusUnprocessableEntity},
+		{"over capacity", partition("mira", 500, "best-case"), http.StatusUnprocessableEntity},
 	} {
-		code, _, body := post(t, ts.URL+"/v1/scenarios", doc)
-		if code != http.StatusBadRequest {
-			t.Errorf("%s: status %d: %s", name, code, body)
+		code, _, body := post(t, ts.URL+"/v1/scenarios", probe.doc)
+		if code != probe.want {
+			t.Errorf("%s: status %d, want %d: %s", probe.name, code, probe.want, body)
 		}
 	}
 }

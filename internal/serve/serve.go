@@ -20,7 +20,7 @@
 //
 // Endpoints (all under /v1, JSON unless negotiated otherwise):
 //
-//	GET    /v1/healthz                     readiness + version/build info
+//	GET    /v1/healthz                     readiness, build identity, metrics snapshot
 //	GET    /v1/experiments                 registry, ?kind= and ?cost= filters
 //	GET    /v1/experiments/{id}/result     run synchronously (cache + coalesce)
 //	POST   /v1/runs                        submit an asynchronous run
@@ -66,6 +66,8 @@ import (
 
 	"netpart"
 	"netpart/internal/obs"
+	"netpart/internal/route"
+	"netpart/internal/scenario"
 	"netpart/internal/store"
 )
 
@@ -229,19 +231,13 @@ func newServer(opts Options, run runFunc) *Server {
 	s.handle("GET /v1/healthz", s.handleHealthz)
 	s.handle("GET /v1/experiments", s.handleExperiments)
 	s.handle("GET /v1/experiments/{id}/result", s.handleSyncResult)
-	s.handle("POST /v1/runs", s.handleSubmit)
-	s.handle("GET /v1/runs/{id}", s.handleRun)
-	s.handle("DELETE /v1/runs/{id}", s.handleCancel)
-	s.handle("GET /v1/runs/{id}/events", s.handleEvents(JobRun))
+	for _, k := range jobKinds {
+		s.handle("POST /v1/"+k.noun, s.handleSubmit(k))
+		s.handle("GET /v1/"+k.noun+"/{id}", s.handleJob(k))
+		s.handle("DELETE /v1/"+k.noun+"/{id}", s.handleCancel(k))
+		s.handle("GET /v1/"+k.noun+"/{id}/events", s.handleEvents(k))
+	}
 	s.handle("POST /v1/scenarios", s.handleScenario)
-	s.handle("POST /v1/sweeps", s.handleSweepSubmit)
-	s.handle("GET /v1/sweeps/{id}", s.handleSweep)
-	s.handle("DELETE /v1/sweeps/{id}", s.handleSweepCancel)
-	s.handle("GET /v1/sweeps/{id}/events", s.handleEvents(JobSweep))
-	s.handle("POST /v1/traces", s.handleTraceSubmit)
-	s.handle("GET /v1/traces/{id}", s.handleTrace)
-	s.handle("DELETE /v1/traces/{id}", s.handleTraceCancel)
-	s.handle("GET /v1/traces/{id}/events", s.handleEvents(JobTrace))
 	s.handle("POST /v1/cluster", s.handleClusterOpen)
 	s.handle("GET /v1/cluster/{id}", s.handleClusterGet)
 	s.handle("DELETE /v1/cluster/{id}", s.handleClusterClose)
@@ -629,14 +625,26 @@ func (s *Server) handleSyncResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	e, err := s.cache.do(r.Context(), keyFor(exp, opts), opts, nil, nil)
+	if err != nil {
+		writeRunError(w, err)
+		return
+	}
+	writeEntry(w, r, e)
+}
+
+// writeRunError maps a failed synchronous run onto a status: a gone
+// client (499, unread), the server's run timeout (504), a document
+// the topology cannot satisfy — a failure model that disconnects it,
+// a partition request the machine cannot place (422) — and anything
+// else as a server fault (500).
+func writeRunError(w http.ResponseWriter, err error) {
 	switch {
-	case err == nil:
-		writeEntry(w, r, e)
 	case errors.Is(err, context.Canceled):
-		// Client is gone; any status we write is unread.
 		writeError(w, 499, "canceled")
 	case errors.Is(err, context.DeadlineExceeded):
 		writeError(w, http.StatusGatewayTimeout, "run exceeded the server's run timeout")
+	case errors.As(err, new(*route.DisconnectedError)), errors.As(err, new(*scenario.PartitionError)):
+		writeError(w, http.StatusUnprocessableEntity, "%v", err)
 	default:
 		writeError(w, http.StatusInternalServerError, "%v", err)
 	}
@@ -654,62 +662,24 @@ type submitDoc struct {
 // buffers, job index), so the decoder must be too.
 const maxSubmitBody = 1 << 20
 
-// handleSubmit accepts an asynchronous run: 202 with the job document
-// and a Location header. Identical concurrent submissions coalesce
-// onto one underlying run but keep distinct job identities.
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeRun reads a POST /v1/runs body: a registry experiment and
+// its run options.
+func decodeRun(w http.ResponseWriter, r *http.Request) *submission {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody))
 	dec.DisallowUnknownFields()
 	var req submitDoc
 	if err := dec.Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
+		return nil
 	}
 	exp, ok := netpart.Lookup(req.Experiment)
 	if !ok {
 		writeError(w, http.StatusNotFound, "no experiment %q (known IDs: %v)", req.Experiment, netpart.IDs())
-		return
+		return nil
 	}
 	if req.Workers < 0 {
 		writeError(w, http.StatusBadRequest, "bad workers %d", req.Workers)
-		return
+		return nil
 	}
-	runOpts := netpart.RunOptions{Workers: req.Workers, FullRounds: req.FullRounds}
-	job, err := s.jobs.submit(JobRun, exp, keyFor(exp, runOpts), runOpts, nil, obs.RequestIDFrom(r.Context()))
-	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	}
-	w.Header().Set("Location", "/v1/runs/"+job.ID)
-	writeJSON(w, http.StatusAccepted, jobDocFor(job))
-}
-
-// handleRun serves a job: the status document while it is in flight
-// (or failed/canceled), the negotiated result once done. Repeated
-// fetches of a done job are byte-identical with matching strong
-// ETags.
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.jobs.lookup(r.PathValue("id"))
-	if !ok || job.Kind != JobRun {
-		writeError(w, http.StatusNotFound, "no run %q", r.PathValue("id"))
-		return
-	}
-	if e := job.Entry(); e != nil {
-		w.Header().Set("X-Netpart-Run", job.ID)
-		writeEntry(w, r, e)
-		return
-	}
-	writeJSON(w, http.StatusOK, jobDocFor(job))
-}
-
-// handleCancel cancels a job (idempotent). The underlying run stops
-// once no other job or request still wants its result.
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.jobs.lookup(r.PathValue("id"))
-	if !ok || job.Kind != JobRun {
-		writeError(w, http.StatusNotFound, "no run %q", r.PathValue("id"))
-		return
-	}
-	job.Cancel()
-	writeJSON(w, http.StatusAccepted, jobDocFor(job))
+	return &submission{exp: exp, opts: netpart.RunOptions{Workers: req.Workers, FullRounds: req.FullRounds}}
 }

@@ -4,9 +4,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"netpart"
+	"netpart/internal/obs"
 )
 
 // sseHeartbeat is the idle-comment interval keeping proxies from
@@ -46,41 +49,89 @@ func (s *sseWriter) comment() error {
 	return s.c.Flush()
 }
 
-// handleEvents streams a job's life as Server-Sent Events:
-//
-//	event: status    one initial job snapshot on connect
-//	event: progress  every progress report (lossy under backpressure:
-//	                 intermediate reports may be dropped, the stream
-//	                 stays monotone)
-//	event: point     every completed sweep or trace-grid point (sweep
-//	                 and trace-grid jobs only; lossy under
-//	                 backpressure — the final result always carries
-//	                 every point)
-//	event: job       every job start/finish of a trace simulation, in
-//	                 simulation-time order (trace jobs only; lossy
-//	                 under backpressure — the final result carries
-//	                 every job)
-//	event: done      terminal snapshot (status done/failed/canceled),
-//	                 then the stream closes
-//
-// Progress data carries the per-run token (netpart.Progress.Run), so
-// a consumer multiplexing several streams of the same experiment can
-// still tell the underlying runs apart. Disconnecting only detaches
-// the stream; it does not cancel the job (DELETE does).
-func (s *Server) handleEvents(kind string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		job, ok := s.jobs.lookup(r.PathValue("id"))
-		if !ok || job.Kind != kind {
-			writeError(w, http.StatusNotFound, "no %s %q", kind, r.PathValue("id"))
-			return
-		}
-		s.streamJob(w, r, job)
+// sseBuffer is each stream subscriber's frame buffer: deep enough to
+// absorb a burst of simulation events between two client reads,
+// shallow enough that a stalled client holds bounded memory (it loses
+// frames instead; see fanout).
+const sseBuffer = 64
+
+// fanout broadcasts stream events to registered sinks without ever
+// blocking the producer — a flight's progress path or a session's
+// engine event tap. Sinks must not block. Stream subscribers are
+// lossy channel sinks: a full buffer drops the frame (progress is
+// monotone and the final result or metrics carry every point, job
+// and event; the stream is a monitor, not the record), and every drop
+// is counted on the shared per-stream counter and on the instance.
+type fanout struct {
+	drops   *obs.Counter // netpart_sse_dropped_frames_total{stream}
+	dropped atomic.Int64 // this instance's drops
+
+	mu    sync.Mutex
+	sinks map[int]func(streamEvent)
+	nsink int
+}
+
+// add registers a sink and returns the function that removes it. A
+// nil sink registers nothing.
+func (f *fanout) add(fn func(streamEvent)) (remove func()) {
+	if fn == nil {
+		return func() {}
+	}
+	f.mu.Lock()
+	if f.sinks == nil {
+		f.sinks = map[int]func(streamEvent){}
+	}
+	id := f.nsink
+	f.nsink++
+	f.sinks[id] = fn
+	f.mu.Unlock()
+	return func() {
+		f.mu.Lock()
+		delete(f.sinks, id)
+		f.mu.Unlock()
 	}
 }
 
-// streamJob writes a job's event stream until the job ends or the
-// client disconnects.
-func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, job *Job) {
+// subscribe registers a lossy channel of sseBuffer frames; the
+// returned function unsubscribes it.
+func (f *fanout) subscribe() (<-chan streamEvent, func()) {
+	ch := make(chan streamEvent, sseBuffer)
+	return ch, f.add(func(ev streamEvent) {
+		select {
+		case ch <- ev:
+		default:
+			f.drops.Inc()
+			f.dropped.Add(1)
+		}
+	})
+}
+
+// publish hands the event to every sink, outside the lock.
+func (f *fanout) publish(ev streamEvent) {
+	f.mu.Lock()
+	sinks := make([]func(streamEvent), 0, len(f.sinks))
+	for _, fn := range f.sinks {
+		sinks = append(sinks, fn)
+	}
+	f.mu.Unlock()
+	for _, fn := range sinks {
+		fn(ev)
+	}
+}
+
+// streamSSE serves one fan-out as a Server-Sent-Events response until
+// done closes or the client disconnects:
+//
+//	event: status  status() on connect, taken after subscribing so
+//	               nothing lands between the snapshot and the stream
+//	               (skipped when status returns nil)
+//	event: <name>  every published event (lossy under backpressure)
+//	event: done    once done closes: the events that raced it, then
+//	               final(), then the stream closes
+//
+// Each heartbeat tick calls touch (when non-nil) and writes a comment
+// frame. Disconnecting only detaches the stream.
+func streamSSE(w http.ResponseWriter, r *http.Request, events *fanout, done <-chan struct{}, status, final func() any, touch func()) {
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")
 	h.Set("Cache-Control", "no-cache")
@@ -88,12 +139,9 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, job *Job) {
 	w.WriteHeader(http.StatusOK)
 
 	out := newSSEWriter(w)
-	sub, unsubscribe := job.subscribe()
+	sub, unsubscribe := events.subscribe()
 	defer unsubscribe()
-
-	// Snapshot after subscribing, so nothing can land between the
-	// snapshot and the stream.
-	if err := out.event("status", jobDocFor(job)); err != nil {
+	if doc := status(); doc != nil && out.event("status", doc) != nil {
 		return
 	}
 	heartbeat := time.NewTicker(sseHeartbeat)
@@ -101,26 +149,25 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, job *Job) {
 	for {
 		select {
 		case ev := <-sub:
-			if err := out.event(ev.name, eventDoc(ev)); err != nil {
+			if out.event(ev.name, eventDoc(ev)) != nil {
 				return
 			}
-		case <-job.Done():
-			// Drain events that raced the terminal status, then close.
-			for {
-				select {
-				case ev := <-sub:
-					if out.event(ev.name, eventDoc(ev)) != nil {
-						return
-					}
-					continue
-				default:
+		case <-done:
+			// Drain the events that raced done. This goroutine is the
+			// only receiver, so every counted frame is there to take.
+			for len(sub) > 0 {
+				ev := <-sub
+				if out.event(ev.name, eventDoc(ev)) != nil {
+					return
 				}
-				break
 			}
-			out.event("done", jobDocFor(job)) //nolint:errcheck // closing anyway
+			out.event("done", final()) //nolint:errcheck // closing anyway
 			return
 		case <-heartbeat.C:
-			if err := out.comment(); err != nil {
+			if touch != nil {
+				touch()
+			}
+			if out.comment() != nil {
 				return
 			}
 		case <-r.Context().Done():

@@ -9,7 +9,6 @@ import (
 	"net/http"
 
 	"netpart"
-	"netpart/internal/obs"
 	"netpart/internal/sched/tracesim"
 )
 
@@ -29,18 +28,15 @@ type traceTask struct {
 	points []tracesim.Point
 }
 
-// handleTraceSubmit accepts a trace simulation: the body is either a
-// bare trace spec or a grid document (recognized by its "base" or
-// "axes" keys) sweeping one over dot-path axes. The response is 202
-// with the job document and Location. The definition is normalized
-// (and grids expanded, hence fully validated) before the job is
-// created; identical concurrent submissions coalesce onto one
-// simulation while keeping distinct job identities.
-func (s *Server) handleTraceSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeTrace reads a POST /v1/traces body: either a bare trace spec
+// or a grid document (recognized by its "base" or "axes" keys)
+// sweeping one over dot-path axes. The definition is normalized (and
+// grids expanded, hence fully validated) before the job exists.
+func decodeTrace(w http.ResponseWriter, r *http.Request) *submission {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxTraceBody))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad trace body: %v", err)
-		return
+		return nil
 	}
 	var probe struct {
 		Base json.RawMessage `json:"base"`
@@ -48,88 +44,47 @@ func (s *Server) handleTraceSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if err := json.Unmarshal(body, &probe); err != nil {
 		writeError(w, http.StatusBadRequest, "bad trace body: %v", err)
-		return
+		return nil
 	}
 
-	var exp netpart.Experiment
-	var task *traceTask
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if probe.Base != nil || probe.Axes != nil {
 		var grid netpart.TraceGrid
 		if err := dec.Decode(&grid); err != nil {
 			writeError(w, http.StatusBadRequest, "bad trace grid body: %v", err)
-			return
+			return nil
 		}
 		points, err := grid.Expand()
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
-			return
+			return nil
 		}
-		exp = netpart.Experiment{
+		exp := netpart.Experiment{
 			ID:    tracesim.GridID(grid.Name, points),
 			Title: grid.Title(),
 			Kind:  netpart.KindTable,
 			Cost:  netpart.Cost(tracesim.GridCost(points)),
 		}
-		task = &traceTask{grid: &grid, points: points}
-	} else {
-		var spec netpart.TraceSpec
-		if err := dec.Decode(&spec); err != nil {
-			writeError(w, http.StatusBadRequest, "bad trace body: %v", err)
-			return
-		}
-		norm, err := spec.Normalize()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		exp = netpart.Experiment{
-			ID:    norm.ID(),
-			Title: norm.Title(),
-			Kind:  netpart.KindTable,
-			Cost:  netpart.Cost(norm.Cost()),
-		}
-		task = &traceTask{spec: &norm}
+		return &submission{exp: exp, payload: &traceTask{grid: &grid, points: points}}
 	}
-	job, err := s.jobs.submit(JobTrace, exp, Key{ID: exp.ID}, netpart.RunOptions{}, task, obs.RequestIDFrom(r.Context()))
+	var spec netpart.TraceSpec
+	if err := dec.Decode(&spec); err != nil {
+		writeError(w, http.StatusBadRequest, "bad trace body: %v", err)
+		return nil
+	}
+	norm, err := spec.Normalize()
 	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
-		return
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return nil
 	}
-	w.Header().Set("Location", job.path())
-	writeJSON(w, http.StatusAccepted, jobDocFor(job))
-}
-
-// handleTrace serves a trace job: the status document (including the
-// latest progress) while running, the negotiated result once done.
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.jobs.lookup(r.PathValue("id"))
-	if !ok || job.Kind != JobTrace {
-		writeError(w, http.StatusNotFound, "no trace %q", r.PathValue("id"))
-		return
+	exp := netpart.Experiment{
+		ID:    norm.ID(),
+		Title: norm.Title(),
+		Kind:  netpart.KindTable,
+		Cost:  netpart.Cost(norm.Cost()),
 	}
-	if e := job.Entry(); e != nil {
-		w.Header().Set("X-Netpart-Run", job.ID)
-		writeEntry(w, r, e)
-		return
-	}
-	writeJSON(w, http.StatusOK, jobDocFor(job))
-}
-
-// handleTraceCancel cancels a trace job (idempotent); the underlying
-// simulation stops once no other job still wants its result. A DELETE
-// of a finished trace also evicts its completed result from the cache
-// and the persistent store, so re-submitting the spec recomputes.
-func (s *Server) handleTraceCancel(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.jobs.lookup(r.PathValue("id"))
-	if !ok || job.Kind != JobTrace {
-		writeError(w, http.StatusNotFound, "no trace %q", r.PathValue("id"))
-		return
-	}
-	job.Cancel()
-	s.cache.evict(job.Key)
-	writeJSON(w, http.StatusAccepted, jobDocFor(job))
+	return &submission{exp: exp, payload: &traceTask{spec: &norm}}
 }
 
 // runTrace executes one trace flight: admission for the derived cost

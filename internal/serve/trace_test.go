@@ -84,10 +84,53 @@ func TestTraceLifecycle(t *testing.T) {
 	if code != http.StatusOK || !strings.HasPrefix(hdr.Get("Content-Type"), ctMarkdown) {
 		t.Fatalf("markdown: %d %q", code, hdr.Get("Content-Type"))
 	}
-	// Other namespaces must not leak trace jobs.
-	for _, ns := range []string{"runs", "sweeps"} {
-		if code, _, _ := get(t, fmt.Sprintf("%s/v1/%s/%s", ts.URL, ns, job.ID), nil); code != http.StatusNotFound {
-			t.Errorf("trace visible under /v1/%s: %d", ns, code)
+
+	// One finished job per kind. Namespaces must not leak jobs into
+	// each other, and unknown IDs are 404, on every verb.
+	run := submit(t, ts, map[string]any{"experiment": "table1"})
+	code, _, body = post(t, ts.URL+"/v1/sweeps", tinySweep("lifecycle"))
+	if code != http.StatusAccepted {
+		t.Fatalf("sweep submit status %d: %s", code, body)
+	}
+	var sw jobDoc
+	if err := json.Unmarshal(body, &sw); err != nil {
+		t.Fatal(err)
+	}
+	jobs := map[string]string{"runs": run.ID, "sweeps": sw.ID, "traces": job.ID}
+	for _, id := range jobs {
+		if st := await(t, s, id); st != StatusDone {
+			t.Fatalf("%s status %s", id, st)
+		}
+	}
+	for _, ns := range []string{"runs", "sweeps", "traces"} {
+		ids := []string{strings.TrimSuffix(ns, "s") + "-999999"}
+		for owner, id := range jobs {
+			if owner != ns {
+				ids = append(ids, id)
+			}
+		}
+		for _, id := range ids {
+			path := fmt.Sprintf("%s/v1/%s/%s", ts.URL, ns, id)
+			getCode, _, _ := get(t, path, nil)
+			delCode, _ := del(t, path)
+			eventsCode, _, _ := get(t, path+"/events", nil)
+			if getCode != http.StatusNotFound || delCode != http.StatusNotFound || eventsCode != http.StatusNotFound {
+				t.Errorf("/v1/%s/%s: GET %d, DELETE %d, GET /events %d, want 404s", ns, id, getCode, delCode, eventsCode)
+			}
+		}
+	}
+	// DELETE of a finished job evicts a dynamic result (sweep, trace)
+	// from the cache, never a registry run's.
+	for ns, id := range jobs {
+		j, _ := s.jobs.lookup(id)
+		if _, ok := s.cache.cached(j.Key); !ok {
+			t.Fatalf("%s result not cached before its DELETE", id)
+		}
+		if code, body := del(t, fmt.Sprintf("%s/v1/%s/%s", ts.URL, ns, id)); code != http.StatusAccepted {
+			t.Fatalf("DELETE %s: %d %s", id, code, body)
+		}
+		if _, cached := s.cache.cached(j.Key); cached != (ns == "runs") {
+			t.Errorf("%s result cached after DELETE: %v", id, cached)
 		}
 	}
 }
