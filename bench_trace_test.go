@@ -25,15 +25,14 @@ func benchTrace(policy string) TraceSpec {
 	}
 }
 
-// benchTraceRun drives one policy's 200-job simulation under b.Loop,
-// with a priming run outside the measured region so the process-wide
-// caches (placement plans, contention memo, flow sets) are warm —
-// every measured iteration then has the same steady-state cost, which
-// keeps short -benchtime windows from reporting a single cold
-// iteration as the number.
-func benchTraceRun(b *testing.B, policy string) {
+// benchTraceRun drives one trace simulation under b.Loop, with a
+// priming run outside the measured region so the process-wide caches
+// (placement plans, contention memo, flow sets) are warm — every
+// measured iteration then has the same steady-state cost, which keeps
+// short -benchtime windows from reporting a single cold iteration as
+// the number.
+func benchTraceRun(b *testing.B, spec TraceSpec) {
 	runner := NewRunner()
-	spec := benchTrace(policy)
 	if _, err := runner.RunTrace(context.Background(), spec, nil); err != nil {
 		b.Fatal(err)
 	}
@@ -47,12 +46,22 @@ func benchTraceRun(b *testing.B, policy string) {
 
 // BenchmarkTraceSim200 measures one full 200-job simulation under the
 // contention-aware policy.
-func BenchmarkTraceSim200(b *testing.B) { benchTraceRun(b, "contention-aware") }
+func BenchmarkTraceSim200(b *testing.B) { benchTraceRun(b, benchTrace("contention-aware")) }
+
+// BenchmarkTraceSim2000 is BenchmarkTraceSim200 at ten times the
+// jobs. The machine is overloaded, so the queue grows with the trace
+// and every EASY backfill pass re-probes it: an O(queue²) placement
+// regression shows here long before it shows at 200 jobs.
+func BenchmarkTraceSim2000(b *testing.B) {
+	spec := benchTrace("contention-aware")
+	spec.Synthetic.Jobs = 2000
+	benchTraceRun(b, spec)
+}
 
 // BenchmarkTraceSimFirstFit200 is the geometry-oblivious baseline of
 // the same trace; the spread against BenchmarkTraceSim200 is the
 // runtime cost of the policy itself, not the workload.
-func BenchmarkTraceSimFirstFit200(b *testing.B) { benchTraceRun(b, "first-fit") }
+func BenchmarkTraceSimFirstFit200(b *testing.B) { benchTraceRun(b, benchTrace("first-fit")) }
 
 // BenchmarkTraceGridPolicies runs a 3-policy comparison grid of
 // 40-job traces on the worker pool.

@@ -29,11 +29,14 @@
 //
 // Regression-guard mode: -compare loads a reference snapshot and
 // fails (exit 1) if any benchmark present in both runs is more than
-// -tolerance percent slower on ns/op than the reference. Faster is
-// never a failure, and benchmarks missing from either side are
-// reported but not fatal. Absolute times differ across machines, so
-// guard runs only make sense with a generous tolerance or a reference
-// taken on the same hardware class.
+// -tolerance percent slower on ns/op than the reference, or more than
+// 10% (a constant, allocTolerance) above it on allocs/op or B/op.
+// Faster or leaner is never a failure, and benchmarks missing from
+// either side are reported but not fatal. Absolute times differ
+// across machines, so the ns/op bound only makes sense with a
+// generous tolerance or a reference taken on the same hardware class;
+// allocation counts do not depend on the runner, so their bound is
+// tight.
 package main
 
 import (
@@ -41,6 +44,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/exec"
@@ -50,6 +54,10 @@ import (
 	"strconv"
 	"strings"
 )
+
+// allocTolerance is the allowed allocs/op and B/op growth over the
+// reference, percent.
+const allocTolerance = 10
 
 // result is one parsed benchmark line.
 type result struct {
@@ -174,24 +182,27 @@ func main() {
 		fmt.Printf("benchsnap: recorded %d benchmarks to %s\n", len(snap.Results), *out)
 	}
 	if *compare != "" {
-		if regressed := compareSnapshots(snap, *compare, *tolerance); regressed {
+		raw, err := os.ReadFile(*compare)
+		if err != nil {
+			log.Fatalf("compare: %v", err)
+		}
+		var ref snapshot
+		if err := json.Unmarshal(raw, &ref); err != nil {
+			log.Fatalf("compare: parsing %s: %v", *compare, err)
+		}
+		if regressed := compareSnapshots(os.Stdout, snap, ref, *tolerance); regressed {
 			os.Exit(1)
 		}
 	}
 }
 
-// compareSnapshots guards the fresh snapshot against a reference file:
-// any benchmark in both that is more than tolerance percent slower on
-// ns/op is a regression. Returns true when at least one regressed.
-func compareSnapshots(snap snapshot, refPath string, tolerance float64) bool {
-	raw, err := os.ReadFile(refPath)
-	if err != nil {
-		log.Fatalf("compare: %v", err)
-	}
-	var ref snapshot
-	if err := json.Unmarshal(raw, &ref); err != nil {
-		log.Fatalf("compare: parsing %s: %v", refPath, err)
-	}
+// compareSnapshots guards the fresh snapshot against a reference: any
+// benchmark in both that is more than tolerance percent slower on
+// ns/op, or more than allocTolerance percent above it on allocs/op or
+// B/op, is a regression. A zero reference value is not guarded. It
+// writes one line per guarded value and returns true when at least
+// one regressed.
+func compareSnapshots(w io.Writer, snap, ref snapshot, tolerance float64) bool {
 	refByName := map[string]result{}
 	for _, r := range ref.Results {
 		refByName[r.Name] = r
@@ -200,24 +211,34 @@ func compareSnapshots(snap snapshot, refPath string, tolerance float64) bool {
 	for _, r := range snap.Results {
 		base, ok := refByName[r.Name]
 		if !ok {
-			fmt.Printf("benchsnap: %s: new benchmark (no reference)\n", r.Name)
+			fmt.Fprintf(w, "benchsnap: %s: new benchmark (no reference)\n", r.Name)
 			continue
 		}
 		delete(refByName, r.Name)
-		if base.NsPerOp <= 0 {
-			continue
+		for _, c := range []struct {
+			unit      string
+			got, ref  float64
+			tolerance float64
+		}{
+			{"ns/op", r.NsPerOp, base.NsPerOp, tolerance},
+			{"allocs/op", float64(r.AllocsPerOp), float64(base.AllocsPerOp), allocTolerance},
+			{"B/op", float64(r.BytesPerOp), float64(base.BytesPerOp), allocTolerance},
+		} {
+			if c.ref <= 0 {
+				continue
+			}
+			deltaPct := (c.got - c.ref) / c.ref * 100
+			status := "ok"
+			if deltaPct > c.tolerance {
+				status = "REGRESSION"
+				regressed = true
+			}
+			fmt.Fprintf(w, "benchsnap: %s: %.0f %s vs %.0f reference (%+.1f%%, tolerance %.0f%%) %s\n",
+				r.Name, c.got, c.unit, c.ref, deltaPct, c.tolerance, status)
 		}
-		deltaPct := (r.NsPerOp - base.NsPerOp) / base.NsPerOp * 100
-		status := "ok"
-		if deltaPct > tolerance {
-			status = "REGRESSION"
-			regressed = true
-		}
-		fmt.Printf("benchsnap: %s: %.0f ns/op vs %.0f reference (%+.1f%%, tolerance %.0f%%) %s\n",
-			r.Name, r.NsPerOp, base.NsPerOp, deltaPct, tolerance, status)
 	}
 	for name := range refByName {
-		fmt.Printf("benchsnap: %s: in reference but not in this run\n", name)
+		fmt.Fprintf(w, "benchsnap: %s: in reference but not in this run\n", name)
 	}
 	return regressed
 }

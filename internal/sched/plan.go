@@ -32,6 +32,14 @@ import (
 // occupancy, and the trace-simulator differential harness pins it end
 // to end. The generic path stays alive as that oracle — and as the
 // fallback for policies the type switch does not know.
+//
+// On top of the scans sits a per-grid answer memo. The EASY backfill
+// loop re-probes every queued job on every placement attempt while
+// the head waits, so most queries repeat one the grid already
+// answered at the same occupancy. Every writer of the occupancy bumps
+// Grid.version; an answer, keyed by (midplanes, bestBisection), is
+// reused only while its version is current. The generic path never
+// reads the memo, so the oracle stays an independent reference.
 
 // planRank is the grid rank the fused path specializes on: bgq
 // machines are always 4-dimensional midplane grids. Other ranks fall
@@ -146,73 +154,114 @@ func (g *Grid) fitsPlan(lp *lensPlan, o0, o1, o2, o3 int) bool {
 // firstOrigin returns the lexicographically first feasible origin of
 // one length assignment — the first candidate the generic path would
 // emit for this lens.
-func (g *Grid) firstOrigin(lp *lensPlan) (torus.Coord, bool) {
+func (g *Grid) firstOrigin(lp *lensPlan) ([planRank]int, bool) {
 	d0, d1, d2, d3 := g.dims[0], g.dims[1], g.dims[2], g.dims[3]
 	for o0 := 0; o0 < d0; o0++ {
 		for o1 := 0; o1 < d1; o1++ {
 			for o2 := 0; o2 < d2; o2++ {
 				for o3 := 0; o3 < d3; o3++ {
 					if g.fitsPlan(lp, o0, o1, o2, o3) {
-						return torus.Coord{o0, o1, o2, o3}, true
+						return [planRank]int{o0, o1, o2, o3}, true
 					}
 				}
 			}
 		}
 	}
-	return nil, false
+	return [planRank]int{}, false
 }
 
-// placeFirstFit returns the first feasible candidate — what
-// FirstFit.Choose picks from the materialized list — without
+// placeAnswer is one memoized fused-scan answer: what the scan chose
+// at occupancy version `version`, or ok=false when nothing fit.
+type placeAnswer struct {
+	version uint64
+	ok      bool
+	origin  [planRank]int
+	lens    torus.Shape // the plan's lens: shared, never handed out
+}
+
+// placement builds a Placement that owns its Origin and Lens, so a
+// caller mutating it can never corrupt the memo or the plan. One
+// allocation backs both slices; capping Origin keeps an append to it
+// from running into Lens.
+func (a *placeAnswer) placement() Placement {
+	buf := make([]int, 2*planRank)
+	copy(buf, a.origin[:])
+	copy(buf[planRank:], a.lens)
+	return Placement{Origin: buf[:planRank:planRank], Lens: buf[planRank:]}
+}
+
+// placeFirstFit fills the answer with the first feasible candidate —
+// what FirstFit.Choose picks from the materialized list — without
 // enumerating past it.
-func (g *Grid) placeFirstFit(p *placementPlan, volume int) (Placement, bool) {
-	if g.free < volume {
-		return Placement{}, false
-	}
+func (g *Grid) placeFirstFit(p *placementPlan, a *placeAnswer) {
 	for li := range p.lenses {
 		lp := &p.lenses[li]
 		if origin, ok := g.firstOrigin(lp); ok {
-			return Placement{Origin: origin, Lens: lp.lens.Clone()}, true
+			a.ok, a.origin, a.lens = true, origin, lp.lens
+			return
 		}
 	}
-	return Placement{}, false
 }
 
-// placeBestBisection returns the first candidate of maximal bisection
-// bandwidth — what BestBisection.Choose picks — probing each length
-// assignment for its first feasible origin only when its bandwidth
-// strictly beats the best found so far (later equal-bandwidth
-// candidates lose ties, exactly like the generic scan).
-func (g *Grid) placeBestBisection(p *placementPlan, volume int) (Placement, bool) {
-	if g.free < volume {
-		return Placement{}, false
-	}
-	var best Placement
+// placeBestBisection fills the answer with the first candidate of
+// maximal bisection bandwidth — what BestBisection.Choose picks —
+// probing each length assignment for its first feasible origin only
+// when its bandwidth strictly beats the best found so far (later
+// equal-bandwidth candidates lose ties, exactly like the generic
+// scan).
+func (g *Grid) placeBestBisection(p *placementPlan, a *placeAnswer) {
 	bestBW := -1
-	found := false
 	for li := range p.lenses {
 		lp := &p.lenses[li]
 		if lp.bw <= bestBW {
 			continue
 		}
 		if origin, ok := g.firstOrigin(lp); ok {
-			best = Placement{Origin: origin, Lens: lp.lens.Clone()}
+			a.ok, a.origin, a.lens = true, origin, lp.lens
 			bestBW = lp.bw
-			found = true
 		}
 	}
-	return best, found
+}
+
+// answer returns the fused-scan answer for a rank-4 grid at the
+// current occupancy (ok=false when no placement fits), scanning only
+// when the memo holds no answer for this (midplanes, bestBisection)
+// query at the grid's version. The O(1) capacity check comes first,
+// and free never exceeds the grid volume, so it also bounds the memo
+// index.
+func (g *Grid) answer(midplanes int, bestBisection bool) (*placeAnswer, bool) {
+	if midplanes < 1 || g.free < midplanes {
+		return nil, false
+	}
+	i := 2 * midplanes
+	if bestBisection {
+		i++
+	}
+	if i >= len(g.answers) {
+		g.answers = append(g.answers, make([]placeAnswer, i+1-len(g.answers))...)
+	}
+	a := &g.answers[i]
+	if a.version != g.version {
+		*a = placeAnswer{version: g.version}
+		p, _ := g.planFor(midplanes)
+		if bestBisection {
+			g.placeBestBisection(p, a)
+		} else {
+			g.placeFirstFit(p, a)
+		}
+	}
+	return a, a.ok
 }
 
 // placeFor selects a placement for the job under the policy: the
-// fused allocation-free scan for the built-in policies, or the
-// generic materialize-and-Choose path for anything else (including
-// the differential-test oracle wrappers). ok=false means no feasible
-// placement exists right now.
+// memoized fused scan for the built-in policies, or the generic
+// materialize-and-Choose path for anything else (including the
+// differential-test oracle wrappers, which therefore never read the
+// memo). ok=false means no feasible placement exists right now.
 func (g *Grid) placeFor(job Job, policy PlacementPolicy) (Placement, bool) {
 	switch policy.(type) {
 	case FirstFit, BestBisection, ContentionAware:
-		if p, ok := g.planFor(job.Midplanes); ok {
+		if len(g.dims) == planRank {
 			bestBisection := false
 			switch policy.(type) {
 			case BestBisection:
@@ -220,10 +269,10 @@ func (g *Grid) placeFor(job Job, policy PlacementPolicy) (Placement, bool) {
 			case ContentionAware:
 				bestBisection = job.ContentionBound
 			}
-			if bestBisection {
-				return g.placeBestBisection(p, job.Midplanes)
+			if a, ok := g.answer(job.Midplanes, bestBisection); ok {
+				return a.placement(), true
 			}
-			return g.placeFirstFit(p, job.Midplanes)
+			return Placement{}, false
 		}
 	}
 	cands := g.candidates(job.Midplanes)
@@ -235,18 +284,11 @@ func (g *Grid) placeFor(job Job, policy PlacementPolicy) (Placement, bool) {
 
 // anyFit reports whether any placement of the midplane count is
 // feasible on the current occupancy — len(candidates) > 0 without
-// materializing them.
+// materializing them. It reads the memoized first-fit answer.
 func (g *Grid) anyFit(midplanes int) bool {
-	if p, ok := g.planFor(midplanes); ok {
-		if g.free < midplanes {
-			return false
-		}
-		for li := range p.lenses {
-			if _, ok := g.firstOrigin(&p.lenses[li]); ok {
-				return true
-			}
-		}
-		return false
+	if len(g.dims) == planRank {
+		_, ok := g.answer(midplanes, false)
+		return ok
 	}
 	return len(g.candidates(midplanes)) > 0
 }

@@ -38,6 +38,13 @@ type Grid struct {
 	// FreeMidplanes (and the fused placement scans' capacity precheck)
 	// are O(1) instead of a grid sweep.
 	free int
+	// version changes on every occupancy write (occupy, release,
+	// block, unblock). It starts at 1, so a zero answer is never
+	// current.
+	version uint64
+	// answers memoizes the fused placement scans at the current
+	// version, indexed by 2*midplanes + bestBisection (see plan.go).
+	answers []placeAnswer
 }
 
 // NewGrid creates an empty occupancy grid for a machine.
@@ -49,7 +56,7 @@ func NewGrid(m *bgq.Machine) *Grid {
 		strides[i] = s
 		s *= dims[i]
 	}
-	return &Grid{machine: m, dims: dims, strides: strides, used: make([]int, s), blocked: make([]int, s), free: s}
+	return &Grid{machine: m, dims: dims, strides: strides, used: make([]int, s), blocked: make([]int, s), free: s, version: 1}
 }
 
 // Machine returns the underlying machine.
@@ -82,6 +89,7 @@ func (g *Grid) BlockCells(cells []int) error {
 // a finishing job may still hold a cell at the instant its window
 // opens.
 func (g *Grid) block(cells []int) {
+	g.version++
 	for _, c := range cells {
 		if g.blocked[c] == 0 && g.used[c] == 0 {
 			g.free--
@@ -91,6 +99,7 @@ func (g *Grid) block(cells []int) {
 }
 
 func (g *Grid) unblock(cells []int) {
+	g.version++
 	for _, c := range cells {
 		if g.blocked[c] == 0 {
 			panic(fmt.Sprintf("sched: unblocking midplane %d that is not blocked", c))
@@ -143,6 +152,7 @@ func (g *Grid) fits(origin torus.Coord, lens torus.Shape) bool {
 
 // occupy marks a placement as owned by a job.
 func (g *Grid) occupy(jobID int, origin torus.Coord, lens torus.Shape) {
+	g.version++
 	for _, c := range g.cellsOf(origin, lens) {
 		if g.used[c] != 0 {
 			panic(fmt.Sprintf("sched: double allocation of midplane %d", c))
@@ -157,6 +167,7 @@ func (g *Grid) occupy(jobID int, origin torus.Coord, lens torus.Shape) {
 
 // release frees a job's cells.
 func (g *Grid) release(jobID int, origin torus.Coord, lens torus.Shape) {
+	g.version++
 	for _, c := range g.cellsOf(origin, lens) {
 		if g.used[c] != jobID+1 {
 			panic(fmt.Sprintf("sched: releasing midplane %d not owned by job %d", c, jobID))

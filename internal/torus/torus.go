@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -54,14 +55,15 @@ func (s Shape) String() string {
 	if len(s) == 0 {
 		return "<empty>"
 	}
-	var b strings.Builder
+	var buf [32]byte
+	b := buf[:0]
 	for i, v := range s {
 		if i > 0 {
-			b.WriteByte('x')
+			b = append(b, 'x')
 		}
-		fmt.Fprintf(&b, "%d", v)
+		b = strconv.AppendInt(b, int64(v), 10)
 	}
-	return b.String()
+	return string(b)
 }
 
 // Validate reports whether every dimension length is at least 1.

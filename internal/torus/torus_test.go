@@ -40,11 +40,20 @@ func TestParseShape(t *testing.T) {
 }
 
 func TestShapeString(t *testing.T) {
-	if got := (Shape{4, 3, 2}).String(); got != "4x3x2" {
-		t.Errorf("String = %q, want 4x3x2", got)
+	cases := []struct {
+		s    Shape
+		want string
+	}{
+		{Shape{4, 3, 2}, "4x3x2"},
+		{Shape{}, "<empty>"},
+		{Shape{16, 16, 12, 8, 2}, "16x16x12x8x2"}, // multi-digit, rank 5
+		{Shape{7}, "7"},                           // rank 1
+		{Shape{1024}, "1024"},
 	}
-	if got := (Shape{}).String(); got != "<empty>" {
-		t.Errorf("String(empty) = %q", got)
+	for _, c := range cases {
+		if got := c.s.String(); got != c.want {
+			t.Errorf("String(%v) = %q, want %q", []int(c.s), got, c.want)
+		}
 	}
 }
 
