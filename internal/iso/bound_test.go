@@ -196,19 +196,21 @@ func TestMinCuboidPerimeterBGQPartitions(t *testing.T) {
 	}
 }
 
+// bgqShapes are node-level torus shapes of Blue Gene/Q partitions.
+var bgqShapes = []torus.Shape{
+	{4, 4, 4, 4, 2},   // 1 midplane
+	{8, 4, 4, 4, 2},   // 2 midplanes
+	{16, 4, 4, 4, 2},  // 4 midplanes, worst geometry
+	{8, 8, 4, 4, 2},   // 4 midplanes, best geometry
+	{12, 8, 8, 8, 2},  // JUQUEEN 24-midplane proposed
+	{16, 12, 8, 8, 2}, // Mira 24-midplane current is 16x12x8x4x2
+	{16, 12, 8, 4, 2},
+	{16, 16, 12, 8, 2}, // Mira full machine
+	{28, 8, 8, 8, 2},   // JUQUEEN full machine
+}
+
 func TestBisectionMatches2NLOnBGQShapes(t *testing.T) {
-	shapes := []torus.Shape{
-		{4, 4, 4, 4, 2},   // 1 midplane
-		{8, 4, 4, 4, 2},   // 2 midplanes
-		{16, 4, 4, 4, 2},  // 4 midplanes, worst geometry
-		{8, 8, 4, 4, 2},   // 4 midplanes, best geometry
-		{12, 8, 8, 8, 2},  // JUQUEEN 24-midplane proposed
-		{16, 12, 8, 8, 2}, // Mira 24-midplane current is 16x12x8x4x2
-		{16, 12, 8, 4, 2},
-		{16, 16, 12, 8, 2}, // Mira full machine
-		{28, 8, 8, 8, 2},   // JUQUEEN full machine
-	}
-	for _, sh := range shapes {
+	for _, sh := range bgqShapes {
 		exact, err := iso.Bisection(sh)
 		if err != nil {
 			t.Fatalf("%v: %v", sh, err)
@@ -220,6 +222,60 @@ func TestBisectionMatches2NLOnBGQShapes(t *testing.T) {
 		if exact.Perimeter != closed {
 			t.Errorf("%v: exact bisection %d (cuboid %v) != 2N/L %d", sh, exact.Perimeter, exact.Lens, closed)
 		}
+	}
+}
+
+// TestBisectionCacheEvictionSameResults shrinks the bisection cache to
+// one entry so every BG/Q shape evicts the last, and checks the
+// perimeters still match the default cache's — eviction recomputes,
+// never corrupts. A caller mutating a returned Lens must not change
+// the next hit.
+func TestBisectionCacheEvictionSameResults(t *testing.T) {
+	want := map[string]int{}
+	for _, sh := range bgqShapes {
+		res, err := iso.Bisection(sh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[sh.String()] = res.Perimeter
+	}
+	iso.UseBisectionCache(t, 1)
+	_, _, ev0 := iso.BisectionCacheCounts()
+	for round := 0; round < 2; round++ {
+		for _, sh := range bgqShapes {
+			res, err := iso.Bisection(sh)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Perimeter != want[sh.String()] {
+				t.Fatalf("round %d %v: perimeter %d, default cache %d", round, sh, res.Perimeter, want[sh.String()])
+			}
+		}
+	}
+	if _, _, ev := iso.BisectionCacheCounts(); ev == ev0 {
+		t.Fatal("capacity-1 cache never evicted")
+	}
+
+	sh := bgqShapes[0]
+	miss, err := iso.Bisection(sh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lens := miss.Lens.String()
+	miss.Lens[0] = 99
+	for i := 0; i < 2; i++ {
+		h0, _, _ := iso.BisectionCacheCounts()
+		hit, err := iso.Bisection(sh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h1, _, _ := iso.BisectionCacheCounts(); h1 != h0+1 {
+			t.Fatalf("lookup %d was not a cache hit", i)
+		}
+		if hit.Lens.String() != lens {
+			t.Fatalf("lookup %d: lens %v after a caller mutated its copy, want %s", i, hit.Lens, lens)
+		}
+		hit.Lens[0] = 99
 	}
 }
 

@@ -3,8 +3,8 @@ package iso
 import (
 	"fmt"
 	"math"
-	"sync"
 
+	"netpart/internal/lru"
 	"netpart/internal/torus"
 )
 
@@ -79,11 +79,17 @@ func MaxCuboidPerimeter(dims torus.Shape, t int) (CuboidResult, error) {
 // for the same geometry dozens of times per table (every Best/Worst
 // call enumerates all geometries of a size, and the experiment
 // drivers revisit each geometry across tables and figures), so the
-// cache turns all but the first search per shape into a lookup. It is
-// a sync.Map because the experiment drivers probe it from a worker
-// pool; the key space is bounded by the distinct partition shapes of
-// the machine catalog.
-var bisectionCache sync.Map // string -> CuboidResult
+// cache turns all but the first search per shape into a lookup. The
+// machine catalog's partition shapes fit many times over, but custom
+// machine shapes arrive in client specs, so the cache is bounded.
+var bisectionCache = lru.New[string, CuboidResult](4096)
+
+// BisectionCacheCounts returns the process-wide bisection cache hits,
+// misses and evictions since process start, for the observability
+// layer.
+func BisectionCacheCounts() (hits, misses, evictions uint64) {
+	return bisectionCache.Counts()
+}
 
 // Bisection returns the exact minimal perimeter over cuboids of volume
 // |V|/2 — the (internal) bisection bandwidth of the torus in link
@@ -102,8 +108,7 @@ func Bisection(dims torus.Shape) (CuboidResult, error) {
 		return CuboidResult{}, fmt.Errorf("iso: torus %v has odd vertex count %d", dims, v)
 	}
 	key := dims.String()
-	if c, ok := bisectionCache.Load(key); ok {
-		res := c.(CuboidResult)
+	if res, ok := bisectionCache.Get(key); ok {
 		res.Lens = res.Lens.Clone() // callers may mutate the returned shape
 		return res, nil
 	}
@@ -113,7 +118,7 @@ func Bisection(dims torus.Shape) (CuboidResult, error) {
 	}
 	stored := res
 	stored.Lens = res.Lens.Clone()
-	bisectionCache.Store(key, stored)
+	bisectionCache.Put(key, stored)
 	return res, nil
 }
 

@@ -134,11 +134,10 @@ type Snapshot struct {
 	Stuck bool `json:"stuck,omitempty"`
 	// RunningPatterned counts running jobs with a communication
 	// pattern; LiveFlows is the total routed flows of their placed
-	// geometries (zero in oracle runs, which touch no flow-set cache);
-	// ContentionExcessSec is the sum of (dilation−1)·base runtime over
-	// running jobs — the runtime currently being lost to placement
-	// contention. All three are patched in O(1) as jobs place, finish
-	// and are killed, never recomputed from a sweep.
+	// geometries; ContentionExcessSec is the sum of (dilation−1)·base
+	// runtime over running jobs — the runtime currently being lost to
+	// placement contention. All three are patched in O(1) as jobs
+	// place, finish and are killed, never recomputed from a sweep.
 	RunningPatterned    int     `json:"running_patterned,omitempty"`
 	LiveFlows           int     `json:"live_flows,omitempty"`
 	ContentionExcessSec float64 `json:"contention_excess_sec,omitempty"`
@@ -159,21 +158,12 @@ type Config struct {
 	// OnEvent, when non-nil, receives every event. Callbacks run on
 	// the goroutine driving the engine.
 	OnEvent func(Event)
-	// Oracle forces the uncached reference implementation end to end:
-	// placement through the generic materialize-every-candidate scan
-	// instead of the fused plan cache, and contention scores from
-	// fresh tori, routers and simulators instead of the memo, flow-set
-	// cache and simulator pool. The differential tests hold the fast
-	// path to this engine byte for byte; production runs leave it off.
-	Oracle bool
 }
 
-// oraclePolicy hides the concrete policy type from the sched fused
-// placement scans, forcing the generic candidates()+Choose path — the
-// reference implementation the fused scans are pinned against. Name
-// and Choose are promoted, so scheduling behavior is identical by
-// construction; only the enumeration machinery differs.
-type oraclePolicy struct{ sched.PlacementPolicy }
+// policyByName resolves Config.Policy. Production never reassigns it;
+// it is a variable so the differential tests can wrap every policy in
+// one that forces sched's generic placement scan.
+var policyByName = sched.PolicyByName
 
 // Engine is the incremental trace simulator: a sched.Stepper wrapped
 // with the contention scorer, per-job dilation and restart tracking,
@@ -185,7 +175,6 @@ type Engine struct {
 	m         *bgq.Machine
 	cfg       Config
 	st        *sched.Stepper
-	sc        *scorer
 	jobs      []Job
 	dilations []float64
 	restarts  []int
@@ -216,15 +205,11 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if m.Midplanes() > MaxMachineMidplanes {
 		return nil, fmt.Errorf("cluster: machine %s has %d midplanes, exceeding the %d bound", m.Name, m.Midplanes(), MaxMachineMidplanes)
 	}
-	policy, ok := sched.PolicyByName(cfg.Policy)
+	policy, ok := policyByName(cfg.Policy)
 	if !ok {
 		return nil, fmt.Errorf("cluster: unknown policy %q", cfg.Policy)
 	}
-	e := &Engine{m: m, cfg: cfg, sc: newScorer(m), free: m.Midplanes()}
-	if cfg.Oracle {
-		policy = oraclePolicy{policy}
-		e.sc.oracle = true
-	}
+	e := &Engine{m: m, cfg: cfg, free: m.Midplanes()}
 
 	// Failure model: resolve the affected cells once, then one sched
 	// outage per window (no windows: the failure holds for the whole
@@ -252,7 +237,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		// the placement actually used, so the last dilation write is
 		// the one that held.
 		Duration: func(j sched.Job, pl sched.Placement) float64 {
-			d, err := e.sc.dilation(e.jobs[j.ID], pl)
+			d, err := dilation(m, e.jobs[j.ID], pl)
 			if err != nil && e.scoreErr == nil {
 				e.scoreErr = err
 				d = 1
@@ -290,13 +275,9 @@ func (e *Engine) emit(ev Event) {
 }
 
 // flowCount returns the routed flow count of a patterned job's placed
-// geometry for the live-contention accounting (0 in oracle runs,
-// which must not touch the flow-set cache). Errors were already
+// geometry for the live-contention accounting. Errors were already
 // surfaced through the dilation score for the same pair.
-func (e *Engine) flowCount(lens torus.Shape, pattern string) int {
-	if e.sc.oracle {
-		return 0
-	}
+func flowCount(lens torus.Shape, pattern string) int {
 	fs, err := flowSetFor(lens, pattern)
 	if err != nil {
 		return 0
@@ -312,7 +293,7 @@ func (e *Engine) placeLive(a sched.Allocation) {
 		return
 	}
 	e.livePatterned++
-	n := e.flowCount(a.Placement.Lens, js.Pattern)
+	n := flowCount(a.Placement.Lens, js.Pattern)
 	e.jobFlows[a.Job.ID] = n
 	e.liveFlows += n
 	e.liveExcessSec += (e.dilations[a.Job.ID] - 1) * a.Job.BaseDurationSec

@@ -5,8 +5,6 @@ import (
 	"sync/atomic"
 
 	"netpart/internal/bgq"
-	"netpart/internal/model"
-	"netpart/internal/netsim"
 	"netpart/internal/sched"
 	"netpart/internal/torus"
 )
@@ -30,56 +28,17 @@ func MemoCounts() (hits, misses uint64) {
 	return memoHits.Load(), memoMisses.Load()
 }
 
-// scorer computes placement-time contention dilation: the max-min
-// fair round time of a job's communication pattern on its placed
-// geometry, relative to the best geometry of the same size.
-type scorer struct {
-	m *bgq.Machine
-	// oracle disables every cache on the scoring path — the scalar
-	// memo, the flow-set cache, the simulator pool and the best-
-	// partition memo — recomputing each score from scratch. It is the
-	// reference implementation the differential tests hold the cached
-	// path to, byte for byte.
-	oracle bool
-	// bestCache memoizes Machine.Best per midplane count: Best
-	// re-enumerates the geometry catalog on every call, and the
-	// dilation of every patterned or contention-bound job needs it.
-	// The engine event loop is sequential, so a plain map suffices.
-	bestCache map[int]bestEntry
-}
+// patternSec is the scorer's pattern-round timer. Production never
+// reassigns it; it is a variable so the differential tests can swap
+// in the uncached reference scorer.
+var patternSec = memoPatternSec
 
-type bestEntry struct {
-	part bgq.Partition
-	ok   bool
-}
-
-func newScorer(m *bgq.Machine) *scorer {
-	return &scorer{m: m, bestCache: map[int]bestEntry{}}
-}
-
-// best returns the bisection-best partition of the size, memoized per
-// scorer (except in oracle mode).
-func (sc *scorer) best(midplanes int) (bgq.Partition, bool) {
-	if sc.oracle {
-		return sc.m.Best(midplanes)
-	}
-	if e, ok := sc.bestCache[midplanes]; ok {
-		return e.part, e.ok
-	}
-	part, ok := sc.m.Best(midplanes)
-	sc.bestCache[midplanes] = bestEntry{part, ok}
-	return part, ok
-}
-
-// patternSec returns the flow-level simulated time of one pattern
+// memoPatternSec returns the flow-level simulated time of one pattern
 // round on the midplane-level torus of the geometry (0 when the
 // geometry has no links, i.e. a single midplane). Misses of the
 // scalar memo compile (or fetch) the routed flow set and replay it
 // into a pooled simulator.
-func (sc *scorer) patternSec(geom torus.Shape, pattern string) (float64, error) {
-	if sc.oracle {
-		return patternSecOracle(geom, pattern)
-	}
+func memoPatternSec(geom torus.Shape, pattern string) (float64, error) {
 	key := geom.String() + "|" + pattern
 	if v, ok := patternSecMemo.Load(key); ok {
 		memoHits.Add(1)
@@ -95,51 +54,27 @@ func (sc *scorer) patternSec(geom torus.Shape, pattern string) (float64, error) 
 	return sec, nil
 }
 
-// patternSecOracle is the uncached reference: a fresh torus, router,
-// demand list and simulator per call, touching no process-wide state.
-func patternSecOracle(geom torus.Shape, pattern string) (float64, error) {
-	fs, err := buildFlowSet(geom, pattern)
-	if err != nil {
-		return 0, err
+// dilation scores one placement on machine m: the max-min fair round
+// time of a patterned job's pattern on its placed geometry relative
+// to the bisection-best geometry of the same size, the bisection-
+// bandwidth ratio for contention-bound jobs without a pattern, and 1
+// for everything else.
+func dilation(m *bgq.Machine, j Job, pl sched.Placement) (float64, error) {
+	if j.Pattern == "" && !j.ContentionBound {
+		return 1, nil
 	}
-	if len(fs.paths) == 0 {
-		return 0, nil
-	}
-	caps := make([]float64, fs.numLinks)
-	for i := range caps {
-		caps[i] = model.LinkBytesPerSec
-	}
-	sim := netsim.NewWithCapacities(caps)
-	for i, p := range fs.paths {
-		sim.StartFlow(p, fs.bytes[i], 0)
-	}
-	return sim.RunUntilIdle(), nil
-}
-
-// dilation scores one placement: patterned jobs by the flow-level
-// pattern round time relative to the best geometry of the size,
-// contention-bound jobs without a pattern by the bisection-bandwidth
-// ratio, everything else 1.
-func (sc *scorer) dilation(j Job, pl sched.Placement) (float64, error) {
-	if j.Pattern == "" {
-		if !j.ContentionBound {
-			return 1, nil
-		}
-		best, ok := sc.best(j.Midplanes)
-		if !ok {
-			return 1, nil
-		}
-		return float64(best.BisectionBW()) / float64(pl.Partition().BisectionBW()), nil
-	}
-	best, ok := sc.best(j.Midplanes)
+	best, ok := m.Best(j.Midplanes)
 	if !ok {
 		return 1, nil
 	}
-	bestSec, err := sc.patternSec(best.Geometry(), j.Pattern)
+	if j.Pattern == "" {
+		return float64(best.BisectionBW()) / float64(pl.Partition().BisectionBW()), nil
+	}
+	bestSec, err := patternSec(best.Geometry(), j.Pattern)
 	if err != nil {
 		return 0, err
 	}
-	placedSec, err := sc.patternSec(pl.Lens, j.Pattern)
+	placedSec, err := patternSec(pl.Lens, j.Pattern)
 	if err != nil {
 		return 0, err
 	}

@@ -14,28 +14,27 @@ import (
 // TestPatternSecDegenerateGeometries: geometries whose torus has no
 // links — every dimension length 1, or a single midplane — score a
 // zero round time instead of constructing an empty simulation, on
-// both the cached path and the oracle.
+// both the cached path and the reference.
 func TestPatternSecDegenerateGeometries(t *testing.T) {
-	sc := newScorer(bgq.Juqueen())
 	for _, geom := range []torus.Shape{{1, 1, 1, 1}, {1}} {
 		for _, pattern := range []string{PatternPairing, PatternAllToAll, PatternNeighbor} {
-			sec, err := sc.patternSec(geom, pattern)
+			sec, err := memoPatternSec(geom, pattern)
 			if err != nil || sec != 0 {
 				t.Fatalf("cached %v/%s: sec=%v err=%v", geom, pattern, sec, err)
 			}
-			sec, err = patternSecOracle(geom, pattern)
+			sec, err = referencePatternSec(geom, pattern)
 			if err != nil || sec != 0 {
-				t.Fatalf("oracle %v/%s: sec=%v err=%v", geom, pattern, sec, err)
+				t.Fatalf("reference %v/%s: sec=%v err=%v", geom, pattern, sec, err)
 			}
 		}
 	}
 	// Length-1 dimensions are dropped, not simulated: 4x1x1x1 must
 	// score exactly like its 1-dimensional squeeze.
-	full, err := sc.patternSec(torus.Shape{4, 1, 1, 1}, PatternNeighbor)
+	full, err := memoPatternSec(torus.Shape{4, 1, 1, 1}, PatternNeighbor)
 	if err != nil {
 		t.Fatal(err)
 	}
-	squeezed, err := patternSecOracle(torus.Shape{4}, PatternNeighbor)
+	squeezed, err := referencePatternSec(torus.Shape{4}, PatternNeighbor)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,14 +48,13 @@ func TestPatternSecDegenerateGeometries(t *testing.T) {
 // scorer must not silently score it if reached another way), and the
 // error is not cached as a value.
 func TestPatternSecUnknownPattern(t *testing.T) {
-	sc := newScorer(bgq.Juqueen())
 	for i := 0; i < 2; i++ { // second call must re-fail, not hit a memo
-		if _, err := sc.patternSec(torus.Shape{2, 2}, "bogus"); err == nil || !strings.Contains(err.Error(), "unknown pattern") {
+		if _, err := memoPatternSec(torus.Shape{2, 2}, "bogus"); err == nil || !strings.Contains(err.Error(), "unknown pattern") {
 			t.Fatalf("call %d: err = %v", i, err)
 		}
 	}
-	if _, err := patternSecOracle(torus.Shape{2, 2}, "bogus"); err == nil || !strings.Contains(err.Error(), "unknown pattern") {
-		t.Fatalf("oracle: err = %v", err)
+	if _, err := referencePatternSec(torus.Shape{2, 2}, "bogus"); err == nil || !strings.Contains(err.Error(), "unknown pattern") {
+		t.Fatalf("reference: err = %v", err)
 	}
 }
 
@@ -72,12 +70,11 @@ func TestMemoCountsUnderConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			sc := newScorer(bgq.Juqueen())
 			for i := 0; i < perG; i++ {
 				// Unique-ish geometries per goroutine mix first-touch
 				// misses with cross-goroutine hits.
 				geom := torus.Shape{2 + (g+i)%3, 1 + i%2}
-				if _, err := sc.patternSec(geom, PatternPairing); err != nil {
+				if _, err := memoPatternSec(geom, PatternPairing); err != nil {
 					t.Errorf("goroutine %d: %v", g, err)
 					return
 				}
@@ -93,18 +90,17 @@ func TestMemoCountsUnderConcurrency(t *testing.T) {
 
 // TestFlowSetEvictionSameResults shrinks the flow-set cache to one
 // entry so alternating geometries evict on every score, and checks
-// the scores still match the oracle — eviction recompiles, never
+// the scores still match the reference — eviction recompiles, never
 // corrupts.
 func TestFlowSetEvictionSameResults(t *testing.T) {
 	saved := flowSetCache
 	flowSetCache = lru.New[string, *flowSet](1)
 	defer func() { flowSetCache = saved }()
 
-	sc := newScorer(bgq.Juqueen())
 	geoms := []torus.Shape{{2, 2, 2}, {4, 2}, {2, 4}, {8}}
 	want := map[string]float64{}
 	for _, geom := range geoms {
-		sec, err := patternSecOracle(geom, PatternAllToAll)
+		sec, err := referencePatternSec(geom, PatternAllToAll)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,12 +111,12 @@ func TestFlowSetEvictionSameResults(t *testing.T) {
 			// Dropping the scalar memo entry forces the flow-set
 			// cache (not the memo) to answer, exercising eviction.
 			patternSecMemo.Delete(geom.String() + "|" + PatternAllToAll)
-			sec, err := sc.patternSec(geom, PatternAllToAll)
+			sec, err := memoPatternSec(geom, PatternAllToAll)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if sec != want[geom.String()] {
-				t.Fatalf("round %d %v: %v, oracle %v", round, geom, sec, want[geom.String()])
+				t.Fatalf("round %d %v: %v, reference %v", round, geom, sec, want[geom.String()])
 			}
 		}
 	}
@@ -129,13 +125,14 @@ func TestFlowSetEvictionSameResults(t *testing.T) {
 	}
 }
 
-// TestOracleEngineUsesGenericPolicy: an oracle engine reports the
-// same policy name and schedule as the fast engine on a small
-// workload — the wrapper changes machinery, not behavior.
+// TestOracleEngineUsesGenericPolicy: an engine built behind the
+// reference seam gets the wrapped policy and produces the same
+// schedule as the fast engine on a small workload — the wrapper
+// changes machinery, not behavior.
 func TestOracleEngineUsesGenericPolicy(t *testing.T) {
 	m := bgq.Juqueen()
-	run := func(oracle bool) []JobOutcome {
-		eng, err := NewEngine(Config{Machine: m, Policy: PolicyContentionAware, Backfill: true, Oracle: oracle})
+	run := func() []JobOutcome {
+		eng, err := NewEngine(Config{Machine: m, Policy: PolicyContentionAware, Backfill: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,8 +149,13 @@ func TestOracleEngineUsesGenericPolicy(t *testing.T) {
 		}
 		return eng.Outcomes()
 	}
-	fast, oracle := run(false), run(true)
-	if fmt.Sprint(fast) != fmt.Sprint(oracle) {
-		t.Fatalf("outcomes diverge:\nfast:   %v\noracle: %v", fast, oracle)
+	fast := run()
+	UseReference(t)
+	p, _ := policyByName(PolicyContentionAware)
+	if _, ok := p.(referencePolicy); !ok || p.Name() != PolicyContentionAware {
+		t.Fatalf("reference seam resolved %T named %q", p, p.Name())
+	}
+	if ref := run(); fmt.Sprint(fast) != fmt.Sprint(ref) {
+		t.Fatalf("outcomes diverge:\nfast:      %v\nreference: %v", fast, ref)
 	}
 }

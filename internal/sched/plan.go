@@ -29,9 +29,10 @@ import (
 // The fused scans (placeFirstFit, placeBestBisection) must be
 // byte-identical to candidates()+Choose; TestPlanMatchesOracle pins
 // the equivalence against the retained generic path under randomized
-// occupancy, and the trace-simulator differential harness pins it end
-// to end. The generic path stays alive as that oracle — and as the
-// fallback for policies the type switch does not know.
+// occupancy, and the cluster engine's differential harness pins it end
+// to end by wrapping every policy in a type this file does not know.
+// The generic path stays alive as that reference — and as the
+// fallback for caller-defined policies.
 //
 // On top of the scans sits a per-grid answer memo. The EASY backfill
 // loop re-probes every queued job on every placement attempt while
@@ -39,7 +40,7 @@ import (
 // answered at the same occupancy. Every writer of the occupancy bumps
 // Grid.version; an answer, keyed by (midplanes, bestBisection), is
 // reused only while its version is current. The generic path never
-// reads the memo, so the oracle stays an independent reference.
+// reads the memo, so the reference stays independent of it.
 
 // planRank is the grid rank the fused path specializes on: bgq
 // machines are always 4-dimensional midplane grids. Other ranks fall
@@ -256,8 +257,8 @@ func (g *Grid) answer(midplanes int, bestBisection bool) (*placeAnswer, bool) {
 // placeFor selects a placement for the job under the policy: the
 // memoized fused scan for the built-in policies, or the generic
 // materialize-and-Choose path for anything else (including the
-// differential-test oracle wrappers, which therefore never read the
-// memo). ok=false means no feasible placement exists right now.
+// differential tests' reference wrapper, which therefore never reads
+// the memo). ok=false means no feasible placement exists right now.
 func (g *Grid) placeFor(job Job, policy PlacementPolicy) (Placement, bool) {
 	switch policy.(type) {
 	case FirstFit, BestBisection, ContentionAware:

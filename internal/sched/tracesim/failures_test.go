@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"netpart/internal/faults"
+	"netpart/internal/lru"
 )
 
 func TestTraceFailureNormalize(t *testing.T) {
@@ -179,5 +180,61 @@ func TestTraceFailureReplay(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestHealthyMemoEvictionSameResults shrinks the healthy-baseline memo
+// to one entry and reruns TestTraceFailureReplay's failure specs, so
+// every new twin evicts the last: the Result JSON must match a
+// default-capacity run byte for byte — eviction recomputes the twin,
+// never corrupts it.
+func TestHealthyMemoEvictionSameResults(t *testing.T) {
+	var specs []Spec
+	for _, policy := range allPolicies {
+		for _, backfill := range []bool{false, true} {
+			specs = append(specs, Spec{
+				Machine:  "juqueen",
+				Policy:   policy,
+				Backfill: backfill,
+				Synthetic: &Synthetic{
+					Jobs: 40, Seed: 3, Pattern: PatternPairing, PatternFraction: 0.4,
+				},
+				Failures: &faults.Spec{
+					Model:    faults.ModelCorrelatedRegion,
+					Fraction: 0.15,
+					Windows:  []faults.Window{{StartSec: 0, EndSec: 400}, {StartSec: 900, EndSec: 1300}},
+				},
+			})
+		}
+	}
+	runAll := func() [][]byte {
+		var out [][]byte
+		for _, spec := range specs {
+			res, err := Run(context.Background(), spec, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := res.JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, b)
+		}
+		return out
+	}
+	want := runAll()
+
+	saved := healthyMemo
+	healthyMemo = lru.New[string, Metrics](1)
+	t.Cleanup(func() { healthyMemo = saved })
+	for round := 0; round < 2; round++ {
+		for i, got := range runAll() {
+			if !bytes.Equal(got, want[i]) {
+				t.Fatalf("round %d %s: capacity-1 memo changed the result", round, specs[i].Title())
+			}
+		}
+	}
+	if _, _, ev := healthyMemo.Counts(); ev == 0 {
+		t.Fatal("capacity-1 memo never evicted")
 	}
 }

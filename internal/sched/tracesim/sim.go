@@ -4,8 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sync"
 
+	"netpart/internal/lru"
 	"netpart/internal/scenario"
 	"netpart/internal/sched/cluster"
 	"netpart/internal/tabulate"
@@ -31,12 +31,6 @@ type Options struct {
 	// OnProgress, when non-nil, receives (finishedJobs, totalJobs)
 	// after every completion.
 	OnProgress func(done, total int)
-	// Oracle runs the simulation through the uncached reference
-	// implementation (generic candidate enumeration, fresh contention
-	// simulators, no process-wide caches — including the healthy-
-	// baseline memo). The differential tests hold the fast path to
-	// this mode byte for byte; production runs leave it off.
-	Oracle bool
 }
 
 // Result is a completed trace simulation: the normalized spec, the
@@ -87,7 +81,6 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Result, error) {
 		Policy:   norm.Policy,
 		Backfill: norm.Backfill,
 		Failures: norm.Failures,
-		Oracle:   opts.Oracle,
 		OnEvent: func(ev Event) {
 			// The engine also emits submit/place/contention events;
 			// batch consumers see the classic stream.
@@ -135,7 +128,7 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Result, error) {
 	}
 	res.Metrics = eng.Metrics()
 	if norm.Failures != nil {
-		hm, err := healthyMetrics(ctx, norm, opts.Oracle)
+		hm, err := healthyMetrics(ctx, norm, eng)
 		if err != nil {
 			return nil, fmt.Errorf("tracesim: healthy baseline: %w", err)
 		}
@@ -147,32 +140,33 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Result, error) {
 // healthyMemo caches the healthy-baseline metrics by the healthy
 // spec's Key. Sweeping a failure axis re-runs the same healthy twin
 // for every point, so one process-wide cache pays for the baseline
-// once per distinct spec.
-var healthyMemo sync.Map
+// once per distinct spec. Its keys are client-submitted specs, so it
+// is bounded like the serving layer's dynamic results.
+var healthyMemo = lru.New[string, Metrics](256)
 
-// healthyMetrics runs the failure-stripped twin of a normalized spec
-// and returns its metrics (memoized process-wide, except in oracle
-// mode, which bypasses every cache and recomputes the twin).
-func healthyMetrics(ctx context.Context, norm Spec, oracle bool) (Metrics, error) {
+// HealthyCacheCounts returns the process-wide healthy-baseline cache
+// hits, misses and evictions since process start, for the
+// observability layer.
+func HealthyCacheCounts() (hits, misses, evictions uint64) {
+	return healthyMemo.Counts()
+}
+
+// healthyMetrics returns the metrics of the failure-stripped twin of
+// a normalized spec, replaying eng's jobs through a healthy engine on
+// a memo miss.
+func healthyMetrics(ctx context.Context, norm Spec, eng *cluster.Engine) (Metrics, error) {
 	healthy := norm
 	healthy.Failures = nil
-	if oracle {
-		hres, err := Run(ctx, healthy, Options{Oracle: true})
-		if err != nil {
-			return Metrics{}, err
-		}
-		return hres.Metrics, nil
-	}
 	key := healthy.Key()
-	if v, ok := healthyMemo.Load(key); ok {
-		return v.(Metrics), nil
+	if hm, ok := healthyMemo.Get(key); ok {
+		return hm, nil
 	}
-	hres, err := Run(ctx, healthy, Options{})
+	hm, err := eng.HealthyMetrics(ctx)
 	if err != nil {
 		return Metrics{}, err
 	}
-	healthyMemo.Store(key, hres.Metrics)
-	return hres.Metrics, nil
+	healthyMemo.Put(key, hm)
+	return hm, nil
 }
 
 // Table renders the result as a deterministic metric/value table —

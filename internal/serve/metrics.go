@@ -8,9 +8,11 @@ import (
 	"sync"
 	"time"
 
+	"netpart/internal/iso"
 	"netpart/internal/obs"
 	"netpart/internal/sched"
 	"netpart/internal/sched/cluster"
+	"netpart/internal/sched/tracesim"
 	"netpart/internal/store"
 )
 
@@ -26,8 +28,9 @@ import (
 //   - cache / store / cluster / peers: hits, misses, persists,
 //     sessions and per-peer dispatch health (the only copy: healthz
 //     carries them inside its registry snapshot)
-//   - simulation internals: contention-memo hit rate and stepper
-//     events, sampled from their process-wide counters at scrape time
+//   - simulation internals: contention-memo hit rate, stepper events
+//     and the bounded plan, flow-set, healthy-baseline and bisection
+//     caches, sampled from their process-wide counters at scrape time
 //
 // The registry serves Prometheus text at GET /metrics and rides the
 // /v1/healthz document as a JSON snapshot.
@@ -115,25 +118,26 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 	reg.CounterFunc("netpart_sim_stepper_events_total",
 		"Process-wide scheduler stepper events processed (starts, finishes, boundaries).",
 		func() float64 { return float64(sched.StepperEventsProcessed()) })
-	reg.CounterFunc("netpart_sim_flowset_cache_hits_total",
-		"Process-wide compiled flow-set cache lookups answered from the cache.",
-		func() float64 { hits, _, _ := cluster.FlowSetCounts(); return float64(hits) })
-	reg.CounterFunc("netpart_sim_flowset_cache_misses_total",
-		"Process-wide flow-set cache lookups that compiled routes and demands.",
-		func() float64 { _, misses, _ := cluster.FlowSetCounts(); return float64(misses) })
-	reg.CounterFunc("netpart_sim_flowset_cache_evictions_total",
-		"Compiled flow sets evicted past the cache bound.",
-		func() float64 { _, _, ev := cluster.FlowSetCounts(); return float64(ev) })
-	reg.CounterFunc("netpart_sched_plan_cache_hits_total",
-		"Process-wide placement-plan cache lookups answered from the cache.",
-		func() float64 { hits, _, _ := sched.PlanCacheCounts(); return float64(hits) })
-	reg.CounterFunc("netpart_sched_plan_cache_misses_total",
-		"Process-wide plan-cache lookups that compiled a candidate space.",
-		func() float64 { _, misses, _ := sched.PlanCacheCounts(); return float64(misses) })
-	reg.CounterFunc("netpart_sched_plan_cache_evictions_total",
-		"Compiled placement plans evicted past the cache bound.",
-		func() float64 { _, _, ev := sched.PlanCacheCounts(); return float64(ev) })
+	registerCacheCounts(reg, "sched_plan_cache", "placement-plan", sched.PlanCacheCounts)
+	registerCacheCounts(reg, "sim_flowset_cache", "compiled flow-set", cluster.FlowSetCounts)
+	registerCacheCounts(reg, "sim_healthy_cache", "trace healthy-baseline", tracesim.HealthyCacheCounts)
+	registerCacheCounts(reg, "sim_bisection_cache", "cuboid bisection", iso.BisectionCacheCounts)
 	return m
+}
+
+// registerCacheCounts registers netpart_<name>_{hits,misses,evictions}_total
+// for one bounded process-wide cache, sampled from counts at scrape
+// time.
+func registerCacheCounts(reg *obs.Registry, name, what string, counts func() (hits, misses, evictions uint64)) {
+	reg.CounterFunc("netpart_"+name+"_hits_total",
+		"Process-wide "+what+" cache lookups answered from the cache.",
+		func() float64 { hits, _, _ := counts(); return float64(hits) })
+	reg.CounterFunc("netpart_"+name+"_misses_total",
+		"Process-wide "+what+" cache lookups that computed the entry.",
+		func() float64 { _, misses, _ := counts(); return float64(misses) })
+	reg.CounterFunc("netpart_"+name+"_evictions_total",
+		"Process-wide "+what+" cache entries evicted past the cache bound.",
+		func() float64 { _, _, ev := counts(); return float64(ev) })
 }
 
 // registerStoreMetrics bridges the store's own stats into the

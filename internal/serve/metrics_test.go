@@ -82,6 +82,8 @@ func TestMetricsExposition(t *testing.T) {
 		"# TYPE netpart_sim_contention_memo_hits_total counter",
 		"# TYPE netpart_sim_flowset_cache_hits_total counter",
 		"# TYPE netpart_sched_plan_cache_hits_total counter",
+		"# TYPE netpart_sim_healthy_cache_hits_total counter",
+		"# TYPE netpart_sim_bisection_cache_hits_total counter",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", want)
