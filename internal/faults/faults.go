@@ -70,7 +70,7 @@ type Spec struct {
 	Model string `json:"model"`
 	// Factor is the capacity multiplier of the affected elements: 0
 	// (the default) removes them outright — links disappear from
-	// routing, midplanes from candidate enumeration — while a value in
+	// routing, midplanes from placement — while a value in
 	// (0,1) degrades them (links keep routing at reduced capacity;
 	// jobs on degraded midplanes run 1/Factor slower while a window is
 	// open). Factor 1 is an explicit no-op, useful as the healthy

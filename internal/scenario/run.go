@@ -50,8 +50,8 @@ type Outcome struct {
 
 	// Failure reporting (Spec.Failures). FailedLinks counts links
 	// removed from routing (factor 0), DegradedLinks links running at
-	// CapacityFactor, FailedMidplanes machine cells excluded from the
-	// candidate enumeration.
+	// CapacityFactor, FailedMidplanes machine cells excluded from
+	// placement.
 	FailedLinks     int     `json:"failed_links,omitempty"`
 	DegradedLinks   int     `json:"degraded_links,omitempty"`
 	FailedMidplanes int     `json:"failed_midplanes,omitempty"`

@@ -103,11 +103,11 @@ func (e *PartitionError) Unwrap() error { return e.err }
 // resolvePartition applies the spec's allocation policy to the
 // machine: the bgq geometry policies answer directly; the sched
 // placement policies place a single contention-bound job on the empty
-// machine (driving the same candidate enumeration and Choose path the
-// scheduler uses). blocked lists failed midplane cells the candidate
-// enumeration must avoid (sched policies only; Normalize rejects
-// midplane failures for the bgq geometry policies, which pick a
-// geometry without a location).
+// machine through sched.Grid.Place, the memoized plan scan the
+// scheduler uses. blocked lists failed midplane cells the placement
+// must avoid (sched policies only; Normalize rejects midplane failures
+// for the bgq geometry policies, which pick a geometry without a
+// location).
 func resolvePartition(t TopologySpec, blocked []int) (*bgq.Machine, bgq.Partition, error) {
 	m, err := resolveMachine(t.Machine)
 	if err != nil {
@@ -145,18 +145,18 @@ func resolvePartition(t TopologySpec, blocked []int) (*bgq.Machine, bgq.Partitio
 				return nil, bgq.Partition{}, fmt.Errorf("scenario: %w", err)
 			}
 		}
-		cands := grid.Candidates(t.Midplanes)
-		if len(cands) == 0 {
+		// The single job is declared contention-bound: that is the
+		// regime the scenario measures, and it is what distinguishes
+		// contention-aware from first-fit.
+		job := sched.Job{Midplanes: t.Midplanes, BaseDurationSec: 1, ContentionBound: true}
+		pl, ok := grid.Place(job, pol)
+		if !ok {
 			if len(blocked) > 0 {
 				return nil, bgq.Partition{}, &PartitionError{fmt.Errorf("scenario: no %d-midplane cuboid fits %s with %d failed midplanes", t.Midplanes, m.Name, len(blocked))}
 			}
 			return nil, bgq.Partition{}, &PartitionError{fmt.Errorf("scenario: no %d-midplane cuboid fits %s", t.Midplanes, m.Name)}
 		}
-		// The single job is declared contention-bound: that is the
-		// regime the scenario measures, and it is what distinguishes
-		// contention-aware from first-fit.
-		job := sched.Job{Midplanes: t.Midplanes, BaseDurationSec: 1, ContentionBound: true}
-		return m, pol.Choose(job, cands).Partition(), nil
+		return m, pl.Partition(), nil
 	default:
 		return nil, bgq.Partition{}, fmt.Errorf("scenario: unknown policy %q", t.Policy)
 	}

@@ -104,12 +104,14 @@ func runCaptured(t *testing.T, spec tracesim.Spec) (resultJSON, eventsJSON []byt
 	return resultJSON, eventsJSON
 }
 
-// TestDifferentialOracle holds the cached fast path — fused placement
-// scans, answer memo, plan cache, scalar contention memo, flow-set
-// cache, pooled simulators — byte-identical to the uncached reference
-// implementation on every trace of the matrix: same Result JSON (the
-// golden shape), same event stream. Any divergence is a correctness
-// bug in a cache or fused scan, not a tolerance question.
+// TestDifferentialOracle holds the cached contention scorer — scalar
+// contention memo, flow-set cache, pooled simulators — byte-identical
+// to the uncached reference scorer on every trace of the matrix: same
+// Result JSON (the golden shape), same event stream. Both runs place
+// through sched's memoized plan scan, so the harness isolates the
+// scorer; sched's own tests hold placement to its reference
+// enumeration. Any divergence is a correctness bug in a scorer cache,
+// not a tolerance question.
 func TestDifferentialOracle(t *testing.T) {
 	for name, spec := range differentialSpecs(t) {
 		t.Run(name, func(t *testing.T) {

@@ -160,11 +160,6 @@ type Config struct {
 	OnEvent func(Event)
 }
 
-// policyByName resolves Config.Policy. Production never reassigns it;
-// it is a variable so the differential tests can wrap every policy in
-// one that forces sched's generic placement scan.
-var policyByName = sched.PolicyByName
-
 // Engine is the incremental trace simulator: a sched.Stepper wrapped
 // with the contention scorer, per-job dilation and restart tracking,
 // and outcome reduction — everything tracesim.Run does, refactored so
@@ -205,7 +200,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if m.Midplanes() > MaxMachineMidplanes {
 		return nil, fmt.Errorf("cluster: machine %s has %d midplanes, exceeding the %d bound", m.Name, m.Midplanes(), MaxMachineMidplanes)
 	}
-	policy, ok := policyByName(cfg.Policy)
+	policy, ok := sched.PolicyByName(cfg.Policy)
 	if !ok {
 		return nil, fmt.Errorf("cluster: unknown policy %q", cfg.Policy)
 	}

@@ -1,22 +1,16 @@
 package cluster
 
-import (
-	"testing"
-
-	"netpart/internal/sched"
-)
+import "testing"
 
 // UseReference switches every engine built until t ends onto the
-// reference implementation: placement through sched's generic
-// candidates()+Choose scan, contention scores from fresh tori,
-// routers and simulators. The fast path is restored when t ends.
+// reference scorer: contention scores from fresh tori, routers and
+// simulators instead of the memo, flow-set cache and pooled
+// simulators. Placement is not swapped: its reference lives in sched's
+// own tests, which this package's test binary does not compile. The
+// fast scorer is restored when t ends.
 func UseReference(t testing.TB) {
 	t.Helper()
-	fastPolicy, fastSec := policyByName, patternSec
-	policyByName = func(name string) (sched.PlacementPolicy, bool) {
-		p, ok := fastPolicy(name)
-		return referencePolicy{p}, ok
-	}
+	fastSec := patternSec
 	patternSec = referencePatternSec
-	t.Cleanup(func() { policyByName, patternSec = fastPolicy, fastSec })
+	t.Cleanup(func() { patternSec = fastSec })
 }

@@ -3,7 +3,6 @@ package cluster
 import (
 	"netpart/internal/model"
 	"netpart/internal/netsim"
-	"netpart/internal/sched"
 	"netpart/internal/torus"
 )
 
@@ -29,8 +28,3 @@ func referencePatternSec(geom torus.Shape, pattern string) (float64, error) {
 	}
 	return sim.RunUntilIdle(), nil
 }
-
-// referencePolicy hides the concrete policy type from sched's fused
-// placement scans, forcing the generic candidates()+Choose path; Name
-// and Choose are promoted, so only the enumeration machinery differs.
-type referencePolicy struct{ sched.PlacementPolicy }

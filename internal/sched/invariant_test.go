@@ -88,7 +88,8 @@ type replayEvent struct {
 // schedule through a fresh Grid: any midplane double-booking panics
 // the occupy, finishes must release exactly what starts occupied, and
 // the running free count must equal grid size minus occupied cells at
-// every event.
+// every event. Each schedule is also rerun through the reference
+// placement enumeration and must come out identical.
 func TestScheduleInvariants(t *testing.T) {
 	machines := []*bgq.Machine{bgq.Juqueen(), bgq.Mira()}
 	for seed := int64(0); seed < 12; seed++ {
@@ -111,6 +112,7 @@ func TestScheduleInvariants(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d %s backfill=%v: %v", seed, pol.Name(), backfill, err)
 				}
+				rerunWithReference(t, m, pol, jobs, Options{Backfill: backfill}, res, err)
 				if len(res.Allocations) != len(jobs) {
 					t.Fatalf("seed %d %s: %d allocations for %d jobs", seed, pol.Name(), len(res.Allocations), len(jobs))
 				}
@@ -285,16 +287,17 @@ func TestRunContextCancellation(t *testing.T) {
 	cancel()
 }
 
-// TestNeverFitsVsGeometry: sanity that the neverFits pre-pass agrees
-// with candidate enumeration on an empty machine.
+// TestNeverFitsVsGeometry: sanity that Submit's never-fits check — the
+// compiled plan has no lens — agrees with the reference enumeration on
+// an empty machine.
 func TestNeverFitsVsGeometry(t *testing.T) {
 	m := bgq.Juqueen()
 	g := NewGrid(m)
 	for size := 1; size <= m.Midplanes(); size++ {
-		pre := neverFits(m, size)
+		pre := len(g.planFor(size).lenses) == 0
 		enum := len(g.candidates(size)) == 0
 		if pre != enum {
-			t.Errorf("size %d: neverFits = %v, empty candidates = %v", size, pre, enum)
+			t.Errorf("size %d: plan has no lens = %v, empty candidates = %v", size, pre, enum)
 		}
 	}
 }

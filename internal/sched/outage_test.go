@@ -29,7 +29,7 @@ func TestBlockCellsRemovesFromService(t *testing.T) {
 	if free := g.FreeMidplanes(); free != total-2 {
 		t.Fatalf("free = %d after blocking 2 of %d", free, total)
 	}
-	for _, pl := range g.Candidates(1) {
+	for _, pl := range g.candidates(1) {
 		for _, c := range cellsForTest(m, pl) {
 			if c == 0 || c == 3 {
 				t.Fatalf("candidate %v covers blocked cell %d", pl, c)
@@ -37,7 +37,7 @@ func TestBlockCellsRemovesFromService(t *testing.T) {
 		}
 	}
 	// Whole-machine placements are gone entirely.
-	if cands := g.Candidates(total); len(cands) != 0 {
+	if cands := g.candidates(total); len(cands) != 0 {
 		t.Fatalf("%d whole-machine candidates despite blocked cells", len(cands))
 	}
 
@@ -255,6 +255,8 @@ func TestOutageValidation(t *testing.T) {
 // no job is ever started on a cell inside an open hard window, every
 // job killed by a window overlapped it, no cell is double-occupied,
 // and every occupied cell is released (finish or kill) by the end.
+// Each schedule is also rerun through the reference placement
+// enumeration and must come out identical, starvation included.
 func TestNoJobOnFailedMidplaneInvariant(t *testing.T) {
 	m := bgq.Juqueen()
 	rng := rand.New(rand.NewSource(42))
@@ -313,7 +315,7 @@ func TestNoJobOnFailedMidplaneInvariant(t *testing.T) {
 						delete(occupied, c)
 					}
 				}
-				_, err := RunWithOptions(m, pl, jobs, Options{
+				opts := Options{
 					Backfill: backfill,
 					Outages:  outages,
 					OnStart: func(a Allocation) {
@@ -340,7 +342,9 @@ func TestNoJobOnFailedMidplaneInvariant(t *testing.T) {
 						}
 						release(a, "kill")
 					},
-				})
+				}
+				res, err := RunWithOptions(m, pl, jobs, opts)
+				rerunWithReference(t, m, pl, jobs, opts, res, err)
 				if err != nil {
 					var starved *StarvedError
 					if errors.As(err, &starved) {

@@ -7,44 +7,45 @@ import (
 	"netpart/internal/torus"
 )
 
-// This file is the allocation-free fast path of placement selection.
+// This file is placement selection: Grid.Place, the one call that
+// answers which cuboid a policy allocates, for the scheduler's head
+// and backfill probes and for scenario partitions alike.
 //
-// The generic path — Grid.candidates materializing every feasible
-// Placement and PlacementPolicy.Choose scanning the list — re-derives,
-// on every placement attempt, work that depends only on the machine
-// shape and the requested midplane count: geometry enumeration, length
-// assignments, and the bisection bandwidth of each assignment. On a
-// trace simulation that is one full enumeration per scheduling
-// decision (and per backfill probe), which is why candidate
-// enumeration dominated the trace-simulator profile.
+// The candidate space — geometry enumeration, length assignments, and
+// the bisection bandwidth of each assignment — depends only on the
+// machine shape and the requested midplane count. Re-deriving it on
+// every placement attempt made candidate enumeration dominate the
+// trace-simulator profile: one full enumeration per scheduling
+// decision and per backfill probe.
 //
 // A placementPlan hoists all of it: for one (machine grid, midplanes)
-// pair it records every length assignment in the exact order the
-// generic path enumerates candidates, each with its precomputed
-// bisection bandwidth and per-dimension cell-offset tables that turn
-// the occupancy probe into flat array reads (no recursion, no modulo,
-// no closures). Plans are cached process-wide in a bounded LRU shared
-// by every simulation, grid point, serving flight and cluster session.
+// pair it records every length assignment in enumeration order
+// (geometries in canonical order, then length assignments), each with
+// its precomputed bisection bandwidth and per-dimension cell-offset
+// tables that turn the occupancy probe into flat array reads (no
+// recursion, no modulo, no closures). Plans are cached process-wide in
+// a bounded LRU shared by every simulation, scenario, grid point,
+// serving flight and cluster session.
 //
-// The fused scans (placeFirstFit, placeBestBisection) must be
-// byte-identical to candidates()+Choose; TestPlanMatchesOracle pins
-// the equivalence against the retained generic path under randomized
-// occupancy, and the cluster engine's differential harness pins it end
-// to end by wrapping every policy in a type this file does not know.
-// The generic path stays alive as that reference — and as the
-// fallback for caller-defined policies.
+// The fused scans (placeFirstFit, placeBestBisection) visit lenses and
+// origins in the order a full enumeration of feasible placements lists
+// them and stop once the answer is known. That enumeration survives
+// only in sched's tests (reference_test.go), as the reference:
+// TestPlanMatchesOracle pins every scan answer to it under randomized
+// occupancy, and the reference reruns hold whole schedules to it.
 //
 // On top of the scans sits a per-grid answer memo. The EASY backfill
 // loop re-probes every queued job on every placement attempt while
 // the head waits, so most queries repeat one the grid already
 // answered at the same occupancy. Every writer of the occupancy bumps
 // Grid.version; an answer, keyed by (midplanes, bestBisection), is
-// reused only while its version is current. The generic path never
-// reads the memo, so the reference stays independent of it.
+// reused only while its version is current. A miss calls fill, the one
+// seam: sched's tests swap in the reference enumeration, whose answers
+// keep version 0, so a reference run never reuses a memo answer.
 
 // planRank is the grid rank the fused path specializes on: bgq
-// machines are always 4-dimensional midplane grids. Other ranks fall
-// back to the generic path.
+// machines are always 4-dimensional midplane grids (bgq.NewMachine
+// canonicalizes every grid to rank 4).
 const planRank = 4
 
 // lensPlan is one length assignment of a geometry to the host
@@ -61,7 +62,8 @@ type lensPlan struct {
 }
 
 // placementPlan is the compiled candidate space of one (grid shape,
-// midplanes) pair: length assignments in generic-enumeration order.
+// midplanes) pair: length assignments in enumeration order. A plan
+// with no lenses means no cuboid of that size fits the empty machine.
 type placementPlan struct {
 	lenses []lensPlan
 }
@@ -84,26 +86,19 @@ func (g *Grid) planKey(midplanes int) string {
 }
 
 // planFor returns the compiled plan for a midplane count on this
-// grid's shape, building and caching it on first use. Only rank-4
-// grids are compiled (ok=false otherwise; callers fall back to the
-// generic path).
-func (g *Grid) planFor(midplanes int) (*placementPlan, bool) {
-	if len(g.dims) != planRank {
-		return nil, false
-	}
+// grid's shape, building and caching it on first use.
+func (g *Grid) planFor(midplanes int) *placementPlan {
 	key := g.planKey(midplanes)
 	if p, ok := planCache.Get(key); ok {
-		return p, true
+		return p
 	}
 	p := g.buildPlan(midplanes)
 	planCache.Put(key, p)
-	return p, true
+	return p
 }
 
-// buildPlan compiles the candidate space, enumerating geometries and
-// length assignments with the exact generic-path calls so the lens
-// order (and therefore every fused policy decision) matches
-// candidates() byte for byte.
+// buildPlan compiles the candidate space: geometries in canonical
+// order, then their length assignments.
 func (g *Grid) buildPlan(midplanes int) *placementPlan {
 	p := &placementPlan{}
 	for _, geo := range torus.EnumerateGeometries(g.dims, len(g.dims), midplanes) {
@@ -126,8 +121,8 @@ func (g *Grid) buildPlan(midplanes int) *placementPlan {
 }
 
 // fitsPlan reports whether the cuboid of lp placed at the origin is
-// entirely free, probing cells in the same order as the generic fits
-// (dimension-major) with precomputed offsets.
+// entirely free, probing cells dimension-major with precomputed
+// offsets and stopping at the first occupied or blocked cell.
 func (g *Grid) fitsPlan(lp *lensPlan, o0, o1, o2, o3 int) bool {
 	l0, l1, l2, l3 := lp.lens[0], lp.lens[1], lp.lens[2], lp.lens[3]
 	t0 := lp.offs[0][o0*l0 : o0*l0+l0]
@@ -153,8 +148,7 @@ func (g *Grid) fitsPlan(lp *lensPlan, o0, o1, o2, o3 int) bool {
 }
 
 // firstOrigin returns the lexicographically first feasible origin of
-// one length assignment — the first candidate the generic path would
-// emit for this lens.
+// one length assignment — its first candidate in enumeration order.
 func (g *Grid) firstOrigin(lp *lensPlan) ([planRank]int, bool) {
 	d0, d1, d2, d3 := g.dims[0], g.dims[1], g.dims[2], g.dims[3]
 	for o0 := 0; o0 < d0; o0++ {
@@ -191,9 +185,8 @@ func (a *placeAnswer) placement() Placement {
 	return Placement{Origin: buf[:planRank:planRank], Lens: buf[planRank:]}
 }
 
-// placeFirstFit fills the answer with the first feasible candidate —
-// what FirstFit.Choose picks from the materialized list — without
-// enumerating past it.
+// placeFirstFit fills the answer with the first feasible candidate,
+// without enumerating past it.
 func (g *Grid) placeFirstFit(p *placementPlan, a *placeAnswer) {
 	for li := range p.lenses {
 		lp := &p.lenses[li]
@@ -205,11 +198,9 @@ func (g *Grid) placeFirstFit(p *placementPlan, a *placeAnswer) {
 }
 
 // placeBestBisection fills the answer with the first candidate of
-// maximal bisection bandwidth — what BestBisection.Choose picks —
-// probing each length assignment for its first feasible origin only
-// when its bandwidth strictly beats the best found so far (later
-// equal-bandwidth candidates lose ties, exactly like the generic
-// scan).
+// maximal bisection bandwidth, probing each length assignment for its
+// first feasible origin only when its bandwidth strictly beats the
+// best found so far (later equal-bandwidth candidates lose ties).
 func (g *Grid) placeBestBisection(p *placementPlan, a *placeAnswer) {
 	bestBW := -1
 	for li := range p.lenses {
@@ -224,12 +215,26 @@ func (g *Grid) placeBestBisection(p *placementPlan, a *placeAnswer) {
 	}
 }
 
-// answer returns the fused-scan answer for a rank-4 grid at the
-// current occupancy (ok=false when no placement fits), scanning only
-// when the memo holds no answer for this (midplanes, bestBisection)
-// query at the grid's version. The O(1) capacity check comes first,
-// and free never exceeds the grid volume, so it also bounds the memo
-// index.
+// fill answers a memo miss. Production never reassigns it; only
+// sched's tests swap in the reference enumeration.
+var fill = (*Grid).scan
+
+// scan fills the answer with the fused scan's choice at the current
+// occupancy.
+func (g *Grid) scan(a *placeAnswer, midplanes int, bestBisection bool) {
+	p := g.planFor(midplanes)
+	if bestBisection {
+		g.placeBestBisection(p, a)
+	} else {
+		g.placeFirstFit(p, a)
+	}
+}
+
+// answer returns the scan answer at the current occupancy (ok=false
+// when no placement fits), filling it only when the memo holds no
+// answer for this (midplanes, bestBisection) query at the grid's
+// version. The O(1) capacity check comes first, and free never
+// exceeds the grid volume, so it also bounds the memo index.
 func (g *Grid) answer(midplanes int, bestBisection bool) (*placeAnswer, bool) {
 	if midplanes < 1 || g.free < midplanes {
 		return nil, false
@@ -244,52 +249,35 @@ func (g *Grid) answer(midplanes int, bestBisection bool) (*placeAnswer, bool) {
 	a := &g.answers[i]
 	if a.version != g.version {
 		*a = placeAnswer{version: g.version}
-		p, _ := g.planFor(midplanes)
-		if bestBisection {
-			g.placeBestBisection(p, a)
-		} else {
-			g.placeFirstFit(p, a)
-		}
+		fill(g, a, midplanes, bestBisection)
 	}
 	return a, a.ok
 }
 
-// placeFor selects a placement for the job under the policy: the
-// memoized fused scan for the built-in policies, or the generic
-// materialize-and-Choose path for anything else (including the
-// differential tests' reference wrapper, which therefore never reads
-// the memo). ok=false means no feasible placement exists right now.
-func (g *Grid) placeFor(job Job, policy PlacementPolicy) (Placement, bool) {
+// Place selects a placement for the job under the policy at the
+// current occupancy: the first feasible candidate for FirstFit, the
+// first of maximal bisection bandwidth for BestBisection, and either
+// one for ContentionAware depending on the job's ContentionBound hint.
+// ok=false means no feasible placement exists right now. The returned
+// Placement owns its slices.
+func (g *Grid) Place(job Job, policy PlacementPolicy) (Placement, bool) {
+	bestBisection := false
 	switch policy.(type) {
-	case FirstFit, BestBisection, ContentionAware:
-		if len(g.dims) == planRank {
-			bestBisection := false
-			switch policy.(type) {
-			case BestBisection:
-				bestBisection = true
-			case ContentionAware:
-				bestBisection = job.ContentionBound
-			}
-			if a, ok := g.answer(job.Midplanes, bestBisection); ok {
-				return a.placement(), true
-			}
-			return Placement{}, false
-		}
+	case BestBisection:
+		bestBisection = true
+	case ContentionAware:
+		bestBisection = job.ContentionBound
 	}
-	cands := g.candidates(job.Midplanes)
-	if len(cands) == 0 {
-		return Placement{}, false
+	if a, ok := g.answer(job.Midplanes, bestBisection); ok {
+		return a.placement(), true
 	}
-	return policy.Choose(job, cands), true
+	return Placement{}, false
 }
 
 // anyFit reports whether any placement of the midplane count is
-// feasible on the current occupancy — len(candidates) > 0 without
-// materializing them. It reads the memoized first-fit answer.
+// feasible on the current occupancy. It reads the memoized first-fit
+// answer.
 func (g *Grid) anyFit(midplanes int) bool {
-	if len(g.dims) == planRank {
-		_, ok := g.answer(midplanes, false)
-		return ok
-	}
-	return len(g.candidates(midplanes)) > 0
+	_, ok := g.answer(midplanes, false)
+	return ok
 }

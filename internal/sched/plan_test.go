@@ -29,9 +29,9 @@ func planTestPolicies() []struct {
 	}
 }
 
-// checkPlanAgainstOracle asserts that placeFor and anyFit agree with
-// the generic candidates()+Choose path for every policy and size on
-// the grid's current occupancy. Each policy is queried twice: the
+// checkPlanAgainstOracle asserts that Place and anyFit agree with the
+// reference enumeration (candidates plus referenceChoose) for every
+// policy and size on the grid's current occupancy. Each policy is queried twice: the
 // first answer is scribbled over after the comparison, so the second
 // (a memo hit at the same occupancy) still matching the oracle shows
 // no returned slice aliases the memo or the plan.
@@ -45,16 +45,16 @@ func checkPlanAgainstOracle(t *testing.T, g *Grid, sizes []int) {
 		for _, pc := range planTestPolicies() {
 			job := Job{ID: 0, Midplanes: size, BaseDurationSec: 1, ContentionBound: pc.contentionBound}
 			for query := 0; query < 2; query++ {
-				pl, ok := g.placeFor(job, pc.policy)
+				pl, ok := g.Place(job, pc.policy)
 				if ok != (len(cands) > 0) {
 					t.Fatalf("size %d policy %s cb=%v query %d: ok = %v, candidates = %d", size, pc.policy.Name(), pc.contentionBound, query, ok, len(cands))
 				}
 				if !ok {
 					continue
 				}
-				want := pc.policy.Choose(job, cands)
+				want := referenceChoose(job, pc.policy, cands)
 				if !coordEqual(pl.Origin, want.Origin) || pl.Lens.String() != want.Lens.String() {
-					t.Fatalf("size %d policy %s cb=%v query %d: placeFor %v/%v, oracle %v/%v",
+					t.Fatalf("size %d policy %s cb=%v query %d: Place %v/%v, oracle %v/%v",
 						size, pc.policy.Name(), pc.contentionBound, query, pl.Origin, pl.Lens, want.Origin, want.Lens)
 				}
 				for i := range pl.Origin {
@@ -94,9 +94,8 @@ func freeSweep(g *Grid) int {
 
 // TestPlanMatchesOracle drives randomized occupancy — placements,
 // releases, blocked cells — and pins the fused placement scans to the
-// generic materialize-and-Choose path at every step, on both a
-// production machine shape and a degenerate one with length-1
-// dimensions.
+// reference enumeration at every step, on both a production machine
+// shape and a degenerate one with length-1 dimensions.
 func TestPlanMatchesOracle(t *testing.T) {
 	machines := []*bgq.Machine{bgq.Juqueen()}
 	if m, err := bgq.NewMachine("slab", torus.Shape{4, 2, 2, 1}); err == nil {
@@ -166,9 +165,7 @@ func TestPlanCacheCounters(t *testing.T) {
 	// A size no other test uses on this unique shape: first use
 	// compiles, the rest hit.
 	for i := 0; i < 4; i++ {
-		if _, ok := g.planFor(5); !ok {
-			t.Fatal("rank-4 grid not compiled")
-		}
+		g.planFor(5)
 	}
 	h1, m1, _ := PlanCacheCounts()
 	if m1-m0 != 1 {
@@ -195,5 +192,50 @@ func TestPlanCacheEvictionSameResults(t *testing.T) {
 	}
 	if _, _, ev := planCache.Counts(); ev == 0 {
 		t.Fatal("capacity-1 cache never evicted")
+	}
+}
+
+// TestSlabScheduleMatchesReference runs a contended schedule on the
+// 4x2x2x1 slab — sizes {1, 2, 4}, hard windows that kill, block and
+// heal, and a degrade window — under every policy with backfill on and
+// off, and reruns each through the reference enumeration. On a machine
+// this small the queue head waits on exactly the cells a window holds,
+// so a memo answer that outlives a block or a heal moves a start.
+func TestSlabScheduleMatchesReference(t *testing.T) {
+	m, err := bgq.NewMachine("slab", torus.Shape{4, 2, 2, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(11))
+	sizes := []int{1, 2, 4}
+	var jobs []Job
+	arrival := 0.0
+	for i := 0; i < 40; i++ {
+		arrival += rng.Float64() * 6
+		jobs = append(jobs, Job{
+			ID:              i,
+			Midplanes:       sizes[rng.Intn(len(sizes))],
+			ArrivalSec:      arrival,
+			BaseDurationSec: 5 + rng.Float64()*40,
+			ContentionBound: rng.Intn(2) == 0,
+		})
+	}
+	opts := Options{Outages: []Outage{
+		{StartSec: 20, EndSec: 70, Cells: []int{0, 1, 4, 5}, Factor: 0},
+		{StartSec: 40, EndSec: 160, Cells: []int{8, 9, 10}, Factor: 0.5},
+		{StartSec: 110, EndSec: 150, Cells: []int{3, 12, 14}, Factor: 0},
+	}}
+	for _, pol := range []PlacementPolicy{FirstFit{}, BestBisection{}, ContentionAware{}} {
+		for _, backfill := range []bool{false, true} {
+			opts.Backfill = backfill
+			res, err := RunWithOptions(m, pol, jobs, opts)
+			if err != nil {
+				t.Fatalf("%s backfill=%v: %v", pol.Name(), backfill, err)
+			}
+			if len(res.Kills) == 0 {
+				t.Fatalf("%s backfill=%v: no hard window killed a job; the schedule is not contended", pol.Name(), backfill)
+			}
+			rerunWithReference(t, m, pol, jobs, opts, res, err)
+		}
 	}
 }

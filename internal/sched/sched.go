@@ -67,9 +67,9 @@ func (g *Grid) Machine() *bgq.Machine { return g.machine }
 func (g *Grid) FreeMidplanes() int { return g.free }
 
 // BlockCells removes midplanes from service before any job is placed:
-// the cells disappear from candidate enumeration exactly as if they
-// were occupied. It is the seam the scenario layer uses to model
-// statically failed midplanes. Cells must be in range and unoccupied.
+// no placement covers the cells, exactly as if they were occupied. It
+// is the seam the scenario layer uses to model statically failed
+// midplanes. Cells must be in range and unoccupied.
 func (g *Grid) BlockCells(cells []int) error {
 	for _, c := range cells {
 		if c < 0 || c >= len(g.used) {
@@ -129,27 +129,6 @@ func (g *Grid) cellsOf(origin torus.Coord, lens torus.Shape) []int {
 	return cells
 }
 
-// fits reports whether the cuboid placement is entirely free. It is
-// the candidate-enumeration hot path (one probe per origin × length
-// assignment), so it walks the cells directly — no slice
-// materialization — and exits on the first occupied cell.
-func (g *Grid) fits(origin torus.Coord, lens torus.Shape) bool {
-	var rec func(dim, base int) bool
-	rec = func(dim, base int) bool {
-		if dim == len(g.dims) {
-			return g.used[base] == 0 && g.blocked[base] == 0
-		}
-		for off := 0; off < lens[dim]; off++ {
-			c := (origin[dim] + off) % g.dims[dim]
-			if !rec(dim+1, base+c*g.strides[dim]) {
-				return false
-			}
-		}
-		return true
-	}
-	return rec(0, 0)
-}
-
 // occupy marks a placement as owned by a job.
 func (g *Grid) occupy(jobID int, origin torus.Coord, lens torus.Shape) {
 	g.version++
@@ -195,56 +174,14 @@ func (p Placement) Partition() bgq.Partition {
 	return part
 }
 
-// Candidates enumerates every feasible placement of a midplane count
-// on the current occupancy, in deterministic order: geometries
-// (canonical order), then length assignments, then origins
-// (lexicographic). It is the seam the scenario layer uses to drive
-// the placement policies outside a full scheduling run (policy
-// selection for a single job on an empty machine).
-func (g *Grid) Candidates(midplanes int) []Placement {
-	return g.candidates(midplanes)
-}
-
-// candidates enumerates every feasible placement of a midplane count,
-// in deterministic order: geometries (canonical order), then length
-// assignments, then origins (lexicographic).
-func (g *Grid) candidates(midplanes int) []Placement {
-	var out []Placement
-	for _, geo := range torus.EnumerateGeometries(g.dims, len(g.dims), midplanes) {
-		for _, lens := range torus.Placements(g.dims, geo) {
-			g.forEachOrigin(func(origin torus.Coord) {
-				if g.fits(origin, lens) {
-					out = append(out, Placement{Origin: origin.Clone(), Lens: lens.Clone()})
-				}
-			})
-		}
-	}
-	return out
-}
-
-func (g *Grid) forEachOrigin(fn func(origin torus.Coord)) {
-	origin := make(torus.Coord, len(g.dims))
-	var rec func(dim int)
-	rec = func(dim int) {
-		if dim == len(g.dims) {
-			fn(origin)
-			return
-		}
-		for c := 0; c < g.dims[dim]; c++ {
-			origin[dim] = c
-			rec(dim + 1)
-		}
-	}
-	rec(0)
-}
-
-// PlacementPolicy selects a placement from the feasible candidates.
+// PlacementPolicy is an allocation policy: FirstFit, BestBisection or
+// ContentionAware. Grid.Place picks the scan by policy type, so the set
+// is closed: the unexported method keeps other packages from adding a
+// policy the scan would silently treat as first-fit.
 type PlacementPolicy interface {
 	// Name identifies the policy in reports.
 	Name() string
-	// Choose picks one of the candidate placements for the job (the
-	// candidate list is non-empty and deterministic).
-	Choose(job Job, candidates []Placement) Placement
+	placementPolicy()
 }
 
 // FirstFit takes the first feasible placement — geometry-oblivious,
@@ -255,27 +192,12 @@ type FirstFit struct{}
 // Name implements PlacementPolicy.
 func (FirstFit) Name() string { return "first-fit" }
 
-// Choose implements PlacementPolicy.
-func (FirstFit) Choose(_ Job, candidates []Placement) Placement { return candidates[0] }
-
 // BestBisection picks the placement whose partition has maximal
 // internal bisection bandwidth (ties: first).
 type BestBisection struct{}
 
 // Name implements PlacementPolicy.
 func (BestBisection) Name() string { return "best-bisection" }
-
-// Choose implements PlacementPolicy.
-func (BestBisection) Choose(_ Job, candidates []Placement) Placement {
-	best := candidates[0]
-	bestBW := best.Partition().BisectionBW()
-	for _, c := range candidates[1:] {
-		if bw := c.Partition().BisectionBW(); bw > bestBW {
-			best, bestBW = c, bw
-		}
-	}
-	return best
-}
 
 // ContentionAware applies BestBisection to jobs that declare
 // themselves contention-bound (the user hint of the paper's §5) and
@@ -285,18 +207,13 @@ type ContentionAware struct{}
 // Name implements PlacementPolicy.
 func (ContentionAware) Name() string { return "contention-aware" }
 
-// Choose implements PlacementPolicy.
-func (ContentionAware) Choose(job Job, candidates []Placement) Placement {
-	if job.ContentionBound {
-		return BestBisection{}.Choose(job, candidates)
-	}
-	return FirstFit{}.Choose(job, candidates)
-}
+func (FirstFit) placementPolicy()        {}
+func (BestBisection) placementPolicy()   {}
+func (ContentionAware) placementPolicy() {}
 
 // PolicyByName resolves a policy's Name() spelling to its
 // implementation — the single mapping every layer (scenario
-// resolution, the trace simulator) shares, so a new policy is wired
-// in exactly one place.
+// resolution, the trace simulator, cluster sessions) shares.
 func PolicyByName(name string) (PlacementPolicy, bool) {
 	switch name {
 	case FirstFit{}.Name():
@@ -325,8 +242,7 @@ type Job struct {
 // NeverFitsError reports a job that can never be placed: no cuboid of
 // the requested midplane count fits the machine even when it is empty.
 // The job is rejected up front — a queue whose head can never start
-// would otherwise deadlock the schedule (and hand the placement
-// policies an empty candidate list, which their contract forbids).
+// would otherwise deadlock the schedule.
 type NeverFitsError struct {
 	Job       int
 	Midplanes int
@@ -505,18 +421,6 @@ func validateJob(j Job) error {
 		return fmt.Errorf("sched: job %d arrival %v is not non-negative and finite", j.ID, j.ArrivalSec)
 	}
 	return nil
-}
-
-// neverFits reports whether no cuboid of the midplane count fits the
-// machine even when empty (no geometry, or no length assignment of any
-// geometry fits the host dimensions).
-func neverFits(m *bgq.Machine, midplanes int) bool {
-	for _, geo := range torus.EnumerateGeometries(m.Grid, len(m.Grid), midplanes) {
-		if len(torus.Placements(m.Grid, geo)) > 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // RunContext is RunWithOptions with cancellation: the context is

@@ -95,11 +95,17 @@ func TestCandidatesDeterministicAndValid(t *testing.T) {
 
 func TestPoliciesPickExpectedGeometry(t *testing.T) {
 	g := NewGrid(bgq.Juqueen())
-	cands := g.candidates(8)
+	place := func(job Job, policy PlacementPolicy) Placement {
+		pl, ok := g.Place(job, policy)
+		if !ok {
+			t.Fatalf("%s: no placement on the empty machine", policy.Name())
+		}
+		return pl
+	}
 	job := Job{ID: 1, Midplanes: 8, BaseDurationSec: 1, ContentionBound: true}
-	ff := FirstFit{}.Choose(job, cands)
-	bb := BestBisection{}.Choose(job, cands)
-	ca := ContentionAware{}.Choose(job, cands)
+	ff := place(job, FirstFit{})
+	bb := place(job, BestBisection{})
+	ca := place(job, ContentionAware{})
 	if bb.Partition().BisectionBW() != 1024 {
 		t.Errorf("best-bisection chose %v (BW %d), want 2x2x2x1/1024", bb.Lens, bb.Partition().BisectionBW())
 	}
@@ -107,7 +113,7 @@ func TestPoliciesPickExpectedGeometry(t *testing.T) {
 		t.Error("contention-aware should match best-bisection for bound jobs")
 	}
 	job.ContentionBound = false
-	ca = ContentionAware{}.Choose(job, cands)
+	ca = place(job, ContentionAware{})
 	if !ca.Lens.Equal(ff.Lens) {
 		t.Error("contention-aware should match first-fit for unbound jobs")
 	}

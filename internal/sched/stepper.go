@@ -47,7 +47,9 @@ type Stepper struct {
 	outageOpen []bool
 	nextB      int
 
-	// fits memoizes neverFits per midplane count across Submit calls.
+	// fits memoizes, per midplane count across Submit calls, whether
+	// any cuboid of that size fits the empty machine (its plan has a
+	// lens).
 	fits        map[int]bool
 	jobDuration func(Job, Placement) float64
 
@@ -155,7 +157,7 @@ func (st *Stepper) Submit(jobs ...Job) error {
 		}
 		ok, checked := st.fits[j.Midplanes]
 		if !checked {
-			ok = !neverFits(st.m, j.Midplanes)
+			ok = len(st.grid.planFor(j.Midplanes).lenses) > 0
 			st.fits[j.Midplanes] = ok
 		}
 		if !ok {
@@ -358,7 +360,7 @@ func (st *Stepper) tryStart() bool {
 		return false
 	}
 	job := st.queue[0]
-	if pl, ok := st.grid.placeFor(job, st.policy); ok {
+	if pl, ok := st.grid.Place(job, st.policy); ok {
 		st.startJob(job, pl, false)
 		st.queue = st.queue[1:]
 		return true
@@ -376,7 +378,7 @@ func (st *Stepper) tryStart() bool {
 		if cand.ArrivalSec > st.now {
 			continue
 		}
-		pl, ok := st.grid.placeFor(cand, st.policy)
+		pl, ok := st.grid.Place(cand, st.policy)
 		if !ok {
 			continue
 		}

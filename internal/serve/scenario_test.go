@@ -103,21 +103,29 @@ func TestScenarioValidation(t *testing.T) {
 			"workload": map[string]any{"pattern": "pairing"},
 		}
 	}
+	failed := partition("juqueen", 56, "best-bisection")
+	failed["failures"] = map[string]any{"model": "midplanes", "midplanes": []int{0}}
 	for _, probe := range []struct {
 		name string
 		doc  any
 		want int
+		msg  string // when set, the error body must contain it
 	}{
-		{"unknown kind", map[string]any{"topology": map[string]any{"kind": "moebius"}, "workload": map[string]any{"pattern": "pairing"}}, http.StatusBadRequest},
-		{"unknown field", map[string]any{"topology": map[string]any{"kind": "torus", "shape": "4x4"}, "workload": map[string]any{"pattern": "pairing"}, "turbo": true}, http.StatusBadRequest},
-		{"bad policy", map[string]any{"topology": map[string]any{"kind": "torus", "shape": "4x4", "policy": "best-case"}, "workload": map[string]any{"pattern": "pairing"}}, http.StatusBadRequest},
-		{"no predefined list", partition("juqueen", 4, "predefined"), http.StatusUnprocessableEntity},
-		{"no predefined size", partition("mira", 5, "predefined"), http.StatusUnprocessableEntity},
-		{"over capacity", partition("mira", 500, "best-case"), http.StatusUnprocessableEntity},
+		{"unknown kind", map[string]any{"topology": map[string]any{"kind": "moebius"}, "workload": map[string]any{"pattern": "pairing"}}, http.StatusBadRequest, ""},
+		{"unknown field", map[string]any{"topology": map[string]any{"kind": "torus", "shape": "4x4"}, "workload": map[string]any{"pattern": "pairing"}, "turbo": true}, http.StatusBadRequest, ""},
+		{"bad policy", map[string]any{"topology": map[string]any{"kind": "torus", "shape": "4x4", "policy": "best-case"}, "workload": map[string]any{"pattern": "pairing"}}, http.StatusBadRequest, ""},
+		{"no predefined list", partition("juqueen", 4, "predefined"), http.StatusUnprocessableEntity, ""},
+		{"no predefined size", partition("mira", 5, "predefined"), http.StatusUnprocessableEntity, ""},
+		{"over capacity", partition("mira", 500, "best-case"), http.StatusUnprocessableEntity, ""},
+		{"no cuboid fits", partition("mira", 5, "first-fit"), http.StatusUnprocessableEntity, "no 5-midplane cuboid fits Mira"},
+		{"no cuboid fits failed machine", failed, http.StatusUnprocessableEntity, "no 56-midplane cuboid fits JUQUEEN with 1 failed midplanes"},
 	} {
 		code, _, body := post(t, ts.URL+"/v1/scenarios", probe.doc)
 		if code != probe.want {
 			t.Errorf("%s: status %d, want %d: %s", probe.name, code, probe.want, body)
+		}
+		if !strings.Contains(string(body), probe.msg) {
+			t.Errorf("%s: body %s does not contain %q", probe.name, body, probe.msg)
 		}
 	}
 }
