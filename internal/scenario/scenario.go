@@ -29,6 +29,7 @@ import (
 
 	"netpart/internal/bgq"
 	"netpart/internal/faults"
+	"netpart/internal/sched"
 	"netpart/internal/torus"
 	"netpart/internal/workload"
 )
@@ -316,6 +317,12 @@ func (s Spec) Normalize() (Spec, error) {
 		if !knownPolicy(t.Policy) {
 			return Spec{}, fmt.Errorf("scenario: unknown policy %q (want predefined, best-case, worst-case, first-fit, best-bisection or contention-aware)", s.Topology.Policy)
 		}
+		// Placement compiles a plan over the whole machine, so a custom
+		// grid is held to the bound traces and sessions share (catalog
+		// machines have at most 96 midplanes).
+		if _, placed := sched.PolicyByName(t.Policy); placed && !catalogMachine(machine) && !sched.WithinMachineBound(mustShape(machine)) {
+			return Spec{}, fmt.Errorf("scenario: machine %s exceeds the %d-midplane bound of the %s policy", machine, sched.MaxMachineMidplanes, t.Policy)
+		}
 		vertices = t.Midplanes * bgq.MidplaneNodes
 	}
 	if s.Topology.Policy != "" && t.Kind != KindPartition {
@@ -419,9 +426,7 @@ func (s Spec) Normalize() (Spec, error) {
 			if t.Kind != KindPartition {
 				return Spec{}, fmt.Errorf("scenario: failure model %s fails midplanes, which only partition topologies have", f.Model)
 			}
-			switch t.Policy {
-			case PolicyFirstFit, PolicyBestBisection, PolicyContentionAware:
-			default:
+			if _, placed := sched.PolicyByName(t.Policy); !placed {
 				return Spec{}, fmt.Errorf("scenario: failure model %s needs a placement policy that can avoid failed midplanes (first-fit, best-bisection or contention-aware), not %s", f.Model, t.Policy)
 			}
 			if f.Factor != 0 {

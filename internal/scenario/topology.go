@@ -116,29 +116,7 @@ func resolvePartition(t TopologySpec, blocked []int) (*bgq.Machine, bgq.Partitio
 	if t.Midplanes > m.Midplanes() {
 		return nil, bgq.Partition{}, &PartitionError{fmt.Errorf("scenario: %d midplanes exceed %s's %d", t.Midplanes, m.Name, m.Midplanes())}
 	}
-	switch t.Policy {
-	case PolicyPredefined, PolicyBestCase, PolicyWorstCase:
-		var pol bgq.Policy
-		switch t.Policy {
-		case PolicyPredefined:
-			pol = bgq.PredefinedPolicy{}
-		case PolicyBestCase:
-			pol = bgq.BestCasePolicy{}
-		default:
-			pol = bgq.WorstCasePolicy{}
-		}
-		p, err := pol.Select(m, t.Midplanes)
-		if err != nil {
-			return nil, bgq.Partition{}, &PartitionError{fmt.Errorf("scenario: policy %s: %w", t.Policy, err)}
-		}
-		return m, p, nil
-	case PolicyFirstFit, PolicyBestBisection, PolicyContentionAware:
-		pol, ok := sched.PolicyByName(t.Policy)
-		if !ok {
-			// The case arms above are exactly the sched spellings;
-			// unreachable.
-			return nil, bgq.Partition{}, fmt.Errorf("scenario: unknown sched policy %q", t.Policy)
-		}
+	if pol, ok := sched.PolicyByName(t.Policy); ok {
 		grid := sched.NewGrid(m)
 		if len(blocked) > 0 {
 			if err := grid.BlockCells(blocked); err != nil {
@@ -157,9 +135,23 @@ func resolvePartition(t TopologySpec, blocked []int) (*bgq.Machine, bgq.Partitio
 			return nil, bgq.Partition{}, &PartitionError{fmt.Errorf("scenario: no %d-midplane cuboid fits %s", t.Midplanes, m.Name)}
 		}
 		return m, pl.Partition(), nil
+	}
+	var pol bgq.Policy
+	switch t.Policy {
+	case PolicyPredefined:
+		pol = bgq.PredefinedPolicy{}
+	case PolicyBestCase:
+		pol = bgq.BestCasePolicy{}
+	case PolicyWorstCase:
+		pol = bgq.WorstCasePolicy{}
 	default:
 		return nil, bgq.Partition{}, fmt.Errorf("scenario: unknown policy %q", t.Policy)
 	}
+	p, err := pol.Select(m, t.Midplanes)
+	if err != nil {
+		return nil, bgq.Partition{}, &PartitionError{fmt.Errorf("scenario: policy %s: %w", t.Policy, err)}
+	}
+	return m, p, nil
 }
 
 // buildGraph constructs the explicit graph for the graph-family kinds

@@ -37,9 +37,6 @@ const (
 
 // Bounds and defaults.
 const (
-	// MaxMachineMidplanes bounds the simulated machine (the tracesim
-	// bound).
-	MaxMachineMidplanes = 4096
 	// MaxAllToAllMidplanes bounds jobs declaring the quadratic
 	// all-to-all pattern.
 	MaxAllToAllMidplanes = 128

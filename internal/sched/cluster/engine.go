@@ -197,8 +197,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if m == nil {
 		return nil, fmt.Errorf("cluster: engine needs a machine")
 	}
-	if m.Midplanes() > MaxMachineMidplanes {
-		return nil, fmt.Errorf("cluster: machine %s has %d midplanes, exceeding the %d bound", m.Name, m.Midplanes(), MaxMachineMidplanes)
+	if !sched.WithinMachineBound(m.Grid) {
+		return nil, fmt.Errorf("cluster: machine %s exceeds the %d-midplane bound", m.Name, sched.MaxMachineMidplanes)
 	}
 	policy, ok := sched.PolicyByName(cfg.Policy)
 	if !ok {

@@ -194,48 +194,3 @@ func TestPlanCacheEvictionSameResults(t *testing.T) {
 		t.Fatal("capacity-1 cache never evicted")
 	}
 }
-
-// TestSlabScheduleMatchesReference runs a contended schedule on the
-// 4x2x2x1 slab — sizes {1, 2, 4}, hard windows that kill, block and
-// heal, and a degrade window — under every policy with backfill on and
-// off, and reruns each through the reference enumeration. On a machine
-// this small the queue head waits on exactly the cells a window holds,
-// so a memo answer that outlives a block or a heal moves a start.
-func TestSlabScheduleMatchesReference(t *testing.T) {
-	m, err := bgq.NewMachine("slab", torus.Shape{4, 2, 2, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(11))
-	sizes := []int{1, 2, 4}
-	var jobs []Job
-	arrival := 0.0
-	for i := 0; i < 40; i++ {
-		arrival += rng.Float64() * 6
-		jobs = append(jobs, Job{
-			ID:              i,
-			Midplanes:       sizes[rng.Intn(len(sizes))],
-			ArrivalSec:      arrival,
-			BaseDurationSec: 5 + rng.Float64()*40,
-			ContentionBound: rng.Intn(2) == 0,
-		})
-	}
-	opts := Options{Outages: []Outage{
-		{StartSec: 20, EndSec: 70, Cells: []int{0, 1, 4, 5}, Factor: 0},
-		{StartSec: 40, EndSec: 160, Cells: []int{8, 9, 10}, Factor: 0.5},
-		{StartSec: 110, EndSec: 150, Cells: []int{3, 12, 14}, Factor: 0},
-	}}
-	for _, pol := range []PlacementPolicy{FirstFit{}, BestBisection{}, ContentionAware{}} {
-		for _, backfill := range []bool{false, true} {
-			opts.Backfill = backfill
-			res, err := RunWithOptions(m, pol, jobs, opts)
-			if err != nil {
-				t.Fatalf("%s backfill=%v: %v", pol.Name(), backfill, err)
-			}
-			if len(res.Kills) == 0 {
-				t.Fatalf("%s backfill=%v: no hard window killed a job; the schedule is not contended", pol.Name(), backfill)
-			}
-			rerunWithReference(t, m, pol, jobs, opts, res, err)
-		}
-	}
-}

@@ -22,6 +22,26 @@ import (
 	"netpart/internal/torus"
 )
 
+// MaxMachineMidplanes bounds the machine of every trace, cluster
+// session and scenario placement. A compiled placement plan holds
+// dims[d]*lens[d] offsets per dimension and stays in the shared plan
+// cache, so its size must not grow with whatever grid a request names.
+const MaxMachineMidplanes = 4096
+
+// WithinMachineBound reports whether grid has at most
+// MaxMachineMidplanes cells. It bounds each factor before multiplying,
+// so a grid whose volume overflows int cannot wrap under the bound.
+func WithinMachineBound(grid torus.Shape) bool {
+	v := 1
+	for _, d := range grid {
+		if d > MaxMachineMidplanes || v*d > MaxMachineMidplanes {
+			return false
+		}
+		v *= d
+	}
+	return true
+}
+
 // Grid tracks midplane occupancy of a machine.
 type Grid struct {
 	machine *bgq.Machine

@@ -40,6 +40,27 @@ func TestGridBasics(t *testing.T) {
 	}
 }
 
+// TestWithinMachineBound pins the machine bound at its edges and on
+// grids whose int volume overflows to a small value: 2^62+1 times 4
+// wraps to 4, and 2^32 squared wraps to 0.
+func TestWithinMachineBound(t *testing.T) {
+	for _, c := range []struct {
+		grid torus.Shape
+		want bool
+	}{
+		{torus.Shape{4096, 1, 1, 1}, true},
+		{torus.Shape{16, 16, 16, 1}, true},
+		{torus.Shape{4097, 1, 1, 1}, false},
+		{torus.Shape{16, 16, 16, 2}, false},
+		{torus.Shape{1<<62 + 1, 4, 1, 1}, false},
+		{torus.Shape{1 << 32, 1 << 32, 1, 1}, false},
+	} {
+		if got := WithinMachineBound(c.grid); got != c.want {
+			t.Errorf("WithinMachineBound(%s) = %v, want %v", c.grid, got, c.want)
+		}
+	}
+}
+
 func TestGridWraparound(t *testing.T) {
 	g := NewGrid(bgq.Juqueen()) // 7x2x2x2
 	// A length-3 cuboid starting at coordinate 5 wraps 5,6,0.

@@ -7,6 +7,7 @@ import (
 
 	"netpart/internal/lru"
 	"netpart/internal/scenario"
+	"netpart/internal/sched"
 	"netpart/internal/sched/cluster"
 	"netpart/internal/tabulate"
 )
@@ -69,8 +70,8 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if m.Midplanes() > MaxMachineMidplanes {
-		return nil, fmt.Errorf("tracesim: machine %s has %d midplanes, exceeding the %d bound", norm.Machine, m.Midplanes(), MaxMachineMidplanes)
+	if !sched.WithinMachineBound(m.Grid) {
+		return nil, fmt.Errorf("tracesim: machine %s exceeds the %d-midplane bound", norm.Machine, sched.MaxMachineMidplanes)
 	}
 
 	trace := norm.trace()

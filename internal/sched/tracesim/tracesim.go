@@ -75,8 +75,6 @@ const (
 const (
 	// MaxJobs bounds one trace (inline or synthetic).
 	MaxJobs = 4096
-	// MaxMachineMidplanes bounds the simulated machine.
-	MaxMachineMidplanes = 4096
 	// MaxAllToAllMidplanes bounds jobs declaring the quadratic
 	// all-to-all pattern (the dilation scorer routes every ordered
 	// midplane pair of the placed geometry).

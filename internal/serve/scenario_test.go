@@ -119,6 +119,9 @@ func TestScenarioValidation(t *testing.T) {
 		{"over capacity", partition("mira", 500, "best-case"), http.StatusUnprocessableEntity, ""},
 		{"no cuboid fits", partition("mira", 5, "first-fit"), http.StatusUnprocessableEntity, "no 5-midplane cuboid fits Mira"},
 		{"no cuboid fits failed machine", failed, http.StatusUnprocessableEntity, "no 56-midplane cuboid fits JUQUEEN with 1 failed midplanes"},
+		{"machine over the placement bound", partition("65536", 2048, "first-fit"), http.StatusBadRequest, "exceeds the 4096-midplane bound"},
+		{"machine volume overflows int", partition("4611686018427387905x4", 4, "best-bisection"), http.StatusBadRequest, "exceeds the 4096-midplane bound"},
+		{"geometry policy on a large machine", partition("65536", 1, "best-case"), http.StatusOK, ""},
 	} {
 		code, _, body := post(t, ts.URL+"/v1/scenarios", probe.doc)
 		if code != probe.want {
