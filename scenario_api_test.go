@@ -2,6 +2,7 @@ package netpart_test
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -151,19 +152,29 @@ func TestSweepGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGoldens(t, "sweep_golden", res)
+}
+
+// checkGoldens compares a dynamic result's three encodings and its
+// typed data (the JSON that peer replies and SSE point frames carry)
+// against testdata/<stem>.{json,csv,md,data.json}. UPDATE_GOLDEN=1
+// rewrites the files instead.
+func checkGoldens(t *testing.T, stem string, res *netpart.Result) {
+	t.Helper()
 	for _, enc := range []struct {
-		file string
-		get  func() ([]byte, error)
+		ext string
+		get func() ([]byte, error)
 	}{
-		{"sweep_golden.json", res.JSON},
-		{"sweep_golden.csv", res.CSV},
-		{"sweep_golden.md", func() ([]byte, error) { return res.Markdown(), nil }},
+		{"json", res.JSON},
+		{"csv", res.CSV},
+		{"md", func() ([]byte, error) { return res.Markdown(), nil }},
+		{"data.json", func() ([]byte, error) { return json.MarshalIndent(res.Data, "", "  ") }},
 	} {
 		got, err := enc.get()
 		if err != nil {
 			t.Fatal(err)
 		}
-		path := filepath.Join("testdata", enc.file)
+		path := filepath.Join("testdata", stem+"."+enc.ext)
 		if os.Getenv("UPDATE_GOLDEN") != "" {
 			if err := os.WriteFile(path, got, 0o644); err != nil {
 				t.Fatal(err)

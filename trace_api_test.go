@@ -158,6 +158,28 @@ func TestRunTraceGridPublicAPI(t *testing.T) {
 	}
 }
 
+// TestTraceGridGolden pins the full encoded output and typed data of
+// a small policy × arrival-rate trace grid against checked-in golden
+// files. Regenerate with UPDATE_GOLDEN=1 go test -run TestTraceGridGolden .
+func TestTraceGridGolden(t *testing.T) {
+	grid := netpart.TraceGrid{
+		Name: "trace grid golden",
+		Base: netpart.TraceSpec{
+			Machine: "juqueen", Backfill: true,
+			Synthetic: &netpart.TraceSynthetic{Jobs: 12, Seed: 5, Sizes: []int{2, 4, 8, 16}, Pattern: "pairing", PatternFraction: 0.5},
+		},
+		Axes: []netpart.SweepAxis{
+			{Path: "policy", Values: sweep.Strings("first-fit", "contention-aware")},
+			{Path: "synthetic.rate_hz", Values: sweep.Floats(0.02, 0.2)},
+		},
+	}
+	res, err := netpart.NewRunner(netpart.WithWorkers(4)).RunTraceGrid(context.Background(), grid, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGoldens(t, "trace_grid_golden", res)
+}
+
 // TestRunTraceValidation: invalid specs and grids fail before any
 // simulation runs.
 func TestRunTraceValidation(t *testing.T) {
