@@ -21,38 +21,41 @@ type PointResult struct {
 	Err     string            `json:"error,omitempty"`
 }
 
-// Result is a completed sweep: every point in index order.
-type Result struct {
-	ID        string        `json:"id"`
-	Name      string        `json:"name,omitempty"`
-	AxisPaths []string      `json:"axis_paths"`
-	Points    []PointResult `json:"points"`
-	Failed    int           `json:"failed"`
+// GridResult is a completed grid of point results P: its identity and
+// every point in index order.
+type GridResult[P any] struct {
+	ID        string   `json:"id"`
+	Name      string   `json:"name,omitempty"`
+	AxisPaths []string `json:"axis_paths"`
+	Points    []P      `json:"points"`
+	Failed    int      `json:"failed"`
 }
 
-// Options tunes a sweep execution.
-type Options struct {
+// Result is a completed sweep: every point in index order.
+type Result GridResult[PointResult]
+
+// RunOptions tunes one grid execution over point specs S, executor
+// outcomes O and point results P.
+type RunOptions[S, O, P any] struct {
 	// Workers bounds the worker pool (0 = runnable CPUs, 1 =
 	// sequential). Output is byte-identical at any pool size.
 	Workers int
-	// ShardSize is the number of consecutive points one pool unit
-	// executes (0 = derived from the point count and pool size).
-	// Sharding amortizes pool dispatch for large grids of cheap
-	// points while keeping enough shards to balance skewed costs.
-	ShardSize int
 	// OnPoint, when non-nil, receives every completed point in
 	// completion order (not index order). Calls are serialized.
-	OnPoint func(PointResult)
+	OnPoint func(P)
 	// OnProgress, when non-nil, receives (completedPoints, total)
 	// after every point. Calls are serialized and monotone.
 	OnProgress func(done, total int)
-	// RunPoint, when non-nil, replaces scenario.Run as the per-point
-	// executor — the seam a distributed coordinator uses to dispatch
-	// points to worker daemons. It must be byte-equivalent to
-	// scenario.Run for the same spec (including error strings), or the
-	// sweep result stops being deterministic.
-	RunPoint func(ctx context.Context, spec scenario.Spec) (*scenario.Outcome, error)
+	// RunPoint, when non-nil, replaces the family's local executor —
+	// the seam a distributed coordinator uses to dispatch points to
+	// worker daemons. It must be byte-equivalent to the local executor
+	// for the same spec (including error strings), or the grid result
+	// stops being deterministic.
+	RunPoint func(ctx context.Context, spec S) (O, error)
 }
+
+// Options tunes a sweep execution; the local executor is scenario.Run.
+type Options = RunOptions[scenario.Spec, *scenario.Outcome, PointResult]
 
 // shardSizeFor balances dispatch overhead against skew: aim for ~8
 // shards per worker, at least 1 and at most 16 points per shard.
@@ -70,6 +73,78 @@ func shardSizeFor(points, workers int) int {
 	return size
 }
 
+// RunEach executes pre-expanded grid points in shards of consecutive
+// points on the experiment worker-pool driver; the shard size derives
+// from the point count and the pool size, which amortizes dispatch
+// for large grids of cheap points while keeping enough shards to
+// balance skewed costs. Each point runs through opts.RunPoint, or
+// local when that is nil, and point builds its result from the slot
+// index, the axis assignment, the outcome and the error text (empty
+// on success, the outcome zero on failure). Point failures are
+// isolated; only context cancellation aborts the grid. Results land in
+// index-addressed slots, so the returned GridResult is
+// byte-deterministic regardless of worker count.
+func RunEach[S PointSpec[S], O, P any](ctx context.Context, f Family[S], name string, axes []Axis, points []PointOf[S],
+	opts RunOptions[S, O, P], local func(context.Context, S) (O, error), point func(i int, coords []Coord, out O, err string) P) (*GridResult[P], error) {
+	n := len(points)
+	res := &GridResult[P]{
+		ID:        f.ID(name, points),
+		Name:      name,
+		AxisPaths: axisPaths(axes),
+		Points:    make([]P, n),
+	}
+	if n == 0 {
+		return res, nil
+	}
+	run := opts.RunPoint
+	if run == nil {
+		run = local
+	}
+
+	cfg := experiments.Config{Workers: opts.Workers}
+	shardSize := shardSizeFor(n, cfg.ResolvedWorkers())
+	shards := (n + shardSize - 1) / shardSize
+
+	var mu sync.Mutex
+	done := 0
+	err := cfg.ForEach(ctx, shards, func(si int) error {
+		for i := si * shardSize; i < min((si+1)*shardSize, n); i++ {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			out, err := run(ctx, points[i].Spec)
+			msg := ""
+			if err != nil {
+				if ctx.Err() != nil {
+					return ctx.Err()
+				}
+				var zero O
+				out, msg = zero, err.Error()
+			}
+			pr := point(i, points[i].Coords, out, msg)
+			res.Points[i] = pr
+
+			mu.Lock()
+			done++
+			if msg != "" {
+				res.Failed++
+			}
+			if opts.OnPoint != nil {
+				opts.OnPoint(pr)
+			}
+			if opts.OnProgress != nil {
+				opts.OnProgress(done, n)
+			}
+			mu.Unlock()
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
 // Run expands the grid and executes it. Equivalent to Expand followed
 // by RunPoints.
 func Run(ctx context.Context, g Grid, opts Options) (*Result, error) {
@@ -80,107 +155,49 @@ func Run(ctx context.Context, g Grid, opts Options) (*Result, error) {
 	return RunPoints(ctx, g, points, opts)
 }
 
-// RunPoints executes pre-expanded grid points, sharded onto the
-// experiment worker-pool driver. Point failures are isolated into
-// PointResult.Err; only context cancellation aborts the sweep.
-// Results land in index-addressed slots, so the returned Result is
-// byte-deterministic for a given grid regardless of worker count or
-// shard size.
+// RunPoints executes pre-expanded sweep points (see RunEach).
 func RunPoints(ctx context.Context, g Grid, points []Point, opts Options) (*Result, error) {
-	n := len(points)
-	res := &Result{
-		ID:     ID(g.Name, points),
-		Name:   g.Name,
-		Points: make([]PointResult, n),
-	}
-	for _, ax := range g.Axes {
-		res.AxisPaths = append(res.AxisPaths, ax.Path)
-	}
-	if n == 0 {
-		return res, nil
-	}
+	res, err := RunEach(ctx, family, g.Name, g.Axes, points, opts, scenario.Run,
+		func(i int, coords []Coord, out *scenario.Outcome, err string) PointResult {
+			return PointResult{Index: i, Coords: coords, Outcome: out, Err: err}
+		})
+	return (*Result)(res), err
+}
 
-	runPoint := opts.RunPoint
-	if runPoint == nil {
-		runPoint = func(ctx context.Context, spec scenario.Spec) (*scenario.Outcome, error) {
-			return scenario.Run(ctx, spec)
-		}
-	}
+// NewTable starts a grid's table: the point index, the swept axis
+// paths, then the family's metric columns.
+func NewTable(title string, axisPaths []string, metrics ...string) tabulate.Table {
+	headers := make([]string, 0, 1+len(axisPaths)+len(metrics))
+	headers = append(headers, "#")
+	headers = append(headers, axisPaths...)
+	headers = append(headers, metrics...)
+	return tabulate.Table{Title: title, Headers: headers}
+}
 
-	cfg := experiments.Config{Workers: opts.Workers}
-	shardSize := opts.ShardSize
-	if shardSize <= 0 {
-		shardSize = shardSizeFor(n, cfg.ResolvedWorkers())
+// RowPrefix starts a point's table row: its index, then its axis
+// values in declaration order, with capacity for width cells so the
+// metric columns append without growing the row.
+func RowPrefix(width, index int, coords []Coord, axisPaths []string) []any {
+	row := make([]any, 0, width)
+	row = append(row, index)
+	byPath := map[string]string{}
+	for _, c := range coords {
+		byPath[c.Path] = c.Value
 	}
-	shards := (n + shardSize - 1) / shardSize
-
-	var mu sync.Mutex
-	done := 0
-	err := cfg.ForEach(ctx, shards, func(si int) error {
-		lo, hi := si*shardSize, (si+1)*shardSize
-		if hi > n {
-			hi = n
-		}
-		for i := lo; i < hi; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			pr := PointResult{Index: i, Coords: points[i].Coords}
-			out, err := runPoint(ctx, points[i].Spec)
-			switch {
-			case err != nil && ctx.Err() != nil:
-				return ctx.Err()
-			case err != nil:
-				pr.Err = err.Error()
-			default:
-				pr.Outcome = out
-			}
-			res.Points[i] = pr
-
-			mu.Lock()
-			done++
-			d := done
-			if opts.OnPoint != nil {
-				opts.OnPoint(pr)
-			}
-			if opts.OnProgress != nil {
-				opts.OnProgress(d, n)
-			}
-			mu.Unlock()
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	for _, path := range axisPaths {
+		row = append(row, byPath[path])
 	}
-	for i := range res.Points {
-		if res.Points[i].Err != "" {
-			res.Failed++
-		}
-	}
-	return res, nil
+	return row
 }
 
 // Table renders the sweep as one row per point, in index order, with
 // the axis assignment followed by the headline metrics. The rendering
 // is byte-deterministic.
 func (r *Result) Table(title string) tabulate.Table {
-	headers := []string{"#"}
-	headers = append(headers, r.AxisPaths...)
-	headers = append(headers, "vertices", "demands", "geometry", "bisect BW",
+	t := NewTable(title, r.AxisPaths, "vertices", "demands", "geometry", "bisect BW",
 		"ideal (s)", "static (s)", "contention", "sim (s)", "Δstatic", "error")
-	t := tabulate.Table{Title: title, Headers: headers}
 	for _, p := range r.Points {
-		row := make([]any, 0, len(headers))
-		row = append(row, p.Index)
-		// Coords follow the axis declaration order for every point.
-		byPath := map[string]string{}
-		for _, c := range p.Coords {
-			byPath[c.Path] = c.Value
-		}
-		for _, path := range r.AxisPaths {
-			row = append(row, byPath[path])
-		}
+		row := RowPrefix(len(t.Headers), p.Index, p.Coords, r.AxisPaths)
 		if o := p.Outcome; o != nil {
 			geo, bw := "-", "-"
 			if o.Geometry != "" {

@@ -1,17 +1,24 @@
-// Package sweep is the parameter-grid engine over package scenario:
-// a Grid takes a base Spec and a set of axes (cartesian by default,
-// zipped on request), expands them into a bounded list of validated,
-// normalized scenario points, and executes the points sharded onto
-// the experiment worker-pool driver with per-point progress,
-// partial-failure isolation (a failing point records its error and
-// the sweep continues) and incremental streaming of completed points.
+// Package sweep is the parameter-grid engine. A grid takes a base
+// spec and a set of axes (cartesian by default, zipped on request),
+// expands them into a bounded list of validated, normalized points,
+// and executes the points sharded onto the experiment worker-pool
+// driver with per-point progress, partial-failure isolation (a failing
+// point records its error and the grid continues) and incremental
+// streaming of completed points.
+//
+// The engine is generic over the point spec. Scenario sweeps (Grid,
+// over package scenario) and the trace simulator's grids (package
+// tracesim) are two Families of it: a Family value carries only what
+// differs between them — error prefix, ID namespace, title label and
+// point bounds — and the expander, the content hash, the cost rule,
+// the sharded run loop and the table-row prefix are shared.
 //
 // Expansion, execution and rendering are byte-deterministic: points
 // are ordered row-major over the axes (last axis fastest), results
 // land in index-addressed slots regardless of completion order, and
-// the sweep's identity (ID) hashes the name, the normalized point
-// specs and the rendered axis assignments — everything that reaches
-// the output bytes. Two grids with the same identity are guaranteed
+// a grid's identity (ID) hashes the name, the normalized point specs
+// and the rendered axis assignments — everything that reaches the
+// output bytes. Two grids with the same identity are guaranteed
 // byte-identical results, so the serving layer coalesces them onto
 // one execution; grids that differ only in declaration mechanics
 // that cannot change the point sequence (e.g. zipped axes vs the
@@ -95,12 +102,50 @@ type Coord struct {
 	Value string `json:"value"`
 }
 
-// Point is one expanded grid point: a validated, normalized scenario
-// spec plus the axis assignment that produced it.
-type Point struct {
+// PointSpec is what the engine needs of a point spec S (a struct,
+// strictly decoded from each patched point document): validation
+// into canonical form, the canonical encoding identity hashes, and an
+// admission cost class.
+type PointSpec[S any] interface {
+	Normalize() (S, error)
+	Key() string
+	Cost() string
+}
+
+// PointOf is one expanded grid point: a validated, normalized spec
+// plus the axis assignment that produced it.
+type PointOf[S any] struct {
 	Index  int
-	Spec   scenario.Spec
+	Spec   S
 	Coords []Coord
+}
+
+// Point is one expanded scenario sweep point.
+type Point = PointOf[scenario.Spec]
+
+// Family is what one kind of grid brings to the engine.
+type Family[S PointSpec[S]] struct {
+	// Prefix starts the family's point and max_points error texts.
+	Prefix string
+	// Namespace starts the family's content IDs ("<namespace>:<hash>").
+	Namespace string
+	// Label titles unnamed grids ("<label> a × b").
+	Label string
+	// DefaultMaxPoints caps expansion when a grid sets no bound;
+	// HardMaxPoints is the ceiling no grid may raise its bound above.
+	DefaultMaxPoints, HardMaxPoints int
+	// HeavyPoints is the point count above which a grid is heavy.
+	HeavyPoints int
+}
+
+// family is the scenario sweep.
+var family = Family[scenario.Spec]{
+	Prefix:           "sweep",
+	Namespace:        "sweep",
+	Label:            "sweep over",
+	DefaultMaxPoints: DefaultMaxPoints,
+	HardMaxPoints:    HardMaxPoints,
+	HeavyPoints:      32,
 }
 
 // axisGroup is one odometer digit: either a single axis or a zipped
@@ -180,43 +225,42 @@ func coordValue(raw json.RawMessage) string {
 	return buf.String()
 }
 
-// ExpandAxes is the generic dot-path grid expander shared by scenario
-// sweeps and the trace simulator's grids: every combination of axis
-// values is patched into the JSON form of base (row-major, the last
-// axis group advancing fastest, bounded by maxPoints — 0 means
-// DefaultMaxPoints) and handed to decode along with the point index
-// and the rendered axis assignment. A decode error aborts the
-// expansion; decode owns strict decoding and domain validation of the
-// patched document.
-func ExpandAxes(base any, axes []Axis, maxPoints int, decode func(idx int, patched []byte, coords []Coord) error) error {
+// Expand materializes a grid: every combination of axis values is
+// patched into the JSON form of base (row-major, the last axis group
+// advancing fastest, at most maxPoints points — 0 means the family
+// default), strictly decoded, normalized, and offered to admit when
+// it is non-nil, which may reject the expansion with a running bound
+// of its own.
+func (f Family[S]) Expand(base S, axes []Axis, maxPoints int, admit func(idx int, spec S) error) ([]PointOf[S], error) {
 	groups, err := groupAxes(axes)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	switch {
 	case maxPoints == 0:
-		maxPoints = DefaultMaxPoints
-	case maxPoints < 1 || maxPoints > HardMaxPoints:
-		return fmt.Errorf("sweep: max_points %d out of range [1, %d]", maxPoints, HardMaxPoints)
+		maxPoints = f.DefaultMaxPoints
+	case maxPoints < 1 || maxPoints > f.HardMaxPoints:
+		return nil, fmt.Errorf("%s: max_points %d out of range [1, %d]", f.Prefix, maxPoints, f.HardMaxPoints)
 	}
 	total := 1
 	for _, gr := range groups {
 		total *= gr.length
 		if total > maxPoints {
-			return fmt.Errorf("sweep: grid expands past the %d-point bound", maxPoints)
+			return nil, fmt.Errorf("sweep: grid expands past the %d-point bound", maxPoints)
 		}
 	}
 
 	baseJSON, err := json.Marshal(base)
 	if err != nil {
-		return fmt.Errorf("sweep: marshal base spec: %w", err)
+		return nil, fmt.Errorf("sweep: marshal base spec: %w", err)
 	}
 
+	var points []PointOf[S]
 	odo := make([]int, len(groups))
 	for idx := 0; idx < total; idx++ {
 		var doc map[string]any
 		if err := json.Unmarshal(baseJSON, &doc); err != nil {
-			return fmt.Errorf("sweep: base spec: %w", err)
+			return nil, fmt.Errorf("sweep: base spec: %w", err)
 		}
 		coords := make([]Coord, 0, len(axes))
 		for gi, gr := range groups {
@@ -224,18 +268,30 @@ func ExpandAxes(base any, axes []Axis, maxPoints int, decode func(idx int, patch
 				ax := axes[ai]
 				val := ax.Values[odo[gi]]
 				if err := applyPath(doc, ax.Path, val); err != nil {
-					return err
+					return nil, err
 				}
 				coords = append(coords, Coord{Path: ax.Path, Value: coordValue(val)})
 			}
 		}
 		patched, err := json.Marshal(doc)
 		if err != nil {
-			return fmt.Errorf("sweep: point %d: %w", idx, err)
+			return nil, fmt.Errorf("sweep: point %d: %w", idx, err)
 		}
-		if err := decode(idx, patched, coords); err != nil {
-			return err
+		var spec S
+		dec := json.NewDecoder(bytes.NewReader(patched))
+		dec.DisallowUnknownFields()
+		if err = dec.Decode(&spec); err == nil {
+			spec, err = spec.Normalize()
 		}
+		if err != nil {
+			return nil, fmt.Errorf("%s: point %d (%s): %w", f.Prefix, idx, describeCoords(coords), err)
+		}
+		if admit != nil {
+			if err := admit(idx, spec); err != nil {
+				return nil, err
+			}
+		}
+		points = append(points, PointOf[S]{Index: idx, Spec: spec, Coords: coords})
 
 		// Advance the odometer: last group fastest.
 		for gi := len(groups) - 1; gi >= 0; gi-- {
@@ -246,38 +302,19 @@ func ExpandAxes(base any, axes []Axis, maxPoints int, decode func(idx int, patch
 			odo[gi] = 0
 		}
 	}
-	return nil
-}
-
-// Expand materializes the grid: every combination of axis values
-// applied to the base spec, strictly decoded, validated and
-// normalized. The expansion is row-major (the last group advances
-// fastest) and bounded by MaxPoints.
-func (g Grid) Expand() ([]Point, error) {
-	var points []Point
-	err := ExpandAxes(g.Base, g.Axes, g.MaxPoints, func(idx int, patched []byte, coords []Coord) error {
-		var spec scenario.Spec
-		dec := json.NewDecoder(bytes.NewReader(patched))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
-			return fmt.Errorf("sweep: point %d (%s): %w", idx, DescribeCoords(coords), err)
-		}
-		norm, err := spec.Normalize()
-		if err != nil {
-			return fmt.Errorf("sweep: point %d (%s): %w", idx, DescribeCoords(coords), err)
-		}
-		points = append(points, Point{Index: idx, Spec: norm, Coords: coords})
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
 	return points, nil
 }
 
-// DescribeCoords renders an axis assignment for error messages
+// Expand materializes the sweep: every combination of axis values
+// applied to the base spec, strictly decoded, validated and
+// normalized, row-major and bounded by MaxPoints.
+func (g Grid) Expand() ([]Point, error) {
+	return family.Expand(g.Base, g.Axes, g.MaxPoints, nil)
+}
+
+// describeCoords renders an axis assignment for error messages
 // ("topology.policy=first-fit, synthetic.rate_hz=0.1").
-func DescribeCoords(coords []Coord) string {
+func describeCoords(coords []Coord) string {
 	parts := make([]string, len(coords))
 	for i, c := range coords {
 		parts[i] = c.Path + "=" + c.Value
@@ -285,15 +322,15 @@ func DescribeCoords(coords []Coord) string {
 	return strings.Join(parts, ", ")
 }
 
-// ID returns the sweep's content identity: "sweep:" plus a hash over
-// the name and, per expanded point, the canonical spec and the
-// rendered axis assignment. The coords are part of identity because
-// they are part of the rendered table — two sweeps with equal IDs
-// are guaranteed byte-identical output, which is what the serving
+// ID returns a grid's content identity: the family namespace plus a
+// hash over the name and, per expanded point, the canonical spec and
+// the rendered axis assignment. The coords are part of identity
+// because they are part of the rendered table — two grids with equal
+// IDs are guaranteed byte-identical output, which is what the serving
 // cache requires of a key. (The flip side: re-spelling an axis value
 // — "4X4" vs "4x4" — changes the rendered coords and therefore the
 // identity, even though the underlying specs normalize identically.)
-func ID(name string, points []Point) string {
+func (f Family[S]) ID(name string, points []PointOf[S]) string {
 	h := sha256.New()
 	h.Write([]byte(name))
 	for _, p := range points {
@@ -306,15 +343,15 @@ func ID(name string, points []Point) string {
 			h.Write([]byte(c.Value))
 		}
 	}
-	return "sweep:" + hex.EncodeToString(h.Sum(nil)[:6])
+	return f.Namespace + ":" + hex.EncodeToString(h.Sum(nil)[:6])
 }
 
-// Cost derives the sweep's admission cost class from its points: a
-// sweep is never cheap (it must not starve the cheap registry
-// artifacts it shares the serving layer with), and it is heavy when
-// it is large or contains any heavy point.
-func Cost(points []Point) string {
-	if len(points) > 32 {
+// Cost derives a grid's admission cost class from its points: a grid
+// is never cheap (it must not starve the cheap registry artifacts it
+// shares the serving layer with), and it is heavy when it has more
+// than HeavyPoints points or contains any heavy point.
+func (f Family[S]) Cost(points []PointOf[S]) string {
+	if len(points) > f.HeavyPoints {
 		return scenario.CostHeavy
 	}
 	for _, p := range points {
@@ -325,14 +362,33 @@ func Cost(points []Point) string {
 	return scenario.CostModerate
 }
 
-// Title returns the sweep's human label.
-func (g Grid) Title() string {
-	if g.Name != "" {
-		return g.Name
+// Title returns a grid's human label: its name, or the family label
+// over the swept paths.
+func (f Family[S]) Title(name string, axes []Axis) string {
+	if name != "" {
+		return name
 	}
-	paths := make([]string, len(g.Axes))
-	for i, ax := range g.Axes {
+	return f.Label + " " + strings.Join(axisPaths(axes), " × ")
+}
+
+// axisPaths lists the axes' paths in declaration order (nil for no
+// axes, which results encode as null).
+func axisPaths(axes []Axis) []string {
+	if len(axes) == 0 {
+		return nil
+	}
+	paths := make([]string, len(axes))
+	for i, ax := range axes {
 		paths[i] = ax.Path
 	}
-	return "sweep over " + strings.Join(paths, " × ")
+	return paths
 }
+
+// ID returns the sweep's content identity ("sweep:<hash>").
+func ID(name string, points []Point) string { return family.ID(name, points) }
+
+// Cost derives the sweep's admission cost class from its points.
+func Cost(points []Point) string { return family.Cost(points) }
+
+// Title returns the sweep's human label.
+func (g Grid) Title() string { return family.Title(g.Name, g.Axes) }

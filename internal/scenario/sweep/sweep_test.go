@@ -230,14 +230,14 @@ func shapePatternPolicyPoints(t *testing.T) (Grid, []Point) {
 // TestHundredPointSweepDeterministicAcrossWorkers is the acceptance
 // criterion: a 100-point (shape × pattern × policy) sweep runs
 // sharded on the worker pool and its full result — points, outcomes,
-// rendered table — is byte-identical at every worker count and shard
-// size.
+// rendered table — is byte-identical at every worker count. The pool
+// sizes derive shard sizes 12, 6, 3, 1 and 1.
 func TestHundredPointSweepDeterministicAcrossWorkers(t *testing.T) {
 	g, pts := shapePatternPolicyPoints(t)
 
-	runWith := func(workers, shardSize int) ([]byte, *Result) {
+	runWith := func(workers int) ([]byte, *Result) {
 		t.Helper()
-		res, err := RunPoints(context.Background(), g, pts, Options{Workers: workers, ShardSize: shardSize})
+		res, err := RunPoints(context.Background(), g, pts, Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,14 +248,14 @@ func TestHundredPointSweepDeterministicAcrossWorkers(t *testing.T) {
 		return b, res
 	}
 
-	seqBytes, seq := runWith(1, 1)
+	seqBytes, seq := runWith(1)
 	if seq.Failed != 0 {
 		t.Fatalf("%d failed points", seq.Failed)
 	}
-	for _, cfg := range [][2]int{{4, 0}, {8, 3}, {16, 16}} {
-		b, _ := runWith(cfg[0], cfg[1])
+	for _, workers := range []int{2, 4, 8, 16} {
+		b, _ := runWith(workers)
 		if string(b) != string(seqBytes) {
-			t.Fatalf("workers=%d shard=%d: result bytes differ from sequential", cfg[0], cfg[1])
+			t.Fatalf("workers=%d: result bytes differ from sequential", workers)
 		}
 	}
 	if tbl := seq.Table(g.Title()); tbl.Render() == "" || len(tbl.Rows) != 100 {

@@ -1,17 +1,9 @@
 package tracesim
 
 import (
-	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"strings"
-	"sync"
 
-	"netpart/internal/experiments"
-	"netpart/internal/scenario"
 	"netpart/internal/scenario/sweep"
 	"netpart/internal/tabulate"
 )
@@ -33,6 +25,16 @@ const (
 	MaxGridJobs = 65536
 )
 
+// gridFamily is the trace grid on the sweep engine.
+var gridFamily = sweep.Family[Spec]{
+	Prefix:           "tracesim",
+	Namespace:        "tracegrid",
+	Label:            "trace sweep over",
+	DefaultMaxPoints: DefaultMaxGridPoints,
+	HardMaxPoints:    HardMaxGridPoints,
+	HeavyPoints:      8,
+}
+
 // Grid is a declarative trace sweep: a base Spec plus dot-path axes
 // (the sweep axis machinery — cartesian by default, zipped on
 // request), e.g. policy × arrival-rate grids via "policy" and
@@ -48,96 +50,36 @@ type Grid struct {
 
 // Point is one expanded grid point: a validated, normalized trace
 // spec plus the axis assignment that produced it.
-type Point struct {
-	Index  int
-	Spec   Spec
-	Coords []sweep.Coord
-}
+type Point = sweep.PointOf[Spec]
 
-// Expand materializes the grid through the shared dot-path expander:
-// every combination of axis values applied to the base spec, strictly
-// decoded, validated and normalized, row-major and bounded by
-// MaxPoints.
+// Expand materializes the grid on the sweep engine: every combination
+// of axis values applied to the base spec, strictly decoded, validated
+// and normalized, row-major, bounded by MaxPoints and by MaxGridJobs
+// summed over the points.
 func (g Grid) Expand() ([]Point, error) {
-	maxPoints := g.MaxPoints
-	switch {
-	case maxPoints == 0:
-		maxPoints = DefaultMaxGridPoints
-	case maxPoints < 1 || maxPoints > HardMaxGridPoints:
-		return nil, fmt.Errorf("tracesim: max_points %d out of range [1, %d]", g.MaxPoints, HardMaxGridPoints)
-	}
-	var points []Point
 	totalJobs := 0
-	err := sweep.ExpandAxes(g.Base, g.Axes, maxPoints, func(idx int, patched []byte, coords []sweep.Coord) error {
-		var spec Spec
-		dec := json.NewDecoder(bytes.NewReader(patched))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
-			return fmt.Errorf("tracesim: point %d (%s): %w", idx, sweep.DescribeCoords(coords), err)
-		}
-		norm, err := spec.Normalize()
-		if err != nil {
-			return fmt.Errorf("tracesim: point %d (%s): %w", idx, sweep.DescribeCoords(coords), err)
-		}
-		if totalJobs += norm.JobCount(); totalJobs > MaxGridJobs {
+	return gridFamily.Expand(g.Base, g.Axes, g.MaxPoints, func(idx int, spec Spec) error {
+		if totalJobs += spec.JobCount(); totalJobs > MaxGridJobs {
 			return fmt.Errorf("tracesim: grid expands past %d total jobs at point %d", MaxGridJobs, idx)
 		}
-		points = append(points, Point{Index: idx, Spec: norm, Coords: coords})
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return points, nil
 }
 
-// GridID returns the grid's content identity: "tracegrid:" plus a
-// hash over the name and, per expanded point, the canonical spec and
-// the rendered axis assignment — everything that reaches the output
-// bytes, mirroring sweep.ID.
-func GridID(name string, points []Point) string {
-	h := sha256.New()
-	h.Write([]byte(name))
-	for _, p := range points {
-		h.Write([]byte{0})
-		h.Write([]byte(p.Spec.Key()))
-		for _, c := range p.Coords {
-			h.Write([]byte{1})
-			h.Write([]byte(c.Path))
-			h.Write([]byte{2})
-			h.Write([]byte(c.Value))
-		}
-	}
-	return "tracegrid:" + hex.EncodeToString(h.Sum(nil)[:6])
-}
+// GridID returns the grid's content identity ("tracegrid:<hash>").
+func GridID(name string, points []Point) string { return gridFamily.ID(name, points) }
 
 // GridCost derives the admission cost class from the expanded points:
 // never cheap, heavy when the grid is large or any point is heavy.
-func GridCost(points []Point) string {
-	if len(points) > 8 {
-		return scenario.CostHeavy
-	}
-	for _, p := range points {
-		if p.Spec.Cost() == scenario.CostHeavy {
-			return scenario.CostHeavy
-		}
-	}
-	return scenario.CostModerate
-}
+func GridCost(points []Point) string { return gridFamily.Cost(points) }
 
-// Title returns the grid's human label.
+// Title returns the grid's human label; an unnamed grid without axes
+// is its base trace.
 func (g Grid) Title() string {
-	if g.Name != "" {
-		return g.Name
-	}
-	if len(g.Axes) == 0 {
+	if g.Name == "" && len(g.Axes) == 0 {
 		return g.Base.Title()
 	}
-	paths := make([]string, len(g.Axes))
-	for i, ax := range g.Axes {
-		paths[i] = ax.Path
-	}
-	return "trace sweep over " + strings.Join(paths, " × ")
+	return gridFamily.Title(g.Name, g.Axes)
 }
 
 // PointResult is one executed grid point. Exactly one of Result and
@@ -151,121 +93,30 @@ type PointResult struct {
 }
 
 // GridResult is a completed trace grid: every point in index order.
-type GridResult struct {
-	ID        string        `json:"id"`
-	Name      string        `json:"name,omitempty"`
-	AxisPaths []string      `json:"axis_paths"`
-	Points    []PointResult `json:"points"`
-	Failed    int           `json:"failed"`
-}
+type GridResult sweep.GridResult[PointResult]
 
-// GridOptions tunes a grid execution.
-type GridOptions struct {
-	// Workers bounds the worker pool (0 = runnable CPUs, 1 =
-	// sequential). Output is byte-identical at any pool size.
-	Workers int
-	// OnPoint, when non-nil, receives every completed point in
-	// completion order. Calls are serialized.
-	OnPoint func(PointResult)
-	// OnProgress, when non-nil, receives (completedPoints, total)
-	// after every point. Calls are serialized and monotone.
-	OnProgress func(done, total int)
-	// RunPoint, when non-nil, replaces Run as the per-point executor —
-	// the seam a distributed coordinator uses to dispatch points to
-	// worker daemons. It must be byte-equivalent to Run for the same
-	// spec (including error strings), or the grid result stops being
-	// deterministic.
-	RunPoint func(ctx context.Context, spec Spec) (*Result, error)
-}
+// GridOptions tunes a grid execution; the local executor is Run.
+type GridOptions = sweep.RunOptions[Spec, *Result, PointResult]
 
-// RunGrid executes pre-expanded grid points on the experiment
-// worker-pool driver (one point per pool unit — every point is a
-// whole queue simulation, so there is nothing to amortize by
-// sharding). Point failures are isolated into PointResult.Err; only
-// context cancellation aborts the grid. Results land in
-// index-addressed slots, so the returned GridResult is
-// byte-deterministic regardless of worker count.
+// RunGrid executes pre-expanded grid points on the sweep engine (see
+// sweep.RunEach).
 func RunGrid(ctx context.Context, g Grid, points []Point, opts GridOptions) (*GridResult, error) {
-	res := &GridResult{
-		ID:     GridID(g.Name, points),
-		Name:   g.Name,
-		Points: make([]PointResult, len(points)),
-	}
-	for _, ax := range g.Axes {
-		res.AxisPaths = append(res.AxisPaths, ax.Path)
-	}
-	if len(points) == 0 {
-		return res, nil
-	}
-
-	runPoint := opts.RunPoint
-	if runPoint == nil {
-		runPoint = func(ctx context.Context, spec Spec) (*Result, error) {
-			return Run(ctx, spec, Options{})
-		}
-	}
-
-	cfg := experiments.Config{Workers: opts.Workers}
-	var mu sync.Mutex
-	done := 0
-	err := cfg.ForEach(ctx, len(points), func(i int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		pr := PointResult{Index: i, Coords: points[i].Coords}
-		out, err := runPoint(ctx, points[i].Spec)
-		switch {
-		case err != nil && ctx.Err() != nil:
-			return ctx.Err()
-		case err != nil:
-			pr.Err = err.Error()
-		default:
-			pr.Result = out
-		}
-		res.Points[i] = pr
-
-		mu.Lock()
-		done++
-		d := done
-		if opts.OnPoint != nil {
-			opts.OnPoint(pr)
-		}
-		if opts.OnProgress != nil {
-			opts.OnProgress(d, len(points))
-		}
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i := range res.Points {
-		if res.Points[i].Err != "" {
-			res.Failed++
-		}
-	}
-	return res, nil
+	res, err := sweep.RunEach(ctx, gridFamily, g.Name, g.Axes, points, opts,
+		func(ctx context.Context, spec Spec) (*Result, error) { return Run(ctx, spec, Options{}) },
+		func(i int, coords []sweep.Coord, out *Result, err string) PointResult {
+			return PointResult{Index: i, Coords: coords, Result: out, Err: err}
+		})
+	return (*GridResult)(res), err
 }
 
 // Table renders the grid as one row per point, in index order: the
 // axis assignment followed by the headline trace metrics. The
 // rendering is byte-deterministic.
 func (r *GridResult) Table(title string) tabulate.Table {
-	headers := []string{"#"}
-	headers = append(headers, r.AxisPaths...)
-	headers = append(headers, "jobs", "makespan (s)", "avg wait (s)", "avg stretch",
+	t := sweep.NewTable(title, r.AxisPaths, "jobs", "makespan (s)", "avg wait (s)", "avg stretch",
 		"contention", "utilization", "fragmentation", "backfilled", "Δmakespan", "error")
-	t := tabulate.Table{Title: title, Headers: headers}
 	for _, p := range r.Points {
-		row := make([]any, 0, len(headers))
-		row = append(row, p.Index)
-		byPath := map[string]string{}
-		for _, c := range p.Coords {
-			byPath[c.Path] = c.Value
-		}
-		for _, path := range r.AxisPaths {
-			row = append(row, byPath[path])
-		}
+		row := sweep.RowPrefix(len(t.Headers), p.Index, p.Coords, r.AxisPaths)
 		if res := p.Result; res != nil {
 			m := res.Metrics
 			dm := any("-")

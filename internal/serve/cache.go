@@ -144,10 +144,10 @@ func progressEvent(p netpart.Progress) streamEvent {
 // runFunc executes one experiment for the cache: it is called at most
 // once per flight, on a context detached from any single request, and
 // publishes events for every waiter coalesced onto the flight. For
-// dynamic keys, payload carries the parsed definition (the normalized
-// scenario spec or sweep task) supplied by the flight's first
-// requester; coalesced joiners' payloads are ignored, which is sound
-// because the key is a content hash of the definition.
+// dynamic keys, payload carries the task built from the parsed
+// definition by the flight's first requester; coalesced joiners'
+// payloads are ignored, which is sound because the key is a content
+// hash of the definition.
 type runFunc func(ctx context.Context, key Key, opts netpart.RunOptions, payload any, publish func(streamEvent)) (*netpart.Result, error)
 
 // flight is one in-progress computation that concurrent identical

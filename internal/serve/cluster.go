@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -294,11 +293,8 @@ type clusterFinalDoc struct {
 // handleClusterOpen creates a session: the body is the session spec,
 // the response 201 with the session document and a Location header.
 func (s *Server) handleClusterOpen(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxClusterBody))
-	dec.DisallowUnknownFields()
-	var spec cluster.Spec
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "bad cluster body: %v", err)
+	spec, ok := decodeStrict[cluster.Spec](w, http.MaxBytesReader(w, r.Body, maxClusterBody), "cluster")
+	if !ok {
 		return
 	}
 	cs, err := s.clusters.open(spec)
@@ -331,11 +327,8 @@ func (s *Server) handleClusterJobs(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no cluster session %q", r.PathValue("id"))
 		return
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxClusterJobsBody))
-	dec.DisallowUnknownFields()
-	var doc clusterJobsDoc
-	if err := dec.Decode(&doc); err != nil {
-		writeError(w, http.StatusBadRequest, "bad jobs body: %v", err)
+	doc, ok := decodeStrict[clusterJobsDoc](w, http.MaxBytesReader(w, r.Body, maxClusterJobsBody), "jobs")
+	if !ok {
 		return
 	}
 	if len(doc.Jobs) == 0 {

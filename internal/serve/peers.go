@@ -252,31 +252,25 @@ func (pp *peerPool) post(ctx context.Context, p *peer, path string, unit, out an
 	return json.Unmarshal(data, out)
 }
 
-// dispatchScenario runs one sweep point on the fleet, returning the
-// decoded outcome or an error the caller falls back on.
-func (pp *peerPool) dispatchScenario(ctx context.Context, spec netpart.ScenarioSpec) (*netpart.ScenarioOutcome, error) {
-	norm, err := spec.Normalize()
-	if err != nil {
-		return nil, err // invalid spec: no peer can do better
+// viaPeer wraps a local point executor for coordinator mode: a point
+// is dispatched to the peer owning its content ID (POST path) and its
+// ctData reply decoded into a fresh O; on any peer failure the point
+// is recomputed locally, so a degraded fleet still yields bytes
+// identical to a single-process run.
+func viaPeer[S dynamicSpec[S], O any](pp *peerPool, path string, local func(context.Context, S) (*O, error)) func(context.Context, S) (*O, error) {
+	return func(ctx context.Context, spec S) (*O, error) {
+		// An invalid spec goes straight to local execution, which
+		// reports the error; no peer can do better.
+		if norm, err := spec.Normalize(); err == nil {
+			out := new(O)
+			if err := pp.dispatch(ctx, path, norm.ID(), norm, out); err == nil {
+				return out, nil
+			} else if ctx.Err() != nil {
+				return nil, ctx.Err()
+			}
+		}
+		return local(ctx, spec)
 	}
-	var out netpart.ScenarioOutcome
-	if err := pp.dispatch(ctx, "/v1/peer/scenarios", norm.ID(), norm, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// dispatchTrace runs one trace-grid point on the fleet.
-func (pp *peerPool) dispatchTrace(ctx context.Context, spec netpart.TraceSpec) (*netpart.TraceOutcome, error) {
-	norm, err := spec.Normalize()
-	if err != nil {
-		return nil, err
-	}
-	var out netpart.TraceOutcome
-	if err := pp.dispatch(ctx, "/v1/peer/traces", norm.ID(), norm, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
 }
 
 // --- worker side ---
@@ -302,56 +296,28 @@ func writePeerEntry(w http.ResponseWriter, r *http.Request, e *entry) {
 	w.Write(enc.body) //nolint:errcheck
 }
 
-// handlePeerScenario executes one scenario work unit for a
-// coordinator. The run goes through this worker's own coalescing
-// cache and store: concurrent dispatches of the same point (two
-// coordinators sharding one grid) singleflight here, and warm points
-// answer from memory or disk without recomputing.
-func (s *Server) handlePeerScenario(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxScenarioBody))
-	dec.DisallowUnknownFields()
-	var spec netpart.ScenarioSpec
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "bad scenario body: %v", err)
-		return
+// handlePeer serves one work unit of spec type S (limit bounds the
+// body) for a coordinator. The run goes through this worker's own
+// coalescing cache and store: concurrent dispatches of the same point
+// (two coordinators sharding one grid) singleflight here, and warm
+// points answer from memory or disk without recomputing.
+func handlePeer[S dynamicSpec[S]](s *Server, what string, limit int64, newTask func(S) task) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		norm, ok := decodeSpec[S](w, http.MaxBytesReader(w, r.Body, limit), what)
+		if !ok {
+			return
+		}
+		e, err := s.cache.do(r.Context(), Key{ID: norm.ID()}, netpart.RunOptions{}, newTask(norm), nil)
+		if err != nil {
+			// Any error — domain (disconnected topology), timeout,
+			// cancellation — maps to a dispatch failure; the coordinator
+			// reproduces it locally, where the error string is identical
+			// by determinism.
+			writePeerError(w, err)
+			return
+		}
+		writePeerEntry(w, r, e)
 	}
-	norm, err := spec.Normalize()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	e, err := s.cache.do(r.Context(), Key{ID: norm.ID()}, netpart.RunOptions{}, norm, nil)
-	if err != nil {
-		// Any error — domain (disconnected topology), timeout,
-		// cancellation — maps to a dispatch failure; the coordinator
-		// reproduces it locally, where the error string is identical by
-		// determinism.
-		writePeerError(w, err)
-		return
-	}
-	writePeerEntry(w, r, e)
-}
-
-// handlePeerTrace executes one trace work unit for a coordinator.
-func (s *Server) handlePeerTrace(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxTraceBody))
-	dec.DisallowUnknownFields()
-	var spec netpart.TraceSpec
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "bad trace body: %v", err)
-		return
-	}
-	norm, err := spec.Normalize()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	e, err := s.cache.do(r.Context(), Key{ID: norm.ID()}, netpart.RunOptions{}, &traceTask{spec: &norm}, nil)
-	if err != nil {
-		writePeerError(w, err)
-		return
-	}
-	writePeerEntry(w, r, e)
 }
 
 // writePeerError maps a work-unit failure onto a status a coordinator

@@ -2,15 +2,12 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"net/http"
 	"runtime"
 	"runtime/debug"
 
 	"netpart"
 	"netpart/internal/obs"
-	"netpart/internal/scenario"
 	"netpart/internal/scenario/sweep"
 )
 
@@ -66,16 +63,8 @@ const maxScenarioBody = 1 << 20
 // concurrent requests (same normalized spec) coalesce onto one run;
 // hot specs answer from memory.
 func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxScenarioBody))
-	dec.DisallowUnknownFields()
-	var spec netpart.ScenarioSpec
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "bad scenario body: %v", err)
-		return
-	}
-	norm, err := spec.Normalize()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	norm, ok := decodeSpec[netpart.ScenarioSpec](w, http.MaxBytesReader(w, r.Body, maxScenarioBody), "scenario")
+	if !ok {
 		return
 	}
 	opts, err := parseRunOptions(r)
@@ -83,7 +72,7 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	e, err := s.cache.do(r.Context(), Key{ID: norm.ID()}, opts, norm, nil)
+	e, err := s.cache.do(r.Context(), Key{ID: norm.ID()}, opts, scenarioTask(norm), nil)
 	if err != nil {
 		writeRunError(w, err)
 		return
@@ -91,25 +80,15 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 	writeEntry(w, r, e)
 }
 
-// runScenario executes one scenario flight: admission for the
-// scenario's derived cost class, then RunScenario on a fresh Runner.
-func (s *Server) runScenario(ctx context.Context, key Key, opts netpart.RunOptions, payload any, publish func(streamEvent)) (*netpart.Result, error) {
-	spec, ok := payload.(netpart.ScenarioSpec)
-	if !ok {
-		return nil, errors.New("serve: scenario flight without a spec payload")
+// scenarioTask runs one normalized scenario under its derived cost
+// class.
+func scenarioTask(norm netpart.ScenarioSpec) task {
+	return task{
+		cost: netpart.Cost(norm.Cost()),
+		run: func(ctx context.Context, r *netpart.Runner, _ func(streamEvent)) (*netpart.Result, error) {
+			return r.RunScenario(ctx, norm)
+		},
 	}
-	release, err := s.acquire(ctx, netpart.Cost(spec.Cost()))
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = s.opts.Workers
-	}
-	progress := func(p netpart.Progress) { publish(progressEvent(p)) }
-	runner := netpart.NewRunner(netpart.WithWorkers(workers), netpart.WithProgress(progress))
-	return runner.RunScenario(ctx, spec)
 }
 
 // --- sweeps (asynchronous jobs) ---
@@ -118,23 +97,13 @@ func (s *Server) runScenario(ctx context.Context, key Key, opts netpart.RunOptio
 // axis value lists, so they get more room than single runs).
 const maxSweepBody = 4 << 20
 
-// sweepTask is the parsed definition a sweep flight executes. The
-// expanded points ride along so admission cost and the content-hash
-// ID are computed once at submission.
-type sweepTask struct {
-	grid   netpart.SweepGrid
-	points []sweep.Point
-}
-
 // decodeSweep reads a POST /v1/sweeps body: the grid document,
 // expanded (and therefore fully validated) before the job exists, so
-// grids expanding to the same points share one content-hash key.
+// grids expanding to the same points share one content-hash key. The
+// flight streams every completed point as a "point" event.
 func decodeSweep(w http.ResponseWriter, r *http.Request) *submission {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSweepBody))
-	dec.DisallowUnknownFields()
-	var grid netpart.SweepGrid
-	if err := dec.Decode(&grid); err != nil {
-		writeError(w, http.StatusBadRequest, "bad sweep body: %v", err)
+	grid, ok := decodeStrict[netpart.SweepGrid](w, http.MaxBytesReader(w, r.Body, maxSweepBody), "sweep")
+	if !ok {
 		return nil
 	}
 	points, err := grid.Expand()
@@ -142,49 +111,19 @@ func decodeSweep(w http.ResponseWriter, r *http.Request) *submission {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return nil
 	}
-	exp := netpart.Experiment{
-		ID:    sweep.ID(grid.Name, points),
-		Title: grid.Title(),
-		Kind:  netpart.KindTable,
-		Cost:  netpart.Cost(sweep.Cost(points)),
-	}
-	return &submission{exp: exp, payload: &sweepTask{grid: grid, points: points}}
+	return dynamicSubmission(sweep.ID(grid.Name, points), grid.Title(), task{
+		cost: netpart.Cost(sweep.Cost(points)),
+		run: func(ctx context.Context, r *netpart.Runner, publish func(streamEvent)) (*netpart.Result, error) {
+			return r.RunSweep(ctx, grid, func(p netpart.SweepPoint) { publish(streamEvent{name: "point", data: p}) })
+		},
+	})
 }
 
-// runSweep executes one sweep flight: admission for the point-count
-// derived cost class, then RunSweep on a fresh Runner with per-point
-// streaming into the flight's event feed.
-func (s *Server) runSweep(ctx context.Context, key Key, opts netpart.RunOptions, payload any, publish func(streamEvent)) (*netpart.Result, error) {
-	task, ok := payload.(*sweepTask)
-	if !ok {
-		return nil, errors.New("serve: sweep flight without a grid payload")
+// dynamicSubmission is the job submission of a validated dynamic
+// definition: its synthesized descriptor and its flight's task.
+func dynamicSubmission(id, title string, t task) *submission {
+	return &submission{
+		exp:     netpart.Experiment{ID: id, Title: title, Kind: netpart.KindTable, Cost: t.cost},
+		payload: t,
 	}
-	release, err := s.acquire(ctx, netpart.Cost(sweep.Cost(task.points)))
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = s.opts.Workers
-	}
-	progress := func(p netpart.Progress) { publish(progressEvent(p)) }
-	ropts := []netpart.Option{netpart.WithWorkers(workers), netpart.WithProgress(progress)}
-	if s.peers != nil {
-		// Coordinator mode: each point is dispatched to the peer owning
-		// its content hash and recomputed locally on any peer failure.
-		// Local fallback is the plain per-point executor, so a degraded
-		// fleet still yields bytes identical to a single-process run.
-		ropts = append(ropts, netpart.WithScenarioRunner(func(ctx context.Context, spec netpart.ScenarioSpec) (*netpart.ScenarioOutcome, error) {
-			if out, err := s.peers.dispatchScenario(ctx, spec); err == nil {
-				return out, nil
-			} else if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			return scenario.Run(ctx, spec)
-		}))
-	}
-	runner := netpart.NewRunner(ropts...)
-	onPoint := func(p netpart.SweepPoint) { publish(streamEvent{name: "point", data: p}) }
-	return runner.RunSweep(ctx, task.grid, onPoint)
 }

@@ -154,7 +154,7 @@ func TestScenarioStampede(t *testing.T) {
 	if !strings.HasPrefix(info.key.ID, "scenario:") {
 		t.Fatalf("key %q", info.key)
 	}
-	if _, ok := info.payload.(netpart.ScenarioSpec); !ok {
+	if _, ok := info.payload.(task); !ok {
 		t.Fatalf("payload %T", info.payload)
 	}
 	close(info.proceed)
@@ -237,19 +237,27 @@ func TestSweepSSEStreamsPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	info := g.next(t)
-	task, ok := info.payload.(*sweepTask)
-	if !ok {
-		t.Fatalf("payload %T", info.payload)
+	doc, err := json.Marshal(tinySweep("sse"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(task.points) != 4 {
-		t.Fatalf("%d points", len(task.points))
+	var grid netpart.SweepGrid
+	if err := json.Unmarshal(doc, &grid); err != nil {
+		t.Fatal(err)
+	}
+	points, err := grid.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(points) != 4 {
+		t.Fatalf("%d points", len(points))
 	}
 
 	stream, _ := openSSE(t, ts, "sweeps/"+job.ID)
 	// Emulate the sweep engine: a point event plus progress per point.
-	for i := range task.points {
-		info.publishRaw(streamEvent{name: "point", data: sweep.PointResult{Index: i, Coords: task.points[i].Coords}})
-		info.publish(netpart.Progress{Experiment: job.Experiment, Run: "test", Done: i + 1, Total: len(task.points)})
+	for i := range points {
+		info.publishRaw(streamEvent{name: "point", data: sweep.PointResult{Index: i, Coords: points[i].Coords}})
+		info.publish(netpart.Progress{Experiment: job.Experiment, Run: "test", Done: i + 1, Total: len(points)})
 	}
 	close(info.proceed)
 	if st := await(t, s, job.ID); st != StatusDone {

@@ -58,6 +58,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -245,8 +246,8 @@ func newServer(opts Options, run runFunc) *Server {
 	s.handle("GET /v1/cluster/{id}/events", s.handleClusterEvents)
 	s.handle("GET /v1/archive", s.handleArchiveList)
 	s.handle("GET /v1/archive/{hash}", s.handleArchiveReplay)
-	s.handle("POST /v1/peer/scenarios", s.handlePeerScenario)
-	s.handle("POST /v1/peer/traces", s.handlePeerTrace)
+	s.handle("POST /v1/peer/scenarios", handlePeer(s, "scenario", maxScenarioBody, scenarioTask))
+	s.handle("POST /v1/peer/traces", handlePeer(s, "trace", maxTraceBody, traceTask))
 	return s
 }
 
@@ -300,33 +301,30 @@ func (s *Server) acquire(ctx context.Context, cost netpart.Cost) (release func()
 	}
 }
 
-// runTask executes one flight, dispatching on the key's namespace:
-// registry experiments, user-defined scenarios, sweeps and trace
-// simulations all take an admission slot for their cost class first,
-// then run on a fresh Runner with the flight's options.
-func (s *Server) runTask(ctx context.Context, key Key, opts netpart.RunOptions, payload any, publish func(streamEvent)) (*netpart.Result, error) {
-	switch {
-	case strings.HasPrefix(key.ID, "scenario:"):
-		return s.runScenario(ctx, key, opts, payload, publish)
-	case strings.HasPrefix(key.ID, "sweep:"):
-		return s.runSweep(ctx, key, opts, payload, publish)
-	case strings.HasPrefix(key.ID, "trace:"), strings.HasPrefix(key.ID, "tracegrid:"):
-		return s.runTrace(ctx, key, opts, payload, publish)
-	default:
-		return s.runExperiment(ctx, key, opts, publish)
-	}
+// task is the payload of every dynamic flight: the admission cost
+// class the flight waits for and how it runs on the flight's Runner,
+// streaming its events through publish.
+type task struct {
+	cost netpart.Cost
+	run  func(ctx context.Context, r *netpart.Runner, publish func(streamEvent)) (*netpart.Result, error)
 }
 
-// runExperiment executes one registry flight: admission slot for the
-// experiment's cost class, then a fresh Runner with the flight's
-// options (FullRounds from the normalized key, workers from the
-// leading request or the server default).
-func (s *Server) runExperiment(ctx context.Context, key Key, opts netpart.RunOptions, publish func(streamEvent)) (*netpart.Result, error) {
-	exp, ok := netpart.Lookup(key.ID)
+// runTask executes one flight: an admission slot for the flight's cost
+// class, then its task on a fresh Runner with the flight's options.
+// Dynamic flights carry their task as the payload; a registry flight
+// carries none and runs the key's experiment.
+func (s *Server) runTask(ctx context.Context, key Key, opts netpart.RunOptions, payload any, publish func(streamEvent)) (*netpart.Result, error) {
+	t, ok := payload.(task)
 	if !ok {
-		return nil, fmt.Errorf("serve: no experiment %q", key.ID)
+		exp, found := netpart.Lookup(key.ID)
+		if !found {
+			return nil, fmt.Errorf("serve: no experiment %q", key.ID)
+		}
+		t = task{cost: exp.Cost, run: func(ctx context.Context, r *netpart.Runner, _ func(streamEvent)) (*netpart.Result, error) {
+			return r.Run(ctx, key.ID)
+		}}
 	}
-	release, err := s.acquire(ctx, exp.Cost)
+	release, err := s.acquire(ctx, t.cost)
 	if err != nil {
 		return nil, err
 	}
@@ -334,13 +332,25 @@ func (s *Server) runExperiment(ctx context.Context, key Key, opts netpart.RunOpt
 	// Workers from the leading request (or the server default);
 	// FullRounds from the normalized key, so the cached Result's
 	// metadata matches its cache identity.
-	run := netpart.RunOptions{Workers: opts.Workers, FullRounds: key.FullRounds}
-	if run.Workers <= 0 {
-		run.Workers = s.opts.Workers
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = s.opts.Workers
 	}
-	progress := func(p netpart.Progress) { publish(progressEvent(p)) }
-	runner := netpart.NewRunner(append(run.Options(), netpart.WithProgress(progress))...)
-	return runner.Run(ctx, key.ID)
+	ropts := []netpart.Option{
+		netpart.WithWorkers(workers),
+		netpart.WithFullRounds(key.FullRounds),
+		netpart.WithProgress(func(p netpart.Progress) { publish(progressEvent(p)) }),
+	}
+	if s.peers != nil {
+		// Coordinator mode: each grid point is dispatched to the peer
+		// owning its content hash and recomputed locally on any peer
+		// failure, so a degraded fleet still yields bytes identical to
+		// a single-process run. Single specs always run locally.
+		ropts = append(ropts,
+			netpart.WithScenarioRunner(viaPeer(s.peers, "/v1/peer/scenarios", scenario.Run)),
+			netpart.WithTraceRunner(viaPeer(s.peers, "/v1/peer/traces", runTraceLocal)))
+	}
+	return t.run(ctx, netpart.NewRunner(ropts...), publish)
 }
 
 // --- wire documents ---
@@ -416,6 +426,41 @@ func writeJSON(w http.ResponseWriter, code int, doc any) {
 
 func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
+}
+
+// decodeStrict decodes a JSON request body into a T, rejecting
+// unknown fields, and answers 400 itself when decoding fails.
+func decodeStrict[T any](w http.ResponseWriter, body io.Reader, what string) (T, bool) {
+	var v T
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&v); err != nil {
+		writeError(w, http.StatusBadRequest, "bad %s body: %v", what, err)
+		return v, false
+	}
+	return v, true
+}
+
+// dynamicSpec is a definition that normalizes into a canonical form
+// whose ID is its content identity: a scenario or a trace.
+type dynamicSpec[S any] interface {
+	Normalize() (S, error)
+	ID() string
+}
+
+// decodeSpec strictly decodes and normalizes a spec body, answering
+// 400 itself when either step fails.
+func decodeSpec[S dynamicSpec[S]](w http.ResponseWriter, body io.Reader, what string) (S, bool) {
+	raw, ok := decodeStrict[S](w, body, what)
+	if !ok {
+		return raw, false
+	}
+	norm, err := raw.Normalize()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return norm, false
+	}
+	return norm, true
 }
 
 // negotiate picks the response encoding: an explicit ?format= wins,
@@ -665,11 +710,8 @@ const maxSubmitBody = 1 << 20
 // decodeRun reads a POST /v1/runs body: a registry experiment and
 // its run options.
 func decodeRun(w http.ResponseWriter, r *http.Request) *submission {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody))
-	dec.DisallowUnknownFields()
-	var req submitDoc
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	req, ok := decodeStrict[submitDoc](w, http.MaxBytesReader(w, r.Body, maxSubmitBody), "request")
+	if !ok {
 		return nil
 	}
 	exp, ok := netpart.Lookup(req.Experiment)

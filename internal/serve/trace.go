@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 
@@ -18,20 +17,12 @@ import (
 // carry whole job lists, so they get the sweep allowance).
 const maxTraceBody = 4 << 20
 
-// traceTask is the parsed definition a trace flight executes: either
-// one trace spec or an expanded grid of them. Expanded points ride
-// along so admission cost and the content-hash ID are computed once
-// at submission.
-type traceTask struct {
-	spec   *netpart.TraceSpec
-	grid   *netpart.TraceGrid
-	points []tracesim.Point
-}
-
 // decodeTrace reads a POST /v1/traces body: either a bare trace spec
 // or a grid document (recognized by its "base" or "axes" keys)
 // sweeping one over dot-path axes. The definition is normalized (and
-// grids expanded, hence fully validated) before the job exists.
+// grids expanded, hence fully validated) before the job exists. A
+// single trace streams every simulator event, a grid every completed
+// point.
 func decodeTrace(w http.ResponseWriter, r *http.Request) *submission {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxTraceBody))
 	if err != nil {
@@ -46,93 +37,46 @@ func decodeTrace(w http.ResponseWriter, r *http.Request) *submission {
 		writeError(w, http.StatusBadRequest, "bad trace body: %v", err)
 		return nil
 	}
-
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if probe.Base != nil || probe.Axes != nil {
-		var grid netpart.TraceGrid
-		if err := dec.Decode(&grid); err != nil {
-			writeError(w, http.StatusBadRequest, "bad trace grid body: %v", err)
+	if probe.Base == nil && probe.Axes == nil {
+		norm, ok := decodeSpec[netpart.TraceSpec](w, bytes.NewReader(body), "trace")
+		if !ok {
 			return nil
 		}
-		points, err := grid.Expand()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return nil
-		}
-		exp := netpart.Experiment{
-			ID:    tracesim.GridID(grid.Name, points),
-			Title: grid.Title(),
-			Kind:  netpart.KindTable,
-			Cost:  netpart.Cost(tracesim.GridCost(points)),
-		}
-		return &submission{exp: exp, payload: &traceTask{grid: &grid, points: points}}
+		return dynamicSubmission(norm.ID(), norm.Title(), traceTask(norm))
 	}
-	var spec netpart.TraceSpec
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "bad trace body: %v", err)
+	grid, ok := decodeStrict[netpart.TraceGrid](w, bytes.NewReader(body), "trace grid")
+	if !ok {
 		return nil
 	}
-	norm, err := spec.Normalize()
+	points, err := grid.Expand()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return nil
 	}
-	exp := netpart.Experiment{
-		ID:    norm.ID(),
-		Title: norm.Title(),
-		Kind:  netpart.KindTable,
-		Cost:  netpart.Cost(norm.Cost()),
-	}
-	return &submission{exp: exp, payload: &traceTask{spec: &norm}}
+	return dynamicSubmission(tracesim.GridID(grid.Name, points), grid.Title(), task{
+		cost: netpart.Cost(tracesim.GridCost(points)),
+		run: func(ctx context.Context, r *netpart.Runner, publish func(streamEvent)) (*netpart.Result, error) {
+			return r.RunTraceGrid(ctx, grid, func(p netpart.TracePoint) { publish(streamEvent{name: "point", data: p}) })
+		},
+	})
 }
 
-// runTrace executes one trace flight: admission for the derived cost
-// class, then RunTrace (single spec, streaming per-event "job"
-// frames) or RunTraceGrid (grid, streaming per-point frames) on a
-// fresh Runner.
-func (s *Server) runTrace(ctx context.Context, key Key, opts netpart.RunOptions, payload any, publish func(streamEvent)) (*netpart.Result, error) {
-	task, ok := payload.(*traceTask)
-	if !ok {
-		return nil, errors.New("serve: trace flight without a definition payload")
+// traceTask runs one normalized trace under its derived cost class,
+// streaming every simulator event.
+func traceTask(norm netpart.TraceSpec) task {
+	return task{
+		cost: netpart.Cost(norm.Cost()),
+		run: func(ctx context.Context, r *netpart.Runner, publish func(streamEvent)) (*netpart.Result, error) {
+			return r.RunTrace(ctx, norm, func(ev netpart.TraceEvent) {
+				publish(streamEvent{name: traceEventName(ev.Kind), data: ev})
+			})
+		},
 	}
-	cost := tracesim.GridCost(task.points)
-	if task.spec != nil {
-		cost = task.spec.Cost()
-	}
-	release, err := s.acquire(ctx, netpart.Cost(cost))
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = s.opts.Workers
-	}
-	progress := func(p netpart.Progress) { publish(progressEvent(p)) }
-	ropts := []netpart.Option{netpart.WithWorkers(workers), netpart.WithProgress(progress)}
-	if s.peers != nil {
-		// Coordinator mode: grid points fan out to the fleet with local
-		// fallback (see runSweep). Single-spec traces always run locally
-		// — they stream per-event frames a remote executor cannot relay.
-		ropts = append(ropts, netpart.WithTraceRunner(func(ctx context.Context, spec netpart.TraceSpec) (*netpart.TraceOutcome, error) {
-			if out, err := s.peers.dispatchTrace(ctx, spec); err == nil {
-				return out, nil
-			} else if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			return tracesim.Run(ctx, spec, tracesim.Options{})
-		}))
-	}
-	runner := netpart.NewRunner(ropts...)
-	if task.spec != nil {
-		onEvent := func(ev netpart.TraceEvent) {
-			publish(streamEvent{name: traceEventName(ev.Kind), data: ev})
-		}
-		return runner.RunTrace(ctx, *task.spec, onEvent)
-	}
-	onPoint := func(p netpart.TracePoint) { publish(streamEvent{name: "point", data: p}) }
-	return runner.RunTraceGrid(ctx, *task.grid, onPoint)
+}
+
+// runTraceLocal is the local trace-grid point executor.
+func runTraceLocal(ctx context.Context, spec netpart.TraceSpec) (*netpart.TraceOutcome, error) {
+	return tracesim.Run(ctx, spec, tracesim.Options{})
 }
 
 // traceEventName maps a simulator event kind to its SSE event name:

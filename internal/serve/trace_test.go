@@ -173,12 +173,22 @@ func TestTraceSSEStreamsEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	info := g.next(t)
-	task, ok := info.payload.(*traceTask)
-	if !ok {
-		t.Fatalf("payload %T", info.payload)
+	// The job runs the normalized trace: its experiment is the
+	// normalized spec's content ID.
+	doc, err := json.Marshal(tinyTrace("sse"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if task.spec == nil || task.spec.Synthetic == nil || task.spec.Synthetic.Jobs != 12 {
-		t.Fatalf("task spec %+v", task.spec)
+	var spec netpart.TraceSpec
+	if err := json.Unmarshal(doc, &spec); err != nil {
+		t.Fatal(err)
+	}
+	norm, err := spec.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if job.Experiment != norm.ID() {
+		t.Fatalf("experiment %q, want %q", job.Experiment, norm.ID())
 	}
 
 	stream, _ := openSSE(t, ts, "traces/"+job.ID)

@@ -65,14 +65,41 @@ type SweepPoint = sweep.PointResult
 // RunSweep's Result.
 type SweepData = sweep.Result
 
-// scenarioExperiment synthesizes the descriptor of a normalized spec.
-func scenarioExperiment(norm ScenarioSpec) Experiment {
-	return Experiment{
-		ID:    norm.ID(),
-		Title: norm.Title(),
-		Kind:  KindTable,
-		Cost:  Cost(norm.Cost()),
+// dynamicExperiment synthesizes the descriptor of a dynamic
+// experiment from its content ID, title and cost class.
+func dynamicExperiment(id, title, cost string) Experiment {
+	return Experiment{ID: id, Title: title, Kind: KindTable, Cost: Cost(cost)}
+}
+
+// runDynamic is the one run path of the dynamic experiments: it mints
+// the run token, hands run a progress callback that reports under it
+// (nil without WithProgress), and wraps the table and typed data run
+// returns into a Result whose meta records the token, the resolved
+// worker bound and the elapsed time.
+func (r *Runner) runDynamic(ctx context.Context, exp Experiment, workers int, run func(progress func(done, total int)) (Table, any, error)) (*Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
+	token := fmt.Sprintf("%s#%d", exp.ID, runSeq.Add(1))
+	var progress func(done, total int)
+	if fn := r.progress; fn != nil {
+		progress = func(done, total int) {
+			r.progressMu.Lock()
+			defer r.progressMu.Unlock()
+			fn(Progress{Experiment: exp.ID, Run: token, Done: done, Total: total})
+		}
+	}
+	start := time.Now()
+	table, data, err := run(progress)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{
+		Experiment: exp,
+		Table:      table,
+		Data:       data,
+		Meta:       RunMeta{Run: token, Workers: workers, Elapsed: time.Since(start)},
+	}, nil
 }
 
 // RunScenario executes one user-defined scenario and returns a Result
@@ -86,31 +113,18 @@ func (r *Runner) RunScenario(ctx context.Context, spec ScenarioSpec) (*Result, e
 	if err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	exp := scenarioExperiment(norm)
-	token := fmt.Sprintf("%s#%d", exp.ID, runSeq.Add(1))
-	start := time.Now()
-	out, err := scenario.Run(ctx, norm)
-	if err != nil {
-		return nil, err
-	}
-	if r.progress != nil {
-		r.progressMu.Lock()
-		r.progress(Progress{Experiment: exp.ID, Run: token, Done: 1, Total: 1})
-		r.progressMu.Unlock()
-	}
-	return &Result{
-		Experiment: exp,
-		Table:      out.Table(),
-		Data:       out,
-		Meta: RunMeta{
-			Run:     token,
-			Workers: 1, // scenario runs are single-point; the pool is for sweeps
-			Elapsed: time.Since(start),
-		},
-	}, nil
+	exp := dynamicExperiment(norm.ID(), norm.Title(), norm.Cost())
+	// A scenario is one point; the pool is for sweeps.
+	return r.runDynamic(ctx, exp, 1, func(progress func(done, total int)) (Table, any, error) {
+		out, err := scenario.Run(ctx, norm)
+		if err != nil {
+			return Table{}, nil, err
+		}
+		if progress != nil {
+			progress(1, 1)
+		}
+		return out.Table(), out, nil
+	})
 }
 
 // RunSweep expands the grid and executes its points sharded on the
@@ -125,38 +139,14 @@ func (r *Runner) RunSweep(ctx context.Context, grid SweepGrid, onPoint func(Swee
 	if err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	exp := Experiment{
-		ID:    sweep.ID(grid.Name, points),
-		Title: grid.Title(),
-		Kind:  KindTable,
-		Cost:  Cost(sweep.Cost(points)),
-	}
-	token := fmt.Sprintf("%s#%d", exp.ID, runSeq.Add(1))
-	opts := sweep.Options{Workers: r.workers, OnPoint: onPoint, RunPoint: r.scenarioRun}
-	if r.progress != nil {
-		fn := r.progress
-		opts.OnProgress = func(done, total int) {
-			r.progressMu.Lock()
-			defer r.progressMu.Unlock()
-			fn(Progress{Experiment: exp.ID, Run: token, Done: done, Total: total})
+	exp := dynamicExperiment(sweep.ID(grid.Name, points), grid.Title(), sweep.Cost(points))
+	workers := experiments.Config{Workers: r.workers}.ResolvedWorkers()
+	return r.runDynamic(ctx, exp, workers, func(progress func(done, total int)) (Table, any, error) {
+		opts := sweep.Options{Workers: r.workers, OnPoint: onPoint, OnProgress: progress, RunPoint: r.scenarioRun}
+		res, err := sweep.RunPoints(ctx, grid, points, opts)
+		if err != nil {
+			return Table{}, nil, err
 		}
-	}
-	start := time.Now()
-	res, err := sweep.RunPoints(ctx, grid, points, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Experiment: exp,
-		Table:      res.Table(exp.Title),
-		Data:       res,
-		Meta: RunMeta{
-			Run:     token,
-			Workers: experiments.Config{Workers: r.workers}.ResolvedWorkers(),
-			Elapsed: time.Since(start),
-		},
-	}, nil
+		return res.Table(exp.Title), res, nil
+	})
 }

@@ -2,8 +2,6 @@ package netpart
 
 import (
 	"context"
-	"fmt"
-	"time"
 
 	"netpart/internal/experiments"
 	"netpart/internal/sched/tracesim"
@@ -62,40 +60,15 @@ func (r *Runner) RunTrace(ctx context.Context, spec TraceSpec, onEvent func(Trac
 	if err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	exp := Experiment{
-		ID:    norm.ID(),
-		Title: norm.Title(),
-		Kind:  KindTable,
-		Cost:  Cost(norm.Cost()),
-	}
-	token := fmt.Sprintf("%s#%d", exp.ID, runSeq.Add(1))
-	opts := tracesim.Options{OnEvent: onEvent}
-	if r.progress != nil {
-		fn := r.progress
-		opts.OnProgress = func(done, total int) {
-			r.progressMu.Lock()
-			defer r.progressMu.Unlock()
-			fn(Progress{Experiment: exp.ID, Run: token, Done: done, Total: total})
+	exp := dynamicExperiment(norm.ID(), norm.Title(), norm.Cost())
+	// The event loop is sequential; the pool is for grids.
+	return r.runDynamic(ctx, exp, 1, func(progress func(done, total int)) (Table, any, error) {
+		out, err := tracesim.Run(ctx, norm, tracesim.Options{OnEvent: onEvent, OnProgress: progress})
+		if err != nil {
+			return Table{}, nil, err
 		}
-	}
-	start := time.Now()
-	out, err := tracesim.Run(ctx, norm, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Experiment: exp,
-		Table:      out.Table(),
-		Data:       out,
-		Meta: RunMeta{
-			Run:     token,
-			Workers: 1, // the event loop is sequential; the pool is for grids
-			Elapsed: time.Since(start),
-		},
-	}, nil
+		return out.Table(), out, nil
+	})
 }
 
 // RunTraceGrid expands the grid and executes its points on the
@@ -110,38 +83,14 @@ func (r *Runner) RunTraceGrid(ctx context.Context, grid TraceGrid, onPoint func(
 	if err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	exp := Experiment{
-		ID:    tracesim.GridID(grid.Name, points),
-		Title: grid.Title(),
-		Kind:  KindTable,
-		Cost:  Cost(tracesim.GridCost(points)),
-	}
-	token := fmt.Sprintf("%s#%d", exp.ID, runSeq.Add(1))
-	opts := tracesim.GridOptions{Workers: r.workers, OnPoint: onPoint, RunPoint: r.traceRun}
-	if r.progress != nil {
-		fn := r.progress
-		opts.OnProgress = func(done, total int) {
-			r.progressMu.Lock()
-			defer r.progressMu.Unlock()
-			fn(Progress{Experiment: exp.ID, Run: token, Done: done, Total: total})
+	exp := dynamicExperiment(tracesim.GridID(grid.Name, points), grid.Title(), tracesim.GridCost(points))
+	workers := experiments.Config{Workers: r.workers}.ResolvedWorkers()
+	return r.runDynamic(ctx, exp, workers, func(progress func(done, total int)) (Table, any, error) {
+		opts := tracesim.GridOptions{Workers: r.workers, OnPoint: onPoint, OnProgress: progress, RunPoint: r.traceRun}
+		res, err := tracesim.RunGrid(ctx, grid, points, opts)
+		if err != nil {
+			return Table{}, nil, err
 		}
-	}
-	start := time.Now()
-	res, err := tracesim.RunGrid(ctx, grid, points, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Experiment: exp,
-		Table:      res.Table(exp.Title),
-		Data:       res,
-		Meta: RunMeta{
-			Run:     token,
-			Workers: experiments.Config{Workers: r.workers}.ResolvedWorkers(),
-			Elapsed: time.Since(start),
-		},
-	}, nil
+		return res.Table(exp.Title), res, nil
+	})
 }
