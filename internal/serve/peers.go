@@ -136,7 +136,9 @@ var errNoHealthyPeer = errors.New("serve: no healthy peer")
 func (pp *peerPool) pick(id string) *peer {
 	h := fnv.New32a()
 	h.Write([]byte(id))
-	start := int(h.Sum32()) % len(pp.peers)
+	// Reduce in uint32: on a 32-bit int, int(Sum32()) is negative for
+	// half of all hashes.
+	start := int(h.Sum32() % uint32(len(pp.peers)))
 	for i := range pp.peers {
 		p := pp.peers[(start+i)%len(pp.peers)]
 		if p.healthy.Load() {

@@ -2,6 +2,10 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
+	"hash/fnv"
+	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -26,6 +30,32 @@ func peerMetrics(t *testing.T, s *Server, url string) peerCounters {
 		Failed:     read("netpart_peer_failed_total"),
 		Skipped:    read("netpart_peer_skipped_total"),
 		Probes:     read("netpart_peer_probes_total"),
+	}
+}
+
+// TestPeerPickFollowsHash: a point goes to peers[fnv32a(id) mod n],
+// for hashes on both sides of 2³¹ (the half a signed 32-bit int would
+// turn negative).
+func TestPeerPickFollowsHash(t *testing.T) {
+	urls := []string{"http://a", "http://b", "http://c"}
+	pp := newPeerPool(urls, 0, 0, newServerMetrics(nil), slog.New(slog.NewTextHandler(io.Discard, nil)))
+	var low, high int
+	for i := 0; i < 64; i++ {
+		id := fmt.Sprintf("scenario:%012x", i)
+		h := fnv.New32a()
+		h.Write([]byte(id))
+		sum := h.Sum32()
+		if sum >= 1<<31 {
+			high++
+		} else {
+			low++
+		}
+		if got, want := pp.pick(id), pp.peers[sum%3]; got != want {
+			t.Errorf("pick(%q) = %s, want %s (hash %#x)", id, got.base, want.base, sum)
+		}
+	}
+	if low == 0 || high == 0 {
+		t.Fatalf("hashes cover one side of 2^31 only: %d below, %d above", low, high)
 	}
 }
 
