@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -84,14 +85,19 @@ type runInfo struct {
 }
 
 // gate is a controllable runFunc: every invocation parks on its
-// proceed channel and is announced on started.
+// proceed channel and is announced on started. Closing stop releases
+// every parked and future invocation with errGateStopped, so a test
+// that fails before closing proceed does not leave a handler blocked.
 type gate struct {
 	calls   atomic.Int32
 	started chan *runInfo
+	stop    chan struct{}
 }
 
+var errGateStopped = errors.New("gate stopped")
+
 func newGate() *gate {
-	return &gate{started: make(chan *runInfo, 64)}
+	return &gate{started: make(chan *runInfo, 64), stop: make(chan struct{})}
 }
 
 func (g *gate) run(ctx context.Context, key Key, opts netpart.RunOptions, payload any, publish func(streamEvent)) (*netpart.Result, error) {
@@ -100,12 +106,18 @@ func (g *gate) run(ctx context.Context, key Key, opts netpart.RunOptions, payloa
 		publish:    func(p netpart.Progress) { publish(progressEvent(p)) },
 		publishRaw: publish,
 		proceed:    make(chan struct{})}
-	g.started <- info
+	select {
+	case g.started <- info:
+	case <-g.stop:
+		return nil, errGateStopped
+	}
 	select {
 	case <-info.proceed:
 		return fakeResult(key), nil
 	case <-ctx.Done():
 		return nil, ctx.Err()
+	case <-g.stop:
+		return nil, errGateStopped
 	}
 }
 
@@ -129,6 +141,9 @@ func gatedServer(t *testing.T, opts Options) (*Server, *httptest.Server, *gate) 
 	s := newServer(opts, g.run)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
+	// Cleanups run last-registered first: release the gate before
+	// ts.Close waits on handlers still parked in it.
+	t.Cleanup(func() { close(g.stop) })
 	return s, ts, g
 }
 

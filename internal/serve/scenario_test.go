@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -362,10 +361,7 @@ func TestSweepStampedeColdStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := newGate()
-	s := newServer(Options{Store: fs}, g.run)
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
+	s, ts, g := gatedServer(t, Options{Store: fs})
 
 	const n = 12
 	ids := make([]string, n)
