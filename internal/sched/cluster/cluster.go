@@ -78,15 +78,18 @@ type Spec struct {
 	TimeScale float64 `json:"time_scale,omitempty"`
 }
 
-// Job is one engine-level job: the tracesim JobSpec shape, identified
-// by its dense engine ID (assigned at Submit in submission order).
+// Job is one job of a trace or a session: its size, submission time,
+// base runtime (its runtime on the best geometry of its size) and
+// optional contention declaration. The engine identifies it by its
+// dense engine ID (assigned at Submit in submission order); tracesim
+// uses the same type for its trace entries.
 type Job struct {
 	Midplanes  int     `json:"midplanes"`
 	ArrivalSec float64 `json:"arrival_sec"`
 	RuntimeSec float64 `json:"runtime_sec"`
 	// Pattern declares the job's communication pattern (pairing,
 	// all-to-all or neighbor); patterned jobs are contention-scored on
-	// their placed geometry.
+	// their placed geometry. Empty means no pattern.
 	Pattern string `json:"pattern,omitempty"`
 	// ContentionBound applies the bisection-ratio stretch to jobs
 	// without a declared pattern. It is implied for patterned jobs.
@@ -105,25 +108,27 @@ func finitePositive(v float64) bool {
 	return v > 0 && !math.IsInf(v, 0) && !math.IsNaN(v)
 }
 
-// normalizeJob validates one job and folds the patterned →
-// contention-bound implication (the tracesim rules).
-func normalizeJob(i int, j Job) (Job, error) {
+// NormalizeJob validates job i and folds the patterned →
+// contention-bound implication, so the two spellings share cache
+// identity. Its errors carry no package prefix; each caller adds its
+// own.
+func NormalizeJob(i int, j Job) (Job, error) {
 	if j.Midplanes < 1 {
-		return Job{}, fmt.Errorf("cluster: job %d requests %d midplanes, want >= 1", i, j.Midplanes)
+		return Job{}, fmt.Errorf("job %d requests %d midplanes, want >= 1", i, j.Midplanes)
 	}
 	if !finitePositive(j.RuntimeSec) {
-		return Job{}, fmt.Errorf("cluster: job %d runtime %v is not positive and finite", i, j.RuntimeSec)
+		return Job{}, fmt.Errorf("job %d runtime %v is not positive and finite", i, j.RuntimeSec)
 	}
 	if j.ArrivalSec < 0 || math.IsInf(j.ArrivalSec, 0) || math.IsNaN(j.ArrivalSec) {
-		return Job{}, fmt.Errorf("cluster: job %d arrival %v is not non-negative and finite", i, j.ArrivalSec)
+		return Job{}, fmt.Errorf("job %d arrival %v is not non-negative and finite", i, j.ArrivalSec)
 	}
 	j.Pattern = strings.ToLower(strings.TrimSpace(j.Pattern))
 	if j.Pattern != "" {
 		if !knownPattern(j.Pattern) {
-			return Job{}, fmt.Errorf("cluster: job %d pattern %q (want pairing, all-to-all or neighbor)", i, j.Pattern)
+			return Job{}, fmt.Errorf("job %d pattern %q (want pairing, all-to-all or neighbor)", i, j.Pattern)
 		}
 		if j.Pattern == PatternAllToAll && j.Midplanes > MaxAllToAllMidplanes {
-			return Job{}, fmt.Errorf("cluster: job %d declares all-to-all on %d midplanes, exceeding the %d-midplane bound", i, j.Midplanes, MaxAllToAllMidplanes)
+			return Job{}, fmt.Errorf("job %d declares all-to-all on %d midplanes, exceeding the %d-midplane bound", i, j.Midplanes, MaxAllToAllMidplanes)
 		}
 		j.ContentionBound = true
 	}

@@ -394,9 +394,9 @@ func (e *Engine) Submit(jobs []Job) (int, error) {
 	norm := make([]Job, len(jobs))
 	sjobs := make([]sched.Job, len(jobs))
 	for i, j := range jobs {
-		nj, err := normalizeJob(base+i, j)
+		nj, err := NormalizeJob(base+i, j)
 		if err != nil {
-			return 0, err
+			return 0, fmt.Errorf("cluster: %w", err)
 		}
 		norm[i] = nj
 		sjobs[i] = sched.Job{

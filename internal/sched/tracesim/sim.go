@@ -104,17 +104,7 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	jobs := make([]cluster.Job, n)
-	for i, j := range trace {
-		jobs[i] = cluster.Job{
-			Midplanes:       j.Midplanes,
-			ArrivalSec:      j.ArrivalSec,
-			RuntimeSec:      j.RuntimeSec,
-			Pattern:         j.Pattern,
-			ContentionBound: j.ContentionBound,
-		}
-	}
-	if _, err := eng.Submit(jobs); err != nil {
+	if _, err := eng.Submit(trace); err != nil {
 		return nil, err
 	}
 	if err := eng.Drain(ctx); err != nil {

@@ -38,6 +38,7 @@ import (
 	"netpart/internal/faults"
 	"netpart/internal/scenario"
 	"netpart/internal/sched"
+	"netpart/internal/sched/cluster"
 )
 
 // Placement policies a trace may schedule under (the sched policies;
@@ -78,7 +79,7 @@ const (
 	// MaxAllToAllMidplanes bounds jobs declaring the quadratic
 	// all-to-all pattern (the dilation scorer routes every ordered
 	// midplane pair of the placed geometry).
-	MaxAllToAllMidplanes = 128
+	MaxAllToAllMidplanes = cluster.MaxAllToAllMidplanes
 	// DefaultSeed seeds synthetic traces.
 	DefaultSeed = int64(1)
 	// DefaultRateHz is the synthetic mean arrival rate.
@@ -93,22 +94,8 @@ const (
 // spec leaves Sizes empty.
 var defaultSizes = []int{1, 2, 4, 8}
 
-// JobSpec is one trace entry: a job's size, submission time, base
-// runtime (its runtime on the best geometry of its size) and optional
-// contention declaration.
-type JobSpec struct {
-	Midplanes  int     `json:"midplanes"`
-	ArrivalSec float64 `json:"arrival_sec"`
-	RuntimeSec float64 `json:"runtime_sec"`
-	// Pattern declares the job's communication pattern (pairing,
-	// all-to-all or neighbor). Patterned jobs are contention-scored on
-	// their placed geometry; empty means no pattern.
-	Pattern string `json:"pattern,omitempty"`
-	// ContentionBound applies the bisection-ratio stretch to jobs
-	// without a declared pattern (the coarse model internal/sched
-	// uses). It is implied for patterned jobs.
-	ContentionBound bool `json:"contention_bound,omitempty"`
-}
+// JobSpec is one trace entry: the cluster engine's job type.
+type JobSpec = cluster.Job
 
 // Synthetic is the seeded trace generator: an arrival process × a
 // size distribution × a runtime distribution, deterministic in Seed.
@@ -188,32 +175,6 @@ func knownPattern(p string) bool {
 
 func finitePositive(v float64) bool {
 	return v > 0 && !math.IsInf(v, 0) && !math.IsNaN(v)
-}
-
-// normalizeJob validates one inline trace entry.
-func normalizeJob(i int, j JobSpec) (JobSpec, error) {
-	if j.Midplanes < 1 {
-		return JobSpec{}, fmt.Errorf("tracesim: job %d requests %d midplanes, want >= 1", i, j.Midplanes)
-	}
-	if !finitePositive(j.RuntimeSec) {
-		return JobSpec{}, fmt.Errorf("tracesim: job %d runtime %v is not positive and finite", i, j.RuntimeSec)
-	}
-	if j.ArrivalSec < 0 || math.IsInf(j.ArrivalSec, 0) || math.IsNaN(j.ArrivalSec) {
-		return JobSpec{}, fmt.Errorf("tracesim: job %d arrival %v is not non-negative and finite", i, j.ArrivalSec)
-	}
-	j.Pattern = strings.ToLower(strings.TrimSpace(j.Pattern))
-	if j.Pattern != "" {
-		if !knownPattern(j.Pattern) {
-			return JobSpec{}, fmt.Errorf("tracesim: job %d pattern %q (want pairing, all-to-all or neighbor)", i, j.Pattern)
-		}
-		if j.Pattern == PatternAllToAll && j.Midplanes > MaxAllToAllMidplanes {
-			return JobSpec{}, fmt.Errorf("tracesim: job %d declares all-to-all on %d midplanes, exceeding the %d-midplane bound", i, j.Midplanes, MaxAllToAllMidplanes)
-		}
-		// Patterned jobs are contention-bound by definition; fold the
-		// flag in so the two spellings share cache identity.
-		j.ContentionBound = true
-	}
-	return j, nil
 }
 
 // normalizeSynthetic validates the generator and fills its defaults.
@@ -345,9 +306,9 @@ func (s Spec) Normalize() (Spec, error) {
 		}
 		n.Jobs = make([]JobSpec, len(s.Jobs))
 		for i, j := range s.Jobs {
-			nj, err := normalizeJob(i, j)
+			nj, err := cluster.NormalizeJob(i, j)
 			if err != nil {
-				return Spec{}, err
+				return Spec{}, fmt.Errorf("tracesim: %w", err)
 			}
 			n.Jobs[i] = nj
 		}
