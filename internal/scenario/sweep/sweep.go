@@ -45,9 +45,9 @@ const (
 	HardMaxPoints = 65536
 )
 
-// Axis is one swept parameter: a dot-separated path into the scenario
-// Spec's JSON form ("topology.shape", "workload.pattern",
-// "topology.policy", "sim.enabled", ...) and the values it takes.
+// Axis is one swept parameter: a dot-separated path into the point
+// spec's JSON form ("topology.shape", "workload.pattern",
+// "topology.policy", "synthetic.rate_hz", ...) and the values it takes.
 // Axes with the same non-empty Zip tag advance together (they must
 // have equal lengths) instead of multiplying the grid.
 type Axis struct {
