@@ -123,7 +123,12 @@ func decodeSweep(w http.ResponseWriter, r *http.Request) *submission {
 // definition: its synthesized descriptor and its flight's task.
 func dynamicSubmission(id, title string, t task) *submission {
 	return &submission{
-		exp:     netpart.Experiment{ID: id, Title: title, Kind: netpart.KindTable, Cost: t.cost},
+		exp: netpart.Experiment{
+			ID:    id,
+			Title: title,
+			Kind:  netpart.KindTable,
+			Cost:  t.cost,
+		},
 		payload: t,
 	}
 }

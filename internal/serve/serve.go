@@ -320,9 +320,12 @@ func (s *Server) runTask(ctx context.Context, key Key, opts netpart.RunOptions, 
 		if !found {
 			return nil, fmt.Errorf("serve: no experiment %q", key.ID)
 		}
-		t = task{cost: exp.Cost, run: func(ctx context.Context, r *netpart.Runner, _ func(streamEvent)) (*netpart.Result, error) {
-			return r.Run(ctx, key.ID)
-		}}
+		t = task{
+			cost: exp.Cost,
+			run: func(ctx context.Context, r *netpart.Runner, _ func(streamEvent)) (*netpart.Result, error) {
+				return r.Run(ctx, key.ID)
+			},
+		}
 	}
 	release, err := s.acquire(ctx, t.cost)
 	if err != nil {

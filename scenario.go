@@ -68,7 +68,12 @@ type SweepData = sweep.Result
 // dynamicExperiment synthesizes the descriptor of a dynamic
 // experiment from its content ID, title and cost class.
 func dynamicExperiment(id, title, cost string) Experiment {
-	return Experiment{ID: id, Title: title, Kind: KindTable, Cost: Cost(cost)}
+	return Experiment{
+		ID:    id,
+		Title: title,
+		Kind:  KindTable,
+		Cost:  Cost(cost),
+	}
 }
 
 // runDynamic is the one run path of the dynamic experiments: it mints
@@ -98,7 +103,11 @@ func (r *Runner) runDynamic(ctx context.Context, exp Experiment, workers int, ru
 		Experiment: exp,
 		Table:      table,
 		Data:       data,
-		Meta:       RunMeta{Run: token, Workers: workers, Elapsed: time.Since(start)},
+		Meta: RunMeta{
+			Run:     token,
+			Workers: workers,
+			Elapsed: time.Since(start),
+		},
 	}, nil
 }
 
