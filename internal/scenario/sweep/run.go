@@ -58,8 +58,8 @@ type RunOptions[S, O, P any] struct {
 type Options = RunOptions[scenario.Spec, *scenario.Outcome, PointResult]
 
 // shardSizeFor balances dispatch overhead against skew: aim for ~8
-// shards per worker, at least 1 and at most 16 points per shard.
-func shardSizeFor(points, workers int) int {
+// shards per worker, at least 1 and at most maxShard points per shard.
+func shardSizeFor(points, workers, maxShard int) int {
 	if workers < 1 {
 		workers = 1
 	}
@@ -67,17 +67,17 @@ func shardSizeFor(points, workers int) int {
 	if size < 1 {
 		return 1
 	}
-	if size > 16 {
-		return 16
+	if size > maxShard {
+		return maxShard
 	}
 	return size
 }
 
 // RunEach executes pre-expanded grid points in shards of consecutive
 // points on the experiment worker-pool driver; the shard size derives
-// from the point count and the pool size, which amortizes dispatch
-// for large grids of cheap points while keeping enough shards to
-// balance skewed costs. Each point runs through opts.RunPoint, or
+// from the point count, the pool size and the family's MaxShard, which
+// amortizes dispatch for large grids of cheap points while keeping
+// enough shards to balance skewed costs. Each point runs through opts.RunPoint, or
 // local when that is nil, and point builds its result from the slot
 // index, the axis assignment, the outcome and the error text (empty
 // on success, the outcome zero on failure). Point failures are
@@ -102,7 +102,7 @@ func RunEach[S PointSpec[S], O, P any](ctx context.Context, f Family[S], name st
 	}
 
 	cfg := experiments.Config{Workers: opts.Workers}
-	shardSize := shardSizeFor(n, cfg.ResolvedWorkers())
+	shardSize := shardSizeFor(n, cfg.ResolvedWorkers(), f.MaxShard)
 	shards := (n + shardSize - 1) / shardSize
 
 	var mu sync.Mutex

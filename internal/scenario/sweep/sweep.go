@@ -9,8 +9,8 @@
 // The engine is generic over the point spec. Scenario sweeps (Grid,
 // over package scenario) and the trace simulator's grids (package
 // tracesim) are two Families of it: a Family value carries only what
-// differs between them — error prefix, ID namespace, title label and
-// point bounds — and the expander, the content hash, the cost rule,
+// differs between them — error prefix, ID namespace, title label,
+// point bounds and shard cap — and the expander, the content hash, the cost rule,
 // the sharded run loop and the table-row prefix are shared.
 //
 // Expansion, execution and rendering are byte-deterministic: points
@@ -136,6 +136,11 @@ type Family[S PointSpec[S]] struct {
 	DefaultMaxPoints, HardMaxPoints int
 	// HeavyPoints is the point count above which a grid is heavy.
 	HeavyPoints int
+	// MaxShard caps the consecutive points one worker-pool unit runs.
+	// Batching cheap points amortizes dispatch; a point that is a
+	// whole simulation has no dispatch cost worth amortizing, and a
+	// shard of them only serializes the heaviest points at the tail.
+	MaxShard int
 }
 
 // family is the scenario sweep.
@@ -146,6 +151,7 @@ var family = Family[scenario.Spec]{
 	DefaultMaxPoints: DefaultMaxPoints,
 	HardMaxPoints:    HardMaxPoints,
 	HeavyPoints:      32,
+	MaxShard:         16,
 }
 
 // axisGroup is one odometer digit: either a single axis or a zipped

@@ -263,6 +263,24 @@ func TestHundredPointSweepDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestShardBounds: shards aim at ~8 per worker within [1, maxShard],
+// so a family capped at one point runs every point as its own unit.
+func TestShardBounds(t *testing.T) {
+	for _, c := range []struct{ points, workers, maxShard, want int }{
+		{100, 1, 16, 12},
+		{100, 4, 16, 3},
+		{100, 16, 16, 1},
+		{1024, 1, 16, 16},
+		{5, 0, 16, 1},
+		{256, 2, 1, 1},
+		{1024, 1, 1, 1},
+	} {
+		if got := shardSizeFor(c.points, c.workers, c.maxShard); got != c.want {
+			t.Errorf("shardSizeFor(%d, %d, %d) = %d, want %d", c.points, c.workers, c.maxShard, got, c.want)
+		}
+	}
+}
+
 // TestSweepStreamsEveryPoint: OnPoint sees each of the 100 points
 // exactly once and OnProgress is monotone to completion, concurrently
 // with the pool (exercised under -race by CI).

@@ -33,6 +33,7 @@ var gridFamily = sweep.Family[Spec]{
 	DefaultMaxPoints: DefaultMaxGridPoints,
 	HardMaxPoints:    HardMaxGridPoints,
 	HeavyPoints:      8,
+	MaxShard:         1,
 }
 
 // Grid is a declarative trace sweep: a base Spec plus dot-path axes
