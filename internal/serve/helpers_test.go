@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -10,7 +11,9 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	neturl "net/url"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -155,63 +158,129 @@ func fakeResult(key Key) *netpart.Result {
 	return &netpart.Result{Experiment: exp, Table: tab}
 }
 
-// get fetches a URL with optional headers and returns status, headers
-// and body.
-func get(t *testing.T, url string, hdr map[string]string) (int, http.Header, []byte) {
-	t.Helper()
+// The try* helpers return their failure instead of touching t, so
+// client goroutines can use them: t.Fatal must run on the test
+// goroutine, and a client still running after a failed test returns
+// must not report into it.
+
+// tryGet fetches a URL with optional headers and returns status,
+// headers and body.
+func tryGet(url string, hdr map[string]string) (int, http.Header, []byte, error) {
 	req, err := http.NewRequest("GET", url, nil)
 	if err != nil {
-		t.Fatal(err)
+		return 0, nil, nil, err
 	}
 	for k, v := range hdr {
 		req.Header.Set(k, v)
 	}
+	return fetch(req)
+}
+
+// tryPost submits a JSON body and returns status, headers and body.
+func tryPost(url string, doc any) (int, http.Header, []byte, error) {
+	body, err := json.Marshal(doc)
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	req, err := http.NewRequest("POST", url, bytes.NewReader(body))
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	req.Header.Set("Content-Type", ctJSON)
+	return fetch(req)
+}
+
+// fetch sends a request and reads the whole response.
+func fetch(req *http.Request) (int, http.Header, []byte, error) {
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		t.Fatal(err)
+		return 0, nil, nil, err
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(resp.Body)
+	return resp.StatusCode, resp.Header, body, err
+}
+
+// trySubmit POSTs an asynchronous submission to url and returns its
+// job document, whose Location must be url's path plus the job ID.
+func trySubmit(url string, doc any) (jobDoc, error) {
+	code, hdr, body, err := tryPost(url, doc)
+	if err != nil {
+		return jobDoc{}, err
+	}
+	if code != http.StatusAccepted {
+		return jobDoc{}, fmt.Errorf("submit: status %d: %s", code, body)
+	}
+	var job jobDoc
+	if err := json.Unmarshal(body, &job); err != nil {
+		return jobDoc{}, fmt.Errorf("submit: %v in %s", err, body)
+	}
+	u, err := neturl.Parse(url)
+	if err != nil {
+		return jobDoc{}, err
+	}
+	if want := u.Path + "/" + job.ID; hdr.Get("Location") != want {
+		return jobDoc{}, fmt.Errorf("Location = %q, want %q", hdr.Get("Location"), want)
+	}
+	return job, nil
+}
+
+// get fetches a URL with optional headers and returns status, headers
+// and body.
+func get(t *testing.T, url string, hdr map[string]string) (int, http.Header, []byte) {
+	t.Helper()
+	code, h, body, err := tryGet(url, hdr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return resp.StatusCode, resp.Header, body
+	return code, h, body
 }
 
 // post submits a JSON body and returns status, headers and body.
 func post(t *testing.T, url string, doc any) (int, http.Header, []byte) {
 	t.Helper()
-	body, err := json.Marshal(doc)
+	code, hdr, body, err := tryPost(url, doc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(url, ctJSON, strings.NewReader(string(body)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, resp.Header, out
+	return code, hdr, body
 }
 
 // submit POSTs a run and returns its job document.
 func submit(t *testing.T, ts *httptest.Server, doc any) jobDoc {
 	t.Helper()
-	code, hdr, body := post(t, ts.URL+"/v1/runs", doc)
-	if code != http.StatusAccepted {
-		t.Fatalf("submit: status %d: %s", code, body)
-	}
-	var job jobDoc
-	if err := json.Unmarshal(body, &job); err != nil {
-		t.Fatalf("submit: %v in %s", err, body)
-	}
-	if want := "/v1/runs/" + job.ID; hdr.Get("Location") != want {
-		t.Fatalf("Location = %q, want %q", hdr.Get("Location"), want)
+	job, err := trySubmit(ts.URL+"/v1/runs", doc)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return job
+}
+
+// submitConcurrently POSTs n submissions to url at once, doc(i) the
+// i-th body, and returns their job IDs in submission order.
+func submitConcurrently(t *testing.T, n int, url string, doc func(i int) any) []string {
+	t.Helper()
+	ids := make([]string, n)
+	errs := make(chan error, n)
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := range n {
+		go func() {
+			defer wg.Done()
+			job, err := trySubmit(url, doc(i))
+			if err != nil {
+				errs <- err
+				return
+			}
+			ids[i] = job.ID
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	return ids
 }
 
 // await blocks until the job reaches a terminal status and returns it.

@@ -143,8 +143,11 @@ func TestScenarioStampede(t *testing.T) {
 	for range n {
 		go func() {
 			defer wg.Done()
-			code, _, body := post(t, ts.URL+"/v1/scenarios", tinyScenario("8x8"))
-			if code != http.StatusOK {
+			code, _, body, err := tryPost(ts.URL+"/v1/scenarios", tinyScenario("8x8"))
+			switch {
+			case err != nil:
+				errs <- err.Error()
+			case code != http.StatusOK:
 				errs <- fmt.Sprintf("status %d: %s", code, body)
 			}
 		}()
@@ -298,26 +301,7 @@ func TestSweepSSEStreamsPoints(t *testing.T) {
 func TestSweepStampede(t *testing.T) {
 	s, ts, g := gatedServer(t, Options{})
 	const n = 12
-	ids := make([]string, n)
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := range n {
-		go func() {
-			defer wg.Done()
-			code, _, body := post(t, ts.URL+"/v1/sweeps", tinySweep("stampede"))
-			if code != http.StatusAccepted {
-				t.Errorf("submit: %d %s", code, body)
-				return
-			}
-			var job jobDoc
-			if err := json.Unmarshal(body, &job); err != nil {
-				t.Error(err)
-				return
-			}
-			ids[i] = job.ID
-		}()
-	}
-	wg.Wait()
+	ids := submitConcurrently(t, n, ts.URL+"/v1/sweeps", func(int) any { return tinySweep("stampede") })
 	info := g.next(t)
 	close(info.proceed)
 
@@ -364,26 +348,7 @@ func TestSweepStampedeColdStore(t *testing.T) {
 	s, ts, g := gatedServer(t, Options{Store: fs})
 
 	const n = 12
-	ids := make([]string, n)
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := range n {
-		go func() {
-			defer wg.Done()
-			code, _, body := post(t, ts.URL+"/v1/sweeps", tinySweep("cold-store"))
-			if code != http.StatusAccepted {
-				t.Errorf("submit: %d %s", code, body)
-				return
-			}
-			var job jobDoc
-			if err := json.Unmarshal(body, &job); err != nil {
-				t.Error(err)
-				return
-			}
-			ids[i] = job.ID
-		}()
-	}
-	wg.Wait()
+	ids := submitConcurrently(t, n, ts.URL+"/v1/sweeps", func(int) any { return tinySweep("cold-store") })
 	info := g.next(t)
 	close(info.proceed)
 	for _, id := range ids {

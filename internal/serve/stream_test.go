@@ -101,17 +101,9 @@ func TestStampedeCoalesces(t *testing.T) {
 	s, ts, g := gatedServer(t, Options{})
 
 	const n = 24
-	ids := make([]string, n)
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := range n {
-		go func() {
-			defer wg.Done()
-			job := submit(t, ts, map[string]any{"experiment": "table6", "workers": i + 1})
-			ids[i] = job.ID
-		}()
-	}
-	wg.Wait()
+	ids := submitConcurrently(t, n, ts.URL+"/v1/runs", func(i int) any {
+		return map[string]any{"experiment": "table6", "workers": i + 1}
+	})
 
 	// Every job is attached to the single flight before it is
 	// released — this is the coalescing-in-flight case, not a warm
@@ -157,13 +149,19 @@ func TestSyncStampedeCoalesces(t *testing.T) {
 	bodies := make([][]byte, n)
 	codes := make([]int, n)
 	etags := make([]string, n)
+	errs := make(chan error, n)
 	var wg sync.WaitGroup
 	wg.Add(n)
 	for i := range n {
 		go func() {
 			defer wg.Done()
 			var hdr http.Header
-			codes[i], hdr, bodies[i] = get(t, ts.URL+"/v1/experiments/table7/result", nil)
+			var err error
+			codes[i], hdr, bodies[i], err = tryGet(ts.URL+"/v1/experiments/table7/result", nil)
+			if err != nil {
+				errs <- err
+				return
+			}
 			etags[i] = hdr.Get("ETag")
 		}()
 	}
@@ -178,6 +176,10 @@ func TestSyncStampedeCoalesces(t *testing.T) {
 	})
 	close(info.proceed)
 	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
 
 	if calls := g.calls.Load(); calls != 1 {
 		t.Fatalf("underlying run executed %d times for %d identical requests, want 1", calls, n)

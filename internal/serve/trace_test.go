@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -237,26 +236,7 @@ func TestTraceSSEStreamsEvents(t *testing.T) {
 func TestTraceStampede(t *testing.T) {
 	s, ts, g := gatedServer(t, Options{})
 	const n = 12
-	ids := make([]string, n)
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := range n {
-		go func() {
-			defer wg.Done()
-			code, _, body := post(t, ts.URL+"/v1/traces", tinyTrace("stampede"))
-			if code != http.StatusAccepted {
-				t.Errorf("submit: %d %s", code, body)
-				return
-			}
-			var job jobDoc
-			if err := json.Unmarshal(body, &job); err != nil {
-				t.Error(err)
-				return
-			}
-			ids[i] = job.ID
-		}()
-	}
-	wg.Wait()
+	ids := submitConcurrently(t, n, ts.URL+"/v1/traces", func(int) any { return tinyTrace("stampede") })
 	info := g.next(t)
 	close(info.proceed)
 
