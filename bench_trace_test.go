@@ -58,6 +58,18 @@ func BenchmarkTraceSim2000(b *testing.B) {
 	benchTraceRun(b, spec)
 }
 
+// BenchmarkTraceSimLarge is a 4,096-job best-bisection backfill trace
+// on a custom 16x16x16 machine, the largest grid the machine bound
+// admits, with job sizes from 1 to 64 midplanes. Placement probes on
+// the large grid dominate it, so it guards the occupancy probe the way
+// BenchmarkTraceSim2000 guards the backfill loop.
+func BenchmarkTraceSimLarge(b *testing.B) {
+	benchTraceRun(b, TraceSpec{
+		Machine: "16x16x16", Policy: "best-bisection", Backfill: true,
+		Synthetic: &TraceSynthetic{Jobs: 4096, RateHz: 0.5, Sizes: []int{1, 2, 4, 8, 16, 32, 64}},
+	})
+}
+
 // BenchmarkTraceSimFirstFit200 is the geometry-oblivious baseline of
 // the same trace; the spread against BenchmarkTraceSim200 is the
 // runtime cost of the policy itself, not the workload.

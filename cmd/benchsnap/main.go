@@ -5,12 +5,13 @@
 //
 // Usage:
 //
-//	benchsnap [-bench 'BenchmarkSweep|BenchmarkScenario|BenchmarkTrace|BenchmarkCluster|BenchmarkStore|BenchmarkArchive|BenchmarkMetrics']
+//	benchsnap [-bench 'BenchmarkSweep|BenchmarkScenario|BenchmarkTrace|BenchmarkCluster|BenchmarkStore|BenchmarkArchive|BenchmarkMetrics|BenchmarkPlace']
 //	          [-benchtime 500ms] [-count 3] [-out BENCH_sweep.json]
 //	          [-compare BENCH_sweep.json -tolerance 25] [packages ...]
 //
 // Packages default to the repository root plus the store and serve
-// packages (the persistence hot paths). The output
+// packages (the persistence hot paths) and the sched package (the
+// placement-scan kernel). The output
 // document records the toolchain, platform, the exact selection, and
 // one entry per benchmark with iterations, ns/op and (when -benchmem
 // applies, which benchsnap always passes) B/op and allocs/op.
@@ -86,7 +87,7 @@ type snapshot struct {
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
 
 func main() {
-	bench := flag.String("bench", "BenchmarkSweep|BenchmarkScenario|BenchmarkTrace|BenchmarkCluster|BenchmarkStore|BenchmarkArchive|BenchmarkMetrics", "benchmark selection regexp (go test -bench)")
+	bench := flag.String("bench", "BenchmarkSweep|BenchmarkScenario|BenchmarkTrace|BenchmarkCluster|BenchmarkStore|BenchmarkArchive|BenchmarkMetrics|BenchmarkPlace", "benchmark selection regexp (go test -bench)")
 	benchtime := flag.String("benchtime", "500ms", "per-benchmark time or iteration budget")
 	count := flag.Int("count", 3, "repetitions per benchmark")
 	out := flag.String("out", "BENCH_sweep.json", "output file (- for stdout)")
@@ -98,7 +99,7 @@ func main() {
 
 	pkgs := flag.Args()
 	if len(pkgs) == 0 {
-		pkgs = []string{".", "./internal/store", "./internal/serve"}
+		pkgs = []string{".", "./internal/store", "./internal/serve", "./internal/sched"}
 	}
 
 	args := []string{"test", "-run", "^$",

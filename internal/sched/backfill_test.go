@@ -118,3 +118,62 @@ func TestBackfillNoCandidates(t *testing.T) {
 		t.Errorf("makespans differ: %v vs %v", plain.MakespanSec, back.MakespanSec)
 	}
 }
+
+// TestBackfillSkipsHopelessCandidates pins the two cuts in the
+// backfill loop: a candidate whose base runtime alone overshoots the
+// head's shadow is never placed or scored, and the loop stops at the
+// first queued job that has not arrived yet. A counting Duration hook
+// sees exactly one call per started job: a probe of a hopeless or
+// not-yet-arrived candidate would add a call for a job that does not
+// start then.
+func TestBackfillSkipsHopelessCandidates(t *testing.T) {
+	m := bgq.Juqueen()
+	jobs := []Job{
+		{ID: 0, Midplanes: 28, ArrivalSec: 0, BaseDurationSec: 100},
+		// The head: waits for job 0, so its shadow is 100.
+		{ID: 1, Midplanes: 56, ArrivalSec: 1, BaseDurationSec: 10},
+		// Overshoots the shadow on its base runtime alone: 2+200 > 100.
+		{ID: 2, Midplanes: 4, ArrivalSec: 2, BaseDurationSec: 200},
+		// Fits the shadow: backfilled at 2.
+		{ID: 3, Midplanes: 4, ArrivalSec: 2, BaseDurationSec: 50},
+		// Not arrived while the head waits. Its base runtime would pass
+		// the skip (1+40 <= 100), but the hook triples it, so a probe
+		// before its arrival would score it and reject it.
+		{ID: 4, Midplanes: 4, ArrivalSec: 105, BaseDurationSec: 40},
+	}
+	calls := map[int]int{}
+	opts := Options{
+		Backfill: true,
+		Duration: func(job Job, _ Placement) float64 {
+			calls[job.ID]++
+			if job.ID == 4 {
+				return 3 * job.BaseDurationSec
+			}
+			return job.BaseDurationSec
+		},
+	}
+	res, err := RunWithOptions(m, FirstFit{}, jobs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Allocations) != len(jobs) {
+		t.Fatalf("%d allocations, want %d", len(res.Allocations), len(jobs))
+	}
+	for _, a := range res.Allocations {
+		if n := calls[a.Job.ID]; n != 1 {
+			t.Errorf("job %d: Duration called %d times, want 1 (calls %v)", a.Job.ID, n, calls)
+		}
+		if a.StartSec < a.Job.ArrivalSec {
+			t.Errorf("job %d started at %v before its arrival %v", a.Job.ID, a.StartSec, a.Job.ArrivalSec)
+		}
+	}
+	if a := res.Allocations[3]; !a.Backfilled || a.StartSec != 2 {
+		t.Errorf("job 3: backfilled=%v start %v, want backfilled at 2", a.Backfilled, a.StartSec)
+	}
+	if a := res.Allocations[1]; a.StartSec != 100 {
+		t.Errorf("head start %v, want its shadow 100", a.StartSec)
+	}
+	if a := res.Allocations[2]; a.Backfilled || a.StartSec < 100 {
+		t.Errorf("job 2: backfilled=%v start %v, want a plain start after the head's", a.Backfilled, a.StartSec)
+	}
+}

@@ -8,6 +8,7 @@ import (
 
 	"netpart/internal/bgq"
 	"netpart/internal/lru"
+	"netpart/internal/sched"
 	"netpart/internal/torus"
 )
 
@@ -153,5 +154,40 @@ func TestOracleEngineUsesGenericPolicy(t *testing.T) {
 	UseReference(t)
 	if ref := run(); fmt.Sprint(fast) != fmt.Sprint(ref) {
 		t.Fatalf("outcomes diverge:\nfast:      %v\nreference: %v", fast, ref)
+	}
+}
+
+// TestDilationAtLeastOne checks the sched.Options.Duration contract
+// for the engine's hook, which returns the base runtime times the
+// dilation: on every catalog machine, every feasible size and every
+// plan lens, dilation is at least 1. It covers jobs without a pattern
+// (contention-bound and not) and each pattern NormalizeJob admits at
+// that size. Under -short it checks JUQUEEN only.
+func TestDilationAtLeastOne(t *testing.T) {
+	machines := bgq.Catalog()
+	if testing.Short() {
+		machines = []*bgq.Machine{bgq.Juqueen()}
+	}
+	jobs := []Job{{}, {ContentionBound: true}, {Pattern: PatternPairing}, {Pattern: PatternAllToAll}, {Pattern: PatternNeighbor}}
+	for _, m := range machines {
+		for n := 1; n <= m.Midplanes(); n++ {
+			for _, geo := range torus.EnumerateGeometries(m.Grid, len(m.Grid), n) {
+				for _, lens := range torus.Placements(m.Grid, geo) {
+					pl := sched.Placement{Origin: make(torus.Coord, len(lens)), Lens: lens}
+					for _, j := range jobs {
+						j.Midplanes, j.RuntimeSec = n, 1
+						nj, err := NormalizeJob(0, j)
+						if err != nil {
+							continue // not admitted at this size
+						}
+						d, err := dilation(m, nj, pl)
+						if err != nil || !(d >= 1) {
+							t.Fatalf("%s: %d midplanes on %v, pattern %q contention-bound %v: dilation %v, err %v",
+								m.Name, n, lens, nj.Pattern, nj.ContentionBound, d, err)
+						}
+					}
+				}
+			}
+		}
 	}
 }

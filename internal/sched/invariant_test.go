@@ -257,6 +257,33 @@ func TestDurationHookAndEvents(t *testing.T) {
 	}
 }
 
+// TestDefaultDurationAtLeastBase checks the Options.Duration contract
+// the backfill skip relies on for the built-in model (nil Duration):
+// on every catalog machine, every feasible size and every plan lens,
+// with and without the contention-bound hint, the runtime is never
+// below BaseDurationSec.
+func TestDefaultDurationAtLeastBase(t *testing.T) {
+	for _, m := range bgq.Catalog() {
+		st, err := NewStepper(m, FirstFit{}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := 1; n <= m.Midplanes(); n++ {
+			for _, lp := range st.grid.planFor(n).lenses {
+				pl := Placement{Origin: make([]int, planRank), Lens: lp.lens}
+				for _, cb := range []bool{false, true} {
+					for _, base := range []float64{0.1, 1, 7.3, 86400} {
+						job := Job{Midplanes: n, BaseDurationSec: base, ContentionBound: cb}
+						if d := st.jobDuration(job, pl); !(d >= base) {
+							t.Fatalf("%s: %d midplanes on %v (contention-bound %v): duration %v below base %v", m.Name, n, lp.lens, cb, d, base)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestRunContextCancellation: a canceled context stops the event loop.
 func TestRunContextCancellation(t *testing.T) {
 	m := bgq.Juqueen()

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"math/bits"
+	"slices"
 	"strconv"
 
 	"netpart/internal/lru"
@@ -21,18 +23,21 @@ import (
 // A placementPlan hoists all of it: for one (machine grid, midplanes)
 // pair it records every length assignment in enumeration order
 // (geometries in canonical order, then length assignments), each with
-// its precomputed bisection bandwidth and per-dimension cell-offset
-// tables that turn the occupancy probe into flat array reads (no
-// recursion, no modulo, no closures). Plans are cached process-wide in
-// a bounded LRU shared by every simulation, scenario, grid point,
+// its precomputed bisection bandwidth. Plans are cached process-wide
+// in a bounded LRU shared by every simulation, scenario, grid point,
 // serving flight and cluster session.
 //
-// The fused scans (placeFirstFit, placeBestBisection) visit lenses and
-// origins in the order a full enumeration of feasible placements lists
-// them and stop once the answer is known. That enumeration survives
-// only in sched's tests (reference_test.go), as the reference:
-// TestPlanMatchesOracle pins every scan answer to it under randomized
-// occupancy, and the reference reruns hold whole schedules to it.
+// The fused scans (placeFirst over the plan's lenses for first-fit, or
+// over them by falling bandwidth for best-bisection) stop at the first
+// lens that fits, so they return what a full enumeration of feasible
+// placements would choose. Per lens they need one answer, the
+// lexicographically first origin at which the cuboid fits, and
+// firstOrigin computes it from the grid's occupancy bitmask with word
+// operations rather than by probing origins cell by cell. The full
+// enumeration survives only in sched's tests (reference_test.go), as
+// the reference: TestPlanMatchesOracle pins every scan answer to it
+// under randomized occupancy, and the reference reruns hold whole
+// schedules to it.
 //
 // On top of the scans sits a per-grid answer memo. The EASY backfill
 // loop re-probes every queued job on every placement attempt while
@@ -49,16 +54,10 @@ import (
 const planRank = 4
 
 // lensPlan is one length assignment of a geometry to the host
-// dimensions, with everything a placement scan needs precomputed.
+// dimensions, with its bisection bandwidth precomputed.
 type lensPlan struct {
 	lens torus.Shape // host-dimension order, rank 4
 	bw   int         // internal bisection bandwidth of the partition
-	// offs[d] is a dims[d]×lens[d] table of linear cell offsets:
-	// offs[d][c*lens[d]+i] = ((c+i) % dims[d]) * strides[d]. A cuboid
-	// cell index is the sum over dimensions of one entry per
-	// dimension, so the fits probe is four nested loops of adds and
-	// array reads.
-	offs [planRank][]int32
 }
 
 // placementPlan is the compiled candidate space of one (grid shape,
@@ -66,6 +65,9 @@ type lensPlan struct {
 // with no lenses means no cuboid of that size fits the empty machine.
 type placementPlan struct {
 	lenses []lensPlan
+	// byBW holds the same lenses by bisection bandwidth, highest
+	// first, in enumeration order among equal bandwidths.
+	byBW []lensPlan
 }
 
 // planCache is the process-wide bounded plan cache. The working set
@@ -103,62 +105,139 @@ func (g *Grid) buildPlan(midplanes int) *placementPlan {
 	p := &placementPlan{}
 	for _, geo := range torus.EnumerateGeometries(g.dims, len(g.dims), midplanes) {
 		for _, lens := range torus.Placements(g.dims, geo) {
-			lp := lensPlan{lens: lens.Clone(), bw: Placement{Lens: lens}.Partition().BisectionBW()}
-			for d := 0; d < planRank; d++ {
-				dim, l, stride := g.dims[d], lens[d], g.strides[d]
-				tab := make([]int32, dim*l)
-				for c := 0; c < dim; c++ {
-					for i := 0; i < l; i++ {
-						tab[c*l+i] = int32(((c + i) % dim) * stride)
-					}
-				}
-				lp.offs[d] = tab
-			}
-			p.lenses = append(p.lenses, lp)
+			p.lenses = append(p.lenses, lensPlan{lens: lens.Clone(), bw: Placement{Lens: lens}.Partition().BisectionBW()})
 		}
 	}
+	p.byBW = slices.Clone(p.lenses)
+	slices.SortStableFunc(p.byBW, func(a, b lensPlan) int { return b.bw - a.bw })
 	return p
 }
 
-// fitsPlan reports whether the cuboid of lp placed at the origin is
-// entirely free, probing cells dimension-major with precomputed
-// offsets and stopping at the first occupied or blocked cell.
-func (g *Grid) fitsPlan(lp *lensPlan, o0, o1, o2, o3 int) bool {
-	l0, l1, l2, l3 := lp.lens[0], lp.lens[1], lp.lens[2], lp.lens[3]
-	t0 := lp.offs[0][o0*l0 : o0*l0+l0]
-	t1 := lp.offs[1][o1*l1 : o1*l1+l1]
-	t2 := lp.offs[2][o2*l2 : o2*l2+l2]
-	t3 := lp.offs[3][o3*l3 : o3*l3+l3]
-	used, blocked := g.used, g.blocked
-	for _, b0 := range t0 {
-		for _, b1 := range t1 {
-			b01 := b0 + b1
-			for _, b2 := range t2 {
-				b012 := b01 + b2
-				for _, b3 := range t3 {
-					c := b012 + b3
-					if used[c] != 0 || blocked[c] != 0 {
-						return false
-					}
-				}
-			}
-		}
-	}
-	return true
+// probeScratch is firstOrigin's working memory, sized once per grid so
+// a probe allocates nothing. A line is one occupancy row: the d1 cells
+// of a fixed (c0, c2, c3), one bit each.
+type probeScratch struct {
+	// slabs holds, for each c0, the d2*d3 lines of that slice ORed over
+	// the lens window in dimensions 2 and 3: bit c1 of line (o2, o3) is
+	// set when some cell (c0, c1, o2+i2, o3+i3) with i2 < l2, i3 < l3
+	// is busy. A probe fills a slab when it first needs it: an origin
+	// o0 reads slabs o0..o0+l0-1.
+	slabs []uint64
+	// filled[c0] is the serial of the probe that last filled slab c0.
+	filled []uint64
+	serial uint64
+	// head is orWindow's scratch; window is the slabs of one origin
+	// o0 ORed over the lens window in dimension 0.
+	head   []uint64
+	window []uint64
 }
 
-// firstOrigin returns the lexicographically first feasible origin of
-// one length assignment — its first candidate in enumeration order.
-func (g *Grid) firstOrigin(lp *lensPlan) ([planRank]int, bool) {
-	d0, d1, d2, d3 := g.dims[0], g.dims[1], g.dims[2], g.dims[3]
+// allocate sizes the scratch for a grid and returns a zeroed occupancy
+// row array. Every slice shares one allocation.
+func (p *probeScratch) allocate(dims []int) (rows []uint64) {
+	n, slab := dims[0]*dims[2]*dims[3], dims[2]*dims[3]
+	buf := make([]uint64, 2*n+dims[0]+2*slab)
+	rows, buf = buf[:n:n], buf[n:]
+	p.slabs, buf = buf[:n:n], buf[n:]
+	p.filled, buf = buf[:dims[0]:dims[0]], buf[dims[0]:]
+	p.head, p.window = buf[:slab:slab], buf[slab:]
+	return rows
+}
+
+// slab returns the lines of slice c0 ORed over the lens window in
+// dimensions 2 and 3, computing them separably (first along dimension
+// 3, then along 2) unless this probe already has.
+func (g *Grid) slab(c0 int, lens torus.Shape) []uint64 {
+	p := &g.probe
+	d2, d3 := g.dims[2], g.dims[3]
+	n := d2 * d3
+	rows := g.rows[c0*n : c0*n+n]
+	if lens[2] == 1 && lens[3] == 1 {
+		return rows
+	}
+	out := p.slabs[c0*n : c0*n+n]
+	if p.filled[c0] == p.serial {
+		return out
+	}
+	p.filled[c0] = p.serial
+	copy(out, rows)
+	for c2 := 0; c2 < n; c2 += d3 {
+		orWindow(out[c2:c2+d3], p.head, d3, 1, lens[3])
+	}
+	orWindow(out, p.head, d2, d3, lens[2])
+	return out
+}
+
+// orWindow replaces line o of buf, the d lines of width w at
+// buf[o*w:o*w+w], with the OR of lines o..o+l-1, wrapping at d. Each
+// step doubles the covered window, or tops it up to l, in place: head
+// keeps the lines that wrap around.
+func orWindow(buf, head []uint64, d, w, l int) {
+	n := d * w
+	for k := 1; k < l; {
+		s := min(k, l-k) * w
+		copy(head, buf[:s])
+		m := n - s
+		for i := 0; i < m; i++ {
+			buf[i] |= buf[i+s]
+		}
+		for i, h := range head[:s] {
+			buf[m+i] |= h
+		}
+		k += s / w
+	}
+}
+
+// windowOR returns the line whose bit o is the OR of bits o..o+l-1
+// (wrapping at d) of x, a d-bit line: bit o is clear exactly when l
+// free cells start at o. Each step doubles the covered window, or
+// tops it up to l.
+func windowOR(x uint64, l, d int, mask uint64) uint64 {
+	for k := 1; k < l; {
+		s := min(k, l-k)
+		x |= (x>>uint(s) | x<<uint(d-s)) & mask
+		k += s
+	}
+	return x
+}
+
+// firstOrigin returns the lexicographically first origin (o0, o1, o2,
+// o3) at which the cuboid of lens is entirely free — its first
+// candidate in enumeration order. For each o0 in turn it ORs the
+// lines under the cuboid's cross-section into one line per (o2, o3),
+// turns each into the set of o1 at which l1 free cells start, and
+// takes the smallest o1 any (o2, o3) allows, then the first (o2, o3)
+// that allows it.
+func (g *Grid) firstOrigin(lens torus.Shape) ([planRank]int, bool) {
+	d0, d1, d3 := g.dims[0], g.dims[1], g.dims[3]
+	p := &g.probe
+	p.serial++
+	mask := uint64(1)<<uint(d1) - 1
+	win := p.window
 	for o0 := 0; o0 < d0; o0++ {
-		for o1 := 0; o1 < d1; o1++ {
-			for o2 := 0; o2 < d2; o2++ {
-				for o3 := 0; o3 < d3; o3++ {
-					if g.fitsPlan(lp, o0, o1, o2, o3) {
-						return [planRank]int{o0, o1, o2, o3}, true
-					}
-				}
+		copy(win, g.slab(o0, lens))
+		for i, c0 := 1, o0+1; i < lens[0]; i++ {
+			if c0 == d0 {
+				c0 = 0
+			}
+			for k, w := range g.slab(c0, lens) {
+				win[k] |= w
+			}
+			c0++
+		}
+		var starts uint64
+		for k, w := range win {
+			w = ^windowOR(w, lens[1], d1, mask) & mask
+			win[k] = w
+			starts |= w
+		}
+		if starts == 0 {
+			continue
+		}
+		o1 := bits.TrailingZeros64(starts)
+		for k, w := range win {
+			if w>>uint(o1)&1 != 0 {
+				return [planRank]int{o0, o1, k / d3, k % d3}, true
 			}
 		}
 	}
@@ -185,32 +264,17 @@ func (a *placeAnswer) placement() Placement {
 	return Placement{Origin: buf[:planRank:planRank], Lens: buf[planRank:]}
 }
 
-// placeFirstFit fills the answer with the first feasible candidate,
-// without enumerating past it.
-func (g *Grid) placeFirstFit(p *placementPlan, a *placeAnswer) {
-	for li := range p.lenses {
-		lp := &p.lenses[li]
-		if origin, ok := g.firstOrigin(lp); ok {
+// placeFirst fills the answer with the first lens of the list that
+// fits anywhere, at its first feasible origin. Over the plan's lenses
+// in enumeration order that is first-fit's choice. Over byBW it is
+// best-bisection's: every lens of higher bandwidth was probed before
+// and does not fit, and later lenses of equal bandwidth lose ties.
+func (g *Grid) placeFirst(lenses []lensPlan, a *placeAnswer) {
+	for li := range lenses {
+		lp := &lenses[li]
+		if origin, ok := g.firstOrigin(lp.lens); ok {
 			a.ok, a.origin, a.lens = true, origin, lp.lens
 			return
-		}
-	}
-}
-
-// placeBestBisection fills the answer with the first candidate of
-// maximal bisection bandwidth, probing each length assignment for its
-// first feasible origin only when its bandwidth strictly beats the
-// best found so far (later equal-bandwidth candidates lose ties).
-func (g *Grid) placeBestBisection(p *placementPlan, a *placeAnswer) {
-	bestBW := -1
-	for li := range p.lenses {
-		lp := &p.lenses[li]
-		if lp.bw <= bestBW {
-			continue
-		}
-		if origin, ok := g.firstOrigin(lp); ok {
-			a.ok, a.origin, a.lens = true, origin, lp.lens
-			bestBW = lp.bw
 		}
 	}
 }
@@ -224,9 +288,9 @@ var fill = (*Grid).scan
 func (g *Grid) scan(a *placeAnswer, midplanes int, bestBisection bool) {
 	p := g.planFor(midplanes)
 	if bestBisection {
-		g.placeBestBisection(p, a)
+		g.placeFirst(p.byBW, a)
 	} else {
-		g.placeFirstFit(p, a)
+		g.placeFirst(p.lenses, a)
 	}
 }
 

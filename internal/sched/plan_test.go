@@ -94,14 +94,23 @@ func freeSweep(g *Grid) int {
 
 // TestPlanMatchesOracle drives randomized occupancy — placements,
 // releases, blocked cells — and pins the fused placement scans to the
-// reference enumeration at every step, on both a production machine
-// shape and a degenerate one with length-1 dimensions.
+// reference enumeration at every step, on a production machine shape,
+// a degenerate one with length-1 dimensions, one whose largest
+// dimension exceeds the 64-bit occupancy row, and one where cuboids
+// wrap around in all four dimensions.
 func TestPlanMatchesOracle(t *testing.T) {
 	machines := []*bgq.Machine{bgq.Juqueen()}
 	if m, err := bgq.NewMachine("slab", torus.Shape{4, 2, 2, 1}); err == nil {
 		machines = append(machines, m)
 	} else {
 		t.Fatalf("slab machine: %v", err)
+	}
+	for _, grid := range []torus.Shape{{72, 2, 2, 1}, {5, 4, 3, 3}} {
+		m, err := bgq.NewMachine(grid.String(), grid)
+		if err != nil {
+			t.Fatalf("machine %v: %v", grid, err)
+		}
+		machines = append(machines, m)
 	}
 	sizes := []int{1, 2, 3, 4, 6, 8}
 	for _, m := range machines {
@@ -193,4 +202,66 @@ func TestPlanCacheEvictionSameResults(t *testing.T) {
 	if _, _, ev := planCache.Counts(); ev == 0 {
 		t.Fatal("capacity-1 cache never evicted")
 	}
+}
+
+// BenchmarkPlaceBusyGrid measures memo-miss placement scans, the
+// first-fit and best-bisection plan scans with their occupancy
+// probes, on a fragmented half-occupied JUQUEEN and on the largest
+// grid the machine bound admits (16x16x16).
+func BenchmarkPlaceBusyGrid(b *testing.B) {
+	for _, bc := range []struct {
+		grid  torus.Shape
+		sizes []int
+	}{
+		{torus.Shape{7, 2, 2, 2}, []int{1, 2, 4, 8, 16}},
+		{torus.Shape{16, 16, 16}, []int{1, 4, 16, 64}},
+	} {
+		m, err := bgq.NewMachine(bc.grid.String(), bc.grid)
+		if err != nil {
+			b.Fatal(err)
+		}
+		g := halfOccupied(m)
+		for _, scan := range []struct {
+			name          string
+			bestBisection bool
+		}{{"first-fit", false}, {"best-bisection", true}} {
+			b.Run(bc.grid.String()+"/"+scan.name, func(b *testing.B) {
+				var a placeAnswer
+				for _, n := range bc.sizes {
+					g.scan(&a, n, scan.bestBisection) // compile and cache the plans
+				}
+				b.ReportAllocs()
+				for b.Loop() {
+					for _, n := range bc.sizes {
+						a = placeAnswer{}
+						g.scan(&a, n, scan.bestBisection)
+					}
+				}
+			})
+		}
+	}
+}
+
+// halfOccupied returns a grid of the machine with cuboids of 1 to 8
+// midplanes at seeded random feasible origins until at most half the
+// machine is free: a fragmented occupancy, unlike first-fit packing.
+func halfOccupied(m *bgq.Machine) *Grid {
+	g := NewGrid(m)
+	rng := rand.New(rand.NewSource(1))
+	origin := make(torus.Coord, planRank)
+	for id := 0; 2*g.FreeMidplanes() > len(g.used); {
+		lenses := g.planFor(1 + rng.Intn(8)).lenses
+		if len(lenses) == 0 {
+			continue
+		}
+		lens := lenses[rng.Intn(len(lenses))].lens
+		for d := range origin {
+			origin[d] = rng.Intn(g.dims[d])
+		}
+		if g.fits(origin, lens) {
+			g.occupy(id, origin, lens)
+			id++
+		}
+	}
+	return g
 }

@@ -23,9 +23,13 @@ import (
 )
 
 // MaxMachineMidplanes bounds the machine of every trace, cluster
-// session and scenario placement. A compiled placement plan holds
-// dims[d]*lens[d] offsets per dimension and stays in the shared plan
-// cache, so its size must not grow with whatever grid a request names.
+// session and scenario placement. Two costs grow with the grid a
+// request names, and the bound caps both: the compiled placement plan
+// lists every length assignment of the request size and stays in the
+// shared plan cache, and a placement probe scans the grid's occupancy
+// rows. The bound also fixes the probe's word size: a canonical grid
+// (d0 ≥ d1 ≥ d2 ≥ d3) of at most 4,096 midplanes has d1 ≤ 64, so one
+// occupancy row along dimension 1 always fits a uint64 (see NewGrid).
 const MaxMachineMidplanes = 4096
 
 // WithinMachineBound reports whether grid has at most
@@ -65,18 +69,50 @@ type Grid struct {
 	// answers memoizes the fused placement scans at the current
 	// version, indexed by 2*midplanes + bestBisection (see plan.go).
 	answers []placeAnswer
+	// rows is the occupancy bitmask the placement probe reads, kept
+	// current by occupy, release, block and unblock: one word per
+	// (c0, c2, c3) line through the grid, at index (c0*d2 + c2)*d3 +
+	// c3, with bit c1 set when that cell is used or blocked.
+	rows []uint64
+	// probe is the placement probe's scratch (plan.go).
+	probe probeScratch
 }
 
-// NewGrid creates an empty occupancy grid for a machine.
+// NewGrid creates an empty occupancy grid for a machine. The machine's
+// grid must be 4-dimensional with dimension 1 at most 64 midplanes
+// long, as every canonical grid within MaxMachineMidplanes is
+// (bgq.NewMachine canonicalizes); NewGrid panics otherwise.
 func NewGrid(m *bgq.Machine) *Grid {
 	dims := m.Grid
+	if len(dims) != planRank || dims[1] > 64 {
+		panic(fmt.Sprintf("sched: grid %v is not a canonical 4-dimensional grid within %d midplanes", dims, MaxMachineMidplanes))
+	}
 	strides := make([]int, len(dims))
 	s := 1
 	for i := len(dims) - 1; i >= 0; i-- {
 		strides[i] = s
 		s *= dims[i]
 	}
-	return &Grid{machine: m, dims: dims, strides: strides, used: make([]int, s), blocked: make([]int, s), free: s, version: 1}
+	g := &Grid{machine: m, dims: dims, strides: strides, used: make([]int, s), blocked: make([]int, s), free: s, version: 1}
+	g.rows = g.probe.allocate(dims)
+	return g
+}
+
+// setBusy and setFree flip one cell's bit in the occupancy rows.
+func (g *Grid) setBusy(c int) {
+	row, bit := g.rowBit(c)
+	g.rows[row] |= bit
+}
+
+func (g *Grid) setFree(c int) {
+	row, bit := g.rowBit(c)
+	g.rows[row] &^= bit
+}
+
+// rowBit maps a linear cell index to its occupancy row and bit.
+func (g *Grid) rowBit(c int) (int, uint64) {
+	s0, s1 := g.strides[0], g.strides[1]
+	return c/s0*s1 + c%s1, 1 << uint(c%s0/s1)
 }
 
 // Machine returns the underlying machine.
@@ -113,6 +149,7 @@ func (g *Grid) block(cells []int) {
 	for _, c := range cells {
 		if g.blocked[c] == 0 && g.used[c] == 0 {
 			g.free--
+			g.setBusy(c)
 		}
 		g.blocked[c]++
 	}
@@ -127,6 +164,7 @@ func (g *Grid) unblock(cells []int) {
 		g.blocked[c]--
 		if g.blocked[c] == 0 && g.used[c] == 0 {
 			g.free++
+			g.setFree(c)
 		}
 	}
 }
@@ -161,6 +199,7 @@ func (g *Grid) occupy(jobID int, origin torus.Coord, lens torus.Shape) {
 		}
 		g.used[c] = jobID + 1
 		g.free--
+		g.setBusy(c)
 	}
 }
 
@@ -174,6 +213,7 @@ func (g *Grid) release(jobID int, origin torus.Coord, lens torus.Shape) {
 		g.used[c] = 0
 		if g.blocked[c] == 0 {
 			g.free++
+			g.setFree(c)
 		}
 	}
 }
@@ -373,6 +413,14 @@ type Options struct {
 	// bestBW/placedBW for contention-bound jobs. The trace simulator
 	// substitutes a route/netsim-scored dilation here, so runtime
 	// feedback from allocation geometry flows back into the queue.
+	//
+	// Contract: the hook never returns less than job.BaseDurationSec
+	// (a geometry can only slow a job down; the built-in model
+	// multiplies by bestBW/placedBW ≥ 1). Backfill relies on it: a
+	// candidate whose base runtime alone overshoots the head's shadow
+	// is skipped without being placed or passed to the hook. So the
+	// hook is not called for every queued job on every attempt, and
+	// it may be called more than once per job.
 	Duration func(job Job, pl Placement) float64
 
 	// OnStart and OnFinish, when non-nil, observe the schedule as it

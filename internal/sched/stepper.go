@@ -53,9 +53,19 @@ type Stepper struct {
 	fits        map[int]bool
 	jobDuration func(Job, Placement) float64
 
-	// shadowEnds is scratch reused by shadowTime so each backfill
-	// admission test does not allocate a fresh slice.
-	shadowEnds []Allocation
+	// ends indexes the running jobs by end time: one (end, midplanes)
+	// pair per active allocation, kept sorted as jobs start, finish,
+	// are killed or are repriced, so shadowTime reads the completion
+	// order without sorting.
+	ends []endEntry
+}
+
+// endEntry is one running job in the end-time index. Entries with
+// equal end and midplanes are interchangeable, so the index needs no
+// job identity.
+type endEntry struct {
+	end       float64
+	midplanes int
 }
 
 // running is an active allocation plus the dilation it was priced at
@@ -239,13 +249,15 @@ func (st *Stepper) price(pl Placement) float64 {
 	return p
 }
 
-func (st *Stepper) startJob(job Job, pl Placement, backfilled bool) {
+// startJob starts a job on a placement at the current time, priced at
+// p and running for duration (Duration times p, which the caller has
+// already computed).
+func (st *Stepper) startJob(job Job, pl Placement, p, duration float64, backfilled bool) {
 	stepperEvents.Add(1)
-	p := st.price(pl)
-	duration := st.jobDuration(job, pl) * p
 	alloc := Allocation{Job: job, Placement: pl, StartSec: st.now, EndSec: st.now + duration, Backfilled: backfilled}
 	st.grid.occupy(job.ID, pl.Origin, pl.Lens)
 	st.active = append(st.active, running{alloc, p})
+	st.addEnd(alloc.EndSec, job.Midplanes)
 	st.res.TotalWaitSec += st.now - job.ArrivalSec
 	st.res.TotalRunSec += duration
 	st.res.MidplaneSeconds += float64(job.Midplanes) * duration
@@ -269,6 +281,7 @@ func (st *Stepper) applyBoundary(b boundary) {
 			if a.EndSec > st.now && st.overlaps(st.masks[b.outage], a.Placement) {
 				remaining := a.EndSec - st.now
 				st.grid.release(a.Job.ID, a.Placement.Origin, a.Placement.Lens)
+				st.removeEnd(a.EndSec, a.Job.Midplanes)
 				st.res.TotalRunSec -= remaining
 				st.res.MidplaneSeconds -= float64(a.Job.Midplanes) * remaining
 				st.res.Kills = append(st.res.Kills, Kill{Job: a.Job, Placement: a.Placement, StartSec: a.StartSec, KillSec: st.now})
@@ -307,7 +320,9 @@ func (st *Stepper) applyBoundary(b boundary) {
 			}
 			remaining := a.EndSec - st.now
 			adjusted := remaining * newP / oldP
+			st.removeEnd(a.EndSec, a.Job.Midplanes)
 			a.EndSec = st.now + adjusted
+			st.addEnd(a.EndSec, a.Job.Midplanes)
 			st.res.TotalRunSec += adjusted - remaining
 			st.res.MidplaneSeconds += float64(a.Job.Midplanes) * (adjusted - remaining)
 			st.active[i].price = newP
@@ -328,25 +343,40 @@ func (st *Stepper) applyDue() {
 	}
 }
 
+// addEnd inserts a running job into the end-time index, after any
+// entries that end at the same time.
+func (st *Stepper) addEnd(end float64, midplanes int) {
+	i := sort.Search(len(st.ends), func(k int) bool { return st.ends[k].end > end })
+	st.ends = append(st.ends, endEntry{})
+	copy(st.ends[i+1:], st.ends[i:])
+	st.ends[i] = endEntry{end, midplanes}
+}
+
+// removeEnd deletes one entry equal to (end, midplanes) from the
+// end-time index; the running job it stands for must be in it.
+func (st *Stepper) removeEnd(end float64, midplanes int) {
+	i := sort.Search(len(st.ends), func(k int) bool { return st.ends[k].end >= end })
+	for st.ends[i].midplanes != midplanes {
+		i++
+	}
+	st.ends = append(st.ends[:i], st.ends[i+1:]...)
+}
+
 // shadowTime estimates when the head job could start: the earliest
 // completion prefix after which free midplanes cover the request
 // (count-based, optimistic about fragmentation — conservative for
-// backfill admission because it never overestimates the wait).
+// backfill admission because it never overestimates the wait). Jobs
+// ending at the same time all return that time, so the order of ties
+// in the end-time index cannot change the answer.
 func (st *Stepper) shadowTime(need int) float64 {
 	free := st.grid.FreeMidplanes()
 	if free >= need {
 		return st.now
 	}
-	ends := st.shadowEnds[:0]
-	for _, r := range st.active {
-		ends = append(ends, r.alloc)
-	}
-	sort.Slice(ends, func(i, j int) bool { return ends[i].EndSec < ends[j].EndSec })
-	st.shadowEnds = ends
-	for _, a := range ends {
-		free += a.Job.Midplanes
+	for _, e := range st.ends {
+		free += e.midplanes
 		if free >= need {
-			return a.EndSec
+			return e.end
 		}
 	}
 	return math.Inf(1)
@@ -361,7 +391,8 @@ func (st *Stepper) tryStart() bool {
 	}
 	job := st.queue[0]
 	if pl, ok := st.grid.Place(job, st.policy); ok {
-		st.startJob(job, pl, false)
+		p := st.price(pl)
+		st.startJob(job, pl, p, st.jobDuration(job, pl)*p, false)
 		st.queue = st.queue[1:]
 		return true
 	}
@@ -373,17 +404,28 @@ func (st *Stepper) tryStart() bool {
 	// the cells the head needs) would admit everything and starve the
 	// head, so backfill is skipped entirely.
 	shadow := st.shadowTime(job.Midplanes)
-	for i := 1; !math.IsInf(shadow, 1) && i < len(st.queue); i++ {
+	if math.IsInf(shadow, 1) {
+		return false
+	}
+	for i := 1; i < len(st.queue); i++ {
 		cand := st.queue[i]
 		if cand.ArrivalSec > st.now {
+			break // the queue is arrival-sorted: no later job has arrived
+		}
+		// The admitted runtime is Duration·price, with Duration at least
+		// BaseDurationSec and price at least 1 (Options.Duration), so a
+		// candidate whose base runtime already overshoots the shadow can
+		// never be admitted: skip it before placing and scoring it.
+		if st.now+cand.BaseDurationSec > shadow {
 			continue
 		}
 		pl, ok := st.grid.Place(cand, st.policy)
 		if !ok {
 			continue
 		}
-		if st.now+st.jobDuration(cand, pl)*st.price(pl) <= shadow {
-			st.startJob(cand, pl, true)
+		p := st.price(pl)
+		if duration := st.jobDuration(cand, pl) * p; st.now+duration <= shadow {
+			st.startJob(cand, pl, p, duration, true)
 			st.queue = append(st.queue[:i], st.queue[i+1:]...)
 			return true
 		}
@@ -431,6 +473,7 @@ func (st *Stepper) applyEvent(kind, fi int, t float64) {
 	}
 	a := st.active[fi].alloc
 	st.grid.release(a.Job.ID, a.Placement.Origin, a.Placement.Lens)
+	st.removeEnd(a.EndSec, a.Job.Midplanes)
 	st.res.Allocations = append(st.res.Allocations, a)
 	st.active = append(st.active[:fi], st.active[fi+1:]...)
 	if a.EndSec > st.res.MakespanSec {

@@ -28,17 +28,36 @@ func newSSEWriter(w http.ResponseWriter) *sseWriter {
 	return &sseWriter{w: w, c: http.NewResponseController(w)}
 }
 
-// event writes one "event:/data:" frame (data JSON-encoded on a
-// single line, per the SSE wire format) and flushes it.
-func (s *sseWriter) event(name string, data any) error {
+// write writes one "event:/data:" frame (data JSON-encoded on a
+// single line, per the SSE wire format) without flushing it.
+func (s *sseWriter) write(name string, data any) error {
 	body, err := json.Marshal(data)
 	if err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(s.w, "event: %s\ndata: %s\n\n", name, body); err != nil {
+	_, err = fmt.Fprintf(s.w, "event: %s\ndata: %s\n\n", name, body)
+	return err
+}
+
+// event writes one frame and flushes it.
+func (s *sseWriter) event(name string, data any) error {
+	if err := s.write(name, data); err != nil {
 		return err
 	}
 	return s.c.Flush()
+}
+
+// drain writes the frames buffered in sub on entry, without flushing.
+// Taking only those keeps a producer that outpaces the writer from
+// postponing the caller's flush.
+func (s *sseWriter) drain(sub <-chan streamEvent) error {
+	for n := len(sub); n > 0; n-- {
+		ev := <-sub
+		if err := s.write(ev.name, eventDoc(ev)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // comment writes a heartbeat comment frame.
@@ -129,6 +148,10 @@ func (f *fanout) publish(ev streamEvent) {
 //	event: done    once done closes: the events that raced it, then
 //	               final(), then the stream closes
 //
+// Frames already buffered when the stream wakes go out together with
+// one flush, so a burst of engine events costs one flush, not one per
+// frame; the bytes on the wire are the same.
+//
 // Each heartbeat tick calls touch (when non-nil) and writes a comment
 // frame. Disconnecting only detaches the stream.
 func streamSSE(w http.ResponseWriter, r *http.Request, events *fanout, done <-chan struct{}, status, final func() any, touch func()) {
@@ -149,17 +172,15 @@ func streamSSE(w http.ResponseWriter, r *http.Request, events *fanout, done <-ch
 	for {
 		select {
 		case ev := <-sub:
-			if out.event(ev.name, eventDoc(ev)) != nil {
+			if out.write(ev.name, eventDoc(ev)) != nil || out.drain(sub) != nil || out.c.Flush() != nil {
 				return
 			}
 		case <-done:
 			// Drain the events that raced done. This goroutine is the
 			// only receiver, so every counted frame is there to take.
-			for len(sub) > 0 {
-				ev := <-sub
-				if out.event(ev.name, eventDoc(ev)) != nil {
-					return
-				}
+			// The done frame's flush sends them too.
+			if out.drain(sub) != nil {
+				return
 			}
 			out.event("done", final()) //nolint:errcheck // closing anyway
 			return

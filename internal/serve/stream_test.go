@@ -7,6 +7,9 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -280,5 +283,97 @@ func TestSyncDisconnectSparesOtherWaiter(t *testing.T) {
 	}
 	if !bytes.Equal(r.body, want) {
 		t.Fatalf("survivor body %s", r.body)
+	}
+}
+
+// flushCounter is a ResponseWriter that records the body and counts
+// flushes, safe to read while streamSSE writes from another goroutine.
+// Each flush is also signalled on flushed.
+type flushCounter struct {
+	mu      sync.Mutex
+	header  http.Header
+	body    bytes.Buffer
+	flushes int
+	flushed chan struct{}
+}
+
+func (f *flushCounter) Header() http.Header { return f.header }
+
+func (f *flushCounter) WriteHeader(int) {}
+
+func (f *flushCounter) Write(p []byte) (int, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.body.Write(p)
+}
+
+func (f *flushCounter) Flush() {
+	f.mu.Lock()
+	f.flushes++
+	f.mu.Unlock()
+	select {
+	case f.flushed <- struct{}{}:
+	default: // the test stopped listening; the count still holds
+	}
+}
+
+// snapshot returns the body so far and the flush count.
+func (f *flushCounter) snapshot() (string, int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.body.String(), f.flushes
+}
+
+// TestSSEBurstFlushesOnce: frames already buffered in the subscriber
+// channel when the stream wakes are written in order behind one flush,
+// not one flush each, and done still comes last.
+func TestSSEBurstFlushesOnce(t *testing.T) {
+	const n = 10
+	var events fanout
+	done := make(chan struct{})
+	// status runs after streamSSE subscribes, so the burst published
+	// here is buffered before the stream loop first wakes.
+	status := func() any {
+		for i := 0; i < n; i++ {
+			events.publish(streamEvent{name: "tick", data: i})
+		}
+		return "status"
+	}
+	w := &flushCounter{header: http.Header{}, flushed: make(chan struct{}, 2)}
+	streamed := make(chan struct{})
+	go func() {
+		defer close(streamed)
+		streamSSE(w, httptest.NewRequest(http.MethodGet, "/events", nil), &events, done, status, func() any { return "final" }, nil)
+	}()
+	// Close done only after the status flush and the burst's flush, so
+	// the burst takes the event path rather than the drain at done.
+	for i := 0; i < 2; i++ {
+		select {
+		case <-w.flushed:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("flush %d never came", i+1)
+		}
+	}
+	close(done)
+	<-streamed
+
+	body, flushes := w.snapshot()
+	st := newSSEStream(strings.NewReader(body))
+	want := []sseEvent{{name: "status", data: `"status"`}}
+	for i := 0; i < n; i++ {
+		want = append(want, sseEvent{name: "tick", data: strconv.Itoa(i)})
+	}
+	want = append(want, sseEvent{name: "done", data: `"final"`})
+	for i, wantEv := range want {
+		ev, ok := st.next(t)
+		if !ok || ev != wantEv {
+			t.Fatalf("frame %d: got %+v (ok=%v), want %+v", i, ev, ok, wantEv)
+		}
+	}
+	if ev, ok := st.next(t); ok {
+		t.Fatalf("frame after done: %+v", ev)
+	}
+	if flushes != 3 {
+		t.Errorf("%d flushes for %d buffered frames, want 3: status, one for the burst, done", flushes, n)
 	}
 }
