@@ -59,8 +59,8 @@ func BenchmarkTraceSim2000(b *testing.B) {
 }
 
 // BenchmarkTraceSimLarge is a 4,096-job best-bisection backfill trace
-// on a custom 16x16x16 machine, the largest grid the machine bound
-// admits, with job sizes from 1 to 64 midplanes. Placement probes on
+// on a custom 16x16x16 machine (4,096 midplanes, the machine bound),
+// with job sizes from 1 to 64 midplanes. Placement probes on
 // the large grid dominate it, so it guards the occupancy probe the way
 // BenchmarkTraceSim2000 guards the backfill loop.
 func BenchmarkTraceSimLarge(b *testing.B) {

@@ -95,9 +95,9 @@ func freeSweep(g *Grid) int {
 // TestPlanMatchesOracle drives randomized occupancy — placements,
 // releases, blocked cells — and pins the fused placement scans to the
 // reference enumeration at every step, on a production machine shape,
-// a degenerate one with length-1 dimensions, one whose largest
-// dimension exceeds the 64-bit occupancy row, and one where cuboids
-// wrap around in all four dimensions.
+// a degenerate one with length-1 dimensions, one with a dimension
+// longer than a 64-bit word, and one where cuboids wrap around in all
+// four dimensions.
 func TestPlanMatchesOracle(t *testing.T) {
 	machines := []*bgq.Machine{bgq.Juqueen()}
 	if m, err := bgq.NewMachine("slab", torus.Shape{4, 2, 2, 1}); err == nil {
@@ -206,8 +206,8 @@ func TestPlanCacheEvictionSameResults(t *testing.T) {
 
 // BenchmarkPlaceBusyGrid measures memo-miss placement scans, the
 // first-fit and best-bisection plan scans with their occupancy
-// probes, on a fragmented half-occupied JUQUEEN and on the largest
-// grid the machine bound admits (16x16x16).
+// probes, on a fragmented half-occupied JUQUEEN and 16x16x16 (4,096
+// midplanes, the machine bound).
 func BenchmarkPlaceBusyGrid(b *testing.B) {
 	for _, bc := range []struct {
 		grid  torus.Shape
