@@ -1,8 +1,10 @@
 package sched
 
 import (
+	"cmp"
 	"context"
 	"reflect"
+	"slices"
 	"testing"
 
 	"netpart/internal/bgq"
@@ -35,10 +37,35 @@ func stepperOutages() []Outage {
 	}
 }
 
+// checkEndIndex requires the end-time index to hold exactly the
+// running jobs' (end, midplanes) pairs, in end-time order. Ties may
+// sit in any order, so both sides are compared fully sorted.
+func checkEndIndex(t *testing.T, st *Stepper) {
+	t.Helper()
+	byEnd := func(a, b endEntry) int {
+		return cmp.Or(cmp.Compare(a.end, b.end), cmp.Compare(a.midplanes, b.midplanes))
+	}
+	if !slices.IsSortedFunc(st.ends, func(a, b endEntry) int { return cmp.Compare(a.end, b.end) }) {
+		t.Fatalf("t=%v: end-time index out of order: %v", st.Now(), st.ends)
+	}
+	want := make([]endEntry, 0, len(st.active))
+	for _, r := range st.active {
+		want = append(want, endEntry{r.alloc.EndSec, r.alloc.Job.Midplanes})
+	}
+	got := slices.Clone(st.ends)
+	slices.SortFunc(want, byEnd)
+	slices.SortFunc(got, byEnd)
+	if !slices.Equal(got, want) {
+		t.Fatalf("t=%v: end-time index %v, running jobs %v", st.Now(), got, want)
+	}
+}
+
 // TestStepperMatchesBatch: a Stepper fed the trace incrementally —
 // jobs injected in chunks while the clock is mid-flight, time advanced
 // in bounded increments, the tail single-stepped — produces a Result
-// identical to RunContext's one-call batch schedule.
+// identical to RunContext's one-call batch schedule. After every
+// increment and step the end-time index matches the running jobs,
+// across the hard-outage kill and the degrade repricing.
 func TestStepperMatchesBatch(t *testing.T) {
 	m := bgq.Juqueen()
 	jobs := stepperTrace()
@@ -68,6 +95,7 @@ func TestStepperMatchesBatch(t *testing.T) {
 			if err := st.Advance(ctx, jobs[end].ArrivalSec-1); err != nil {
 				t.Fatal(err)
 			}
+			checkEndIndex(t, st)
 		}
 	}
 	// Finish by single-stepping: every pending event fires one Step at
@@ -80,6 +108,7 @@ func TestStepperMatchesBatch(t *testing.T) {
 		if !did {
 			t.Fatalf("stepper stalled at t=%v with %d queued / %d active", st.Now(), st.Queued(), st.Active())
 		}
+		checkEndIndex(t, st)
 	}
 	got := st.Result()
 	if !reflect.DeepEqual(got, want) {
