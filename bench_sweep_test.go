@@ -119,3 +119,40 @@ func BenchmarkScenarioMinhopSim(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkScenarioPartition is the partition-scenario cost at the
+// advisor workload's costliest cells: the static analysis of a
+// 96-midplane partition (Sequoia under the halo exchange, Mira under
+// bisection pairing, both about 49k nodes), and the flow-level
+// simulation of an 8-midplane Mira pairing, the largest size the
+// advisor simulates.
+func BenchmarkScenarioPartition(b *testing.B) {
+	cases := []struct {
+		name     string
+		machine  string
+		mps      int
+		pattern  string
+		simulate bool
+	}{
+		{"sequoia96-neighbor-static", "sequoia", 96, "neighbor", false},
+		{"mira96-pairing-static", "mira", 96, "pairing", false},
+		{"mira8-pairing-sim", "mira", 8, "pairing", true},
+	}
+	runner := NewRunner()
+	ctx := context.Background()
+	for _, c := range cases {
+		spec := ScenarioSpec{
+			Topology: ScenarioTopology{Kind: "partition", Machine: c.machine, Midplanes: c.mps, Policy: "best-case"},
+			Workload: ScenarioWorkload{Pattern: c.pattern},
+			Sim:      ScenarioSim{Enabled: c.simulate},
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := runner.RunScenario(ctx, spec); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -5,13 +5,14 @@
 //
 // Usage:
 //
-//	benchsnap [-bench 'BenchmarkSweep|BenchmarkScenario|BenchmarkTrace|BenchmarkCluster|BenchmarkStore|BenchmarkArchive|BenchmarkMetrics|BenchmarkPlace']
+//	benchsnap [-bench 'BenchmarkSweep|BenchmarkScenario|BenchmarkTrace|BenchmarkCluster|BenchmarkStore|BenchmarkArchive|BenchmarkMetrics|BenchmarkPlace|BenchmarkRoute|BenchmarkLoadMap']
 //	          [-benchtime 500ms] [-count 3] [-out BENCH_sweep.json]
 //	          [-compare BENCH_sweep.json -tolerance 25] [packages ...]
 //
 // Packages default to the repository root plus the store and serve
-// packages (the persistence hot paths) and the sched package (the
-// placement-scan kernel). The output
+// packages (the persistence hot paths), the sched package (the
+// placement-scan kernel) and the route package (the DOR walker and
+// load map under every scenario). The output
 // document records the toolchain, platform, the exact selection, and
 // one entry per benchmark with iterations, ns/op and (when -benchmem
 // applies, which benchsnap always passes) B/op and allocs/op.
@@ -87,7 +88,7 @@ type snapshot struct {
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
 
 func main() {
-	bench := flag.String("bench", "BenchmarkSweep|BenchmarkScenario|BenchmarkTrace|BenchmarkCluster|BenchmarkStore|BenchmarkArchive|BenchmarkMetrics|BenchmarkPlace", "benchmark selection regexp (go test -bench)")
+	bench := flag.String("bench", "BenchmarkSweep|BenchmarkScenario|BenchmarkTrace|BenchmarkCluster|BenchmarkStore|BenchmarkArchive|BenchmarkMetrics|BenchmarkPlace|BenchmarkRoute|BenchmarkLoadMap", "benchmark selection regexp (go test -bench)")
 	benchtime := flag.String("benchtime", "500ms", "per-benchmark time or iteration budget")
 	count := flag.Int("count", 3, "repetitions per benchmark")
 	out := flag.String("out", "BENCH_sweep.json", "output file (- for stdout)")
@@ -99,7 +100,7 @@ func main() {
 
 	pkgs := flag.Args()
 	if len(pkgs) == 0 {
-		pkgs = []string{".", "./internal/store", "./internal/serve", "./internal/sched"}
+		pkgs = []string{".", "./internal/store", "./internal/serve", "./internal/sched", "./internal/route"}
 	}
 
 	args := []string{"test", "-run", "^$",

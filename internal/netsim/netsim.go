@@ -127,7 +127,7 @@ func New(numLinks int, capacityBps float64) *Sim {
 	for i := range caps {
 		caps[i] = capacityBps
 	}
-	return NewWithCapacities(caps)
+	return newSim(caps)
 }
 
 // NewWithCapacities creates a simulator with per-link capacities.
@@ -137,9 +137,14 @@ func NewWithCapacities(caps []float64) *Sim {
 			panic(fmt.Sprintf("netsim: invalid capacity %v at link %d", c, i))
 		}
 	}
+	return newSim(append([]float64(nil), caps...))
+}
+
+// newSim builds a simulator that owns the validated capacity slice.
+func newSim(caps []float64) *Sim {
 	n := len(caps)
 	return &Sim{
-		capacity:  append([]float64(nil), caps...),
+		capacity:  caps,
 		dupMark:   make([]uint64, n),
 		linkOff:   make([]int32, n),
 		linkEnd:   make([]int32, n),

@@ -100,18 +100,31 @@ func (r *Router) LinkString(id int) string {
 // to buf and returns it. Dimensions are traversed in index order; in
 // each ring the shorter way is taken, with ties (distance exactly
 // half the ring) broken toward Plus. src == dst yields an empty path.
+//
+// The walk divides only to split src and dst into coordinates, one
+// quotient per endpoint and dimension (row-major, so the remainder
+// below a dimension's stride is the lower dimensions' offset), and
+// stops once the offsets agree. Along a ring it steps the link ID by
+// the dimension's stride and tracks the ring coordinate to wrap, so a
+// hop costs an add and a compare.
 func (r *Router) Route(src, dst int, buf []int) []int {
 	if src < 0 || src >= r.tor.NumVertices() || dst < 0 || dst >= r.tor.NumVertices() {
 		panic(fmt.Sprintf("route: node out of range: %d -> %d", src, dst))
 	}
 	cur := src
-	for d := 0; d < r.rank; d++ {
+	s, t := src, dst // offsets within dimensions d and up
+	for d := 0; d < r.rank && s != t; d++ {
 		a := r.dims[d]
 		if a == 1 {
 			continue
 		}
-		cc := cur / r.strides[d] % a
-		dc := dst / r.strides[d] % a
+		st := r.strides[d]
+		cc, dc := s, t
+		if st > 1 {
+			cc, dc = s/st, t/st
+		}
+		s -= cc * st
+		t -= dc * st
 		if cc == dc {
 			continue
 		}
@@ -131,23 +144,31 @@ func (r *Router) Route(src, dst int, buf []int) []int {
 		default: // tie: exactly half the ring
 			dir, steps = Plus, delta
 		}
-		for s := 0; s < steps; s++ {
-			buf = append(buf, r.LinkID(cur, d, dir))
-			c := cur / r.strides[d] % a
-			var next int
-			if dir == Plus {
-				next = c + 1
-				if next == a {
-					next = 0
-				}
-			} else {
-				next = c - 1
-				if next < 0 {
-					next = a - 1
+		// LinkID(v, d, dir) moves by hop when v moves one stride, and
+		// by a*hop when v wraps around the whole ring.
+		id := r.LinkID(cur, d, dir)
+		hop := 2 * r.rank * st
+		c := cc
+		if dir == Plus {
+			for ; steps > 0; steps-- {
+				buf = append(buf, id)
+				id += hop
+				if c++; c == a {
+					c = 0
+					id -= a * hop
 				}
 			}
-			cur += (next - c) * r.strides[d]
+		} else {
+			for ; steps > 0; steps-- {
+				buf = append(buf, id)
+				id -= hop
+				if c--; c < 0 {
+					c = a - 1
+					id += a * hop
+				}
+			}
 		}
+		cur += (dc - cc) * st
 	}
 	if cur != dst {
 		panic(fmt.Sprintf("route: DOR from %d ended at %d, want %d", src, cur, dst))

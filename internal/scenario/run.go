@@ -12,8 +12,9 @@ import (
 	"netpart/internal/workload"
 )
 
-// simCancelStride bounds flow starts between context checks inside
-// the flow-level simulation, mirroring the pairing experiments.
+// simCancelStride bounds the work between context checks: demands
+// routed in the analysis pass, and flow starts in the flow-level
+// simulation (mirroring the pairing experiments).
 const simCancelStride = 256
 
 // Outcome is the result of running one scenario: the resolved
@@ -77,9 +78,20 @@ type Robustness struct {
 
 // Run executes the scenario: normalize, resolve the topology, build
 // the workload, run the static analysis and (optionally) the
-// flow-level simulation. The context is checked between phases and
-// every simCancelStride flow starts.
+// flow-level simulation. The context is checked between phases, every
+// simCancelStride demands routed and every simCancelStride flow
+// starts.
 func Run(ctx context.Context, spec Spec) (*Outcome, error) {
+	return runWith(ctx, spec, analyze)
+}
+
+// analyzer fills an outcome's static analysis and, when the spec
+// enables it, its simulation from the resolved network and demands.
+// Run passes analyze; the package's tests pass the reference analysis
+// the one pass replaced, and compare outcomes byte for byte.
+type analyzer func(ctx context.Context, s Spec, net *network, demands []route.Demand, out *Outcome) error
+
+func runWith(ctx context.Context, spec Spec, analyze analyzer) (*Outcome, error) {
 	norm, err := spec.Normalize()
 	if err != nil {
 		return nil, err
@@ -115,67 +127,8 @@ func Run(ctx context.Context, spec Spec) (*Outcome, error) {
 		return nil, err
 	}
 
-	routes, caps, linkName, err := norm.routesAndCapacities(net, demands)
-	if err != nil {
+	if err := analyze(ctx, norm, net, demands, out); err != nil {
 		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	// Static analysis: per-directed-link byte loads, bottleneck
-	// normalized by link capacity.
-	load := make([]float64, len(caps))
-	for i, r := range routes {
-		for _, l := range r {
-			load[l] += demands[i].Bytes
-		}
-	}
-	maxSec, maxLink := 0.0, -1
-	for l, b := range load {
-		if b <= 0 {
-			continue
-		}
-		out.ActiveLinks++
-		out.MeanLinkBytes += b
-		if sec := b / caps[l]; sec > maxSec {
-			maxSec, maxLink = sec, l
-		}
-	}
-	out.StaticSec = maxSec
-	if maxLink >= 0 {
-		out.Bottleneck = linkName(maxLink)
-		out.MaxLinkBytes = load[maxLink]
-	}
-	if out.ActiveLinks > 0 {
-		out.MeanLinkBytes /= float64(out.ActiveLinks)
-	}
-	// Ideal: the slowest flow with all contention removed — each flow
-	// alone at full capacity is paced by the slowest link on its own
-	// route, so heterogeneous capacities (Dragonfly's weighted links)
-	// count only where a flow actually crosses them.
-	for i, d := range demands {
-		alone := 0.0
-		for _, l := range routes[i] {
-			if sec := d.Bytes / caps[l]; sec > alone {
-				alone = sec
-			}
-		}
-		if alone > out.IdealSec {
-			out.IdealSec = alone
-		}
-	}
-	if out.IdealSec > 0 {
-		out.ContentionX = out.StaticSec / out.IdealSec
-	}
-
-	if norm.Sim.Enabled {
-		simSec, err := simulate(ctx, routes, demands, caps, norm.Sim.Rounds)
-		if err != nil {
-			return nil, err
-		}
-		out.SimSec = simSec
-		out.SimRounds = norm.Sim.Rounds
 	}
 
 	// Robustness: report the failure's blast radius and run the
@@ -191,7 +144,7 @@ func Run(ctx context.Context, spec Spec) (*Outcome, error) {
 
 		healthy := norm
 		healthy.Failures = nil
-		h, err := Run(ctx, healthy)
+		h, err := runWith(ctx, healthy, analyze)
 		if err != nil {
 			return nil, fmt.Errorf("scenario: healthy baseline: %w", err)
 		}
@@ -249,53 +202,96 @@ func (s Spec) demands(net *network) ([]route.Demand, error) {
 	return nil, fmt.Errorf("scenario: pattern %q is not available on %s topologies", w.Pattern, s.Topology.Kind)
 }
 
-// routesAndCapacities computes every demand's route and the
-// per-directed-link capacity vector, plus a link name function for
-// diagnostics.
-func (s Spec) routesAndCapacities(net *network, demands []route.Demand) ([][]int, []float64, func(int) string, error) {
-	if net.router != nil {
-		r := net.router
-		routes := make([][]int, len(demands))
-		flat := make([]int, 0, len(demands)*8)
-		bounds := make([]int, len(demands)+1)
-		for i, d := range demands {
-			start := len(flat)
-			flat = r.Route(d.Src, d.Dst, flat)
-			if net.dorFailed != nil {
-				// DOR paths are fixed; a failed link on the path means
-				// the demand's endpoints are disconnected.
-				for _, l := range flat[start:] {
-					if net.dorFailed[l] {
-						return nil, nil, nil, &route.DisconnectedError{Src: d.Src, Dst: d.Dst, Routing: RoutingDOR}
-					}
-				}
-			}
-			bounds[i+1] = len(flat)
-		}
-		for i := range routes {
-			routes[i] = flat[bounds[i]:bounds[i+1]]
-		}
-		caps := make([]float64, r.NumLinks())
-		for i := range caps {
-			caps[i] = model.LinkBytesPerSec
-			if net.dorCap != nil {
-				caps[i] *= net.dorCap[i]
-			}
-		}
-		return routes, caps, r.LinkString, nil
-	}
-	routes, err := net.gnet.routes(demands)
+// analyze is the §4.1 static contention model and, with Spec.Sim, the
+// flow-level simulation. The static model is one pass over the
+// demands: each is routed, and its bytes are added to the loads of
+// the links on its route, in demand-then-hop order, while its
+// alone-time on those links is taken. DOR routes into one reused
+// buffer and keeps no route, so a torus or partition pass holds only
+// the demands and one load per directed link (plus one capacity per
+// link when degraded links scale some of them).
+func analyze(ctx context.Context, s Spec, net *network, demands []route.Demand, out *Outcome) error {
+	routeOf, err := net.routing(demands)
 	if err != nil {
-		return nil, nil, nil, err
+		return err
 	}
-	return routes, net.gnet.capacities(model.LinkBytesPerSec), net.gnet.linkString, nil
+	caps := net.capacities()
+	load := make([]float64, net.numLinks())
+	var buf []int
+	for i, d := range demands {
+		if i%simCancelStride == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		if buf, err = routeOf(i, buf[:0]); err != nil {
+			return err
+		}
+		// Ideal: the slowest flow with all contention removed — each
+		// flow alone at full capacity is paced by the slowest link on
+		// its own route, so heterogeneous capacities (Dragonfly's
+		// weighted links) count only where a flow actually crosses
+		// them.
+		alone := 0.0
+		for _, l := range buf {
+			load[l] += d.Bytes
+			if sec := d.Bytes / caps.at(l); sec > alone {
+				alone = sec
+			}
+		}
+		if alone > out.IdealSec {
+			out.IdealSec = alone
+		}
+	}
+
+	// Bottleneck: the per-directed-link byte load normalized by link
+	// capacity.
+	maxSec, maxLink := 0.0, -1
+	for l, b := range load {
+		if b <= 0 {
+			continue
+		}
+		out.ActiveLinks++
+		out.MeanLinkBytes += b
+		if sec := b / caps.at(l); sec > maxSec {
+			maxSec, maxLink = sec, l
+		}
+	}
+	out.StaticSec = maxSec
+	if maxLink >= 0 {
+		out.Bottleneck = net.linkName(maxLink)
+		out.MaxLinkBytes = load[maxLink]
+	}
+	if out.ActiveLinks > 0 {
+		out.MeanLinkBytes /= float64(out.ActiveLinks)
+	}
+	if out.IdealSec > 0 {
+		out.ContentionX = out.StaticSec / out.IdealSec
+	}
+
+	if s.Sim.Enabled {
+		simSec, err := simulate(ctx, routeOf, demands, net.numLinks(), caps, s.Sim.Rounds)
+		if err != nil {
+			return err
+		}
+		out.SimSec = simSec
+		out.SimRounds = s.Sim.Rounds
+	}
+	return nil
 }
 
 // simulate runs the flow-level max-min fair simulation: all demands
 // start at once, each round runs to completion, rounds repeat
-// back-to-back.
-func simulate(ctx context.Context, routes [][]int, demands []route.Demand, caps []float64, rounds int) (float64, error) {
-	sim := netsim.NewWithCapacities(caps)
+// back-to-back. Each flow starts from its route as routeOf returns it,
+// into one reused buffer for DOR (StartFlow copies the route).
+func simulate(ctx context.Context, routeOf routeFunc, demands []route.Demand, numLinks int, caps linkCaps, rounds int) (float64, error) {
+	var sim *netsim.Sim
+	if caps == nil {
+		sim = netsim.New(numLinks, model.LinkBytesPerSec)
+	} else {
+		sim = netsim.NewWithCapacities(caps)
+	}
+	var buf []int
 	total := 0.0
 	for round := 0; round < rounds; round++ {
 		if err := ctx.Err(); err != nil {
@@ -307,10 +303,14 @@ func simulate(ctx context.Context, routes [][]int, demands []route.Demand, caps 
 					return 0, err
 				}
 			}
-			if len(routes[i]) == 0 {
+			var err error
+			if buf, err = routeOf(i, buf[:0]); err != nil {
+				return 0, err
+			}
+			if len(buf) == 0 {
 				continue
 			}
-			sim.StartFlow(routes[i], d.Bytes, 0)
+			sim.StartFlow(buf, d.Bytes, 0)
 		}
 		total += sim.RunUntilIdle()
 	}

@@ -515,8 +515,10 @@ func (s Spec) EstVertices() int {
 // Cost classifies the scenario's expected runtime for admission
 // control, mirroring the registry's cheap/moderate/heavy split:
 // flow-level simulations are moderate (small) or heavy (large or
-// multi-round); static analyses are cheap unless the demand volume or
-// a partition-policy enumeration makes them geometry sweeps.
+// multi-round); static analyses are cheap unless the demand volume
+// makes them moderate or heavy. A partition is at least moderate: it
+// selects a geometry on the machine (a geometry search or a placement
+// scan) before routing a node-level torus of at least one midplane.
 func (s Spec) Cost() string {
 	n := s.EstVertices()
 	work := n

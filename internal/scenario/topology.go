@@ -8,6 +8,7 @@ import (
 	"netpart/internal/experiments"
 	"netpart/internal/faults"
 	"netpart/internal/graph"
+	"netpart/internal/model"
 	"netpart/internal/route"
 	"netpart/internal/sched"
 	"netpart/internal/topo"
@@ -366,6 +367,83 @@ func (n *network) applyLinkFaults(f faults.Spec) error {
 		}
 	}
 	return nil
+}
+
+// routeFunc returns demand i's directed links in travel order. The
+// slice is valid until the next call and must not be modified.
+type routeFunc func(i int, buf []int) ([]int, error)
+
+// routing returns the per-demand routing of the resolved network. DOR
+// walks demand i's path into buf on every call and fails if a removed
+// link is on it (DOR paths are fixed). Min-hop runs one BFS per
+// distinct source up front and returns the stored paths, since a
+// simulation reads every route again in each round and a BFS costs
+// far more than a DOR walk.
+func (n *network) routing(demands []route.Demand) (routeFunc, error) {
+	if r := n.router; r != nil {
+		return func(i int, buf []int) ([]int, error) {
+			d := demands[i]
+			buf = r.Route(d.Src, d.Dst, buf)
+			if n.dorFailed != nil {
+				for _, l := range buf {
+					if n.dorFailed[l] {
+						return nil, &route.DisconnectedError{Src: d.Src, Dst: d.Dst, Routing: RoutingDOR}
+					}
+				}
+			}
+			return buf, nil
+		}, nil
+	}
+	paths, err := n.gnet.routes(demands)
+	if err != nil {
+		return nil, err
+	}
+	return func(i int, _ []int) ([]int, error) { return paths[i], nil }, nil
+}
+
+// numLinks returns the size of the backend's directed-link ID space.
+func (n *network) numLinks() int {
+	if n.router != nil {
+		return n.router.NumLinks()
+	}
+	return n.gnet.numLinks()
+}
+
+// linkName renders a directed link for diagnostics.
+func (n *network) linkName(l int) string {
+	if n.router != nil {
+		return n.router.LinkString(l)
+	}
+	return n.gnet.linkString(l)
+}
+
+// linkCaps holds per-directed-link capacities in bytes/sec. Nil means
+// every link runs at model.LinkBytesPerSec.
+type linkCaps []float64
+
+// at returns link l's capacity.
+func (c linkCaps) at(l int) float64 {
+	if c == nil {
+		return model.LinkBytesPerSec
+	}
+	return c[l]
+}
+
+// capacities returns the backend's link capacities: nil for a torus
+// unless degraded links scale some of them, edge-weighted ones for the
+// min-hop graphs.
+func (n *network) capacities() linkCaps {
+	if n.router == nil {
+		return n.gnet.capacities(model.LinkBytesPerSec)
+	}
+	if n.dorCap == nil {
+		return nil
+	}
+	caps := make(linkCaps, len(n.dorCap))
+	for i, f := range n.dorCap {
+		caps[i] = model.LinkBytesPerSec * f
+	}
+	return caps
 }
 
 // torusUniverse enumerates the undirected edges of a torus as the

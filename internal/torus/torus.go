@@ -297,25 +297,32 @@ func (t *Torus) CoordOf(idx int, dst Coord) Coord {
 }
 
 // Neighbors appends the linear indices of the neighbours of vertex idx
-// to dst and returns the extended slice.
+// to dst and returns the extended slice. It allocates only when dst
+// lacks room for Degree more entries.
 func (t *Torus) Neighbors(idx int, dst []int) []int {
-	c := t.CoordOf(idx, make(Coord, len(t.dims)))
+	if idx < 0 || idx >= t.n {
+		panic(fmt.Sprintf("torus: vertex %d out of range [0,%d)", idx, t.n))
+	}
+	rem := idx // offset below dimension i (row-major)
 	for i, a := range t.dims {
+		st := t.strides[i]
+		c := rem / st
+		rem -= c * st
 		switch {
 		case a <= 1:
 			// no neighbour in this dimension
 		case a == 2:
-			dst = append(dst, idx+(1-2*c[i])*t.strides[i])
+			dst = append(dst, idx+(1-2*c)*st)
 		default:
-			up := c[i] + 1
+			up := c + 1
 			if up == a {
 				up = 0
 			}
-			down := c[i] - 1
+			down := c - 1
 			if down < 0 {
 				down = a - 1
 			}
-			dst = append(dst, idx+(up-c[i])*t.strides[i], idx+(down-c[i])*t.strides[i])
+			dst = append(dst, idx+(up-c)*st, idx+(down-c)*st)
 		}
 	}
 	return dst

@@ -2,6 +2,7 @@ package torus
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -180,6 +181,35 @@ func TestNeighborsSymmetricAndDegree(t *testing.T) {
 			if !adj[[2]int{k[1], k[0]}] {
 				t.Errorf("%v: asymmetric edge %v", dims, k)
 			}
+		}
+	}
+}
+
+// TestNeighborsInPlace: with room in dst, Neighbors allocates nothing
+// and appends, in dimension order, the up then down neighbour that
+// coordinate arithmetic gives (one neighbour for a length-2 ring).
+func TestNeighborsInPlace(t *testing.T) {
+	for _, dims := range []Shape{{4, 3, 2}, {2, 1, 4}, {1, 5, 1}, {2, 2, 2, 2}} {
+		tor := MustNew(dims...)
+		buf := make([]int, 0, tor.Degree())
+		for u := 0; u < tor.NumVertices(); u++ {
+			var want []int
+			c := tor.CoordOf(u, nil)
+			for i, a := range dims {
+				for _, step := range []int{1, a - 1}[:dimDegree(a)] {
+					nc := c.Clone()
+					nc[i] = (c[i] + step) % a
+					want = append(want, tor.Index(nc))
+				}
+			}
+			buf = tor.Neighbors(u, buf[:0])
+			if !slices.Equal(buf, want) {
+				t.Fatalf("%v: Neighbors(%d) = %v, want %v", dims, u, buf, want)
+			}
+		}
+		u := tor.NumVertices() - 1
+		if allocs := testing.AllocsPerRun(100, func() { buf = tor.Neighbors(u, buf[:0]) }); allocs != 0 {
+			t.Errorf("%v: Neighbors with a presized dst made %v allocations, want 0", dims, allocs)
 		}
 	}
 }

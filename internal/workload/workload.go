@@ -109,9 +109,11 @@ func NearestNeighbor(t *torus.Torus, bytes float64) ([]route.Demand, error) {
 	if err := validate("nearest neighbour", t.NumVertices(), MaxNodes, bytes); err != nil {
 		return nil, err
 	}
-	var demands []route.Demand
+	demands := make([]route.Demand, 0, t.NumVertices()*t.Degree())
+	nbs := make([]int, 0, t.Degree())
 	t.ForEachVertex(func(v int) {
-		for _, nb := range t.Neighbors(v, nil) {
+		nbs = t.Neighbors(v, nbs[:0])
+		for _, nb := range nbs {
 			demands = append(demands, route.Demand{Src: v, Dst: nb, Bytes: bytes})
 		}
 	})
