@@ -1,7 +1,6 @@
 package route
 
 import (
-	"fmt"
 	"slices"
 	"testing"
 
@@ -53,31 +52,6 @@ func FuzzRoute(f *testing.F) {
 			t.Fatalf("%v: path ends at %d, want %d", dims, cur, dst)
 		}
 	})
-}
-
-// TestRouteMatchesReference compares Route with the per-hop div/mod
-// walker on every (src, dst) pair of shapes covering odd and even
-// rings, length-2 and length-1 dimensions (leading, inner and
-// trailing) and a hypercube.
-func TestRouteMatchesReference(t *testing.T) {
-	for _, dims := range []torus.Shape{
-		{16, 4, 2}, {5, 3, 7}, {1, 6, 1, 3}, {4, 1, 1}, {2, 2, 2, 2, 2, 2}, {8, 1, 4, 2},
-	} {
-		t.Run(fmt.Sprint(dims), func(t *testing.T) {
-			r := NewRouter(torus.MustNew(dims...))
-			n := r.Torus().NumVertices()
-			var got, want []int
-			for src := 0; src < n; src++ {
-				for dst := 0; dst < n; dst++ {
-					got = r.Route(src, dst, got[:0])
-					want = referenceRoute(r, src, dst, want[:0])
-					if !slices.Equal(got, want) {
-						t.Fatalf("%d->%d: links %v, reference walker %v", src, dst, got, want)
-					}
-				}
-			}
-		})
-	}
 }
 
 // referenceRoute is the per-hop div/mod DOR walker Route replaced: it

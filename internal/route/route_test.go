@@ -1,32 +1,46 @@
 package route
 
 import (
+	"slices"
 	"testing"
 
 	"netpart/internal/torus"
 )
 
+// TestRouteEndpointsAndHops: every (src, dst) path is a chain of
+// adjacent hops of minimal length, link for link the path of the
+// per-hop div/mod walker (referenceRoute), on shapes covering odd and
+// even rings, length-2 and length-1 dimensions (leading, inner and
+// trailing) and a hypercube.
 func TestRouteEndpointsAndHops(t *testing.T) {
-	tor := torus.MustNew(6, 4, 2)
-	r := NewRouter(tor)
-	n := tor.NumVertices()
-	for src := 0; src < n; src++ {
-		for dst := 0; dst < n; dst++ {
-			path := r.Route(src, dst, nil)
-			if len(path) != r.HopCount(src, dst) {
-				t.Fatalf("%d->%d: path len %d != hop count %d", src, dst, len(path), r.HopCount(src, dst))
-			}
-			// Verify the path is a chain of adjacent nodes.
-			cur := src
-			for _, l := range path {
-				from, d, dir := r.LinkInfo(l)
-				if from != cur {
-					t.Fatalf("%d->%d: link from %d but current %d", src, dst, from, cur)
+	for _, dims := range []torus.Shape{
+		{6, 4, 2}, {16, 4, 2}, {5, 3, 7}, {1, 6, 1, 3}, {4, 1, 1}, {2, 2, 2, 2, 2, 2}, {8, 1, 4, 2},
+	} {
+		tor := torus.MustNew(dims...)
+		r := NewRouter(tor)
+		n := tor.NumVertices()
+		var path, ref []int
+		for src := 0; src < n; src++ {
+			for dst := 0; dst < n; dst++ {
+				path = r.Route(src, dst, path[:0])
+				if ref = referenceRoute(r, src, dst, ref[:0]); !slices.Equal(path, ref) {
+					t.Fatalf("%v %d->%d: links %v, reference walker %v", dims, src, dst, path, ref)
 				}
-				cur = step(tor, cur, d, dir)
-			}
-			if cur != dst {
-				t.Fatalf("%d->%d: path ends at %d", src, dst, cur)
+				if len(path) != r.HopCount(src, dst) {
+					t.Fatalf("%v %d->%d: path len %d != hop count %d", dims, src, dst, len(path), r.HopCount(src, dst))
+				}
+				// Verify the path is a chain of adjacent nodes.
+				cur := src
+				for _, l := range path {
+					from, d, dir := r.LinkInfo(l)
+					if from != cur {
+						t.Fatalf("%v %d->%d: link from %d but current %d", dims, src, dst, from, cur)
+					}
+					cur = step(tor, cur, d, dir)
+				}
+				if cur != dst {
+					t.Fatalf("%v %d->%d: path ends at %d", dims, src, dst, cur)
+				}
 			}
 		}
 	}

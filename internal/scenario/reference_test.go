@@ -185,46 +185,42 @@ func differentialSpecs() []Spec {
 		})
 	}
 	// Small tori and a hypercube run every pattern under both routings,
-	// multi-round simulations, and link failures with the simulation
-	// on; the larger ones run the static DOR analysis.
+	// simulations of one and three rounds, and link failures with the
+	// simulation on.
+	routings := []string{RoutingDOR, RoutingMinHop}
 	for _, topo := range []TopologySpec{
 		{Kind: KindTorus, Shape: "8x8"},
 		{Kind: KindTorus, Shape: "5x4x3"},
 		{Kind: KindTorus, Shape: "2x7x1x4"},
 		{Kind: KindHypercube, Dim: 6},
-		{Kind: KindTorus, Shape: "16x16x8"},
-		{Kind: KindHypercube, Dim: 10},
 	} {
-		small := topo.Kind == KindHypercube && topo.Dim <= 6 || topo.Kind == KindTorus && topo.Shape != "16x16x8"
 		for _, pattern := range dorPatterns {
-			if !small && pattern == PatternAllToAll {
-				continue
-			}
 			specs = append(specs, Spec{Topology: topo, Workload: workloadFor(pattern, 7, 16)})
-			if small && pattern != PatternLongestDim && pattern != PatternAdversarial {
+			if pattern != PatternLongestDim && pattern != PatternAdversarial {
 				specs = append(specs, Spec{Topology: topo, Workload: workloadFor(pattern, 7, 16), Routing: RoutingMinHop})
 			}
 		}
-		if small {
+		for _, routing := range routings {
 			for _, rounds := range []int{1, 3} {
-				for _, routing := range []string{RoutingDOR, RoutingMinHop} {
-					specs = append(specs, Spec{Topology: topo, Workload: workloadFor(PatternPermutation, 2, 0), Routing: routing, Sim: SimSpec{Enabled: true, Rounds: rounds}})
-				}
+				specs = append(specs, Spec{Topology: topo, Workload: workloadFor(PatternPermutation, 2, 0), Routing: routing, Sim: SimSpec{Enabled: true, Rounds: rounds}})
+			}
+			for _, failures := range linkFailures() {
+				specs = append(specs,
+					Spec{Topology: topo, Workload: WorkloadSpec{Pattern: PatternPairing}, Routing: routing, Failures: failures},
+					Spec{Topology: topo, Workload: WorkloadSpec{Pattern: PatternNeighbor}, Routing: routing, Sim: SimSpec{Enabled: true}, Failures: failures},
+				)
 			}
 		}
-		for _, factor := range []float64{0, 0.5} {
-			for _, fraction := range []float64{0.005, 0.05, 0.4} {
-				for _, routing := range []string{RoutingDOR, RoutingMinHop} {
-					if !small && routing == RoutingMinHop {
-						continue
-					}
-					failures := &faults.Spec{Model: faults.ModelRandomLinks, Fraction: fraction, Factor: factor, Seed: 11}
-					specs = append(specs, Spec{Topology: topo, Workload: WorkloadSpec{Pattern: PatternPairing}, Routing: routing, Failures: failures})
-					if small {
-						specs = append(specs, Spec{Topology: topo, Workload: WorkloadSpec{Pattern: PatternNeighbor}, Routing: routing, Sim: SimSpec{Enabled: true}, Failures: failures})
-					}
-				}
+	}
+	// Larger ones run the static DOR analysis, healthy and failed.
+	for _, topo := range []TopologySpec{{Kind: KindTorus, Shape: "16x16x8"}, {Kind: KindHypercube, Dim: 10}} {
+		for _, pattern := range dorPatterns {
+			if pattern != PatternAllToAll {
+				specs = append(specs, Spec{Topology: topo, Workload: workloadFor(pattern, 7, 16)})
 			}
+		}
+		for _, failures := range linkFailures() {
+			specs = append(specs, Spec{Topology: topo, Workload: WorkloadSpec{Pattern: PatternPairing}, Failures: failures})
 		}
 	}
 	for _, topo := range []TopologySpec{
@@ -235,16 +231,23 @@ func differentialSpecs() []Spec {
 		for _, pattern := range []string{PatternPairing, PatternPermutation, PatternAllToAll, PatternNeighbor} {
 			specs = append(specs, Spec{Topology: topo, Workload: workloadFor(pattern, 4, 0), Sim: SimSpec{Enabled: pattern != PatternAllToAll}})
 		}
-		for _, factor := range []float64{0, 0.5} {
-			specs = append(specs, Spec{
-				Topology: topo,
-				Workload: WorkloadSpec{Pattern: PatternPairing},
-				Sim:      SimSpec{Enabled: true},
-				Failures: &faults.Spec{Model: faults.ModelRandomLinks, Fraction: 0.3, Factor: factor, Seed: 13},
-			})
+		for _, failures := range linkFailures() {
+			specs = append(specs, Spec{Topology: topo, Workload: WorkloadSpec{Pattern: PatternPairing}, Sim: SimSpec{Enabled: true}, Failures: failures})
 		}
 	}
 	return specs
+}
+
+// linkFailures removes (factor 0) or degrades (factor 0.5) a small, a
+// moderate and a large random share of the links.
+func linkFailures() []*faults.Spec {
+	var fs []*faults.Spec
+	for _, factor := range []float64{0, 0.5} {
+		for _, fraction := range []float64{0.005, 0.05, 0.4} {
+			fs = append(fs, &faults.Spec{Model: faults.ModelRandomLinks, Fraction: fraction, Factor: factor, Seed: 11})
+		}
+	}
+	return fs
 }
 
 // workloadFor sets the seed and hill-climb bound only where the
