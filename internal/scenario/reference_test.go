@@ -152,13 +152,18 @@ func referenceSimulate(ctx context.Context, routes [][]int, demands []route.Dema
 // catalog machines under every DOR pattern and every partition policy,
 // the torus and hypercube kinds, the min-hop kinds, the simulation on
 // and off, and link failures that remove links (factor 0) or degrade
-// them (factor 0.5).
-func differentialSpecs() []Spec {
+// them (factor 0.5). Short mode leaves out the partition all-to-alls,
+// the larger tori and all but one policy's partition simulations, the
+// bulk of the run time (race builds run the package under -short).
+func differentialSpecs(short bool) []Spec {
 	var specs []Spec
 	dorPatterns := []string{PatternPairing, PatternPermutation, PatternAllToAll, PatternNeighbor, PatternLongestDim, PatternAdversarial}
 	policies := []string{PolicyPredefined, PolicyBestCase, PolicyWorstCase, PolicyFirstFit, PolicyBestBisection, PolicyContentionAware}
 	for _, machine := range []string{"mira", "juqueen", "sequoia", "juqueen48", "juqueen54"} {
 		for _, pattern := range dorPatterns {
+			if short && pattern == PatternAllToAll {
+				continue
+			}
 			for _, policy := range policies {
 				if policy == PolicyPredefined && machine != "mira" {
 					continue // only Mira has a predefined list
@@ -173,7 +178,7 @@ func differentialSpecs() []Spec {
 				specs = append(specs, Spec{
 					Topology: TopologySpec{Kind: KindPartition, Machine: machine, Midplanes: midplanes, Policy: policy},
 					Workload: workloadFor(pattern, 3, 8),
-					Sim:      SimSpec{Enabled: pattern == PatternPermutation},
+					Sim:      SimSpec{Enabled: pattern == PatternPermutation && (!short || policy == PolicyBestCase)},
 				})
 			}
 		}
@@ -214,6 +219,9 @@ func differentialSpecs() []Spec {
 	}
 	// Larger ones run the static DOR analysis, healthy and failed.
 	for _, topo := range []TopologySpec{{Kind: KindTorus, Shape: "16x16x8"}, {Kind: KindHypercube, Dim: 10}} {
+		if short {
+			break
+		}
 		for _, pattern := range dorPatterns {
 			if pattern != PatternAllToAll {
 				specs = append(specs, Spec{Topology: topo, Workload: workloadFor(pattern, 7, 16)})
@@ -268,7 +276,7 @@ func workloadFor(pattern string, seed int64, iters int) WorkloadSpec {
 // a DOR route over a removed link reports the same demand.
 func TestOnePassMatchesReference(t *testing.T) {
 	ctx := context.Background()
-	specs := differentialSpecs()
+	specs := differentialSpecs(testing.Short())
 	var compared, disconnected int
 	for i, spec := range specs {
 		got, gotErr := Run(ctx, spec)
