@@ -91,7 +91,7 @@ func Run(ctx context.Context, spec Spec) (*Outcome, error) {
 // the one pass replaced, and compare outcomes byte for byte.
 type analyzer func(ctx context.Context, s Spec, net *network, demands []route.Demand, out *Outcome) error
 
-func runWith(ctx context.Context, spec Spec, analyze analyzer) (*Outcome, error) {
+func runWith(ctx context.Context, spec Spec, an analyzer) (*Outcome, error) {
 	norm, err := spec.Normalize()
 	if err != nil {
 		return nil, err
@@ -127,7 +127,7 @@ func runWith(ctx context.Context, spec Spec, analyze analyzer) (*Outcome, error)
 		return nil, err
 	}
 
-	if err := analyze(ctx, norm, net, demands, out); err != nil {
+	if err := an(ctx, norm, net, demands, out); err != nil {
 		return nil, err
 	}
 
@@ -144,7 +144,7 @@ func runWith(ctx context.Context, spec Spec, analyze analyzer) (*Outcome, error)
 
 		healthy := norm
 		healthy.Failures = nil
-		h, err := runWith(ctx, healthy, analyze)
+		h, err := runWith(ctx, healthy, an)
 		if err != nil {
 			return nil, fmt.Errorf("scenario: healthy baseline: %w", err)
 		}
