@@ -27,7 +27,7 @@ func benchTrace(policy string) TraceSpec {
 
 // benchTraceRun drives one trace simulation under b.Loop, with a
 // priming run outside the measured region so the process-wide caches
-// (placement plans, contention memo, flow sets) are warm — every
+// (placement plans, contention memo) are warm — every
 // measured iteration then has the same steady-state cost, which keeps
 // short -benchtime windows from reporting a single cold iteration as
 // the number.

@@ -1,8 +1,8 @@
 // Package lru is a small, mutex-guarded, bounded LRU cache with
 // hit/miss/eviction instrumentation. It backs the process-wide caches
 // whose keys can come from client requests — the placement-plan cache
-// in package sched, the routed-flow-set cache in the cluster scorer,
-// tracesim's healthy-baseline memo and iso's bisection cache — where
+// in package sched, the cluster scorer's contention memo, tracesim's
+// healthy-baseline memo and iso's bisection cache — where
 // the working set is small (machine catalog × request sizes,
 // geometry × pattern, distinct failed traces, partition shapes) but
 // must stay bounded against adversarial request streams, and where

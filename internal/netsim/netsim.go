@@ -154,78 +154,6 @@ func newSim(caps []float64) *Sim {
 	}
 }
 
-// Reset returns the simulator to a freshly-constructed state with the
-// given per-link capacities, retaining every backing array it can —
-// the seam that lets a pooled Sim replay one compiled flow set after
-// another without re-allocating the arena, CSR index or filling state.
-// A Reset Sim is indistinguishable from NewWithCapacities(caps) to
-// every public method. The caps slice is copied.
-func (s *Sim) Reset(caps []float64) {
-	for i, c := range caps {
-		if c <= 0 || math.IsNaN(c) {
-			panic(fmt.Sprintf("netsim: invalid capacity %v at link %d", c, i))
-		}
-	}
-	n := len(caps)
-	s.capacity = resize(s.capacity, n)
-	copy(s.capacity, caps)
-	// Per-link state: sized to n and zeroed. dupMark need not be
-	// cleared — dupEpoch keeps counting, so stale marks never match —
-	// but must cover every link.
-	s.dupMark = resize(s.dupMark, n)
-	s.linkOff = resize(s.linkOff, n)
-	s.linkEnd = resize(s.linkEnd, n)
-	s.linkCnt = resize(s.linkCnt, n)
-	for i := range s.linkCnt {
-		s.linkCnt[i] = 0
-	}
-	s.remCap = resize(s.remCap, n)
-	s.linkBytes = resize(s.linkBytes, n)
-	for i := range s.linkBytes {
-		s.linkBytes[i] = 0
-	}
-	// Flow state: empty arena (slots and their links arrays are
-	// recycled by allocSlot), fresh ID window, zero clock and stats.
-	s.now = 0
-	s.flows = s.flows[:0]
-	s.freeSlots = s.freeSlots[:0]
-	s.numLive = 0
-	s.nextID = 0
-	s.idBase = 0
-	s.id2slot = s.id2slot[:0]
-	s.ratesDirty = false
-	s.touched = s.touched[:0]
-	s.active = s.active[:0]
-	s.completedBuf = s.completedBuf[:0]
-	s.totalBytes = 0
-	s.flowsCompleted = 0
-}
-
-// ResetUniform is Reset with numLinks links of one capacity, without
-// the caller materializing a capacity slice.
-func (s *Sim) ResetUniform(numLinks int, capacityBps float64) {
-	if numLinks < 0 {
-		panic("netsim: negative link count")
-	}
-	if capacityBps <= 0 || math.IsNaN(capacityBps) {
-		panic(fmt.Sprintf("netsim: invalid capacity %v", capacityBps))
-	}
-	s.capacity = resize(s.capacity, numLinks)
-	for i := range s.capacity {
-		s.capacity[i] = capacityBps
-	}
-	s.Reset(s.capacity)
-}
-
-// resize returns sl with length n, reusing its backing array when
-// large enough. Grown regions are zeroed (make semantics).
-func resize[T int32 | uint64 | float64](sl []T, n int) []T {
-	if cap(sl) < n {
-		return make([]T, n)
-	}
-	return sl[:n]
-}
-
 // Now returns the current simulation time in seconds.
 func (s *Sim) Now() float64 { return s.now }
 

@@ -9,7 +9,6 @@ import (
 	"netpart/internal/bgq"
 	"netpart/internal/faults"
 	"netpart/internal/sched"
-	"netpart/internal/torus"
 )
 
 // Event is one simulator occurrence, emitted in engine-call order
@@ -181,9 +180,9 @@ type Engine struct {
 
 	// Live contention state (the Snapshot RunningPatterned/LiveFlows/
 	// ContentionExcessSec fields), patched as jobs place, finish and
-	// are killed. jobFlows records each running patterned job's routed
-	// flow count so its kill or finish can subtract exactly what its
-	// placement added.
+	// are killed. jobFlows holds each patterned job's routed flow
+	// count, written by the Duration hook beside its dilation, so its
+	// kill or finish subtracts exactly what its start added.
 	livePatterned int
 	liveFlows     int
 	liveExcessSec float64
@@ -229,15 +228,17 @@ func NewEngine(cfg Config) (*Engine, error) {
 		Backfill: cfg.Backfill,
 		// The Duration hook may run several times for one job (backfill
 		// admission probes), but its final call for a job is always for
-		// the placement actually used, so the last dilation write is
-		// the one that held.
+		// the placement actually used, so the last dilation and flow
+		// writes are the ones that held.
 		Duration: func(j sched.Job, pl sched.Placement) float64 {
-			d, err := dilation(m, e.jobs[j.ID], pl)
-			if err != nil && e.scoreErr == nil {
-				e.scoreErr = err
+			d, flows, err := dilation(m, e.jobs[j.ID], pl)
+			if err != nil {
+				if e.scoreErr == nil {
+					e.scoreErr = err
+				}
 				d = 1
 			}
-			e.dilations[j.ID] = d
+			e.dilations[j.ID], e.jobFlows[j.ID] = d, flows
 			return j.BaseDurationSec * d
 		},
 		OnStart:  e.onStart,
@@ -269,28 +270,14 @@ func (e *Engine) emit(ev Event) {
 	}
 }
 
-// flowCount returns the routed flow count of a patterned job's placed
-// geometry for the live-contention accounting. Errors were already
-// surfaced through the dilation score for the same pair.
-func flowCount(lens torus.Shape, pattern string) int {
-	fs, err := flowSetFor(lens, pattern)
-	if err != nil {
-		return 0
-	}
-	return len(fs.paths)
-}
-
 // placeLive patches a starting job into the live contention state;
 // dropLive reverses it when the job finishes or is killed.
 func (e *Engine) placeLive(a sched.Allocation) {
-	js := e.jobs[a.Job.ID]
-	if js.Pattern == "" {
+	if e.jobs[a.Job.ID].Pattern == "" {
 		return
 	}
 	e.livePatterned++
-	n := flowCount(a.Placement.Lens, js.Pattern)
-	e.jobFlows[a.Job.ID] = n
-	e.liveFlows += n
+	e.liveFlows += e.jobFlows[a.Job.ID]
 	e.liveExcessSec += (e.dilations[a.Job.ID] - 1) * a.Job.BaseDurationSec
 }
 
@@ -300,7 +287,6 @@ func (e *Engine) dropLive(a sched.Allocation) {
 	}
 	e.livePatterned--
 	e.liveFlows -= e.jobFlows[a.Job.ID]
-	e.jobFlows[a.Job.ID] = 0
 	e.liveExcessSec -= (e.dilations[a.Job.ID] - 1) * a.Job.BaseDurationSec
 }
 

@@ -19,13 +19,13 @@ import (
 func TestPatternSecDegenerateGeometries(t *testing.T) {
 	for _, geom := range []torus.Shape{{1, 1, 1, 1}, {1}} {
 		for _, pattern := range []string{PatternPairing, PatternAllToAll, PatternNeighbor} {
-			sec, err := memoPatternSec(geom, pattern)
-			if err != nil || sec != 0 {
-				t.Fatalf("cached %v/%s: sec=%v err=%v", geom, pattern, sec, err)
+			s, err := memoPatternSec(geom, pattern)
+			if err != nil || s != (score{}) {
+				t.Fatalf("cached %v/%s: score=%+v err=%v", geom, pattern, s, err)
 			}
-			sec, err = referencePatternSec(geom, pattern)
-			if err != nil || sec != 0 {
-				t.Fatalf("reference %v/%s: sec=%v err=%v", geom, pattern, sec, err)
+			s, err = referencePatternSec(geom, pattern)
+			if err != nil || s != (score{}) {
+				t.Fatalf("reference %v/%s: score=%+v err=%v", geom, pattern, s, err)
 			}
 		}
 	}
@@ -64,7 +64,7 @@ func TestPatternSecUnknownPattern(t *testing.T) {
 // increments exactly one of hits/misses, so the counters sum to the
 // call count (the invariant the observability layer rates on).
 func TestMemoCountsUnderConcurrency(t *testing.T) {
-	h0, m0 := MemoCounts()
+	h0, m0, _ := MemoCounts()
 	const goroutines, perG = 16, 200
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -83,47 +83,110 @@ func TestMemoCountsUnderConcurrency(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	h1, m1 := MemoCounts()
+	h1, m1, _ := MemoCounts()
 	if got, want := (h1-h0)+(m1-m0), uint64(goroutines*perG); got != want {
 		t.Fatalf("hits+misses grew by %d, want %d calls", got, want)
 	}
 }
 
-// TestFlowSetEvictionSameResults shrinks the flow-set cache to one
+// TestMemoEvictionSameResults shrinks the contention memo to one
 // entry so alternating geometries evict on every score, and checks
-// the scores still match the reference — eviction recompiles, never
+// the scores still match the reference — eviction re-simulates, never
 // corrupts.
-func TestFlowSetEvictionSameResults(t *testing.T) {
-	saved := flowSetCache
-	flowSetCache = lru.New[string, *flowSet](1)
-	defer func() { flowSetCache = saved }()
+func TestMemoEvictionSameResults(t *testing.T) {
+	saved := memo
+	memo = lru.New[string, score](1)
+	defer func() { memo = saved }()
 
 	geoms := []torus.Shape{{2, 2, 2}, {4, 2}, {2, 4}, {8}}
-	want := map[string]float64{}
+	want := map[string]score{}
 	for _, geom := range geoms {
-		sec, err := referencePatternSec(geom, PatternAllToAll)
+		s, err := referencePatternSec(geom, PatternAllToAll)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[geom.String()] = sec
+		want[geom.String()] = s
 	}
 	for round := 0; round < 3; round++ {
 		for _, geom := range geoms {
-			// Dropping the scalar memo entry forces the flow-set
-			// cache (not the memo) to answer, exercising eviction.
-			patternSecMemo.Delete(geom.String() + "|" + PatternAllToAll)
-			sec, err := memoPatternSec(geom, PatternAllToAll)
+			s, err := memoPatternSec(geom, PatternAllToAll)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if sec != want[geom.String()] {
-				t.Fatalf("round %d %v: %v, reference %v", round, geom, sec, want[geom.String()])
+			if s != want[geom.String()] {
+				t.Fatalf("round %d %v: %+v, reference %+v", round, geom, s, want[geom.String()])
 			}
 		}
 	}
-	if _, _, ev := flowSetCache.Counts(); ev == 0 {
-		t.Fatal("capacity-1 cache never evicted")
+	if _, _, ev := memo.Counts(); ev == 0 {
+		t.Fatal("capacity-1 memo never evicted")
 	}
+}
+
+// TestMemoMatchesReferenceInEveryOrientation holds the memo to the
+// reference scorer, round time and flow count, on every orientation of
+// every geometry of the catalog machines: placed lenses arrive in
+// host-dimension order, so each permutation of a geometry's
+// dimensions is a key the scorer can see. All-to-all is checked up to
+// MaxAllToAllMidplanes, the bound NormalizeJob admits. Under -short it
+// checks JUQUEEN only.
+func TestMemoMatchesReferenceInEveryOrientation(t *testing.T) {
+	machines := bgq.Catalog()
+	if testing.Short() {
+		machines = []*bgq.Machine{bgq.Juqueen()}
+	}
+	seen := map[string]bool{}
+	for _, m := range machines {
+		for n := 1; n <= m.Midplanes(); n++ {
+			for _, geo := range torus.EnumerateGeometries(m.Grid, len(m.Grid), n) {
+				for _, lens := range permutations(geo) {
+					for _, pattern := range []string{PatternPairing, PatternNeighbor, PatternAllToAll} {
+						if pattern == PatternAllToAll && n > MaxAllToAllMidplanes {
+							continue
+						}
+						key := lens.String() + "|" + pattern
+						if seen[key] {
+							continue
+						}
+						seen[key] = true
+						got, err := memoPatternSec(lens, pattern)
+						if err != nil {
+							t.Fatalf("%s: %v", key, err)
+						}
+						want, err := referencePatternSec(lens, pattern)
+						if err != nil {
+							t.Fatalf("%s: reference: %v", key, err)
+						}
+						if got != want {
+							t.Fatalf("%s on %s: memo %+v, reference %+v", key, m.Name, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d (orientation, pattern) keys", len(seen))
+}
+
+// permutations returns every distinct ordering of the shape's
+// dimensions.
+func permutations(s torus.Shape) []torus.Shape {
+	if len(s) <= 1 {
+		return []torus.Shape{append(torus.Shape(nil), s...)}
+	}
+	var out []torus.Shape
+	used := map[int]bool{}
+	for i, d := range s {
+		if used[d] {
+			continue
+		}
+		used[d] = true
+		rest := append(append(torus.Shape(nil), s[:i]...), s[i+1:]...)
+		for _, p := range permutations(rest) {
+			out = append(out, append(torus.Shape{d}, p...))
+		}
+	}
+	return out
 }
 
 // TestOracleEngineUsesGenericPolicy: an engine built behind the
@@ -180,7 +243,7 @@ func TestDilationAtLeastOne(t *testing.T) {
 						if err != nil {
 							continue // not admitted at this size
 						}
-						d, err := dilation(m, nj, pl)
+						d, _, err := dilation(m, nj, pl)
 						if err != nil || !(d >= 1) {
 							t.Fatalf("%s: %d midplanes on %v, pattern %q contention-bound %v: dilation %v, err %v",
 								m.Name, n, lens, nj.Pattern, nj.ContentionBound, d, err)

@@ -28,9 +28,9 @@ import (
 //   - cache / store / cluster / peers: hits, misses, persists,
 //     sessions and per-peer dispatch health (the only copy: healthz
 //     carries them inside its registry snapshot)
-//   - simulation internals: contention-memo hit rate, stepper events
-//     and the bounded plan, flow-set, healthy-baseline and bisection
-//     caches, sampled from their process-wide counters at scrape time
+//   - simulation internals: stepper events and the bounded
+//     contention-memo, plan, healthy-baseline and bisection caches,
+//     sampled from their process-wide counters at scrape time
 //
 // The registry serves Prometheus text at GET /metrics and rides the
 // /v1/healthz document as a JSON snapshot.
@@ -109,17 +109,11 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 			"Cluster-session engine events published, by kind.",
 			"kind"),
 	}
-	reg.CounterFunc("netpart_sim_contention_memo_hits_total",
-		"Process-wide contention-memo lookups answered from the memo.",
-		func() float64 { hits, _ := cluster.MemoCounts(); return float64(hits) })
-	reg.CounterFunc("netpart_sim_contention_memo_misses_total",
-		"Process-wide contention-memo lookups that ran a flow-level simulation.",
-		func() float64 { _, misses := cluster.MemoCounts(); return float64(misses) })
 	reg.CounterFunc("netpart_sim_stepper_events_total",
 		"Process-wide scheduler stepper events processed (starts, finishes, boundaries).",
 		func() float64 { return float64(sched.StepperEventsProcessed()) })
 	registerCacheCounts(reg, "sched_plan_cache", "placement-plan", sched.PlanCacheCounts)
-	registerCacheCounts(reg, "sim_flowset_cache", "compiled flow-set", cluster.FlowSetCounts)
+	registerCacheCounts(reg, "sim_contention_memo", "contention-memo", cluster.MemoCounts)
 	registerCacheCounts(reg, "sim_healthy_cache", "trace healthy-baseline", tracesim.HealthyCacheCounts)
 	registerCacheCounts(reg, "sim_bisection_cache", "cuboid bisection", iso.BisectionCacheCounts)
 	return m

@@ -80,7 +80,7 @@ func TestMetricsExposition(t *testing.T) {
 		"# TYPE netpart_http_request_duration_seconds histogram",
 		`netpart_http_request_duration_seconds_bucket{endpoint="/v1/healthz",le="+Inf"} 1`,
 		"# TYPE netpart_sim_contention_memo_hits_total counter",
-		"# TYPE netpart_sim_flowset_cache_hits_total counter",
+		"# TYPE netpart_sim_contention_memo_evictions_total counter",
 		"# TYPE netpart_sched_plan_cache_hits_total counter",
 		"# TYPE netpart_sim_healthy_cache_hits_total counter",
 		"# TYPE netpart_sim_bisection_cache_hits_total counter",
