@@ -27,28 +27,47 @@ func storeServer(t *testing.T, dir string, opts Options) (*Server, *httptest.Ser
 	return realServer(t, opts)
 }
 
-// runSweepJob submits a sweep, waits for completion and for the
+// tryRunSweepJob submits a sweep, waits for completion and for the
 // write-behind persist, and returns the job document (job.Experiment
 // is the "sweep:<hash>" archive ID) plus the JSON result bytes and
 // ETag.
-func runSweepJob(t *testing.T, s *Server, ts *httptest.Server, doc any) (job jobDoc, body []byte, etag string) {
-	t.Helper()
-	code, _, raw := post(t, ts.URL+"/v1/sweeps", doc)
+func tryRunSweepJob(s *Server, ts *httptest.Server, doc any) (job jobDoc, body []byte, etag string, err error) {
+	code, _, raw, err := tryPost(ts.URL+"/v1/sweeps", doc)
+	if err != nil {
+		return job, nil, "", err
+	}
 	if code != http.StatusAccepted {
-		t.Fatalf("submit: %d %s", code, raw)
+		return job, nil, "", fmt.Errorf("submit: %d %s", code, raw)
 	}
 	if err := json.Unmarshal(raw, &job); err != nil {
-		t.Fatal(err)
+		return job, nil, "", err
 	}
-	if st := await(t, s, job.ID); st != StatusDone {
-		t.Fatalf("status %s", st)
+	st, err := tryAwait(s, job.ID)
+	if err != nil {
+		return job, nil, "", err
+	}
+	if st != StatusDone {
+		return job, nil, "", fmt.Errorf("status %s", st)
 	}
 	s.cache.persists.Wait()
-	code, hdr, body := get(t, ts.URL+"/v1/sweeps/"+job.ID, nil)
-	if code != http.StatusOK {
-		t.Fatalf("result: %d %s", code, body)
+	code, hdr, body, err := tryGet(ts.URL+"/v1/sweeps/"+job.ID, nil)
+	if err != nil {
+		return job, nil, "", err
 	}
-	return job, body, hdr.Get("ETag")
+	if code != http.StatusOK {
+		return job, nil, "", fmt.Errorf("result: %d %s", code, body)
+	}
+	return job, body, hdr.Get("ETag"), nil
+}
+
+// runSweepJob is tryRunSweepJob on the test goroutine.
+func runSweepJob(t *testing.T, s *Server, ts *httptest.Server, doc any) (jobDoc, []byte, string) {
+	t.Helper()
+	job, body, etag, err := tryRunSweepJob(s, ts, doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return job, body, etag
 }
 
 // TestArchiveWarmStart is the headline round trip: a sweep computed

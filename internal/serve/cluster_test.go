@@ -60,8 +60,7 @@ func TestClusterLifecycle(t *testing.T) {
 
 	stream, cancel := openSSE(t, ts, "cluster/"+doc.ID)
 	defer cancel()
-	frames := make(chan []sseEvent, 1)
-	go func() { frames <- readSSE(t, stream, 64) }()
+	frames := readSSEAsync(stream, 64)
 
 	jobs := map[string]any{"jobs": []map[string]any{
 		{"id": "alpha", "midplanes": 4, "runtime_sec": 120, "pattern": "pairing"},
@@ -120,7 +119,11 @@ func TestClusterLifecycle(t *testing.T) {
 
 	// The stream: a status frame, engine events, and the final metrics
 	// in the done frame.
-	evs := <-frames
+	read := <-frames
+	if read.err != nil {
+		t.Fatal(read.err)
+	}
+	evs := read.events
 	if len(evs) < 3 || evs[0].name != "status" {
 		t.Fatalf("frames %+v, want status first then events", evs)
 	}
@@ -298,15 +301,18 @@ func TestClusterShutdownDrain(t *testing.T) {
 	}
 	stream, cancel := openSSE(t, ts, "cluster/"+doc.ID)
 	defer cancel()
-	frames := make(chan []sseEvent, 1)
-	go func() { frames <- readSSE(t, stream, 64) }()
+	frames := readSSEAsync(stream, 64)
 
 	ctx, cancelShutdown := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancelShutdown()
 	if err := s.Shutdown(ctx); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
-	evs := <-frames
+	read := <-frames
+	if read.err != nil {
+		t.Fatal(read.err)
+	}
+	evs := read.events
 	if len(evs) == 0 {
 		t.Fatal("no frames before shutdown close")
 	}

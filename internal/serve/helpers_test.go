@@ -283,19 +283,29 @@ func submitConcurrently(t *testing.T, n int, url string, doc func(i int) any) []
 	return ids
 }
 
-// await blocks until the job reaches a terminal status and returns it.
-func await(t *testing.T, s *Server, id string) Status {
-	t.Helper()
+// tryAwait blocks until the job reaches a terminal status and returns
+// it.
+func tryAwait(s *Server, id string) (Status, error) {
 	job, ok := s.jobs.lookup(id)
 	if !ok {
-		t.Fatalf("no job %s", id)
+		return "", fmt.Errorf("no job %s", id)
 	}
 	select {
 	case <-job.Done():
 	case <-time.After(10 * time.Second):
-		t.Fatalf("job %s did not finish", id)
+		return "", fmt.Errorf("job %s did not finish", id)
 	}
 	status, _, _, _ := job.Snapshot()
+	return status, nil
+}
+
+// await is tryAwait on the test goroutine.
+func await(t *testing.T, s *Server, id string) Status {
+	t.Helper()
+	status, err := tryAwait(s, id)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return status
 }
 
@@ -314,17 +324,16 @@ func newSSEStream(r io.Reader) *sseStream {
 	return &sseStream{sc: bufio.NewScanner(r)}
 }
 
-// next reads one frame (skipping heartbeat comments); ok is false at
-// end of stream.
-func (s *sseStream) next(t *testing.T) (ev sseEvent, ok bool) {
-	t.Helper()
+// tryNext reads one frame (skipping heartbeat comments); ok is false
+// at end of stream.
+func (s *sseStream) tryNext() (ev sseEvent, ok bool, err error) {
 	var cur sseEvent
 	for s.sc.Scan() {
 		line := s.sc.Text()
 		switch {
 		case line == "":
 			if cur.name != "" || cur.data != "" {
-				return cur, true
+				return cur, true, nil
 			}
 		case strings.HasPrefix(line, "event: "):
 			cur.name = strings.TrimPrefix(line, "event: ")
@@ -333,20 +342,32 @@ func (s *sseStream) next(t *testing.T) (ev sseEvent, ok bool) {
 		case strings.HasPrefix(line, ":"):
 			// heartbeat comment
 		default:
-			t.Fatalf("unexpected SSE line %q", line)
+			return sseEvent{}, false, fmt.Errorf("unexpected SSE line %q", line)
 		}
 	}
-	return sseEvent{}, false
+	return sseEvent{}, false, nil
 }
 
-// readSSE consumes frames until the terminal "done" event, a frame
-// limit, or EOF.
-func readSSE(t *testing.T, r io.Reader, max int) []sseEvent {
+// next is tryNext on the test goroutine.
+func (s *sseStream) next(t *testing.T) (sseEvent, bool) {
 	t.Helper()
+	ev, ok, err := s.tryNext()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ev, ok
+}
+
+// tryReadSSE consumes frames until the terminal "done" event, a frame
+// limit, or EOF.
+func tryReadSSE(r io.Reader, max int) ([]sseEvent, error) {
 	st := newSSEStream(r)
 	var events []sseEvent
 	for len(events) < max {
-		ev, ok := st.next(t)
+		ev, ok, err := st.tryNext()
+		if err != nil {
+			return events, err
+		}
 		if !ok {
 			break
 		}
@@ -355,7 +376,35 @@ func readSSE(t *testing.T, r io.Reader, max int) []sseEvent {
 			break
 		}
 	}
+	return events, nil
+}
+
+// readSSE is tryReadSSE on the test goroutine.
+func readSSE(t *testing.T, r io.Reader, max int) []sseEvent {
+	t.Helper()
+	events, err := tryReadSSE(r, max)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return events
+}
+
+// sseRead is one tryReadSSE result, handed from a reader goroutine to
+// the test goroutine.
+type sseRead struct {
+	events []sseEvent
+	err    error
+}
+
+// readSSEAsync runs tryReadSSE on a new goroutine, which never touches
+// t; the test goroutine receives the result and reports its error.
+func readSSEAsync(r io.Reader, max int) <-chan sseRead {
+	done := make(chan sseRead, 1)
+	go func() {
+		events, err := tryReadSSE(r, max)
+		done <- sseRead{events, err}
+	}()
+	return done
 }
 
 // openSSE connects to a job's event stream; the returned cancel

@@ -243,6 +243,7 @@ func TestPeerCoalescing(t *testing.T) {
 
 	var wg sync.WaitGroup
 	results := make([]string, 2)
+	errs := make([]error, 2)
 	for i, pair := range []struct {
 		s  *Server
 		ts *httptest.Server
@@ -250,11 +251,16 @@ func TestPeerCoalescing(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, body, _ := runSweepJob(t, pair.s, pair.ts, tinySweep("coalesce"))
-			results[i] = string(body)
+			_, body, _, err := tryRunSweepJob(pair.s, pair.ts, tinySweep("coalesce"))
+			results[i], errs[i] = string(body), err
 		}()
 	}
 	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("coordinator %d: %v", i+1, err)
+		}
+	}
 	if results[0] != results[1] {
 		t.Error("coordinators disagree")
 	}
