@@ -232,11 +232,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 		// writes are the ones that held.
 		Duration: func(j sched.Job, pl sched.Placement) float64 {
 			d, flows, err := dilation(m, e.jobs[j.ID], pl)
-			if err != nil {
-				if e.scoreErr == nil {
-					e.scoreErr = err
-				}
-				d = 1
+			if err != nil && e.scoreErr == nil {
+				e.scoreErr = err
 			}
 			e.dilations[j.ID], e.jobFlows[j.ID] = d, flows
 			return j.BaseDurationSec * d

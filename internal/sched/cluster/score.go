@@ -71,6 +71,8 @@ func memoPatternSec(geom torus.Shape, pattern string) (score, error) {
 	if s, ok := memo.Get(key); ok {
 		return s, nil
 	}
+	// The score serves every later caller of the memo, so no one
+	// caller's context bounds the run.
 	out, err := scenario.Run(context.Background(), scenario.Spec{
 		Topology: scenario.TopologySpec{Kind: scenario.KindTorus, Shape: key[:shapeLen]},
 		Workload: scenario.WorkloadSpec{Pattern: pattern},
@@ -90,7 +92,9 @@ func memoPatternSec(geom torus.Shape, pattern string) (score, error) {
 // bandwidth ratio for contention-bound jobs without a pattern, and 1
 // for everything else. It also returns the routed flow count of a
 // patterned job's placed geometry (0 otherwise), the job's share of
-// the live contention totals.
+// the live contention totals. A scoring error comes with dilation 1
+// and no flows, so the schedule can go on while the engine holds the
+// error for Drain.
 func dilation(m *bgq.Machine, j Job, pl sched.Placement) (float64, int, error) {
 	if j.Pattern == "" && !j.ContentionBound {
 		return 1, 0, nil
@@ -104,11 +108,11 @@ func dilation(m *bgq.Machine, j Job, pl sched.Placement) (float64, int, error) {
 	}
 	bestScore, err := patternSec(best.Geometry(), j.Pattern)
 	if err != nil {
-		return 0, 0, err
+		return 1, 0, err
 	}
 	placed, err := patternSec(pl.Lens, j.Pattern)
 	if err != nil {
-		return 0, 0, err
+		return 1, 0, err
 	}
 	if bestScore.sec <= 0 || placed.sec <= bestScore.sec {
 		// The placed geometry is no worse than the bisection-best one

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -187,6 +188,45 @@ func permutations(s torus.Shape) []torus.Shape {
 		}
 	}
 	return out
+}
+
+// TestScoreErrorKeepsBaseRuntime: when the scorer fails, every job it
+// fails for runs at its base runtime (dilation 1) with no live flows,
+// the schedule completes, and Drain reports the first error.
+func TestScoreErrorKeepsBaseRuntime(t *testing.T) {
+	saved := patternSec
+	patternSec = func(torus.Shape, string) (score, error) { return score{}, errors.New("scorer down") }
+	defer func() { patternSec = saved }()
+
+	eng, err := NewEngine(Config{Machine: bgq.Juqueen(), Policy: PolicyFirstFit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := []Job{
+		{Midplanes: 2, RuntimeSec: 100, Pattern: PatternPairing},
+		{Midplanes: 4, RuntimeSec: 50, ArrivalSec: 10, Pattern: PatternNeighbor},
+	}
+	if _, err := eng.Submit(jobs); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Advance(t.Context(), 20); err != nil {
+		t.Fatal(err)
+	}
+	if snap := eng.Snapshot(); snap.RunningPatterned != 2 || snap.LiveFlows != 0 || snap.ContentionExcessSec != 0 {
+		t.Fatalf("snapshot %+v, want two running jobs with no flows or excess", snap)
+	}
+	if err := eng.Drain(t.Context()); err == nil || !strings.Contains(err.Error(), "scorer down") {
+		t.Fatalf("drain: err = %v, want the scorer's error", err)
+	}
+	outs := eng.Outcomes()
+	if len(outs) != len(jobs) {
+		t.Fatalf("%d outcomes, want %d", len(outs), len(jobs))
+	}
+	for _, o := range outs {
+		if o.Dilation != 1 || o.RuntimeSec != o.BaseSec {
+			t.Fatalf("job %d: dilation %v, runtime %v s for base %v s", o.ID, o.Dilation, o.RuntimeSec, o.BaseSec)
+		}
+	}
 }
 
 // TestOracleEngineUsesGenericPolicy: an engine built behind the
