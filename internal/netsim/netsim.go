@@ -38,6 +38,22 @@
 //     workloads of the paper (§4.1 bisection pairing, where thousands
 //     of identical-rate flows finish together) cost one event and one
 //     rate recomputation per cohort rather than one per flow.
+//   - The last progressive fill is kept as a log: each level's share,
+//     the arena slots it froze (level by level in one flat slice) and
+//     each flow's level. A completion invalidates only the levels from
+//     the completed flow's upward, and a start invalidates them all;
+//     the next recomputation replays the still-valid levels (each of
+//     their flows gets its level's share, subtracted from its links
+//     with the same clamp at zero) and resumes filling above them. The
+//     replay is exact, not approximate: removing flows first frozen at
+//     level m only raises the fair shares of the links they crossed,
+//     so no level below m freezes a different flow or at a different
+//     share; within a level every subtraction uses the same share, so
+//     their order cannot change a float; and the resumed fill reads
+//     the same per-link values in the same touched-link order as a
+//     fill from scratch would. The one theoretical exception, a link
+//     whose share lies within rounding of the 1e-12 freeze threshold,
+//     a fill from scratch already settles by visiting order.
 //
 // The previous map-based implementation (retained as the reference
 // oracle in reference_test.go) rebuilt map[int][]*flow indexes and
@@ -65,7 +81,16 @@ type flow struct {
 	remaining float64 // bytes
 	rate      float64 // bytes/sec, set by recomputeRates
 	minDone   float64 // absolute time before which the flow cannot complete (latency)
+	level     int32   // fill level (from 1) that froze the flow; 0 before its first fill and for a linkless flow
 	live      bool
+}
+
+// fillLevel is one level of the fill log: the share it froze flows at,
+// and the end of its slots in Sim.fillSlots (they start where the
+// previous level's end).
+type fillLevel struct {
+	share float64
+	end   int32
 }
 
 // Sim is the simulator state. Create with New; not safe for concurrent
@@ -105,6 +130,14 @@ type Sim struct {
 	csr     []int32   // concatenated per-link active-flow slot lists
 	touched []int32   // links with >= 1 routed active flow, discovery order
 	active  []int32   // filling worklist, compacted as links saturate
+
+	// Log of the last progressive fill: levels in order, the slots
+	// each froze (in freeze order), and how many leading levels are
+	// still valid. Advance lowers keep below a completed flow's level;
+	// StartFlow clears it.
+	levels    []fillLevel
+	fillSlots []int32
+	keep      int
 
 	completedBuf []FlowID
 
@@ -231,12 +264,14 @@ func (s *Sim) StartFlow(links []int, bytes, latency float64) FlowID {
 	f.remaining = bytes
 	f.rate = 0
 	f.minDone = s.now + latency
+	f.level = 0
 	f.live = true
 	s.nextID++
 	s.id2slot = append(s.id2slot, sl)
 	s.numLive++
 	s.totalBytes += bytes
 	s.ratesDirty = true
+	s.keep = 0 // a new flow can lower any level's share
 	return f.id
 }
 
@@ -249,6 +284,8 @@ func (s *Sim) StartFlow(links []int, bytes, latency float64) FlowID {
 // The link→flows index is rebuilt once per rate epoch in two linear
 // passes over the arena (count, then fill) into the reused CSR arrays;
 // all per-link state lives in flat arrays scoped to the touched links.
+// The levels of the last fill that the epoch's completions left valid
+// are replayed from the fill log rather than searched for again.
 func (s *Sim) recomputeRates() {
 	if !s.ratesDirty {
 		return
@@ -264,7 +301,7 @@ func (s *Sim) recomputeRates() {
 	// Pass 1: per-link flow counts, touched-link discovery, unfrozen
 	// marking. Arena slot order is deterministic (StartFlow order plus
 	// repeatable free-list recycling), so everything downstream is too.
-	unfrozen := 0
+	routed := 0
 	routeLen := 0
 	for i := range s.flows {
 		f := &s.flows[i]
@@ -276,7 +313,7 @@ func (s *Sim) recomputeRates() {
 			continue
 		}
 		f.rate = -1 // marks unfrozen
-		unfrozen++
+		routed++
 		routeLen += len(f.links)
 		for _, l := range f.links {
 			if s.linkCnt[l] == 0 {
@@ -285,7 +322,7 @@ func (s *Sim) recomputeRates() {
 			s.linkCnt[l]++
 		}
 	}
-	if unfrozen == 0 {
+	if routed == 0 {
 		return
 	}
 
@@ -314,10 +351,22 @@ func (s *Sim) recomputeRates() {
 		}
 	}
 
+	// Replay the levels the epoch's completions left valid, then size
+	// the log for the flows still to freeze.
+	s.levels = s.levels[:s.keep]
+	var frozen int32
+	for _, lv := range s.levels {
+		for _, sl := range s.fillSlots[frozen:lv.end] {
+			s.freeze(&s.flows[sl], lv.share)
+		}
+		frozen = lv.end
+	}
+	s.fillSlots = slices.Grow(s.fillSlots[:frozen], routed-int(frozen))
+
 	// Progressive filling over the touched links; saturated links are
 	// compacted out of the worklist as their unfrozen count hits zero.
 	s.active = append(s.active[:0], s.touched...)
-	for unfrozen > 0 {
+	for len(s.fillSlots) < routed {
 		// Find bottleneck share: minimal fair share among links with
 		// unfrozen flows.
 		share := math.Inf(1)
@@ -338,7 +387,8 @@ func (s *Sim) recomputeRates() {
 		}
 		// Freeze every unfrozen flow on links at (or numerically at)
 		// the bottleneck share.
-		frozeAny := false
+		level := int32(len(s.levels) + 1)
+		before := len(s.fillSlots)
 		for _, l := range s.active {
 			cnt := s.linkCnt[l]
 			if cnt <= 0 {
@@ -352,21 +402,29 @@ func (s *Sim) recomputeRates() {
 				if f.rate >= 0 {
 					continue
 				}
-				f.rate = share
-				unfrozen--
-				frozeAny = true
-				for _, fl := range f.links {
-					s.remCap[fl] -= share
-					if s.remCap[fl] < 0 {
-						s.remCap[fl] = 0
-					}
-					s.linkCnt[fl]--
-				}
+				f.level = level
+				s.fillSlots = append(s.fillSlots, sl)
+				s.freeze(f, share)
 			}
 		}
-		if !frozeAny {
+		if len(s.fillSlots) == before {
 			panic("netsim: progressive filling stalled")
 		}
+		s.levels = append(s.levels, fillLevel{share: share, end: int32(len(s.fillSlots))})
+	}
+	s.keep = len(s.levels)
+}
+
+// freeze fixes an unfrozen flow's rate at share and removes that
+// consumption from every link on its route.
+func (s *Sim) freeze(f *flow, share float64) {
+	f.rate = share
+	for _, l := range f.links {
+		s.remCap[l] -= share
+		if s.remCap[l] < 0 {
+			s.remCap[l] = 0
+		}
+		s.linkCnt[l]--
 	}
 }
 
@@ -450,6 +508,9 @@ func (s *Sim) Advance(dt float64) []FlowID {
 			f.remaining = 0
 		}
 		if f.remaining <= 0 && f.minDone <= s.now*(1+completionEpsilon)+completionEpsilon {
+			if l := int(f.level); l > 0 && l <= s.keep {
+				s.keep = l - 1 // its level and those above may change
+			}
 			f.live = false
 			s.id2slot[f.id-s.idBase] = -1
 			s.freeSlots = append(s.freeSlots, int32(i))
