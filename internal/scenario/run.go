@@ -79,8 +79,8 @@ type Robustness struct {
 // Run executes the scenario: normalize, resolve the topology, build
 // the workload, run the static analysis and (optionally) the
 // flow-level simulation. The context is checked between phases, every
-// simCancelStride demands routed and every simCancelStride flow
-// starts.
+// simCancelStride demands routed, every simCancelStride flow starts
+// and every rate epoch of the simulation.
 func Run(ctx context.Context, spec Spec) (*Outcome, error) {
 	return runWith(ctx, spec, analyze)
 }
@@ -312,7 +312,18 @@ func simulate(ctx context.Context, routeOf routeFunc, demands []route.Demand, nu
 			}
 			sim.StartFlow(buf, d.Bytes, 0)
 		}
-		total += sim.RunUntilIdle()
+		// Run the round one rate epoch at a time, so a cancellation
+		// lands within an epoch rather than a whole round.
+		start := sim.Now()
+		for {
+			if err := ctx.Err(); err != nil {
+				return 0, err
+			}
+			if _, ok := sim.Step(); !ok {
+				break
+			}
+		}
+		total += sim.Now() - start
 	}
 	return total, nil
 }

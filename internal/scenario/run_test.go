@@ -2,10 +2,12 @@ package scenario
 
 import (
 	"context"
+	"errors"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"netpart/internal/model"
 	"netpart/internal/route"
@@ -233,6 +235,34 @@ func TestRunCancellation(t *testing.T) {
 	})
 	if err != context.Canceled {
 		t.Errorf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestRunCancelsMidRound: a cancellation while a long round is being
+// simulated stops it at the next rate epoch, not at the end of the
+// round (one round of this permutation takes seconds).
+func TestRunCancelsMidRound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates an 8,192-node permutation")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	canceledAt := make(chan time.Time, 1)
+	time.AfterFunc(200*time.Millisecond, func() {
+		cancel()
+		canceledAt <- time.Now()
+	})
+	_, err := Run(ctx, Spec{
+		Topology: TopologySpec{Kind: KindTorus, Shape: "32x16x16"},
+		Workload: WorkloadSpec{Pattern: PatternPermutation},
+		Sim:      SimSpec{Enabled: true},
+	})
+	returned := time.Now()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if lag := returned.Sub(<-canceledAt); lag > time.Second {
+		t.Errorf("Run returned %v after the cancellation, want within 1s", lag)
 	}
 }
 
