@@ -124,8 +124,9 @@ func BenchmarkScenarioMinhopSim(b *testing.B) {
 // advisor workload's costliest cells: the static analysis of a
 // 96-midplane partition (Sequoia under the halo exchange, Mira under
 // bisection pairing, both about 49k nodes), and the flow-level
-// simulation of an 8-midplane Mira pairing, the largest size the
-// advisor simulates.
+// simulations of an 8-midplane Mira pairing (one rate epoch) and
+// permutation (tens of epochs), the largest size the advisor
+// simulates.
 func BenchmarkScenarioPartition(b *testing.B) {
 	cases := []struct {
 		name     string
@@ -137,6 +138,7 @@ func BenchmarkScenarioPartition(b *testing.B) {
 		{"sequoia96-neighbor-static", "sequoia", 96, "neighbor", false},
 		{"mira96-pairing-static", "mira", 96, "pairing", false},
 		{"mira8-pairing-sim", "mira", 8, "pairing", true},
+		{"mira8-permutation-sim", "mira", 8, "permutation", true},
 	}
 	runner := NewRunner()
 	ctx := context.Background()

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	benchsnap [-bench 'BenchmarkSweep|BenchmarkScenario|BenchmarkTrace|BenchmarkCluster|BenchmarkStore|BenchmarkArchive|BenchmarkMetrics|BenchmarkPlace|BenchmarkRoute|BenchmarkLoadMap']
+//	benchsnap [-bench 'BenchmarkSweep|BenchmarkScenario|BenchmarkTrace|BenchmarkCluster|BenchmarkStore|BenchmarkArchive|BenchmarkMetrics|BenchmarkPlace|BenchmarkRoute|BenchmarkLoadMap|BenchmarkMaxMinFair']
 //	          [-benchtime 500ms] [-count 3] [-out BENCH_sweep.json]
 //	          [-compare BENCH_sweep.json -tolerance 25] [packages ...]
 //
@@ -88,7 +88,7 @@ type snapshot struct {
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
 
 func main() {
-	bench := flag.String("bench", "BenchmarkSweep|BenchmarkScenario|BenchmarkTrace|BenchmarkCluster|BenchmarkStore|BenchmarkArchive|BenchmarkMetrics|BenchmarkPlace|BenchmarkRoute|BenchmarkLoadMap", "benchmark selection regexp (go test -bench)")
+	bench := flag.String("bench", "BenchmarkSweep|BenchmarkScenario|BenchmarkTrace|BenchmarkCluster|BenchmarkStore|BenchmarkArchive|BenchmarkMetrics|BenchmarkPlace|BenchmarkRoute|BenchmarkLoadMap|BenchmarkMaxMinFair", "benchmark selection regexp (go test -bench)")
 	benchtime := flag.String("benchtime", "500ms", "per-benchmark time or iteration budget")
 	count := flag.Int("count", 3, "repetitions per benchmark")
 	out := flag.String("out", "BENCH_sweep.json", "output file (- for stdout)")
