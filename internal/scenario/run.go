@@ -218,6 +218,7 @@ func analyze(ctx context.Context, s Spec, net *network, demands []route.Demand, 
 	caps := net.capacities()
 	load := make([]float64, net.numLinks())
 	var buf []int
+	hops := 0
 	for i, d := range demands {
 		if i%simCancelStride == 0 {
 			if err := ctx.Err(); err != nil {
@@ -227,6 +228,7 @@ func analyze(ctx context.Context, s Spec, net *network, demands []route.Demand, 
 		if buf, err = routeOf(i, buf[:0]); err != nil {
 			return err
 		}
+		hops += len(buf)
 		// Ideal: the slowest flow with all contention removed — each
 		// flow alone at full capacity is paced by the slowest link on
 		// its own route, so heterogeneous capacities (Dragonfly's
@@ -270,7 +272,7 @@ func analyze(ctx context.Context, s Spec, net *network, demands []route.Demand, 
 	}
 
 	if s.Sim.Enabled {
-		simSec, err := simulate(ctx, routeOf, demands, net.numLinks(), caps, s.Sim.Rounds)
+		simSec, err := simulate(ctx, routeOf, demands, hops, net.numLinks(), caps, s.Sim.Rounds)
 		if err != nil {
 			return err
 		}
@@ -283,14 +285,18 @@ func analyze(ctx context.Context, s Spec, net *network, demands []route.Demand, 
 // simulate runs the flow-level max-min fair simulation: all demands
 // start at once, each round runs to completion, rounds repeat
 // back-to-back. Each flow starts from its route as routeOf returns it,
-// into one reused buffer for DOR (StartFlow copies the route).
-func simulate(ctx context.Context, routeOf routeFunc, demands []route.Demand, numLinks int, caps linkCaps, rounds int) (float64, error) {
+// into one reused buffer for DOR (StartFlow copies the route). hops is
+// the demands' total route length: the simulator is sized once for the
+// first round's flows and routes, and later rounds reuse the drained
+// slots and their routes.
+func simulate(ctx context.Context, routeOf routeFunc, demands []route.Demand, hops, numLinks int, caps linkCaps, rounds int) (float64, error) {
 	var sim *netsim.Sim
 	if caps == nil {
 		sim = netsim.New(numLinks, model.LinkBytesPerSec)
 	} else {
 		sim = netsim.NewWithCapacities(caps)
 	}
+	sim.Grow(len(demands), hops)
 	var buf []int
 	total := 0.0
 	for round := 0; round < rounds; round++ {
