@@ -514,9 +514,10 @@ func (s Spec) EstVertices() int {
 
 // Cost classifies the scenario's expected runtime for admission
 // control, mirroring the registry's cheap/moderate/heavy split:
-// flow-level simulations are moderate (small) or heavy (large or
-// multi-round); static analyses are cheap unless the demand volume
-// makes them moderate or heavy. A partition is at least moderate: it
+// flow-level simulations are moderate (small) or heavy (large,
+// multi-round, or with the demand volume that makes a static analysis
+// heavy); static analyses are cheap unless the demand volume makes
+// them moderate or heavy. A partition is at least moderate: it
 // selects a geometry on the machine (a geometry search or a placement
 // scan) before routing a node-level torus of at least one midplane.
 func (s Spec) Cost() string {
@@ -530,7 +531,7 @@ func (s Spec) Cost() string {
 		if rounds == 0 {
 			rounds = DefaultRounds
 		}
-		if n > 2048 || rounds > 4 {
+		if n > 2048 || rounds > 4 || work > 1<<18 {
 			return CostHeavy
 		}
 		return CostModerate

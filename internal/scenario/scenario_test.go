@@ -162,6 +162,12 @@ func TestCostClasses(t *testing.T) {
 	if c := bigStatic.Cost(); c != CostHeavy {
 		t.Errorf("large static cost %q", c)
 	}
+	// 1,024 vertices: few enough for a moderate simulation, but
+	// all-to-all makes 1,047,552 flows.
+	allToAllSim := Spec{Topology: TopologySpec{Kind: KindPartition, Machine: "mira", Midplanes: 2}, Workload: WorkloadSpec{Pattern: PatternAllToAll}, Sim: SimSpec{Enabled: true}}
+	if c := allToAllSim.Cost(); c != CostHeavy {
+		t.Errorf("simulated all-to-all cost %q", c)
+	}
 }
 
 func TestIDStability(t *testing.T) {
