@@ -124,8 +124,9 @@ func BenchmarkScenarioMinhopSim(b *testing.B) {
 // advisor workload's costliest cells: the static analysis of a
 // 96-midplane partition (Sequoia under the halo exchange, Mira under
 // bisection pairing, both about 49k nodes), and the flow-level
-// simulations of an 8-midplane Mira pairing (one rate epoch) and
-// permutation (tens of epochs), the largest size the advisor
+// simulations of an 8-midplane Mira pairing (one rate epoch),
+// permutation (tens of epochs) and halo exchange (the most flows of
+// any cell the advisor simulates), the largest size the advisor
 // simulates.
 func BenchmarkScenarioPartition(b *testing.B) {
 	cases := []struct {
@@ -139,6 +140,7 @@ func BenchmarkScenarioPartition(b *testing.B) {
 		{"mira96-pairing-static", "mira", 96, "pairing", false},
 		{"mira8-pairing-sim", "mira", 8, "pairing", true},
 		{"mira8-permutation-sim", "mira", 8, "permutation", true},
+		{"mira8-neighbor-sim", "mira", 8, "neighbor", true},
 	}
 	runner := NewRunner()
 	ctx := context.Background()
