@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"sync/atomic"
 	"testing"
 
@@ -277,7 +278,8 @@ func workloadFor(pattern string, seed int64, iters int) WorkloadSpec {
 func TestOnePassMatchesReference(t *testing.T) {
 	ctx := context.Background()
 	specs := differentialSpecs(testing.Short())
-	var compared, disconnected int
+	var compared, simulated, disconnected int
+	worst := 0.0 // largest relative error of a simulated sim_sec
 	for i, spec := range specs {
 		got, gotErr := Run(ctx, spec)
 		want, wantErr := runWith(ctx, spec, referenceAnalyze)
@@ -309,13 +311,43 @@ func TestOnePassMatchesReference(t *testing.T) {
 		if !bytes.Equal(gb, wb) {
 			t.Fatalf("%s: outcome\n%s\nreference\n%s", name, gb, wb)
 		}
+		if want.Spec.Sim.Enabled {
+			worst = math.Max(worst, checkSimSec(t, name, want.SimSec, want.Spec.Sim.Rounds, want.StaticSec))
+			if h := want.Healthy; h != nil {
+				worst = math.Max(worst, checkSimSec(t, name+" healthy", h.SimSec, want.Spec.Sim.Rounds, h.StaticSec))
+			}
+			simulated++
+		}
 		compared++
 	}
 	// The matrix must exercise both sides of the contract.
 	if compared == 0 || disconnected == 0 {
 		t.Fatalf("%d specs: %d outcomes compared, %d disconnections; the matrix lost coverage", len(specs), compared, disconnected)
 	}
-	t.Logf("%d specs: %d outcomes compared byte for byte, %d identical disconnections", len(specs), compared, disconnected)
+	t.Logf("%d specs: %d outcomes compared byte for byte, %d identical disconnections; %d simulated, largest sim_sec error %.3g", len(specs), compared, disconnected, simulated, worst)
+}
+
+// simSecBound is the relative error allowed between a simulated
+// sim_sec and rounds·static_sec. Every scenario workload has equal
+// flow sizes and starts every flow at once with no latency, so by the
+// makespan theorem (the netsim package comment) a round's max-min fair
+// makespan is the static time; the bound is the one netsim's
+// TestEqualSizeMakespanIsStatic allows for float rounding.
+const simSecBound = 1e-12
+
+// checkSimSec holds a simulated time to rounds·static within
+// simSecBound and returns its relative error.
+func checkSimSec(t *testing.T, name string, simSec float64, rounds int, staticSec float64) float64 {
+	t.Helper()
+	want := float64(rounds) * staticSec
+	rel := 0.0
+	if simSec != want {
+		rel = math.Abs(simSec-want) / want
+	}
+	if rel > simSecBound {
+		t.Fatalf("%s: simulated %v s over %d rounds, static %v s per round: relative error %.3g", name, simSec, rounds, staticSec, rel)
+	}
+	return rel
 }
 
 // countingCtx counts Err calls; it reports cancellation once the
