@@ -13,6 +13,30 @@
 // staggered starts and multi-bottleneck cascades are simulated rather
 // than assumed.
 //
+// # Equal flows finish at the static time
+//
+// When every flow has the same size B, all start at once and none has
+// a latency, the max-min fair makespan is the §4.1 static time
+// max_l k_l·B/c_l, where k_l flows cross link l of capacity c_l:
+//
+//   - Let link L* minimize c_l/k_l, with minimum c*/k*. Flows only
+//     drain and complete, so a link never carries more than its k_l
+//     flows, and the first fill level's share, the smallest rate any
+//     flow gets, never falls below c*/k*. So every flow finishes by
+//     k*·B/c*.
+//   - The k* flows on L* share c*, and each gets at least c*/k*, so
+//     each gets exactly c*/k*. They finish together at k*·B/c*, which
+//     is the static time.
+//   - Rounds run back to back, so r rounds take r times as long.
+//
+// Every scenario workload has that shape, so a scenario computes its
+// simulated time in closed form and runs no simulation. In floats the
+// simulated makespan stays within a few ulps per rate epoch of the
+// static time (TestEqualSizeMakespanIsStatic). With unequal sizes or
+// staggered starts it can run longer (TestUnequalSizesCanOutlastStatic):
+// those are the workloads of the mpi engine, and Figures 3/4 simulate
+// the paper's own experiment.
+//
 // # Architecture
 //
 // The simulator core is built around dense, index-addressed state;

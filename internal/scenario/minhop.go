@@ -16,8 +16,8 @@ import (
 //
 // Directed link IDs: edge e = {u, v} with u < v yields link 2e when
 // traversed u→v and 2e+1 when traversed v→u, mirroring the torus
-// router's directed-link convention so the same load/simulation
-// machinery applies.
+// router's directed-link convention so the same load machinery
+// applies.
 type graphNet struct {
 	n        int
 	numEdges int
@@ -237,7 +237,7 @@ func (gn *graphNet) furthest(src int32) int32 {
 // These mirror the torus generators of internal/workload for
 // topologies without a torus structure. Demands are emitted in
 // ascending source order, which groups them for the per-source BFS
-// cache in loadMap.
+// tree that network.routing reuses.
 
 func (gn *graphNet) pairing(bytes float64) []route.Demand {
 	demands := make([]route.Demand, 0, gn.n)
@@ -281,26 +281,4 @@ func (gn *graphNet) neighbors(bytes float64) []route.Demand {
 		}
 	}
 	return demands
-}
-
-// routes computes the min-hop route of every demand (demands should
-// be grouped by source to amortize the BFS). The returned slices
-// alias one backing array.
-func (gn *graphNet) routes(demands []route.Demand) ([][]int, error) {
-	flat := make([]int, 0, len(demands)*4)
-	bounds := make([]int, len(demands)+1)
-	for i, d := range demands {
-		gn.tree(int32(d.Src))
-		var err error
-		flat, err = gn.routeTo(int32(d.Dst), flat)
-		if err != nil {
-			return nil, err
-		}
-		bounds[i+1] = len(flat)
-	}
-	out := make([][]int, len(demands))
-	for i := range out {
-		out[i] = flat[bounds[i]:bounds[i+1]]
-	}
-	return out, nil
 }

@@ -9,6 +9,7 @@ import (
 	"math"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"netpart/internal/faults"
 	"netpart/internal/model"
@@ -125,6 +126,29 @@ func (s Spec) routesAndCapacities(net *network, demands []route.Demand) ([][]int
 	return routes, net.gnet.capacities(model.LinkBytesPerSec), net.gnet.linkString, nil
 }
 
+// routes computes and stores the min-hop route of every demand, as
+// the analysis did before it routed each demand on demand (demands
+// should be grouped by source to amortize the BFS). The returned
+// slices alias one backing array.
+func (gn *graphNet) routes(demands []route.Demand) ([][]int, error) {
+	flat := make([]int, 0, len(demands)*4)
+	bounds := make([]int, len(demands)+1)
+	for i, d := range demands {
+		gn.tree(int32(d.Src))
+		var err error
+		flat, err = gn.routeTo(int32(d.Dst), flat)
+		if err != nil {
+			return nil, err
+		}
+		bounds[i+1] = len(flat)
+	}
+	out := make([][]int, len(demands))
+	for i := range out {
+		out[i] = flat[bounds[i]:bounds[i+1]]
+	}
+	return out, nil
+}
+
 // referenceSimulate is the simulation over stored routes.
 func referenceSimulate(ctx context.Context, routes [][]int, demands []route.Demand, caps []float64, rounds int) (float64, error) {
 	sim := netsim.NewWithCapacities(caps)
@@ -134,7 +158,7 @@ func referenceSimulate(ctx context.Context, routes [][]int, demands []route.Dema
 			return 0, err
 		}
 		for i, d := range demands {
-			if i%simCancelStride == 0 {
+			if i%cancelStride == 0 {
 				if err := ctx.Err(); err != nil {
 					return 0, err
 				}
@@ -273,13 +297,17 @@ func workloadFor(pattern string, seed int64, iters int) WorkloadSpec {
 }
 
 // TestOnePassMatchesReference: the one-pass analysis produces the
-// reference analysis's Outcome JSON byte for byte, or the same error;
-// a DOR route over a removed link reports the same demand.
+// reference analysis's Outcome JSON, or the same error; a DOR route
+// over a removed link reports the same demand. Every field matches
+// byte for byte except sim_sec: the reference simulates it, the one
+// pass gives it in closed form, and the two agree within the makespan
+// theorem's float bound (simSecBound). The reference's sim_sec is also
+// held to rounds·static_sec, the theorem itself.
 func TestOnePassMatchesReference(t *testing.T) {
 	ctx := context.Background()
 	specs := differentialSpecs(testing.Short())
 	var compared, simulated, disconnected int
-	worst := 0.0 // largest relative error of a simulated sim_sec
+	worst := 0.0 // largest relative error of a sim_sec
 	for i, spec := range specs {
 		got, gotErr := Run(ctx, spec)
 		want, wantErr := runWith(ctx, spec, referenceAnalyze)
@@ -300,6 +328,28 @@ func TestOnePassMatchesReference(t *testing.T) {
 		if gotErr != nil {
 			t.Fatalf("%s: error %v, reference succeeded", name, gotErr)
 		}
+		if want.Spec.Sim.Enabled {
+			rounds := float64(want.Spec.Sim.Rounds)
+			check := func(what string, sim, ref float64) {
+				rel := 0.0
+				if sim != ref {
+					rel = math.Abs(sim-ref) / ref
+				}
+				if rel > simSecBound {
+					t.Fatalf("%s: %s %v s, want %v s: relative error %.3g", name, what, sim, ref, rel)
+				}
+				worst = math.Max(worst, rel)
+			}
+			check("reference sim_sec against rounds·static_sec", want.SimSec, rounds*want.StaticSec)
+			check("sim_sec against the reference", got.SimSec, want.SimSec)
+			want.SimSec = got.SimSec
+			if h, gh := want.Healthy, got.Healthy; h != nil && gh != nil {
+				check("healthy reference sim_sec against rounds·static_sec", h.SimSec, rounds*h.StaticSec)
+				check("healthy sim_sec against the reference", gh.SimSec, h.SimSec)
+				h.SimSec = gh.SimSec
+			}
+			simulated++
+		}
 		gb, err := json.Marshal(got)
 		if err != nil {
 			t.Fatal(err)
@@ -311,20 +361,13 @@ func TestOnePassMatchesReference(t *testing.T) {
 		if !bytes.Equal(gb, wb) {
 			t.Fatalf("%s: outcome\n%s\nreference\n%s", name, gb, wb)
 		}
-		if want.Spec.Sim.Enabled {
-			worst = math.Max(worst, checkSimSec(t, name, want.SimSec, want.Spec.Sim.Rounds, want.StaticSec))
-			if h := want.Healthy; h != nil {
-				worst = math.Max(worst, checkSimSec(t, name+" healthy", h.SimSec, want.Spec.Sim.Rounds, h.StaticSec))
-			}
-			simulated++
-		}
 		compared++
 	}
 	// The matrix must exercise both sides of the contract.
-	if compared == 0 || disconnected == 0 {
-		t.Fatalf("%d specs: %d outcomes compared, %d disconnections; the matrix lost coverage", len(specs), compared, disconnected)
+	if compared == 0 || simulated == 0 || disconnected == 0 {
+		t.Fatalf("%d specs: %d outcomes compared (%d simulated), %d disconnections; the matrix lost coverage", len(specs), compared, simulated, disconnected)
 	}
-	t.Logf("%d specs: %d outcomes compared byte for byte, %d identical disconnections; %d simulated, largest sim_sec error %.3g", len(specs), compared, disconnected, simulated, worst)
+	t.Logf("%d specs: %d outcomes compared, %d of them simulated (largest sim_sec error %.3g), %d identical disconnections", len(specs), compared, simulated, worst, disconnected)
 }
 
 // simSecBound is the relative error allowed between a simulated
@@ -335,38 +378,28 @@ func TestOnePassMatchesReference(t *testing.T) {
 // TestEqualSizeMakespanIsStatic allows for float rounding.
 const simSecBound = 1e-12
 
-// checkSimSec holds a simulated time to rounds·static within
-// simSecBound and returns its relative error.
-func checkSimSec(t *testing.T, name string, simSec float64, rounds int, staticSec float64) float64 {
-	t.Helper()
-	want := float64(rounds) * staticSec
-	rel := 0.0
-	if simSec != want {
-		rel = math.Abs(simSec-want) / want
-	}
-	if rel > simSecBound {
-		t.Fatalf("%s: simulated %v s over %d rounds, static %v s per round: relative error %.3g", name, simSec, rounds, staticSec, rel)
-	}
-	return rel
-}
-
 // countingCtx counts Err calls; it reports cancellation once the
-// count reaches cancelAt (never when cancelAt is 0).
+// count reaches cancelAt (never when cancelAt is 0), and records when
+// that call came.
 type countingCtx struct {
 	context.Context
-	calls    atomic.Int64
-	cancelAt int64
+	calls       atomic.Int64
+	cancelAt    int64
+	cancelledAt time.Time
 }
 
 func (c *countingCtx) Err() error {
 	if n := c.calls.Add(1); c.cancelAt > 0 && n >= c.cancelAt {
+		if n == c.cancelAt {
+			c.cancelledAt = time.Now()
+		}
 		return context.Canceled
 	}
 	return nil
 }
 
 // TestRoutingChecksContext: the analysis pass checks the context at
-// least once every simCancelStride demands, and a context cancelled
+// least once every cancelStride demands, and a context cancelled
 // mid-pass stops it.
 func TestRoutingChecksContext(t *testing.T) {
 	spec := Spec{
@@ -378,7 +411,7 @@ func TestRoutingChecksContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if min := int64(out.Demands / simCancelStride); ctx.calls.Load() < min {
+	if min := int64(out.Demands / cancelStride); ctx.calls.Load() < min {
 		t.Fatalf("%d demands routed with %d context checks, want at least %d", out.Demands, ctx.calls.Load(), min)
 	}
 	cancelled := &countingCtx{Context: context.Background(), cancelAt: 10}

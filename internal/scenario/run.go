@@ -5,23 +5,21 @@ import (
 	"fmt"
 	"math/rand"
 
-	"netpart/internal/model"
-	"netpart/internal/netsim"
 	"netpart/internal/route"
 	"netpart/internal/tabulate"
 	"netpart/internal/workload"
 )
 
-// simCancelStride bounds the work between context checks: demands
-// routed in the analysis pass, and flow starts in the flow-level
-// simulation (mirroring the pairing experiments).
-const simCancelStride = 256
+// cancelStride bounds the demands the analysis pass routes between
+// context checks.
+const cancelStride = 256
 
 // Outcome is the result of running one scenario: the resolved
 // topology, the generated workload, the static bottleneck analysis
-// (the paper's §4.1 contention model) and, when enabled, the
-// flow-level max-min fair simulation. All fields are deterministic
-// functions of the normalized Spec.
+// (the paper's §4.1 contention model) and, when Spec.Sim enables it,
+// the flow-level max-min fair time, which for every scenario workload
+// is the static time per round (see SimSpec). All fields are
+// deterministic functions of the normalized Spec.
 type Outcome struct {
 	Spec Spec `json:"spec"`
 
@@ -45,7 +43,8 @@ type Outcome struct {
 	StaticSec     float64 `json:"static_sec"`
 	ContentionX   float64 `json:"contention_x"`
 
-	// Flow-level simulation (Spec.Sim).
+	// Flow-level max-min fair time over SimRounds rounds (Spec.Sim):
+	// SimRounds × StaticSec.
 	SimSec    float64 `json:"sim_sec,omitempty"`
 	SimRounds int     `json:"sim_rounds,omitempty"`
 
@@ -77,18 +76,18 @@ type Robustness struct {
 }
 
 // Run executes the scenario: normalize, resolve the topology, build
-// the workload, run the static analysis and (optionally) the
-// flow-level simulation. The context is checked between phases, every
-// simCancelStride demands routed, every simCancelStride flow starts
-// and every rate epoch of the simulation.
+// the workload and run the static analysis, which also gives the
+// flow-level time when Spec.Sim asks for it. The context is checked
+// between phases and every cancelStride demands routed.
 func Run(ctx context.Context, spec Spec) (*Outcome, error) {
 	return runWith(ctx, spec, analyze)
 }
 
 // analyzer fills an outcome's static analysis and, when the spec
-// enables it, its simulation from the resolved network and demands.
-// Run passes analyze; the package's tests pass the reference analysis
-// the one pass replaced, and compare outcomes byte for byte.
+// enables it, its flow-level time from the resolved network and
+// demands. Run passes analyze; the package's tests pass the reference
+// analysis the one pass replaced, which still simulates, and compare
+// outcomes.
 type analyzer func(ctx context.Context, s Spec, net *network, demands []route.Demand, out *Outcome) error
 
 func runWith(ctx context.Context, spec Spec, an analyzer) (*Outcome, error) {
@@ -202,25 +201,25 @@ func (s Spec) demands(net *network) ([]route.Demand, error) {
 	return nil, fmt.Errorf("scenario: pattern %q is not available on %s topologies", w.Pattern, s.Topology.Kind)
 }
 
-// analyze is the §4.1 static contention model and, with Spec.Sim, the
-// flow-level simulation. The static model is one pass over the
-// demands: each is routed, and its bytes are added to the loads of
-// the links on its route, in demand-then-hop order, while its
-// alone-time on those links is taken. DOR routes into one reused
-// buffer and keeps no route, so a torus or partition pass holds only
-// the demands and one load per directed link (plus one capacity per
-// link when degraded links scale some of them).
+// analyze is the §4.1 static contention model. It is one pass over
+// the demands: each is routed into one reused buffer, and its bytes
+// are added to the loads of the links on its route, in
+// demand-then-hop order, while its alone-time on those links is
+// taken. No route is kept, so a pass holds only the demands and one
+// load per directed link (plus one capacity per link when degraded
+// links scale some of them, or edge weights set them). With Spec.Sim,
+// the flow-level time is the static time per round: every scenario
+// workload has equal flow sizes and starts all its flows at once with
+// no latency, and for such flows the max-min fair makespan is the
+// static time (the netsim package comment proves it).
 func analyze(ctx context.Context, s Spec, net *network, demands []route.Demand, out *Outcome) error {
-	routeOf, err := net.routing(demands)
-	if err != nil {
-		return err
-	}
+	routeOf := net.routing(demands)
 	caps := net.capacities()
 	load := make([]float64, net.numLinks())
 	var buf []int
-	hops := 0
+	var err error
 	for i, d := range demands {
-		if i%simCancelStride == 0 {
+		if i%cancelStride == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
@@ -228,7 +227,6 @@ func analyze(ctx context.Context, s Spec, net *network, demands []route.Demand, 
 		if buf, err = routeOf(i, buf[:0]); err != nil {
 			return err
 		}
-		hops += len(buf)
 		// Ideal: the slowest flow with all contention removed — each
 		// flow alone at full capacity is paced by the slowest link on
 		// its own route, so heterogeneous capacities (Dragonfly's
@@ -272,66 +270,10 @@ func analyze(ctx context.Context, s Spec, net *network, demands []route.Demand, 
 	}
 
 	if s.Sim.Enabled {
-		simSec, err := simulate(ctx, routeOf, demands, hops, net.numLinks(), caps, s.Sim.Rounds)
-		if err != nil {
-			return err
-		}
-		out.SimSec = simSec
+		out.SimSec = float64(s.Sim.Rounds) * out.StaticSec
 		out.SimRounds = s.Sim.Rounds
 	}
 	return nil
-}
-
-// simulate runs the flow-level max-min fair simulation: all demands
-// start at once, each round runs to completion, rounds repeat
-// back-to-back. Each flow starts from its route as routeOf returns it,
-// into one reused buffer for DOR (StartFlow copies the route). hops is
-// the demands' total route length: the simulator is sized once for the
-// first round's flows and routes, and later rounds reuse the drained
-// slots and their routes.
-func simulate(ctx context.Context, routeOf routeFunc, demands []route.Demand, hops, numLinks int, caps linkCaps, rounds int) (float64, error) {
-	var sim *netsim.Sim
-	if caps == nil {
-		sim = netsim.New(numLinks, model.LinkBytesPerSec)
-	} else {
-		sim = netsim.NewWithCapacities(caps)
-	}
-	sim.Grow(len(demands), hops)
-	var buf []int
-	total := 0.0
-	for round := 0; round < rounds; round++ {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		for i, d := range demands {
-			if i%simCancelStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return 0, err
-				}
-			}
-			var err error
-			if buf, err = routeOf(i, buf[:0]); err != nil {
-				return 0, err
-			}
-			if len(buf) == 0 {
-				continue
-			}
-			sim.StartFlow(buf, d.Bytes, 0)
-		}
-		// Run the round one rate epoch at a time, so a cancellation
-		// lands within an epoch rather than a whole round.
-		start := sim.Now()
-		for {
-			if err := ctx.Err(); err != nil {
-				return 0, err
-			}
-			if _, ok := sim.Step(); !ok {
-				break
-			}
-		}
-		total += sim.Now() - start
-	}
-	return total, nil
 }
 
 // Table renders the outcome as a deterministic metric/value table.

@@ -238,30 +238,31 @@ func TestRunCancellation(t *testing.T) {
 	}
 }
 
-// TestRunCancelsMidRound: a cancellation while a long round is being
-// simulated stops it at the next rate epoch, not at the end of the
-// round (one round of this permutation takes seconds).
-func TestRunCancelsMidRound(t *testing.T) {
+// TestRunCancelsMidPass: a simulated request cancelled while it runs
+// returns context.Canceled within a second. Its flow-level time costs
+// no phase of its own, so the analysis pass is its long phase: on a
+// Mira 2-midplane all-to-all (1,047,552 demands) the pass checks the
+// context every cancelStride demands, 4,092 times. The context cancels
+// itself at its 1,000th check, inside the pass on any host, and the
+// pass must stop at that very check.
+func TestRunCancelsMidPass(t *testing.T) {
 	if testing.Short() {
-		t.Skip("simulates an 8,192-node permutation")
+		t.Skip("routes a million-demand all-to-all")
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	canceledAt := make(chan time.Time, 1)
-	time.AfterFunc(200*time.Millisecond, func() {
-		cancel()
-		canceledAt <- time.Now()
-	})
+	ctx := &countingCtx{Context: context.Background(), cancelAt: 1000}
 	_, err := Run(ctx, Spec{
-		Topology: TopologySpec{Kind: KindTorus, Shape: "32x16x16"},
-		Workload: WorkloadSpec{Pattern: PatternPermutation},
+		Topology: TopologySpec{Kind: KindPartition, Machine: "mira", Midplanes: 2},
+		Workload: WorkloadSpec{Pattern: PatternAllToAll},
 		Sim:      SimSpec{Enabled: true},
 	})
 	returned := time.Now()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if lag := returned.Sub(<-canceledAt); lag > time.Second {
+	if n := ctx.calls.Load(); n != ctx.cancelAt {
+		t.Fatalf("Run returned after %d context checks, want it to stop at the cancelled check %d", n, ctx.cancelAt)
+	}
+	if lag := returned.Sub(ctx.cancelledAt); lag > time.Second {
 		t.Errorf("Run returned %v after the cancellation, want within 1s", lag)
 	}
 }

@@ -162,8 +162,12 @@ type WorkloadSpec struct {
 	Iters int `json:"iters,omitempty"`
 }
 
-// SimSpec enables the flow-level max-min fair simulation on top of
-// the static bottleneck analysis.
+// SimSpec asks for the flow-level max-min fair time of Rounds
+// back-to-back rounds of the workload, next to the static bottleneck
+// analysis. Every scenario workload has equal flow sizes and starts
+// all its flows at once with no latency, so a round's max-min fair
+// makespan is the static time (the netsim package comment proves it):
+// the outcome's sim_sec is Rounds × static_sec, and no simulator runs.
 type SimSpec struct {
 	Enabled bool `json:"enabled,omitempty"`
 	// Rounds repeats the pattern back-to-back (default 1).

@@ -369,17 +369,18 @@ func (n *network) applyLinkFaults(f faults.Spec) error {
 	return nil
 }
 
-// routeFunc returns demand i's directed links in travel order. The
-// slice is valid until the next call and must not be modified.
+// routeFunc appends demand i's directed links, in travel order, to
+// buf and returns the result.
 type routeFunc func(i int, buf []int) ([]int, error)
 
 // routing returns the per-demand routing of the resolved network. DOR
-// walks demand i's path into buf on every call and fails if a removed
-// link is on it (DOR paths are fixed). Min-hop runs one BFS per
-// distinct source up front and returns the stored paths, since a
-// simulation reads every route again in each round and a BFS costs
-// far more than a DOR walk.
-func (n *network) routing(demands []route.Demand) (routeFunc, error) {
+// walks demand i's path and fails if a removed link is on it (DOR
+// paths are fixed). Min-hop walks the path up the BFS tree of the
+// demand's source, which it builds only when the source changes; the
+// generators emit demands grouped by source, so each source's tree is
+// built once. An unreachable destination fails with a
+// DisconnectedError.
+func (n *network) routing(demands []route.Demand) routeFunc {
 	if r := n.router; r != nil {
 		return func(i int, buf []int) ([]int, error) {
 			d := demands[i]
@@ -392,13 +393,14 @@ func (n *network) routing(demands []route.Demand) (routeFunc, error) {
 				}
 			}
 			return buf, nil
-		}, nil
+		}
 	}
-	paths, err := n.gnet.routes(demands)
-	if err != nil {
-		return nil, err
+	gn := n.gnet
+	return func(i int, buf []int) ([]int, error) {
+		d := demands[i]
+		gn.tree(int32(d.Src))
+		return gn.routeTo(int32(d.Dst), buf)
 	}
-	return func(i int, _ []int) ([]int, error) { return paths[i], nil }, nil
 }
 
 // numLinks returns the size of the backend's directed-link ID space.

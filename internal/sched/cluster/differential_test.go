@@ -104,8 +104,8 @@ func runCaptured(t *testing.T, spec tracesim.Spec) (resultJSON, eventsJSON []byt
 	return resultJSON, eventsJSON
 }
 
-// TestDifferentialOracle holds the cached contention scorer — scalar
-// contention memo, flow-set cache, pooled simulators — byte-identical
+// TestDifferentialOracle holds the cached contention scorer — the
+// contention memo over scenario.Run's static pass — byte-identical
 // to the uncached reference scorer on every trace of the matrix: same
 // Result JSON (the golden shape), same event stream. Both runs place
 // through sched's memoized plan scan, so the harness isolates the

@@ -2,9 +2,9 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 
 	"netpart/internal/model"
-	"netpart/internal/netsim"
 	"netpart/internal/route"
 	"netpart/internal/scenario"
 	"netpart/internal/torus"
@@ -66,9 +66,12 @@ func buildFlowSet(geom torus.Shape, pattern string) (*routedFlows, error) {
 }
 
 // referencePatternSec is the uncached reference scorer: a fresh torus,
-// router, demand list and simulator per call, touching no process-wide
-// state. The differential tests hold memoPatternSec to it byte for
-// byte.
+// router and demand list per call, touching no process-wide state. A
+// round's time is the largest link load over the link rate, computed
+// from its own flow set: the flows have equal sizes and start
+// together, so that is the round's max-min fair makespan (netsim's
+// TestEqualSizeMakespanIsStatic holds the simulator to it). The
+// differential tests hold memoPatternSec to it byte for byte.
 func referencePatternSec(geom torus.Shape, pattern string) (score, error) {
 	fs, err := buildFlowSet(geom, pattern)
 	if err != nil {
@@ -77,13 +80,11 @@ func referencePatternSec(geom torus.Shape, pattern string) (score, error) {
 	if len(fs.paths) == 0 {
 		return score{}, nil
 	}
-	caps := make([]float64, fs.numLinks)
-	for i := range caps {
-		caps[i] = model.LinkBytesPerSec
-	}
-	sim := netsim.NewWithCapacities(caps)
+	load := make([]float64, fs.numLinks)
 	for i, p := range fs.paths {
-		sim.StartFlow(p, fs.bytes[i], 0)
+		for _, l := range p {
+			load[l] += fs.bytes[i]
+		}
 	}
-	return score{sec: sim.RunUntilIdle(), flows: len(fs.paths)}, nil
+	return score{sec: slices.Max(load) / model.LinkBytesPerSec, flows: len(fs.paths)}, nil
 }

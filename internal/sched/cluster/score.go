@@ -18,7 +18,7 @@ import (
 // custom-machine streams.
 const memoBound = 4096
 
-// score is one pattern round on one geometry: its flow-level simulated
+// score is one pattern round on one geometry: its max-min fair round
 // time and its routed flow count.
 type score struct {
 	sec   float64
@@ -29,7 +29,7 @@ type score struct {
 // A score is machine-independent and a deterministic function of the
 // key, so one process-wide memo serves every simulation, grid point,
 // serving flight and cluster session without re-running the
-// flow-level simulation.
+// analysis.
 var memo = lru.New[string, score](memoBound)
 
 // MemoCounts returns the process-wide contention-memo hits, misses and
@@ -44,11 +44,13 @@ func MemoCounts() (hits, misses, evictions uint64) {
 var patternSec = memoPatternSec
 
 // memoPatternSec scores one pattern round on the midplane-level torus
-// of the geometry with scenario.Run: DOR routing, the flow-level
-// simulation, one round. Length-1 dimensions carry no links and are
-// dropped, so the torus is the real communication graph of the
-// cuboid; a geometry with no remaining dimension (a single midplane)
-// scores zero.
+// of the geometry with scenario.Run's static analysis under DOR: one
+// pass that routes each demand once. The pattern's flows have equal
+// sizes and start together, so the static time is also the round's
+// max-min fair time (the netsim package comment proves it). Length-1
+// dimensions carry no links and are dropped, so the torus is the real
+// communication graph of the cuboid; a geometry with no remaining
+// dimension (a single midplane) scores zero.
 func memoPatternSec(geom torus.Shape, pattern string) (score, error) {
 	if !knownPattern(pattern) {
 		return score{}, fmt.Errorf("cluster: unknown pattern %q", pattern)
@@ -76,12 +78,11 @@ func memoPatternSec(geom torus.Shape, pattern string) (score, error) {
 	out, err := scenario.Run(context.Background(), scenario.Spec{
 		Topology: scenario.TopologySpec{Kind: scenario.KindTorus, Shape: key[:shapeLen]},
 		Workload: scenario.WorkloadSpec{Pattern: pattern},
-		Sim:      scenario.SimSpec{Enabled: true},
 	})
 	if err != nil {
 		return score{}, fmt.Errorf("cluster: geometry %s: %w", geom, err)
 	}
-	s := score{sec: out.SimSec, flows: out.Demands}
+	s := score{sec: out.StaticSec, flows: out.Demands}
 	memo.Put(key, s)
 	return s, nil
 }

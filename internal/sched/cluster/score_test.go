@@ -15,8 +15,8 @@ import (
 
 // TestPatternSecDegenerateGeometries: geometries whose torus has no
 // links — every dimension length 1, or a single midplane — score a
-// zero round time instead of constructing an empty simulation, on
-// both the cached path and the reference.
+// zero round time instead of analyzing an empty torus, on both the
+// cached path and the reference.
 func TestPatternSecDegenerateGeometries(t *testing.T) {
 	for _, geom := range []torus.Shape{{1, 1, 1, 1}, {1}} {
 		for _, pattern := range []string{PatternPairing, PatternAllToAll, PatternNeighbor} {
@@ -30,7 +30,7 @@ func TestPatternSecDegenerateGeometries(t *testing.T) {
 			}
 		}
 	}
-	// Length-1 dimensions are dropped, not simulated: 4x1x1x1 must
+	// Length-1 dimensions are dropped, not routed: 4x1x1x1 must
 	// score exactly like its 1-dimensional squeeze.
 	full, err := memoPatternSec(torus.Shape{4, 1, 1, 1}, PatternNeighbor)
 	if err != nil {
@@ -92,7 +92,7 @@ func TestMemoCountsUnderConcurrency(t *testing.T) {
 
 // TestMemoEvictionSameResults shrinks the contention memo to one
 // entry so alternating geometries evict on every score, and checks
-// the scores still match the reference — eviction re-simulates, never
+// the scores still match the reference — eviction recomputes, never
 // corrupts.
 func TestMemoEvictionSameResults(t *testing.T) {
 	saved := memo

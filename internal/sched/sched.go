@@ -411,8 +411,9 @@ type Options struct {
 	// Duration computes a job's actual runtime on a placement. Nil
 	// means the built-in model: BaseDurationSec, stretched by
 	// bestBW/placedBW for contention-bound jobs. The trace simulator
-	// substitutes a route/netsim-scored dilation here, so runtime
-	// feedback from allocation geometry flows back into the queue.
+	// substitutes a dilation scored by scenario.Run's contention
+	// model here, so runtime feedback from allocation geometry flows
+	// back into the queue.
 	//
 	// Contract: the hook never returns less than job.BaseDurationSec
 	// (a geometry can only slow a job down; the built-in model

@@ -11,12 +11,13 @@
 // synthetic generator (Poisson / heavy-tail / burst arrivals × size
 // and runtime distributions), or an SWF-style trace file parsed with
 // ParseSWF into the inline form. Per-job contention is scored at
-// placement time through the route/netsim machinery: a job that
+// placement time through scenario.Run's contention model: a job that
 // declares a communication pattern has its placed geometry's max-min
-// fair round time compared against the best geometry of the same
-// size, and the resulting dilation stretches its runtime — so
-// allocation geometry feeds back into queue wait, exactly the
-// avoidable contention the paper argues the scheduler owns.
+// fair round time (the static bottleneck time, which the netsim
+// package comment shows it equals) compared against the best
+// geometry of the same size, and the resulting dilation stretches its
+// runtime — so allocation geometry feeds back into queue wait, exactly
+// the avoidable contention the paper argues the scheduler owns.
 //
 // Specs are wire-friendly, validated and normalized: Normalize fills
 // defaults and canonicalizes spellings so a normalized Spec's
