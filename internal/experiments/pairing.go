@@ -45,7 +45,9 @@ const simCancelStride = 256
 // fluid model (every pair exchanges the same volume and the pattern is
 // symmetric), so one round is simulated with full event resolution and
 // scaled; set fullRounds to simulate every round end-to-end instead.
-// The context is checked between rounds and every simCancelStride flow
+// The simulator is sized once for a round's flows and routes (their
+// DOR hop counts), and later rounds reuse the drained slots. The
+// context is checked between rounds and every simCancelStride flow
 // starts; a canceled simulation returns ctx.Err() promptly.
 func SimulatePairing(ctx context.Context, cfg model.PairingConfig, fullRounds bool) (float64, error) {
 	shape := cfg.Partition.NodeShape()
@@ -63,7 +65,12 @@ func SimulatePairing(ctx context.Context, cfg model.PairingConfig, fullRounds bo
 	if fullRounds {
 		simRounds = rounds
 	}
+	hops := 0
+	for _, d := range demands {
+		hops += r.HopCount(d.Src, d.Dst)
+	}
 	sim := netsim.New(r.NumLinks(), model.LinkBytesPerSec)
+	sim.Grow(len(demands), hops)
 	total := 0.0
 	buf := make([]int, 0, 64)
 	for round := 0; round < simRounds; round++ {
