@@ -101,8 +101,10 @@ func BenchmarkScenarioStatic(b *testing.B) {
 }
 
 // BenchmarkScenarioMinhopSim is the expensive end of one point: a
-// graph-family topology with BFS routing and the flow-level
-// simulation.
+// graph-family topology with BFS routing and the flow-level time. That
+// time is the static time per round, so a simulated spec costs only
+// its static pass; the 10% B/op bound of the bench guard fails if a
+// simulation comes back.
 func BenchmarkScenarioMinhopSim(b *testing.B) {
 	runner := NewRunner()
 	ctx := context.Background()
@@ -123,11 +125,14 @@ func BenchmarkScenarioMinhopSim(b *testing.B) {
 // BenchmarkScenarioPartition is the partition-scenario cost at the
 // advisor workload's costliest cells: the static analysis of a
 // 96-midplane partition (Sequoia under the halo exchange, Mira under
-// bisection pairing, both about 49k nodes), and the flow-level
-// simulations of an 8-midplane Mira pairing (one rate epoch),
-// permutation (tens of epochs) and halo exchange (the most flows of
-// any cell the advisor simulates), the largest size the advisor
-// simulates.
+// bisection pairing, both about 49k nodes), and the simulated specs of
+// an 8-midplane Mira pairing, permutation and halo exchange (the most
+// flows of any cell the advisor simulates), the largest size the
+// advisor simulates. A simulated spec's flow-level time is the static
+// time per round, so the mira8-*-sim cases check that such a spec
+// costs only its static pass: had the simulation come back, each
+// would allocate several times the bytes, and the 10% B/op bound of
+// the bench guard fails.
 func BenchmarkScenarioPartition(b *testing.B) {
 	cases := []struct {
 		name     string
