@@ -32,7 +32,8 @@ type ScenarioTopology = scenario.TopologySpec
 // ScenarioWorkload selects the traffic pattern.
 type ScenarioWorkload = scenario.WorkloadSpec
 
-// ScenarioSim enables the flow-level simulation.
+// ScenarioSim asks for the flow-level max-min fair time, which for
+// every scenario workload is the static time per round.
 type ScenarioSim = scenario.SimSpec
 
 // ScenarioOutcome is the typed result of one scenario run; it is the
