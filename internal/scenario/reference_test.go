@@ -126,10 +126,9 @@ func (s Spec) routesAndCapacities(net *network, demands []route.Demand) ([][]int
 	return routes, net.gnet.capacities(model.LinkBytesPerSec), net.gnet.linkString, nil
 }
 
-// routes computes and stores the min-hop route of every demand, as
-// the analysis did before it routed each demand on demand (demands
-// should be grouped by source to amortize the BFS). The returned
-// slices alias one backing array.
+// routes computes and stores the min-hop route of every demand for
+// the reference analysis (demands should be grouped by source to
+// amortize the BFS). The returned slices alias one backing array.
 func (gn *graphNet) routes(demands []route.Demand) ([][]int, error) {
 	flat := make([]int, 0, len(demands)*4)
 	bounds := make([]int, len(demands)+1)
