@@ -108,9 +108,6 @@ type Stats struct {
 	Messages int
 	// TotalBytes is the total payload volume moved over the network.
 	TotalBytes float64
-	// MaxLinkBytes is the cumulative volume of the busiest directed
-	// link.
-	MaxLinkBytes float64
 	// ComputeSeconds is the total per-rank compute time accounted via
 	// Compute, summed over ranks.
 	ComputeSeconds float64
@@ -274,12 +271,10 @@ func Run(cfg Config, body func(c *Comm)) (Stats, error) {
 	if e.err != nil {
 		return Stats{}, e.err
 	}
-	simStats := e.sim.Stats()
 	return Stats{
 		Elapsed:        e.now,
 		Messages:       e.messages,
 		TotalBytes:     e.totalBytes,
-		MaxLinkBytes:   simStats.MaxLinkBytes,
 		ComputeSeconds: e.computeSeconds,
 	}, nil
 }

@@ -218,9 +218,6 @@ func TestSlotReuseAndIDWindow(t *testing.T) {
 			}
 		}
 	}
-	if got := s.Stats().FlowsCompleted; got != 40 {
-		t.Fatalf("FlowsCompleted = %d, want 40", got)
-	}
 }
 
 // TestStaggeredPartialCompletion checks the sliding window when only a
