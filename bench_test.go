@@ -273,26 +273,58 @@ func BenchmarkMaxMinFair(b *testing.B) {
 }
 
 // BenchmarkMaxMinFairPermutation is one seeded random permutation on
-// the 8-midplane 4x2x1x1 geometry: 4,096 flows whose completions
-// spread over 74 rate epochs, so it measures the re-fill between
-// epochs that BenchmarkMaxMinFair's single cohort never reaches.
+// the 8-midplane 4x2x1x1 geometry: 4,096 equal-size flows whose
+// completions spread over 74 rate epochs, so it measures the re-fill
+// between epochs that BenchmarkMaxMinFair's single cohort never
+// reaches. With equal sizes each epoch completes the top fill level's
+// cohort, so every epoch after the first is a pure replay.
 func BenchmarkMaxMinFairPermutation(b *testing.B) {
+	numLinks, routes, sizes := permutationFlows(b)
+	benchFill(b, numLinks, routes, sizes)
+}
+
+// BenchmarkMaxMinFairMixedSizes is BenchmarkMaxMinFairPermutation with
+// each flow scaled by k/4, k drawn from {1, 2, 3, 4}. A completing
+// cohort then leaves live flows above the fill levels it keeps, so
+// most of its 420 epochs are partial replays: they rebuild the link
+// index, replay the kept levels and search only above them.
+func BenchmarkMaxMinFairMixedSizes(b *testing.B) {
+	numLinks, routes, sizes := permutationFlows(b)
+	rng := rand.New(rand.NewSource(2))
+	for i := range sizes {
+		sizes[i] *= float64(1+rng.Intn(4)) / 4
+	}
+	benchFill(b, numLinks, routes, sizes)
+}
+
+// permutationFlows routes the seeded random permutation (seed 1) of
+// 2.1472 GB flows on the 8-midplane 4x2x1x1 geometry, and returns the
+// torus's link count with each flow's route and size.
+func permutationFlows(b *testing.B) (numLinks int, routes [][]int, sizes []float64) {
 	tor := torus.MustNew(16, 8, 4, 4, 2)
 	r := route.NewRouter(tor)
 	demands, err := workload.RandomPermutation(tor, 2.1472e9, rand.New(rand.NewSource(1)))
 	if err != nil {
 		b.Fatal(err)
 	}
-	routes := make([][]int, len(demands))
+	routes = make([][]int, len(demands))
+	sizes = make([]float64, len(demands))
 	for i, d := range demands {
 		routes[i] = r.Route(d.Src, d.Dst, nil)
+		sizes[i] = d.Bytes
 	}
+	return r.NumLinks(), routes, sizes
+}
+
+// benchFill runs the flows to completion on a new simulator per
+// iteration, all started at once with no latency.
+func benchFill(b *testing.B, numLinks int, routes [][]int, sizes []float64) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sim := netsim.New(r.NumLinks(), 2e9)
-		for j, d := range demands {
-			sim.StartFlow(routes[j], d.Bytes, 0)
+		sim := netsim.New(numLinks, 2e9)
+		for j, r := range routes {
+			sim.StartFlow(r, sizes[j], 0)
 		}
 		sim.RunUntilIdle()
 	}
