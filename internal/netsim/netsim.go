@@ -83,13 +83,13 @@
 //     the same per-link values in the same touched-link order as a
 //     fill from scratch would. The one theoretical exception, a link
 //     whose share lies within rounding of the 1e-12 freeze threshold,
-//     a fill from scratch already settles by visiting order. Such a
-//     partial replay pays where flows of unequal sizes or staggered
-//     starts leave live flows above the kept levels, the regime in
-//     which the simulation can differ from the static time: on a
-//     4,096-flow permutation with mixed sizes most epochs are partial
-//     replays, and replaying them more than halves the simulation's
-//     time.
+//     a fill from scratch already settles by visiting order. A replay
+//     that still resumes filling (a partial replay) pays where flows
+//     of unequal sizes or staggered starts leave live flows above the
+//     kept levels, the regime in which the simulation can differ from
+//     the static time: on a 4,096-flow permutation with mixed sizes
+//     most epochs are partial replays, and replaying them more than
+//     halves the simulation's time.
 //   - A recomputation whose kept levels hold every live routed flow (a
 //     pure replay: the epoch's completions emptied only the top levels
 //     and nothing started) is O(1). Every such flow already has its
