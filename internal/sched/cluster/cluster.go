@@ -135,52 +135,81 @@ func NormalizeJob(i int, j Job) (Job, error) {
 	return j, nil
 }
 
+// HostRules are the machine, policy and failure-model checks that a
+// cluster session and a trace share. The fields word the errors:
+// Prefix is the package ("cluster", "tracesim"), Noun the spec
+// ("session", "trace") and Runs what the package simulates ("cluster
+// sessions", "trace simulations").
+type HostRules struct{ Prefix, Noun, Runs string }
+
+var sessionRules = HostRules{Prefix: "cluster", Noun: "session", Runs: "cluster sessions"}
+
+// Host returns the canonical spellings of a machine reference and a
+// placement policy (default first-fit).
+func (r HostRules) Host(machine, policy string) (string, string, error) {
+	if strings.TrimSpace(machine) == "" {
+		return "", "", fmt.Errorf("%s: %s needs a machine (catalog name or midplane grid shape)", r.Prefix, r.Noun)
+	}
+	m, err := scenario.CanonicalMachine(machine)
+	if err != nil {
+		return "", "", err
+	}
+	p := strings.ToLower(strings.TrimSpace(policy))
+	if p == "" {
+		p = PolicyFirstFit
+	}
+	if _, ok := sched.PolicyByName(p); !ok {
+		return "", "", fmt.Errorf("%s: unknown policy %q (want first-fit, best-bisection or contention-aware)", r.Prefix, policy)
+	}
+	return m, p, nil
+}
+
+// Failures normalizes an optional failure model for a canonical
+// machine. Failures act at midplane granularity; the correlated region
+// grows in midplane space here (a rack-level outage), unlike in
+// scenarios where it grows over links.
+func (r HostRules) Failures(f *faults.Spec, machine string) (*faults.Spec, error) {
+	if f == nil {
+		return nil, nil
+	}
+	n, err := f.Normalize()
+	if err != nil {
+		return nil, err
+	}
+	if !n.MidplaneScoped() && n.Model != faults.ModelCorrelatedRegion {
+		return nil, fmt.Errorf("%s: failure model %q: %s model failures at midplane granularity (want midplanes, random_midplanes or correlated_region)", r.Prefix, n.Model, r.Runs)
+	}
+	if n.Model == faults.ModelMidplanes {
+		m, err := scenario.ResolveMachine(machine)
+		if err != nil {
+			return nil, err
+		}
+		for _, id := range n.Midplanes {
+			if id >= m.Midplanes() {
+				return nil, fmt.Errorf("%s: failed midplane %d out of range [0, %d) on %s", r.Prefix, id, m.Midplanes(), machine)
+			}
+		}
+	}
+	return &n, nil
+}
+
 // Normalize validates the spec and returns its canonical form
 // (machine and policy spellings canonicalized, failure model
 // normalized) — the tracesim Spec rules, minus the job source.
 func (s Spec) Normalize() (Spec, error) {
-	n := Spec{Name: strings.TrimSpace(s.Name), Backfill: s.Backfill}
-	if strings.TrimSpace(s.Machine) == "" {
-		return Spec{}, fmt.Errorf("cluster: session needs a machine (catalog name or midplane grid shape)")
-	}
-	machine, err := scenario.CanonicalMachine(s.Machine)
+	machine, policy, err := sessionRules.Host(s.Machine, s.Policy)
 	if err != nil {
 		return Spec{}, err
 	}
-	n.Machine = machine
-	n.Policy = strings.ToLower(strings.TrimSpace(s.Policy))
-	if n.Policy == "" {
-		n.Policy = PolicyFirstFit
-	}
-	if _, ok := sched.PolicyByName(n.Policy); !ok {
-		return Spec{}, fmt.Errorf("cluster: unknown policy %q (want first-fit, best-bisection or contention-aware)", s.Policy)
-	}
+	n := Spec{Name: strings.TrimSpace(s.Name), Machine: machine, Policy: policy, Backfill: s.Backfill}
 	if s.TimeScale != 0 {
 		if math.IsNaN(s.TimeScale) || s.TimeScale < 0 || s.TimeScale > MaxTimeScale {
 			return Spec{}, fmt.Errorf("cluster: time scale %v out of range [0, %v]", s.TimeScale, float64(MaxTimeScale))
 		}
 		n.TimeScale = s.TimeScale
 	}
-	if s.Failures != nil {
-		f, err := s.Failures.Normalize()
-		if err != nil {
-			return Spec{}, err
-		}
-		if !f.MidplaneScoped() && f.Model != faults.ModelCorrelatedRegion {
-			return Spec{}, fmt.Errorf("cluster: failure model %q: cluster sessions model failures at midplane granularity (want midplanes, random_midplanes or correlated_region)", f.Model)
-		}
-		if f.Model == faults.ModelMidplanes {
-			m, err := scenario.ResolveMachine(n.Machine)
-			if err != nil {
-				return Spec{}, err
-			}
-			for _, id := range f.Midplanes {
-				if id >= m.Midplanes() {
-					return Spec{}, fmt.Errorf("cluster: failed midplane %d out of range [0, %d) on %s", id, m.Midplanes(), n.Machine)
-				}
-			}
-		}
-		n.Failures = &f
+	if n.Failures, err = sessionRules.Failures(s.Failures, n.Machine); err != nil {
+		return Spec{}, err
 	}
 	return n, nil
 }

@@ -38,7 +38,6 @@ import (
 
 	"netpart/internal/faults"
 	"netpart/internal/scenario"
-	"netpart/internal/sched"
 	"netpart/internal/sched/cluster"
 )
 
@@ -159,12 +158,9 @@ type Spec struct {
 	Failures *faults.Spec `json:"failures,omitempty"`
 }
 
-// knownPolicy defers to the scheduler's own name mapping, so a policy
-// added to sched.PolicyByName is immediately schedulable here.
-func knownPolicy(p string) bool {
-	_, ok := sched.PolicyByName(p)
-	return ok
-}
+// hostRules words the machine, policy and failure-model errors that a
+// trace shares with a cluster session.
+var hostRules = cluster.HostRules{Prefix: "tracesim", Noun: "trace", Runs: "trace simulations"}
 
 func knownPattern(p string) bool {
 	switch p {
@@ -282,22 +278,11 @@ func (sy Synthetic) normalize() (Synthetic, error) {
 // filled, every knob that cannot affect the result zeroed. The
 // returned spec's Key is the trace's cache identity.
 func (s Spec) Normalize() (Spec, error) {
-	n := Spec{Name: strings.TrimSpace(s.Name), Backfill: s.Backfill}
-	if strings.TrimSpace(s.Machine) == "" {
-		return Spec{}, fmt.Errorf("tracesim: trace needs a machine (catalog name or midplane grid shape)")
-	}
-	machine, err := scenario.CanonicalMachine(s.Machine)
+	machine, policy, err := hostRules.Host(s.Machine, s.Policy)
 	if err != nil {
 		return Spec{}, err
 	}
-	n.Machine = machine
-	n.Policy = strings.ToLower(strings.TrimSpace(s.Policy))
-	if n.Policy == "" {
-		n.Policy = PolicyFirstFit
-	}
-	if !knownPolicy(n.Policy) {
-		return Spec{}, fmt.Errorf("tracesim: unknown policy %q (want first-fit, best-bisection or contention-aware)", s.Policy)
-	}
+	n := Spec{Name: strings.TrimSpace(s.Name), Machine: machine, Policy: policy, Backfill: s.Backfill}
 	switch {
 	case len(s.Jobs) > 0 && s.Synthetic != nil:
 		return Spec{}, fmt.Errorf("tracesim: trace declares both inline jobs and a synthetic generator; want exactly one")
@@ -322,29 +307,8 @@ func (s Spec) Normalize() (Spec, error) {
 	default:
 		return Spec{}, fmt.Errorf("tracesim: trace has no jobs (want an inline job list or a synthetic generator)")
 	}
-	if s.Failures != nil {
-		f, err := s.Failures.Normalize()
-		if err != nil {
-			return Spec{}, err
-		}
-		// Traces model failures at midplane granularity; the
-		// correlated region grows in midplane space here (a rack-level
-		// outage), unlike in scenarios where it grows over links.
-		if !f.MidplaneScoped() && f.Model != faults.ModelCorrelatedRegion {
-			return Spec{}, fmt.Errorf("tracesim: failure model %q: trace simulations model failures at midplane granularity (want midplanes, random_midplanes or correlated_region)", f.Model)
-		}
-		if f.Model == faults.ModelMidplanes {
-			m, err := scenario.ResolveMachine(n.Machine)
-			if err != nil {
-				return Spec{}, err
-			}
-			for _, id := range f.Midplanes {
-				if id >= m.Midplanes() {
-					return Spec{}, fmt.Errorf("tracesim: failed midplane %d out of range [0, %d) on %s", id, m.Midplanes(), n.Machine)
-				}
-			}
-		}
-		n.Failures = &f
+	if n.Failures, err = hostRules.Failures(s.Failures, n.Machine); err != nil {
+		return Spec{}, err
 	}
 	return n, nil
 }

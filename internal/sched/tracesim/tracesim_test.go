@@ -7,7 +7,9 @@ import (
 	"strings"
 	"testing"
 
+	"netpart/internal/faults"
 	"netpart/internal/sched"
+	"netpart/internal/sched/cluster"
 )
 
 func mustNormalize(t *testing.T, s Spec) Spec {
@@ -84,6 +86,42 @@ func TestNormalizeRejections(t *testing.T) {
 	for i, s := range cases {
 		if err := s.Validate(); err == nil {
 			t.Errorf("case %d (%+v) accepted", i, s)
+		}
+	}
+}
+
+// TestHostRuleErrorTexts pins the error texts of the machine, policy
+// and failure-model checks that a trace and a cluster session share.
+// The serving layer returns them verbatim as 400 bodies.
+func TestHostRuleErrorTexts(t *testing.T) {
+	const unknownMachine = `scenario: machine "nosuch" is neither a catalog name (mira, juqueen, sequoia, juqueen48, juqueen54) nor a midplane grid shape: torus: bad shape component "nosuch": expected integer`
+	cases := []struct {
+		name, machine, policy string
+		failures              *faults.Spec
+		session, trace        string
+	}{
+		{"blank machine", " ", "", nil,
+			"cluster: session needs a machine (catalog name or midplane grid shape)",
+			"tracesim: trace needs a machine (catalog name or midplane grid shape)"},
+		{"unknown machine", "nosuch", "", nil, unknownMachine, unknownMachine},
+		{"unknown policy", "juqueen", "round-robin", nil,
+			`cluster: unknown policy "round-robin" (want first-fit, best-bisection or contention-aware)`,
+			`tracesim: unknown policy "round-robin" (want first-fit, best-bisection or contention-aware)`},
+		{"link-scoped failures", "juqueen", "", &faults.Spec{Model: faults.ModelRandomLinks, Fraction: 0.1},
+			`cluster: failure model "random_links": cluster sessions model failures at midplane granularity (want midplanes, random_midplanes or correlated_region)`,
+			`tracesim: failure model "random_links": trace simulations model failures at midplane granularity (want midplanes, random_midplanes or correlated_region)`},
+		{"failed midplane out of range", "juqueen", "", &faults.Spec{Model: faults.ModelMidplanes, Midplanes: []int{0, 56}},
+			"cluster: failed midplane 56 out of range [0, 56) on juqueen",
+			"tracesim: failed midplane 56 out of range [0, 56) on juqueen"},
+	}
+	for _, c := range cases {
+		_, err := cluster.Spec{Machine: c.machine, Policy: c.policy, Failures: c.failures}.Normalize()
+		if err == nil || err.Error() != c.session {
+			t.Errorf("%s: session error %v, want %q", c.name, err, c.session)
+		}
+		_, err = Spec{Machine: c.machine, Policy: c.policy, Failures: c.failures, Synthetic: &Synthetic{Jobs: 4}}.Normalize()
+		if err == nil || err.Error() != c.trace {
+			t.Errorf("%s: trace error %v, want %q", c.name, err, c.trace)
 		}
 	}
 }
