@@ -224,14 +224,6 @@ func newCache(run runFunc, timeout time.Duration, st store.Store, m *serverMetri
 	return c
 }
 
-// cached returns the completed entry for key without triggering work.
-func (c *cache) cached(key Key) (*entry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	return e, ok
-}
-
 // insertEntryLocked registers a completed entry, applying the dynamic
 // bound. Callers hold c.mu.
 func (c *cache) insertEntryLocked(key Key, e *entry) {

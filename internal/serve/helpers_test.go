@@ -28,6 +28,14 @@ func newTestCache(run runFunc, timeout time.Duration, st store.Store) *cache {
 	return newCache(run, timeout, st, newServerMetrics(nil), slog.New(slog.NewTextHandler(io.Discard, nil)))
 }
 
+// cached returns the completed entry for key without triggering work.
+func (c *cache) cached(key Key) (*entry, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.entries[key]
+	return e, ok
+}
+
 // realServer boots an httptest server over the real registry.
 func realServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
 	t.Helper()
