@@ -9,8 +9,8 @@ package netpart
 //
 // Supporting ablation benches cover the computational kernels the
 // experiments rest on: the Theorem 3.1 bound, the exact cuboid search,
-// max-min fair rate allocation, DOR routing, and the
-// Strassen-vs-classical crossover.
+// max-min fair rate allocation, DOR routing, and the CAPS cost
+// accounting.
 
 import (
 	"context"
@@ -20,7 +20,6 @@ import (
 	"netpart/internal/bgq"
 	"netpart/internal/experiments"
 	"netpart/internal/iso"
-	"netpart/internal/matrix"
 	"netpart/internal/model"
 	"netpart/internal/mpi"
 	"netpart/internal/netsim"
@@ -378,31 +377,6 @@ func BenchmarkSimulatedMPIAllreduce(b *testing.B) {
 }
 
 // --- Ablations: workload kernels ---
-
-func BenchmarkStrassenSequential512(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	x := matrix.New(512, 512)
-	y := matrix.New(512, 512)
-	x.FillRandom(rng)
-	y.FillRandom(rng)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = strassen.Multiply(x, y)
-	}
-}
-
-func BenchmarkClassicalMatmul512(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	x := matrix.New(512, 512)
-	y := matrix.New(512, 512)
-	z := matrix.New(512, 512)
-	x.FillRandom(rng)
-	y.FillRandom(rng)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		matrix.Mul(z, x, y)
-	}
-}
 
 func BenchmarkCAPSCostAccounting(b *testing.B) {
 	b.ReportAllocs()

@@ -35,7 +35,7 @@ func main() {
 		r := route.NewRouter(tor)
 		cfg := model.PaperPairing(p)
 		stats, err := mpi.Run(mpi.Config{Topology: tor}, func(c *mpi.Comm) {
-			peer := r.FurthestNode(c.GlobalRank())
+			peer := r.FurthestNode(c.Rank())
 			for round := 0; round < rounds; round++ {
 				c.Sendrecv(peer, round, nil, cfg.RoundBytes(), peer, round)
 			}

@@ -3,19 +3,16 @@ package mpi
 import "fmt"
 
 // Collective operations implemented over point-to-point messaging with
-// the standard algorithms (dissemination barrier, binomial trees, ring
-// allgather, pairwise all-to-all), so their network cost is simulated
-// faithfully rather than modeled. Tags above collTagBase are reserved;
-// user point-to-point traffic must use smaller tags.
+// the standard algorithms (dissemination barrier, binomial trees), so
+// their network cost is simulated faithfully rather than modeled. Tags
+// above collTagBase are reserved; user point-to-point traffic must use
+// smaller tags.
 const collTagBase = 1 << 20
 
 const (
 	tagBarrier = collTagBase + iota
 	tagBcast
 	tagReduce
-	tagAllgather
-	tagAlltoall
-	tagGather
 )
 
 // ReduceOp combines src into acc element-wise; both slices have equal
@@ -136,84 +133,6 @@ func (c *Comm) Allreduce(buf []float64, op ReduceOp) []float64 {
 	}
 	c.Bcast(0, res)
 	return res
-}
-
-// Allgather collects every rank's mine slice; the result is indexed by
-// rank. Uses the ring algorithm: p-1 steps, each forwarding the block
-// received in the previous step.
-func (c *Comm) Allgather(mine []float64) [][]float64 {
-	p := c.Size()
-	me := c.Rank()
-	out := make([][]float64, p)
-	out[me] = append([]float64(nil), mine...)
-	if p == 1 {
-		return out
-	}
-	right := (me + 1) % p
-	left := (me - 1 + p) % p
-	sendBlock := me
-	for step := 0; step < p-1; step++ {
-		blk := out[sendBlock]
-		data, _ := c.Sendrecv(right, tagAllgather, blk, float64(8*len(blk)), left, tagAllgather)
-		recvBlock := (sendBlock - 1 + p) % p
-		src, ok := data.([]float64)
-		if !ok {
-			panic(fmt.Sprintf("mpi: Allgather expects []float64 payload, got %T", data))
-		}
-		out[recvBlock] = src
-		sendBlock = recvBlock
-	}
-	return out
-}
-
-// Alltoall exchanges blocks: rank i's blocks[j] is delivered to rank
-// j's result[i]. Uses pairwise exchange over p-1 steps.
-func (c *Comm) Alltoall(blocks [][]float64) [][]float64 {
-	p := c.Size()
-	me := c.Rank()
-	if len(blocks) != p {
-		panic(fmt.Sprintf("mpi: Alltoall needs %d blocks, got %d", p, len(blocks)))
-	}
-	out := make([][]float64, p)
-	out[me] = append([]float64(nil), blocks[me]...)
-	for step := 1; step < p; step++ {
-		dst := (me + step) % p
-		src := (me - step + p) % p
-		blk := blocks[dst]
-		data, _ := c.Sendrecv(dst, tagAlltoall, blk, float64(8*len(blk)), src, tagAlltoall)
-		recv, ok := data.([]float64)
-		if !ok {
-			panic(fmt.Sprintf("mpi: Alltoall expects []float64 payload, got %T", data))
-		}
-		out[src] = recv
-	}
-	return out
-}
-
-// Gather collects every rank's mine slice at root (linear algorithm);
-// the result is indexed by rank and nil at non-roots.
-func (c *Comm) Gather(root int, mine []float64) [][]float64 {
-	p := c.Size()
-	me := c.Rank()
-	c.checkPeer(root, false)
-	if me != root {
-		c.Send(root, tagGather, append([]float64(nil), mine...), float64(8*len(mine)))
-		return nil
-	}
-	out := make([][]float64, p)
-	out[me] = append([]float64(nil), mine...)
-	for i := 0; i < p; i++ {
-		if i == root {
-			continue
-		}
-		data, _ := c.Recv(i, tagGather)
-		src, ok := data.([]float64)
-		if !ok {
-			panic(fmt.Sprintf("mpi: Gather expects []float64 payload, got %T", data))
-		}
-		out[i] = src
-	}
-	return out
 }
 
 // copyPayload copies a received []float64 payload into dst.

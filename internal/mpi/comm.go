@@ -5,24 +5,19 @@ import (
 	"math"
 )
 
-// Comm is a communicator: an ordered group of ranks with an isolated
-// tag space. Every method must be called from the owning rank's
-// goroutine inside Run.
+// Comm is one rank's handle on the world communicator: every rank of
+// the run, with one tag space. Every method must be called from the
+// owning rank's goroutine inside Run.
 type Comm struct {
-	e       *engine
-	ctx     int
-	group   []int // global ranks, ordered
-	myIndex int   // this rank's index within group
+	e    *engine
+	rank int
 }
 
-// Rank returns the caller's rank within the communicator.
-func (c *Comm) Rank() int { return c.myIndex }
+// Rank returns the caller's rank.
+func (c *Comm) Rank() int { return c.rank }
 
-// Size returns the number of ranks in the communicator.
-func (c *Comm) Size() int { return len(c.group) }
-
-// GlobalRank returns the caller's rank in the world communicator.
-func (c *Comm) GlobalRank() int { return c.group[c.myIndex] }
+// Size returns the number of ranks in the run.
+func (c *Comm) Size() int { return c.e.cfg.Ranks }
 
 // Now returns the current simulated time in seconds.
 func (c *Comm) Now() float64 {
@@ -33,7 +28,7 @@ func (c *Comm) Now() float64 {
 
 // Status describes a received message.
 type Status struct {
-	// Source is the sender's rank within the communicator.
+	// Source is the sender's rank.
 	Source int
 	// Tag is the message tag.
 	Tag int
@@ -43,29 +38,15 @@ func (c *Comm) checkPeer(peer int, wildcardOK bool) {
 	if wildcardOK && peer == AnySource {
 		return
 	}
-	if peer < 0 || peer >= len(c.group) {
-		panic(fmt.Sprintf("mpi: peer rank %d out of range [0,%d)", peer, len(c.group)))
+	if peer < 0 || peer >= c.Size() {
+		panic(fmt.Sprintf("mpi: peer rank %d out of range [0,%d)", peer, c.Size()))
 	}
-}
-
-// globalOf translates a communicator rank to a global rank.
-func (c *Comm) globalOf(rank int) int { return c.group[rank] }
-
-// localOf translates a global rank to a communicator rank (-1 if not a
-// member).
-func (c *Comm) localOf(global int) int {
-	for i, g := range c.group {
-		if g == global {
-			return i
-		}
-	}
-	return -1
 }
 
 // Request is a handle for a nonblocking operation.
 type Request struct {
 	o *op
-	c *Comm
+	e *engine
 }
 
 // Send delivers data (bytes long) to rank dst with the given tag,
@@ -88,9 +69,8 @@ func (c *Comm) Isend(dst, tag int, data any, bytes float64) *Request {
 	}
 	o := &op{
 		kind:  opSend,
-		ctx:   c.ctx,
-		rank:  c.GlobalRank(),
-		peer:  c.globalOf(dst),
+		rank:  c.rank,
+		peer:  dst,
 		tag:   tag,
 		data:  data,
 		bytes: bytes,
@@ -103,7 +83,7 @@ func (c *Comm) Isend(dst, tag int, data any, bytes float64) *Request {
 	}
 	c.e.submitLocked(o)
 	c.e.mu.Unlock()
-	return &Request{o: o, c: c}
+	return &Request{o: o, e: c.e}
 }
 
 // Recv blocks until a message matching (src, tag) arrives and returns
@@ -119,15 +99,10 @@ func (c *Comm) Irecv(src, tag int) *Request {
 	if tag < 0 && tag != AnyTag {
 		panic(fmt.Sprintf("mpi: negative tag %d", tag))
 	}
-	peer := AnySource
-	if src != AnySource {
-		peer = c.globalOf(src)
-	}
 	o := &op{
 		kind: opRecv,
-		ctx:  c.ctx,
-		rank: c.GlobalRank(),
-		peer: peer,
+		rank: c.rank,
+		peer: src,
 		tag:  tag,
 	}
 	c.e.mu.Lock()
@@ -138,28 +113,20 @@ func (c *Comm) Irecv(src, tag int) *Request {
 	}
 	c.e.submitLocked(o)
 	c.e.mu.Unlock()
-	return &Request{o: o, c: c}
+	return &Request{o: o, e: c.e}
 }
 
 // Wait blocks until the request completes.
 func (r *Request) Wait() {
-	r.c.e.mu.Lock()
-	r.c.e.parkLocked(r.o) // unlocks
+	r.e.mu.Lock()
+	r.e.parkLocked(r.o) // unlocks
 }
 
 // WaitRecv blocks until a receive request completes and returns the
 // payload and status.
 func (r *Request) WaitRecv() (any, Status) {
 	r.Wait()
-	src := r.c.localOf(r.o.recvSrc)
-	return r.o.recvData, Status{Source: src, Tag: r.o.recvTag}
-}
-
-// Done reports whether the request has completed without blocking.
-func (r *Request) Done() bool {
-	r.c.e.mu.Lock()
-	defer r.c.e.mu.Unlock()
-	return r.o.done
+	return r.o.recvData, Status{Source: r.o.recvSrc, Tag: r.o.recvTag}
 }
 
 // Sendrecv simultaneously sends to dst and receives from src (both
@@ -180,7 +147,7 @@ func (c *Comm) Compute(seconds float64) {
 	if seconds < 0 || math.IsNaN(seconds) {
 		panic(fmt.Sprintf("mpi: invalid compute time %v", seconds))
 	}
-	o := &op{kind: opCompute, ctx: c.ctx, rank: c.GlobalRank(), dur: seconds}
+	o := &op{kind: opCompute, rank: c.rank, dur: seconds}
 	c.e.mu.Lock()
 	if c.e.err != nil {
 		err := c.e.err
@@ -189,21 +156,4 @@ func (c *Comm) Compute(seconds float64) {
 	}
 	c.e.submitLocked(o)
 	c.e.parkLocked(o) // unlocks
-}
-
-// Split partitions the communicator: ranks passing the same color form
-// a new communicator, ordered by (key, rank). Every rank of c must
-// call Split. Communicator construction is treated as free in
-// simulated time.
-func (c *Comm) Split(color, key int) *Comm {
-	o := &op{kind: opSplit, ctx: c.ctx, rank: c.GlobalRank(), color: color, key: key}
-	c.e.mu.Lock()
-	if c.e.err != nil {
-		err := c.e.err
-		c.e.mu.Unlock()
-		panic(simError{err})
-	}
-	c.e.submitLocked(o)
-	c.e.parkLocked(o) // unlocks
-	return o.newComm
 }

@@ -8,10 +8,12 @@
 // the paper's experiments bit-for-bit across runs.
 //
 // The layer provides blocking and nonblocking point-to-point
-// operations (Send, Recv, Sendrecv, Isend, Irecv, Wait), compute-time
-// accounting (Compute), the collectives the CAPS matrix-multiplication
-// code needs (Barrier, Bcast, Reduce, Allreduce, Allgather, Alltoall),
-// and communicator splitting (Split).
+// operations (Send, Recv, Sendrecv, Isend, Irecv, Wait) with wildcard
+// receives (AnySource, AnyTag), compute-time accounting (Compute), and
+// the collectives Barrier, Bcast, Reduce and Allreduce. Every rank
+// belongs to the one world communicator that Run hands it.
+// examples/contention-lab is the program that runs the layer: the
+// bisection-pairing benchmark (Sendrecv) and an Allreduce.
 package mpi
 
 import (
@@ -119,32 +121,15 @@ const (
 	opSend opKind = iota
 	opRecv
 	opCompute
-	opSplit
 )
-
-func (k opKind) String() string {
-	switch k {
-	case opSend:
-		return "send"
-	case opRecv:
-		return "recv"
-	case opCompute:
-		return "compute"
-	case opSplit:
-		return "split"
-	default:
-		return "op?"
-	}
-}
 
 type op struct {
 	kind opKind
-	ctx  int // communicator context id
-	rank int // issuing global rank
+	rank int // issuing rank
 	seq  int64
 
 	// send/recv
-	peer  int // destination (send) / source filter (recv), global rank or AnySource
+	peer  int // destination (send) / source filter (recv), a rank or AnySource
 	tag   int
 	data  any
 	bytes float64
@@ -157,10 +142,6 @@ type op struct {
 	// compute
 	dur      float64
 	deadline float64
-
-	// split
-	color, key int
-	newComm    *Comm
 
 	parked bool
 	done   bool
@@ -184,10 +165,7 @@ type engine struct {
 	pendingSends []*op
 	pendingRecvs []*op
 	computes     computeHeap
-	splits       map[splitKey][]*op
-	groupSize    map[int]int // ctx -> member count, for split rendezvous
-	nextCtx      int
-	seqs         []int64 // per-global-rank op sequence counters
+	seqs         []int64 // per-rank op sequence counters
 
 	flowOps map[netsim.FlowID][2]*op // flow -> {send, recv}
 
@@ -200,8 +178,6 @@ type engine struct {
 	computeSeconds float64
 }
 
-type splitKey struct{ ctx int }
-
 type computeHeap []*op
 
 func (h computeHeap) Len() int           { return len(h) }
@@ -211,7 +187,7 @@ func (h *computeHeap) Push(x any)        { *h = append(*h, x.(*op)) }
 func (h *computeHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
 
 // Run executes body on every rank of the simulated machine and returns
-// the run statistics. body receives the rank's world communicator.
+// the run statistics. body receives the rank's communicator.
 // A panic in any rank's body (including engine-detected deadlock)
 // aborts the run and is returned as an error.
 func Run(cfg Config, body func(c *Comm)) (Stats, error) {
@@ -220,28 +196,19 @@ func Run(cfg Config, body func(c *Comm)) (Stats, error) {
 		return Stats{}, err
 	}
 	e := &engine{
-		cfg:       cfg,
-		router:    route.NewRouter(cfg.Topology),
-		splits:    make(map[splitKey][]*op),
-		groupSize: make(map[int]int),
-		flowOps:   make(map[netsim.FlowID][2]*op),
+		cfg:     cfg,
+		router:  route.NewRouter(cfg.Topology),
+		flowOps: make(map[netsim.FlowID][2]*op),
 	}
 	e.sim = netsim.New(e.router.NumLinks(), cfg.LinkGBps*1e9)
 	e.nLive = cfg.Ranks
-	e.groupSize[0] = cfg.Ranks
-	e.nextCtx = 1
 	e.seqs = make([]int64, cfg.Ranks)
-
-	world := make([]int, cfg.Ranks)
-	for i := range world {
-		world[i] = i
-	}
 
 	var wg sync.WaitGroup
 	var panicOnce sync.Once
 	var panicErr error
 	for r := 0; r < cfg.Ranks; r++ {
-		comm := &Comm{e: e, ctx: 0, group: world, myIndex: r}
+		comm := &Comm{e: e, rank: r}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -251,7 +218,7 @@ func Run(cfg Config, body func(c *Comm)) (Stats, error) {
 					if se, ok := rec.(simError); ok {
 						perr = se.err
 					} else {
-						perr = fmt.Errorf("mpi: rank %d panicked: %v", comm.myIndex, rec)
+						perr = fmt.Errorf("mpi: rank %d panicked: %v", comm.rank, rec)
 					}
 					panicOnce.Do(func() { panicErr = perr })
 					e.abort(perr)
@@ -300,9 +267,6 @@ func (e *engine) abort(err error) {
 	wake(e.pendingSends)
 	wake(e.pendingRecvs)
 	wake(e.computes)
-	for _, ops := range e.splits {
-		wake(ops)
-	}
 	for _, pair := range e.flowOps {
 		wake(pair[:])
 	}
@@ -331,9 +295,6 @@ func (e *engine) submitLocked(o *op) {
 		o.deadline = e.now + o.dur
 		e.computeSeconds += o.dur
 		heap.Push(&e.computes, o)
-	case opSplit:
-		k := splitKey{ctx: o.ctx}
-		e.splits[k] = append(e.splits[k], o)
 	}
 }
 
@@ -387,22 +348,6 @@ func (e *engine) stepWhileStuckLocked(o *op) {
 // blocked) aborts the run.
 func (e *engine) stepLocked() {
 	e.matchLocked()
-	if len(e.splits) > 0 {
-		ctxs := make([]int, 0, len(e.splits))
-		for k := range e.splits {
-			ctxs = append(ctxs, k.ctx)
-		}
-		sort.Ints(ctxs)
-		resolved := false
-		for _, ctx := range ctxs {
-			if e.completeSplitsLocked(ctx) {
-				resolved = true
-			}
-		}
-		if resolved {
-			return // splits completed ops; let woken ranks run
-		}
-	}
 
 	next := math.Inf(1)
 	if len(e.computes) > 0 && e.computes[0].deadline < next {
@@ -463,10 +408,7 @@ func (e *engine) completeLocked(o *op) {
 }
 
 // sendKey indexes unmatched sends for exact-match receives.
-type sendKey struct{ ctx, dst, src, tag int }
-
-// dstKey indexes unmatched sends for wildcard receives.
-type dstKey struct{ ctx, dst int }
+type sendKey struct{ dst, src, tag int }
 
 // matchLocked pairs pending sends with pending receives
 // deterministically: receives are processed in (rank, seq) order; each
@@ -490,12 +432,11 @@ func (e *engine) matchLocked() {
 	sort.Slice(e.pendingSends, bySeq(e.pendingSends))
 
 	exact := make(map[sendKey][]*op)
-	byDst := make(map[dstKey][]*op)
+	byDst := make(map[int][]*op)
 	for _, sd := range e.pendingSends {
-		ek := sendKey{sd.ctx, sd.peer, sd.rank, sd.tag}
+		ek := sendKey{sd.peer, sd.rank, sd.tag}
 		exact[ek] = append(exact[ek], sd)
-		dk := dstKey{sd.ctx, sd.peer}
-		byDst[dk] = append(byDst[dk], sd)
+		byDst[sd.peer] = append(byDst[sd.peer], sd)
 	}
 
 	matched := make(map[*op]bool)
@@ -503,7 +444,7 @@ func (e *engine) matchLocked() {
 	for _, rv := range e.pendingRecvs {
 		var found *op
 		if rv.peer != AnySource && rv.tag != AnyTag {
-			for _, sd := range exact[sendKey{rv.ctx, rv.rank, rv.peer, rv.tag}] {
+			for _, sd := range exact[sendKey{rv.rank, rv.peer, rv.tag}] {
 				if !matched[sd] {
 					found = sd
 					break
@@ -512,7 +453,7 @@ func (e *engine) matchLocked() {
 		} else {
 			// Wildcard: scan this destination's sends in (rank, seq)
 			// order for the first compatible one.
-			for _, sd := range byDst[dstKey{rv.ctx, rv.rank}] {
+			for _, sd := range byDst[rv.rank] {
 				if matched[sd] {
 					continue
 				}
@@ -564,49 +505,6 @@ func (e *engine) createFlowLocked(sd, rv *op) {
 	e.totalBytes += sd.bytes
 }
 
-// completeSplitsLocked resolves a communicator split once every member
-// has arrived, reporting whether it did.
-func (e *engine) completeSplitsLocked(ctx int) bool {
-	k := splitKey{ctx: ctx}
-	ops := e.splits[k]
-	if len(ops) < e.groupSize[ctx] {
-		return false
-	}
-	delete(e.splits, k)
-	// Group by color; order members by (key, rank).
-	byColor := make(map[int][]*op)
-	colors := []int{}
-	for _, o := range ops {
-		if _, seen := byColor[o.color]; !seen {
-			colors = append(colors, o.color)
-		}
-		byColor[o.color] = append(byColor[o.color], o)
-	}
-	sort.Ints(colors)
-	for _, c := range colors {
-		members := byColor[c]
-		sort.Slice(members, func(i, j int) bool {
-			a, b := members[i], members[j]
-			if a.key != b.key {
-				return a.key < b.key
-			}
-			return a.rank < b.rank
-		})
-		ctxID := e.nextCtx
-		e.nextCtx++
-		group := make([]int, len(members))
-		for i, m := range members {
-			group[i] = m.rank
-		}
-		e.groupSize[ctxID] = len(members)
-		for i, m := range members {
-			m.newComm = &Comm{e: e, ctx: ctxID, group: group, myIndex: i}
-			e.completeLocked(m)
-		}
-	}
-	return true
-}
-
 // deadlockLocked reports an unresolvable blocked state.
 func (e *engine) deadlockLocked() {
 	msg := fmt.Sprintf("mpi: deadlock at t=%.9fs: %d ranks blocked, no pending events;", e.now, e.blocked)
@@ -627,9 +525,6 @@ func (e *engine) deadlockLocked() {
 	}
 	msg += describe("sends", e.pendingSends)
 	msg += describe("recvs", e.pendingRecvs)
-	for k, ops := range e.splits {
-		msg += fmt.Sprintf(" split(ctx %d): %d/%d arrived", k.ctx, len(ops), e.groupSize[k.ctx])
-	}
 	err := fmt.Errorf("%s", msg)
 	e.err = err
 	// Wake everyone (they panic with simError on observing e.err).
@@ -642,9 +537,6 @@ func (e *engine) deadlockLocked() {
 	wakeAll(e.pendingRecvs)
 	wakeAll(e.computes)
 	e.computes = e.computes[:0]
-	for _, ops := range e.splits {
-		wakeAll(ops)
-	}
 	for _, pair := range e.flowOps {
 		wakeAll(pair[:])
 	}

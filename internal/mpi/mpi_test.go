@@ -118,6 +118,25 @@ func TestSendrecvBidirectionalNoContention(t *testing.T) {
 	}
 }
 
+// TestSendrecvShift sends to one neighbour while receiving from the
+// other, around a ring of five ranks and two steps apart.
+func TestSendrecvShift(t *testing.T) {
+	cfg := Config{Topology: torus.MustNew(5)}
+	_, err := Run(cfg, func(c *Comm) {
+		p, me := c.Size(), c.Rank()
+		for step := 1; step <= 2; step++ {
+			dst, src := (me+step)%p, (me-step+p)%p
+			data, st := c.Sendrecv(dst, step, me, 8, src, step)
+			if data.(int) != src || st.Source != src || st.Tag != step {
+				t.Errorf("rank %d step %d received %v %+v, want rank %d's", me, step, data, st, src)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestContentionSharedLink(t *testing.T) {
 	// Ranks 0 and 1 both send to their +1 neighbour... on a ring of 4
 	// with DOR, 0->1 uses link (0,+) and 1->2 uses link (1,+): no
@@ -179,6 +198,30 @@ func TestFIFOOrdering(t *testing.T) {
 				data, _ := c.Recv(0, 4)
 				if data.(int) != i {
 					t.Errorf("message %d arrived out of order: %v", i, data)
+				}
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Order holds within a tag only: a receive matches its own tag even
+	// when a message with another tag was sent first.
+	_, err = Run(cfg, func(c *Comm) {
+		switch c.Rank() {
+		case 0:
+			first := c.Isend(1, 5, "five", 8)
+			second := c.Isend(1, 6, "six", 8)
+			first.Wait()
+			second.Wait()
+		case 1:
+			for _, m := range []struct {
+				tag  int
+				want string
+			}{{6, "six"}, {5, "five"}} {
+				data, st := c.Recv(0, m.tag)
+				if data.(string) != m.want || st.Tag != m.tag {
+					t.Errorf("Recv(0, %d) got %v %+v, want %q", m.tag, data, st, m.want)
 				}
 			}
 		}
@@ -306,125 +349,17 @@ func TestReduceAndAllreduce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestAllgather(t *testing.T) {
-	cfg := Config{Topology: torus.MustNew(5)}
-	_, err := Run(cfg, func(c *Comm) {
-		mine := []float64{float64(c.Rank() * 100)}
-		all := c.Allgather(mine)
-		if len(all) != 5 {
-			t.Fatalf("allgather size %d", len(all))
-		}
-		for r, blk := range all {
-			if len(blk) != 1 || blk[0] != float64(r*100) {
-				t.Errorf("rank %d block %d = %v", c.Rank(), r, blk)
-			}
+	// A single rank reduces its own buffer without sending anything.
+	stats, err := Run(Config{Topology: torus.MustNew(2), Ranks: 1}, func(c *Comm) {
+		if all := c.Allreduce([]float64{7}, SumOp); all[0] != 7 {
+			t.Errorf("single-rank allreduce = %v", all)
 		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestAlltoall(t *testing.T) {
-	cfg := Config{Topology: torus.MustNew(4)}
-	_, err := Run(cfg, func(c *Comm) {
-		blocks := make([][]float64, 4)
-		for j := range blocks {
-			blocks[j] = []float64{float64(10*c.Rank() + j)}
-		}
-		out := c.Alltoall(blocks)
-		for i, blk := range out {
-			want := float64(10*i + c.Rank())
-			if len(blk) != 1 || blk[0] != want {
-				t.Errorf("rank %d out[%d] = %v, want %v", c.Rank(), i, blk, want)
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGather(t *testing.T) {
-	cfg := Config{Topology: torus.MustNew(4)}
-	_, err := Run(cfg, func(c *Comm) {
-		out := c.Gather(1, []float64{float64(c.Rank())})
-		if c.Rank() == 1 {
-			for r := 0; r < 4; r++ {
-				if out[r][0] != float64(r) {
-					t.Errorf("gather[%d] = %v", r, out[r])
-				}
-			}
-		} else if out != nil {
-			t.Error("non-root gather should be nil")
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSplit(t *testing.T) {
-	cfg := Config{Topology: torus.MustNew(8)}
-	_, err := Run(cfg, func(c *Comm) {
-		// Even/odd split, ordered by descending rank via key.
-		sub := c.Split(c.Rank()%2, -c.Rank())
-		if sub.Size() != 4 {
-			t.Fatalf("subcomm size %d", sub.Size())
-		}
-		// Ranks ordered by key: descending global rank.
-		wantGlobal := []int{6, 4, 2, 0}
-		if c.Rank()%2 == 1 {
-			wantGlobal = []int{7, 5, 3, 1}
-		}
-		if sub.GlobalRank() != c.Rank() {
-			t.Errorf("global rank %d != %d", sub.GlobalRank(), c.Rank())
-		}
-		if got := sub.group[sub.Rank()]; got != c.Rank() {
-			t.Errorf("group[%d] = %d, want %d", sub.Rank(), got, c.Rank())
-		}
-		for i, g := range sub.group {
-			if g != wantGlobal[i] {
-				t.Errorf("subgroup %v, want %v", sub.group, wantGlobal)
-				break
-			}
-		}
-		// Communication within the subcommunicator.
-		sum := sub.Allreduce([]float64{float64(c.Rank())}, SumOp)
-		want := 12.0 // 0+2+4+6
-		if c.Rank()%2 == 1 {
-			want = 16.0
-		}
-		if sum[0] != want {
-			t.Errorf("subcomm allreduce = %v, want %v", sum[0], want)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSplitTagIsolation(t *testing.T) {
-	// Same tags in different communicators must not cross-match.
-	cfg := Config{Topology: torus.MustNew(4)}
-	_, err := Run(cfg, func(c *Comm) {
-		sub := c.Split(c.Rank()%2, c.Rank())
-		// In each subcomm: rank 0 sends to rank 1 with tag 5.
-		if sub.Rank() == 0 {
-			sub.Send(1, 5, c.Rank(), 8)
-		} else {
-			data, _ := sub.Recv(0, 5)
-			// Even subcomm: sender global 0; odd: global 1.
-			want := c.Rank() % 2
-			if data.(int) != want {
-				t.Errorf("cross-communicator leak: got %v, want %v", data, want)
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
+	if stats.Messages != 0 {
+		t.Errorf("single-rank allreduce sent %d messages", stats.Messages)
 	}
 }
 
@@ -436,7 +371,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		cfg := Config{Topology: tor}
 		stats, err := Run(cfg, func(c *Comm) {
 			r := route.NewRouter(tor)
-			peer := r.FurthestNode(c.e.cfg.RankToNode[c.GlobalRank()])
+			peer := r.FurthestNode(c.e.cfg.RankToNode[c.Rank()])
 			for round := 0; round < 3; round++ {
 				c.Sendrecv(peer, 1, nil, 1e8, peer, 1)
 			}
@@ -464,8 +399,7 @@ func TestPairingMatchesStaticPrediction(t *testing.T) {
 	const bytes = 2e9
 	r := route.NewRouter(tor)
 	stats, err := Run(cfg, func(c *Comm) {
-		me := c.GlobalRank()
-		peer := r.FurthestNode(me)
+		peer := r.FurthestNode(c.Rank())
 		c.Sendrecv(peer, 1, nil, bytes, peer, 1)
 	})
 	if err != nil {
@@ -488,6 +422,7 @@ func TestInvalidArgsPanicBecomeErrors(t *testing.T) {
 		"neg tag":      func(c *Comm) { c.Send(0, -3, nil, 8) },
 		"neg compute":  func(c *Comm) { c.Compute(-1) },
 		"bad recv src": func(c *Comm) { c.Recv(99, 1) },
+		"bad root":     func(c *Comm) { c.Bcast(99, nil) },
 	}
 	for name, body := range cases {
 		_, err := Run(line4(), func(c *Comm) {
@@ -529,7 +464,7 @@ func BenchmarkEngineSendrecvRound(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, err := Run(Config{Topology: tor}, func(c *Comm) {
-			peer := r.FurthestNode(c.GlobalRank())
+			peer := r.FurthestNode(c.Rank())
 			c.Sendrecv(peer, 1, nil, 1e8, peer, 1)
 		})
 		if err != nil {

@@ -1,121 +1,13 @@
-// Package strassen implements the Strassen-Winograd fast matrix
-// multiplication algorithm — the workload of the paper's §4.2 and §4.3
-// experiments — in three forms:
-//
-//   - a sequential recursion (Multiply) with the 7-multiplication,
-//     15-addition Winograd schedule and a classical-multiplication
-//     cutoff, validated against classical multiplication;
-//   - a distributed BFS-tree execution (ParallelMultiply) that runs on
-//     the simulated MPI machine of package mpi on P = 7^k ranks, with
-//     genuine message traffic for every operand distribution and
-//     result collection;
-//   - exact communication- and computation-volume accounting
-//     (Costs) for the BFS/DFS schedules of the
-//     communication-avoiding parallel Strassen (CAPS) algorithm of
-//     Ballard et al. [8, 25], which the paper's experiments ran; the
-//     cost model in package model maps these volumes onto partition
-//     geometries.
+// Package strassen is the operation accounting of the
+// communication-avoiding parallel Strassen-Winograd algorithm (CAPS)
+// of Ballard et al. [8, 25], the workload of the paper's §4.2 and §4.3
+// experiments. Costs gives the exact words moved and flops per rank
+// of a BFS/DFS schedule, WorkingSetBytes the storage a run needs, and
+// ValidateParams the rank and dimension constraints the paper's runs
+// obeyed; package model maps these volumes onto partition geometries.
+// Nothing here multiplies matrices: the paper's matmul results come
+// from this accounting, not from executing the algorithm.
 package strassen
-
-import (
-	"fmt"
-
-	"netpart/internal/matrix"
-)
-
-// DefaultCutoff is the dimension at or below which Multiply switches
-// to classical multiplication. 64 balances recursion overhead against
-// the O(n^3)/O(n^2.81) crossover for pure-Go kernels.
-const DefaultCutoff = 64
-
-// Multiply returns a * b using Strassen-Winograd with the default
-// cutoff. Dimensions must be square and equal; odd dimensions fall
-// back to classical multiplication at that level.
-func Multiply(a, b *matrix.Matrix) *matrix.Matrix {
-	return MultiplyCutoff(a, b, DefaultCutoff)
-}
-
-// MultiplyCutoff is Multiply with an explicit cutoff (>= 1).
-func MultiplyCutoff(a, b *matrix.Matrix, cutoff int) *matrix.Matrix {
-	if cutoff < 1 {
-		panic(fmt.Sprintf("strassen: invalid cutoff %d", cutoff))
-	}
-	if a.Rows != a.Cols || b.Rows != b.Cols || a.Rows != b.Rows {
-		panic(fmt.Sprintf("strassen: need equal square matrices, got %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	c := matrix.New(a.Rows, a.Cols)
-	multiply(c, a, b, cutoff)
-	return c
-}
-
-// multiply computes c = a*b recursively.
-func multiply(c, a, b *matrix.Matrix, cutoff int) {
-	n := a.Rows
-	if n <= cutoff || n%2 != 0 {
-		matrix.Mul(c, a, b)
-		return
-	}
-	h := n / 2
-	a11, a12, a21, a22 := a.Quadrants()
-	b11, b12, b21, b22 := b.Quadrants()
-	c11, c12, c21, c22 := c.Quadrants()
-
-	// Winograd's schedule: 7 recursive products, 15 additions.
-	s1 := matrix.New(h, h)
-	s2 := matrix.New(h, h)
-	s3 := matrix.New(h, h)
-	s4 := matrix.New(h, h)
-	t1 := matrix.New(h, h)
-	t2 := matrix.New(h, h)
-	t3 := matrix.New(h, h)
-	t4 := matrix.New(h, h)
-	matrix.Add(s1, a21, a22) // S1 = A21 + A22
-	matrix.Sub(s2, s1, a11)  // S2 = S1 - A11
-	matrix.Sub(s3, a11, a21) // S3 = A11 - A21
-	matrix.Sub(s4, a12, s2)  // S4 = A12 - S2
-	matrix.Sub(t1, b12, b11) // T1 = B12 - B11
-	matrix.Sub(t2, b22, t1)  // T2 = B22 - T1
-	matrix.Sub(t3, b22, b12) // T3 = B22 - B12
-	matrix.Sub(t4, t2, b21)  // T4 = T2 - B21
-
-	m1 := matrix.New(h, h)
-	m2 := matrix.New(h, h)
-	m3 := matrix.New(h, h)
-	m4 := matrix.New(h, h)
-	m5 := matrix.New(h, h)
-	m6 := matrix.New(h, h)
-	m7 := matrix.New(h, h)
-	multiply(m1, a11, b11, cutoff) // M1 = A11 B11
-	multiply(m2, a12, b21, cutoff) // M2 = A12 B21
-	multiply(m3, s4, b22, cutoff)  // M3 = S4 B22
-	multiply(m4, a22, t4, cutoff)  // M4 = A22 T4
-	multiply(m5, s1, t1, cutoff)   // M5 = S1 T1
-	multiply(m6, s2, t2, cutoff)   // M6 = S2 T2
-	multiply(m7, s3, t3, cutoff)   // M7 = S3 T3
-
-	u2 := matrix.New(h, h)
-	u3 := matrix.New(h, h)
-	matrix.Add(c11, m1, m2) // C11 = M1 + M2
-	matrix.Add(u2, m1, m6)  // U2 = M1 + M6
-	matrix.Add(u3, u2, m7)  // U3 = U2 + M7
-	matrix.Add(c12, u2, m5) // U4 = U2 + M5
-	matrix.Add(c12, c12, m3)
-	matrix.Sub(c21, u3, m4) // C21 = U3 - M4
-	matrix.Add(c22, u3, m5) // C22 = U3 + M5
-}
-
-// FlopCount returns the floating-point operation count of
-// MultiplyCutoff on n x n inputs: recursive levels contribute 15
-// quadrant additions (15 (n/2)^2 flops) plus 7 recursive calls;
-// classical leaves contribute 2 m^3 - m^2 flops.
-func FlopCount(n, cutoff int) float64 {
-	if n <= cutoff || n%2 != 0 {
-		fn := float64(n)
-		return 2*fn*fn*fn - fn*fn
-	}
-	h := float64(n / 2)
-	return 15*h*h + 7*FlopCount(n/2, cutoff)
-}
 
 // ClassicalFlopCount returns 2n^3 - n^2, the classical multiplication
 // flop count.

@@ -13,8 +13,8 @@
 //   - internal/route, internal/netsim, internal/mpi: deterministic
 //     dimension-ordered routing, the flow-level contention simulator,
 //     and the goroutine-per-rank simulated MPI;
-//   - internal/matrix, internal/strassen, internal/model: the
-//     Strassen-Winograd workload and the calibrated CAPS cost model;
+//   - internal/strassen, internal/model: the CAPS communication and
+//     computation accounting and the calibrated cost model built on it;
 //   - internal/experiments: the per-table/per-figure generators.
 //
 // # Quick start
