@@ -367,7 +367,7 @@ func BenchmarkSimulatedMPIAllreduce(b *testing.B) {
 	buf := make([]float64, 1024)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := mpi.Run(mpi.Config{Topology: tor}, func(c *mpi.Comm) {
+		_, err := mpi.Run(tor, func(c *mpi.Comm) {
 			c.Allreduce(buf, mpi.SumOp)
 		})
 		if err != nil {

@@ -34,7 +34,7 @@ func main() {
 		}
 		r := route.NewRouter(tor)
 		cfg := model.PaperPairing(p)
-		stats, err := mpi.Run(mpi.Config{Topology: tor}, func(c *mpi.Comm) {
+		stats, err := mpi.Run(tor, func(c *mpi.Comm) {
 			peer := r.FurthestNode(c.Rank())
 			for round := 0; round < rounds; round++ {
 				c.Sendrecv(peer, round, nil, cfg.RoundBytes(), peer, round)
@@ -61,7 +61,7 @@ func main() {
 	for i := range vec {
 		vec[i] = 1
 	}
-	stats, err := mpi.Run(mpi.Config{Topology: tor}, func(c *mpi.Comm) {
+	stats, err := mpi.Run(tor, func(c *mpi.Comm) {
 		sum := c.Allreduce(vec, mpi.SumOp)
 		if c.Rank() == 0 && sum[0] != float64(c.Size()) {
 			log.Fatalf("allreduce wrong: %v", sum[0])

@@ -3,15 +3,13 @@ package mpi
 import "fmt"
 
 // Collective operations implemented over point-to-point messaging with
-// the standard algorithms (dissemination barrier, binomial trees), so
-// their network cost is simulated faithfully rather than modeled. Tags
-// above collTagBase are reserved; user point-to-point traffic must use
-// smaller tags.
+// binomial trees, so their network cost is simulated faithfully rather
+// than modeled. Tags from collTagBase up are reserved; user
+// point-to-point traffic must use smaller tags.
 const collTagBase = 1 << 20
 
 const (
-	tagBarrier = collTagBase + iota
-	tagBcast
+	tagBcast = collTagBase + iota
 	tagReduce
 )
 
@@ -26,36 +24,11 @@ func SumOp(acc, src []float64) {
 	}
 }
 
-// MaxOp accumulates element-wise maxima.
-func MaxOp(acc, src []float64) {
-	for i := range acc {
-		if src[i] > acc[i] {
-			acc[i] = src[i]
-		}
-	}
-}
-
-// Barrier blocks until every rank of the communicator has entered it,
-// using the dissemination algorithm: ceil(log2 p) rounds of zero-byte
-// messages to exponentially growing offsets.
-func (c *Comm) Barrier() {
-	p := c.Size()
-	me := c.Rank()
-	for k := 1; k < p; k <<= 1 {
-		dst := (me + k) % p
-		src := (me - k + p) % p
-		sreq := c.Isend(dst, tagBarrier, nil, 0)
-		rreq := c.Irecv(src, tagBarrier)
-		rreq.Wait()
-		sreq.Wait()
-	}
-}
-
 // Bcast distributes root's buf to every rank's buf (overwriting it)
 // along a binomial tree. All ranks must pass buffers of equal length.
 func (c *Comm) Bcast(root int, buf []float64) {
 	p := c.Size()
-	c.checkPeer(root, false)
+	c.checkPeer(root)
 	if p == 1 {
 		return
 	}
@@ -70,7 +43,7 @@ func (c *Comm) Bcast(root int, buf []float64) {
 			mask <<= 1
 		}
 		parent := (rel - mask + root) % p
-		data, _ := c.Recv(parent, tagBcast)
+		data := c.Recv(parent, tagBcast)
 		copyPayload(buf, data)
 	}
 	// Forward to children.
@@ -92,7 +65,7 @@ func (c *Comm) Bcast(root int, buf []float64) {
 // returns the result at root (nil elsewhere). buf is not modified.
 func (c *Comm) Reduce(root int, buf []float64, op ReduceOp) []float64 {
 	p := c.Size()
-	c.checkPeer(root, false)
+	c.checkPeer(root)
 	acc := append([]float64(nil), buf...)
 	if p == 1 {
 		return acc
@@ -110,7 +83,7 @@ func (c *Comm) Reduce(root int, buf []float64, op ReduceOp) []float64 {
 		childRel := rel + mask
 		if childRel < p {
 			child := (childRel + root) % p
-			data, _ := c.Recv(child, tagReduce)
+			data := c.Recv(child, tagReduce)
 			src, ok := data.([]float64)
 			if !ok {
 				panic(fmt.Sprintf("mpi: Reduce expects []float64 payload, got %T", data))

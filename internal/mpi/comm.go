@@ -17,29 +17,17 @@ type Comm struct {
 func (c *Comm) Rank() int { return c.rank }
 
 // Size returns the number of ranks in the run.
-func (c *Comm) Size() int { return c.e.cfg.Ranks }
+func (c *Comm) Size() int { return c.e.ranks }
 
-// Now returns the current simulated time in seconds.
-func (c *Comm) Now() float64 {
-	c.e.mu.Lock()
-	defer c.e.mu.Unlock()
-	return c.e.now
-}
-
-// Status describes a received message.
-type Status struct {
-	// Source is the sender's rank.
-	Source int
-	// Tag is the message tag.
-	Tag int
-}
-
-func (c *Comm) checkPeer(peer int, wildcardOK bool) {
-	if wildcardOK && peer == AnySource {
-		return
-	}
+func (c *Comm) checkPeer(peer int) {
 	if peer < 0 || peer >= c.Size() {
 		panic(fmt.Sprintf("mpi: peer rank %d out of range [0,%d)", peer, c.Size()))
+	}
+}
+
+func checkTag(tag int) {
+	if tag < 0 {
+		panic(fmt.Sprintf("mpi: negative tag %d", tag))
 	}
 }
 
@@ -60,51 +48,29 @@ func (c *Comm) Send(dst, tag int, data any, bytes float64) {
 
 // Isend starts a nonblocking send and returns a request to Wait on.
 func (c *Comm) Isend(dst, tag int, data any, bytes float64) *Request {
-	c.checkPeer(dst, false)
+	c.checkPeer(dst)
 	if bytes < 0 || math.IsNaN(bytes) {
 		panic(fmt.Sprintf("mpi: invalid message size %v", bytes))
 	}
-	if tag < 0 {
-		panic(fmt.Sprintf("mpi: negative tag %d", tag))
-	}
-	o := &op{
-		kind:  opSend,
-		rank:  c.rank,
-		peer:  dst,
-		tag:   tag,
-		data:  data,
-		bytes: bytes,
-	}
-	c.e.mu.Lock()
-	if c.e.err != nil {
-		err := c.e.err
-		c.e.mu.Unlock()
-		panic(simError{err})
-	}
-	c.e.submitLocked(o)
-	c.e.mu.Unlock()
-	return &Request{o: o, e: c.e}
+	checkTag(tag)
+	return c.submit(&op{send: true, rank: c.rank, peer: dst, tag: tag, data: data, bytes: bytes})
 }
 
-// Recv blocks until a message matching (src, tag) arrives and returns
-// its payload and status. src may be AnySource and tag AnyTag.
-func (c *Comm) Recv(src, tag int) (any, Status) {
-	r := c.Irecv(src, tag)
-	return r.WaitRecv()
+// Recv blocks until the message from rank src with the given tag
+// arrives and returns its payload.
+func (c *Comm) Recv(src, tag int) any {
+	return c.Irecv(src, tag).WaitRecv()
 }
 
 // Irecv posts a nonblocking receive.
 func (c *Comm) Irecv(src, tag int) *Request {
-	c.checkPeer(src, true)
-	if tag < 0 && tag != AnyTag {
-		panic(fmt.Sprintf("mpi: negative tag %d", tag))
-	}
-	o := &op{
-		kind: opRecv,
-		rank: c.rank,
-		peer: src,
-		tag:  tag,
-	}
+	c.checkPeer(src)
+	checkTag(tag)
+	return c.submit(&op{rank: c.rank, peer: src, tag: tag})
+}
+
+// submit registers o with the engine and returns its request.
+func (c *Comm) submit(o *op) *Request {
 	c.e.mu.Lock()
 	if c.e.err != nil {
 		err := c.e.err
@@ -123,37 +89,19 @@ func (r *Request) Wait() {
 }
 
 // WaitRecv blocks until a receive request completes and returns the
-// payload and status.
-func (r *Request) WaitRecv() (any, Status) {
+// payload.
+func (r *Request) WaitRecv() any {
 	r.Wait()
-	return r.o.recvData, Status{Source: r.o.recvSrc, Tag: r.o.recvTag}
+	return r.o.recvData
 }
 
-// Sendrecv simultaneously sends to dst and receives from src (both
-// with the same tag), the primitive of the bisection-pairing
-// benchmark. It blocks until both complete and returns the received
-// payload.
-func (c *Comm) Sendrecv(dst, sendTag int, data any, bytes float64, src, recvTag int) (any, Status) {
+// Sendrecv simultaneously sends to dst and receives from src, the
+// primitive of the bisection-pairing benchmark. It blocks until both
+// complete and returns the received payload.
+func (c *Comm) Sendrecv(dst, sendTag int, data any, bytes float64, src, recvTag int) any {
 	sreq := c.Isend(dst, sendTag, data, bytes)
 	rreq := c.Irecv(src, recvTag)
-	payload, st := rreq.WaitRecv()
+	payload := rreq.WaitRecv()
 	sreq.Wait()
-	return payload, st
-}
-
-// Compute advances the caller's simulated clock by the given number of
-// seconds of local computation.
-func (c *Comm) Compute(seconds float64) {
-	if seconds < 0 || math.IsNaN(seconds) {
-		panic(fmt.Sprintf("mpi: invalid compute time %v", seconds))
-	}
-	o := &op{kind: opCompute, rank: c.rank, dur: seconds}
-	c.e.mu.Lock()
-	if c.e.err != nil {
-		err := c.e.err
-		c.e.mu.Unlock()
-		panic(simError{err})
-	}
-	c.e.submitLocked(o)
-	c.e.parkLocked(o) // unlocks
+	return payload
 }

@@ -7,20 +7,24 @@
 // GOMAXPROCS — the property that lets the benchmark harness reproduce
 // the paper's experiments bit-for-bit across runs.
 //
-// The layer provides blocking and nonblocking point-to-point
-// operations (Send, Recv, Sendrecv, Isend, Irecv, Wait) with wildcard
-// receives (AnySource, AnyTag), compute-time accounting (Compute), and
-// the collectives Barrier, Bcast, Reduce and Allreduce. Every rank
-// belongs to the one world communicator that Run hands it.
-// examples/contention-lab is the program that runs the layer: the
-// bisection-pairing benchmark (Sendrecv) and an Allreduce.
+// Each node of the torus runs one rank: rank r runs on node r. Links
+// carry 2 GB/s per direction, the Blue Gene/Q value [12], and a message
+// completes once its bytes have drained and its latency, 2 µs of
+// startup plus 45 ns per hop, has passed. The layer provides blocking
+// and nonblocking point-to-point operations (Send, Recv, Sendrecv,
+// Isend, Irecv, Wait) and the collectives Bcast, Reduce and Allreduce.
+// A receive names its source and tag: there are no wildcards, no
+// compute clock and no barrier. Every rank belongs to the one world
+// communicator that Run hands it. examples/contention-lab is the
+// program that runs the layer: the bisection-pairing benchmark
+// (Sendrecv) and an Allreduce.
 package mpi
 
 import (
-	"container/heap"
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"netpart/internal/netsim"
@@ -28,78 +32,14 @@ import (
 	"netpart/internal/torus"
 )
 
-// Wildcards for Recv matching.
 const (
-	// AnySource matches a message from any rank.
-	AnySource = -1
-	// AnyTag matches a message with any tag.
-	AnyTag = -1
+	// linkBytesPerSec is the per-direction link bandwidth.
+	linkBytesPerSec = 2e9
+	// alphaSec is the per-message startup latency.
+	alphaSec = 2e-6
+	// perHopSec is the per-hop latency.
+	perHopSec = 45e-9
 )
-
-// Config describes the simulated machine and job layout.
-type Config struct {
-	// Topology is the node-level torus network (required).
-	Topology *torus.Torus
-	// Ranks is the number of MPI ranks; defaults to the node count.
-	Ranks int
-	// RankToNode maps each rank to its compute node; defaults to the
-	// identity (requires Ranks <= node count). Multiple ranks may
-	// share a node (multi-core placement, as in the paper's Table 3).
-	RankToNode []int
-	// LinkGBps is the per-direction link bandwidth in GB/s; defaults
-	// to the Blue Gene/Q value 2.0 [12].
-	LinkGBps float64
-	// AlphaSec is the per-message startup latency; defaults to 2e-6.
-	AlphaSec float64
-	// PerHopSec is the per-hop latency; defaults to 45e-9.
-	PerHopSec float64
-}
-
-func (c Config) withDefaults() (Config, error) {
-	if c.Topology == nil {
-		return c, fmt.Errorf("mpi: Config.Topology is required")
-	}
-	nodes := c.Topology.NumVertices()
-	if c.Ranks == 0 {
-		c.Ranks = nodes
-	}
-	if c.Ranks < 1 {
-		return c, fmt.Errorf("mpi: invalid rank count %d", c.Ranks)
-	}
-	if c.RankToNode == nil {
-		if c.Ranks > nodes {
-			return c, fmt.Errorf("mpi: %d ranks exceed %d nodes and no RankToNode mapping given", c.Ranks, nodes)
-		}
-		c.RankToNode = make([]int, c.Ranks)
-		for i := range c.RankToNode {
-			c.RankToNode[i] = i
-		}
-	}
-	if len(c.RankToNode) != c.Ranks {
-		return c, fmt.Errorf("mpi: RankToNode has %d entries for %d ranks", len(c.RankToNode), c.Ranks)
-	}
-	for r, n := range c.RankToNode {
-		if n < 0 || n >= nodes {
-			return c, fmt.Errorf("mpi: rank %d mapped to invalid node %d", r, n)
-		}
-	}
-	if c.LinkGBps == 0 {
-		c.LinkGBps = 2.0
-	}
-	if c.LinkGBps < 0 {
-		return c, fmt.Errorf("mpi: negative link bandwidth")
-	}
-	if c.AlphaSec == 0 {
-		c.AlphaSec = 2e-6
-	}
-	if c.PerHopSec == 0 {
-		c.PerHopSec = 45e-9
-	}
-	if c.AlphaSec < 0 || c.PerHopSec < 0 {
-		return c, fmt.Errorf("mpi: negative latency")
-	}
-	return c, nil
-}
 
 // Stats summarizes a completed run.
 type Stats struct {
@@ -110,38 +50,25 @@ type Stats struct {
 	Messages int
 	// TotalBytes is the total payload volume moved over the network.
 	TotalBytes float64
-	// ComputeSeconds is the total per-rank compute time accounted via
-	// Compute, summed over ranks.
-	ComputeSeconds float64
 }
 
-type opKind int
-
-const (
-	opSend opKind = iota
-	opRecv
-	opCompute
-)
-
 type op struct {
-	kind opKind
+	send bool
 	rank int // issuing rank
 	seq  int64
 
-	// send/recv
-	peer  int // destination (send) / source filter (recv), a rank or AnySource
+	peer  int // destination (send) / source (recv)
 	tag   int
 	data  any
 	bytes float64
 
-	// recv results
-	recvData any
-	recvSrc  int
-	recvTag  int
+	recvData any // payload delivered to a receive
 
-	// compute
-	dur      float64
-	deadline float64
+	// next links a pending send to the next one with the same
+	// (destination, source, tag) in matchLocked's index; matched marks
+	// a send that the index handed to a receive.
+	next    *op
+	matched bool
 
 	parked bool
 	done   bool
@@ -151,21 +78,23 @@ type op struct {
 type simError struct{ err error }
 
 type engine struct {
-	mu  sync.Mutex
-	cfg Config
+	mu    sync.Mutex
+	ranks int
 
 	router *route.Router
 	sim    *netsim.Sim
 
-	now     float64
 	nLive   int
 	blocked int
 	err     error
 
 	pendingSends []*op
 	pendingRecvs []*op
-	computes     computeHeap
 	seqs         []int64 // per-rank op sequence counters
+
+	// sendQ is matchLocked's index, reused across steps: the first
+	// unmatched pending send for each key, the rest chained by op.next.
+	sendQ map[sendKey]*op
 
 	flowOps map[netsim.FlowID][2]*op // flow -> {send, recv}
 
@@ -173,41 +102,33 @@ type engine struct {
 	// copies the route, so one buffer serves every flow creation.
 	routeBuf []int
 
-	messages       int
-	totalBytes     float64
-	computeSeconds float64
+	messages   int
+	totalBytes float64
 }
 
-type computeHeap []*op
-
-func (h computeHeap) Len() int           { return len(h) }
-func (h computeHeap) Less(i, j int) bool { return h[i].deadline < h[j].deadline }
-func (h computeHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *computeHeap) Push(x any)        { *h = append(*h, x.(*op)) }
-func (h *computeHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
-
-// Run executes body on every rank of the simulated machine and returns
-// the run statistics. body receives the rank's communicator.
-// A panic in any rank's body (including engine-detected deadlock)
-// aborts the run and is returned as an error.
-func Run(cfg Config, body func(c *Comm)) (Stats, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return Stats{}, err
+// Run executes body on every rank of the simulated machine, one rank
+// per node of tor, and returns the run statistics. body receives the
+// rank's communicator. A panic in any rank's body (including
+// engine-detected deadlock) aborts the run and is returned as an error.
+func Run(tor *torus.Torus, body func(c *Comm)) (Stats, error) {
+	if tor == nil {
+		return Stats{}, fmt.Errorf("mpi: a topology is required")
 	}
+	ranks := tor.NumVertices()
 	e := &engine{
-		cfg:     cfg,
-		router:  route.NewRouter(cfg.Topology),
+		ranks:   ranks,
+		router:  route.NewRouter(tor),
+		nLive:   ranks,
+		seqs:    make([]int64, ranks),
+		sendQ:   make(map[sendKey]*op),
 		flowOps: make(map[netsim.FlowID][2]*op),
 	}
-	e.sim = netsim.New(e.router.NumLinks(), cfg.LinkGBps*1e9)
-	e.nLive = cfg.Ranks
-	e.seqs = make([]int64, cfg.Ranks)
+	e.sim = netsim.New(e.router.NumLinks(), linkBytesPerSec)
 
 	var wg sync.WaitGroup
 	var panicOnce sync.Once
 	var panicErr error
-	for r := 0; r < cfg.Ranks; r++ {
+	for r := 0; r < ranks; r++ {
 		comm := &Comm{e: e, rank: r}
 		wg.Add(1)
 		go func() {
@@ -239,10 +160,9 @@ func Run(cfg Config, body func(c *Comm)) (Stats, error) {
 		return Stats{}, e.err
 	}
 	return Stats{
-		Elapsed:        e.now,
-		Messages:       e.messages,
-		TotalBytes:     e.totalBytes,
-		ComputeSeconds: e.computeSeconds,
+		Elapsed:    e.sim.Now(),
+		Messages:   e.messages,
+		TotalBytes: e.totalBytes,
 	}, nil
 }
 
@@ -266,7 +186,6 @@ func (e *engine) abort(err error) {
 	}
 	wake(e.pendingSends)
 	wake(e.pendingRecvs)
-	wake(e.computes)
 	for _, pair := range e.flowOps {
 		wake(pair[:])
 	}
@@ -286,15 +205,10 @@ func (e *engine) submitLocked(o *op) {
 	o.ch = make(chan struct{})
 	o.seq = e.seqs[o.rank]
 	e.seqs[o.rank]++
-	switch o.kind {
-	case opSend:
+	if o.send {
 		e.pendingSends = append(e.pendingSends, o)
-	case opRecv:
+	} else {
 		e.pendingRecvs = append(e.pendingRecvs, o)
-	case opCompute:
-		o.deadline = e.now + o.dur
-		e.computeSeconds += o.dur
-		heap.Push(&e.computes, o)
 	}
 }
 
@@ -344,55 +258,40 @@ func (e *engine) stepWhileStuckLocked(o *op) {
 }
 
 // stepLocked performs one round of matching and advances time to the
-// next event, completing ops. Deadlock (no events while everyone is
-// blocked) aborts the run.
+// next flow completion, completing ops. Deadlock (no events while
+// everyone is blocked) aborts the run.
 func (e *engine) stepLocked() {
 	e.matchLocked()
 
-	next := math.Inf(1)
-	if len(e.computes) > 0 && e.computes[0].deadline < next {
-		next = e.computes[0].deadline
-	}
-	if dt, ok := e.sim.TimeToNextCompletion(); ok && e.now+dt < next {
-		next = e.now + dt
-	}
-	if math.IsInf(next, 1) {
+	t, ok := e.sim.TimeToNextCompletion()
+	if !ok || math.IsInf(t, 1) {
 		e.deadlockLocked()
 		return
 	}
-	dt := next - e.now
-	if dt < 0 {
-		dt = 0
-	}
-	progressed := false
+	// Advance by the difference of the completion's absolute time and
+	// now, which can differ from t in the last bit.
+	next := e.sim.Now() + t
+	dt := next - e.sim.Now()
 	for try := 0; ; try++ {
-		completedFlows := e.sim.Advance(dt)
-		e.now = e.sim.Now()
-		for _, fid := range completedFlows {
+		completed := e.sim.Advance(dt)
+		for _, fid := range completed {
 			pair := e.flowOps[fid]
 			delete(e.flowOps, fid)
 			// Deliver payload to the receiver.
 			pair[1].recvData = pair[0].data
-			pair[1].recvSrc = pair[0].rank
-			pair[1].recvTag = pair[0].tag
 			e.completeLocked(pair[0])
 			e.completeLocked(pair[1])
-			progressed = true
 		}
-		for len(e.computes) > 0 && e.computes[0].deadline <= e.now*(1+1e-12)+1e-15 {
-			c := heap.Pop(&e.computes).(*op)
-			e.completeLocked(c)
-			progressed = true
+		if len(completed) > 0 {
+			return
 		}
-		if progressed || try > 64 {
-			break
+		if try > 64 {
+			e.deadlockLocked()
+			return
 		}
 		// Numerical guard: force a tiny advance so the imminent event
 		// actually fires.
-		dt = 1e-12 * (1 + e.now)
-	}
-	if !progressed {
-		e.deadlockLocked()
+		dt = 1e-12 * (1 + e.sim.Now())
 	}
 }
 
@@ -407,98 +306,68 @@ func (e *engine) completeLocked(o *op) {
 	close(o.ch)
 }
 
-// sendKey indexes unmatched sends for exact-match receives.
+// byRankSeq orders ops by issuing rank, then by program order: an
+// order that host scheduling cannot change.
+func byRankSeq(a, b *op) int {
+	return cmp.Or(cmp.Compare(a.rank, b.rank), cmp.Compare(a.seq, b.seq))
+}
+
+// sendKey indexes unmatched sends by destination, source and tag.
 type sendKey struct{ dst, src, tag int }
 
 // matchLocked pairs pending sends with pending receives
-// deterministically: receives are processed in (rank, seq) order; each
-// picks the matching send with the smallest (rank, seq). Exact
-// receives use a hash index; wildcard receives scan the per-destination
-// list. Matched pairs become network flows.
+// deterministically: receives are processed in (rank, seq) order, and
+// each takes the earliest unmatched send from its source with its tag.
+// Matched pairs become network flows, so the flow order, and with it
+// every simulated time, is independent of host scheduling.
 func (e *engine) matchLocked() {
 	if len(e.pendingRecvs) == 0 || len(e.pendingSends) == 0 {
 		return
 	}
-	bySeq := func(ops []*op) func(i, j int) bool {
-		return func(i, j int) bool {
-			a, b := ops[i], ops[j]
-			if a.rank != b.rank {
-				return a.rank < b.rank
-			}
-			return a.seq < b.seq
-		}
-	}
-	sort.Slice(e.pendingRecvs, bySeq(e.pendingRecvs))
-	sort.Slice(e.pendingSends, bySeq(e.pendingSends))
-
-	exact := make(map[sendKey][]*op)
-	byDst := make(map[int][]*op)
-	for _, sd := range e.pendingSends {
-		ek := sendKey{sd.peer, sd.rank, sd.tag}
-		exact[ek] = append(exact[ek], sd)
-		byDst[sd.peer] = append(byDst[sd.peer], sd)
+	slices.SortFunc(e.pendingRecvs, byRankSeq)
+	// One rank's sends stay in seq order in pendingSends (submitLocked
+	// appends them in that order and the filter below is stable), so
+	// chaining back to front leaves each key's earliest send first.
+	clear(e.sendQ)
+	for i := len(e.pendingSends) - 1; i >= 0; i-- {
+		sd := e.pendingSends[i]
+		k := sendKey{sd.peer, sd.rank, sd.tag}
+		sd.next = e.sendQ[k]
+		e.sendQ[k] = sd
 	}
 
-	matched := make(map[*op]bool)
-	anyMatched := false
+	recvs := e.pendingRecvs[:0]
 	for _, rv := range e.pendingRecvs {
-		var found *op
-		if rv.peer != AnySource && rv.tag != AnyTag {
-			for _, sd := range exact[sendKey{rv.rank, rv.peer, rv.tag}] {
-				if !matched[sd] {
-					found = sd
-					break
-				}
-			}
-		} else {
-			// Wildcard: scan this destination's sends in (rank, seq)
-			// order for the first compatible one.
-			for _, sd := range byDst[rv.rank] {
-				if matched[sd] {
-					continue
-				}
-				if rv.peer != AnySource && rv.peer != sd.rank {
-					continue
-				}
-				if rv.tag != AnyTag && rv.tag != sd.tag {
-					continue
-				}
-				found = sd
-				break
-			}
+		k := sendKey{rv.rank, rv.peer, rv.tag}
+		sd := e.sendQ[k]
+		if sd == nil {
+			recvs = append(recvs, rv)
+			continue
 		}
-		if found != nil {
-			matched[found] = true
-			matched[rv] = true
-			anyMatched = true
-			e.createFlowLocked(found, rv)
-		}
+		e.sendQ[k] = sd.next
+		sd.matched = true
+		e.createFlowLocked(sd, rv)
 	}
-	if !anyMatched {
+	if len(recvs) == len(e.pendingRecvs) {
 		return
 	}
-	filter := func(ops []*op) []*op {
-		out := ops[:0]
-		for _, o := range ops {
-			if !matched[o] {
-				out = append(out, o)
-			}
+	e.pendingRecvs = recvs
+	sends := e.pendingSends[:0]
+	for _, sd := range e.pendingSends {
+		if !sd.matched {
+			sends = append(sends, sd)
 		}
-		return out
 	}
-	e.pendingSends = filter(e.pendingSends)
-	e.pendingRecvs = filter(e.pendingRecvs)
+	e.pendingSends = sends
 }
 
 func (e *engine) createFlowLocked(sd, rv *op) {
-	srcNode := e.cfg.RankToNode[sd.rank]
-	dstNode := e.cfg.RankToNode[rv.rank]
 	var links []int
-	if srcNode != dstNode {
-		links = e.router.Route(srcNode, dstNode, e.routeBuf[:0])
+	if sd.rank != rv.rank {
+		links = e.router.Route(sd.rank, rv.rank, e.routeBuf[:0])
 		e.routeBuf = links
 	}
-	latency := e.cfg.AlphaSec + e.cfg.PerHopSec*float64(len(links))
+	latency := alphaSec + perHopSec*float64(len(links))
 	fid := e.sim.StartFlow(links, sd.bytes, latency)
 	e.flowOps[fid] = [2]*op{sd, rv}
 	e.messages++
@@ -507,7 +376,7 @@ func (e *engine) createFlowLocked(sd, rv *op) {
 
 // deadlockLocked reports an unresolvable blocked state.
 func (e *engine) deadlockLocked() {
-	msg := fmt.Sprintf("mpi: deadlock at t=%.9fs: %d ranks blocked, no pending events;", e.now, e.blocked)
+	msg := fmt.Sprintf("mpi: deadlock at t=%.9fs: %d ranks blocked, no pending events;", e.sim.Now(), e.blocked)
 	describe := func(kind string, ops []*op) string {
 		if len(ops) == 0 {
 			return ""
@@ -523,6 +392,8 @@ func (e *engine) deadlockLocked() {
 		}
 		return s + "]"
 	}
+	slices.SortFunc(e.pendingSends, byRankSeq)
+	slices.SortFunc(e.pendingRecvs, byRankSeq)
 	msg += describe("sends", e.pendingSends)
 	msg += describe("recvs", e.pendingRecvs)
 	err := fmt.Errorf("%s", msg)
@@ -535,8 +406,6 @@ func (e *engine) deadlockLocked() {
 	}
 	wakeAll(e.pendingSends)
 	wakeAll(e.pendingRecvs)
-	wakeAll(e.computes)
-	e.computes = e.computes[:0]
 	for _, pair := range e.flowOps {
 		wakeAll(pair[:])
 	}

@@ -10,56 +10,26 @@ import (
 	"netpart/internal/torus"
 )
 
-func line4() Config {
-	return Config{Topology: torus.MustNew(4)}
-}
-
-func TestConfigDefaults(t *testing.T) {
-	cfg, err := line4().withDefaults()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Ranks != 4 || cfg.LinkGBps != 2.0 || cfg.AlphaSec != 2e-6 || cfg.PerHopSec != 45e-9 {
-		t.Errorf("defaults: %+v", cfg)
-	}
-	if len(cfg.RankToNode) != 4 || cfg.RankToNode[3] != 3 {
-		t.Errorf("identity mapping: %v", cfg.RankToNode)
-	}
-}
+func line4() *torus.Torus { return torus.MustNew(4) }
 
 func TestConfigErrors(t *testing.T) {
-	if _, err := Run(Config{}, func(c *Comm) {}); err == nil {
+	if _, err := Run(nil, func(c *Comm) {}); err == nil {
 		t.Error("missing topology should fail")
-	}
-	if _, err := Run(Config{Topology: torus.MustNew(2), Ranks: 5}, func(c *Comm) {}); err == nil {
-		t.Error("more ranks than nodes without mapping should fail")
-	}
-	if _, err := Run(Config{Topology: torus.MustNew(2), Ranks: 2, RankToNode: []int{0}}, func(c *Comm) {}); err == nil {
-		t.Error("short mapping should fail")
-	}
-	if _, err := Run(Config{Topology: torus.MustNew(2), Ranks: 1, RankToNode: []int{7}}, func(c *Comm) {}); err == nil {
-		t.Error("invalid node should fail")
-	}
-	if _, err := Run(Config{Topology: torus.MustNew(2), LinkGBps: -1}, func(c *Comm) {}); err == nil {
-		t.Error("negative bandwidth should fail")
 	}
 }
 
 func TestPingPong(t *testing.T) {
-	cfg := Config{Topology: torus.MustNew(4), AlphaSec: 1e-6, PerHopSec: 1e-7, LinkGBps: 2.0}
 	const bytes = 2e9 // 1 second at 2 GB/s
-	stats, err := Run(cfg, func(c *Comm) {
+	stats, err := Run(line4(), func(c *Comm) {
 		switch c.Rank() {
 		case 0:
 			c.Send(1, 7, "hello", bytes)
-			data, st := c.Recv(1, 8)
-			if data.(string) != "world" || st.Source != 1 || st.Tag != 8 {
-				t.Errorf("reply: %v %+v", data, st)
+			if data := c.Recv(1, 8); data.(string) != "world" {
+				t.Errorf("reply: %v", data)
 			}
 		case 1:
-			data, st := c.Recv(0, 7)
-			if data.(string) != "hello" || st.Source != 0 || st.Tag != 7 {
-				t.Errorf("message: %v %+v", data, st)
+			if data := c.Recv(0, 7); data.(string) != "hello" {
+				t.Errorf("message: %v", data)
 			}
 			c.Send(0, 8, "world", bytes)
 		}
@@ -76,36 +46,53 @@ func TestPingPong(t *testing.T) {
 	}
 }
 
+// TestLatencyFloor: a message too small to notice the bandwidth takes
+// exactly its latency, the startup cost plus the per-hop cost of its
+// route; a message a rank sends itself crosses no link and costs the
+// startup alone, whatever its size.
 func TestLatencyFloor(t *testing.T) {
-	cfg := Config{Topology: torus.MustNew(4), AlphaSec: 1e-3, PerHopSec: 0}
-	stats, err := Run(cfg, func(c *Comm) {
-		switch c.Rank() {
-		case 0:
-			c.Send(1, 1, nil, 8) // tiny message: latency-bound
-		case 1:
-			c.Recv(0, 1)
+	alpha, hop := float64(alphaSec), float64(perHopSec)
+	for _, tc := range []struct {
+		name  string
+		dst   int
+		bytes float64
+		want  float64
+	}{
+		{"one hop", 1, 8, alpha + hop},
+		{"self", 0, 1e9, alpha},
+	} {
+		stats, err := Run(line4(), func(c *Comm) {
+			if c.Rank() != 0 {
+				if c.Rank() == tc.dst {
+					c.Recv(0, 1)
+				}
+				return
+			}
+			req := c.Isend(tc.dst, 1, nil, tc.bytes)
+			if tc.dst == 0 {
+				c.Recv(0, 1)
+			}
+			req.Wait()
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// PerHopSec zero means "default", so allow the default per-hop cost.
-	if math.Abs(stats.Elapsed-1e-3) > 1e-6 {
-		t.Errorf("elapsed = %v, want ~1e-3", stats.Elapsed)
+		if stats.Elapsed != tc.want {
+			t.Errorf("%s: elapsed = %v, want %v", tc.name, stats.Elapsed, tc.want)
+		}
 	}
 }
 
 func TestSendrecvBidirectionalNoContention(t *testing.T) {
 	// Directed links: simultaneous opposite transfers do not share
 	// capacity, so the exchange takes one transfer time.
-	cfg := Config{Topology: torus.MustNew(4), LinkGBps: 2.0}
 	const bytes = 2e9
-	stats, err := Run(cfg, func(c *Comm) {
+	stats, err := Run(line4(), func(c *Comm) {
 		if c.Rank() > 1 {
 			return
 		}
 		peer := 1 - c.Rank()
-		data, _ := c.Sendrecv(peer, 3, c.Rank(), bytes, peer, 3)
+		data := c.Sendrecv(peer, 3, c.Rank(), bytes, peer, 3)
 		if data.(int) != peer {
 			t.Errorf("rank %d received %v", c.Rank(), data)
 		}
@@ -121,14 +108,12 @@ func TestSendrecvBidirectionalNoContention(t *testing.T) {
 // TestSendrecvShift sends to one neighbour while receiving from the
 // other, around a ring of five ranks and two steps apart.
 func TestSendrecvShift(t *testing.T) {
-	cfg := Config{Topology: torus.MustNew(5)}
-	_, err := Run(cfg, func(c *Comm) {
+	_, err := Run(torus.MustNew(5), func(c *Comm) {
 		p, me := c.Size(), c.Rank()
 		for step := 1; step <= 2; step++ {
 			dst, src := (me+step)%p, (me-step+p)%p
-			data, st := c.Sendrecv(dst, step, me, 8, src, step)
-			if data.(int) != src || st.Source != src || st.Tag != step {
-				t.Errorf("rank %d step %d received %v %+v, want rank %d's", me, step, data, st, src)
+			if data := c.Sendrecv(dst, step, me, 8, src, step); data.(int) != src {
+				t.Errorf("rank %d step %d received %v, want rank %d's", me, step, data, src)
 			}
 		}
 	})
@@ -138,14 +123,11 @@ func TestSendrecvShift(t *testing.T) {
 }
 
 func TestContentionSharedLink(t *testing.T) {
-	// Ranks 0 and 1 both send to their +1 neighbour... on a ring of 4
-	// with DOR, 0->1 uses link (0,+) and 1->2 uses link (1,+): no
-	// sharing. To force sharing, send 0->2 and 0->... use two messages
-	// from rank 0's node: both traverse link (0,+).
-	tor := torus.MustNew(4)
-	cfg := Config{Topology: tor, Ranks: 4, RankToNode: []int{0, 0, 2, 2}, LinkGBps: 2.0}
+	// On a ring of 4, DOR breaks the distance-2 tie toward the positive
+	// direction: 0->2 crosses links (0,+) and (1,+), and 1->3 crosses
+	// (1,+) and (2,+). The two flows share link (1,+).
 	const bytes = 2e9
-	stats, err := Run(cfg, func(c *Comm) {
+	stats, err := Run(line4(), func(c *Comm) {
 		switch c.Rank() {
 		case 0:
 			c.Send(2, 1, nil, bytes)
@@ -160,43 +142,31 @@ func TestContentionSharedLink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Both flows share links (0,+) and (1,+): 2 flows at 1 GB/s each ->
-	// 2 seconds.
+	// 2 flows at 1 GB/s each on the shared link -> 2 seconds.
 	if math.Abs(stats.Elapsed-2.0) > 1e-5 {
 		t.Errorf("elapsed = %v, want ~2.0", stats.Elapsed)
-	}
-	_ = stats
-}
-
-func TestComputeOverlap(t *testing.T) {
-	cfg := line4()
-	stats, err := Run(cfg, func(c *Comm) {
-		c.Compute(float64(c.Rank()) * 0.5)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Computes overlap: elapsed = max = 1.5; total accounted = 3.0.
-	if math.Abs(stats.Elapsed-1.5) > 1e-9 {
-		t.Errorf("elapsed = %v, want 1.5", stats.Elapsed)
-	}
-	if math.Abs(stats.ComputeSeconds-3.0) > 1e-9 {
-		t.Errorf("compute seconds = %v, want 3.0", stats.ComputeSeconds)
 	}
 }
 
 func TestFIFOOrdering(t *testing.T) {
-	cfg := line4()
-	_, err := Run(cfg, func(c *Comm) {
+	// Every send and receive is posted before any completes, so one
+	// matching step pairs the i-th receive with the i-th send.
+	_, err := Run(line4(), func(c *Comm) {
+		reqs := make([]*Request, 5)
 		switch c.Rank() {
 		case 0:
-			for i := 0; i < 5; i++ {
-				c.Send(1, 4, i, 8)
+			for i := range reqs {
+				reqs[i] = c.Isend(1, 4, i, 8)
+			}
+			for _, r := range reqs {
+				r.Wait()
 			}
 		case 1:
-			for i := 0; i < 5; i++ {
-				data, _ := c.Recv(0, 4)
-				if data.(int) != i {
+			for i := range reqs {
+				reqs[i] = c.Irecv(0, 4)
+			}
+			for i, r := range reqs {
+				if data := r.WaitRecv(); data.(int) != i {
 					t.Errorf("message %d arrived out of order: %v", i, data)
 				}
 			}
@@ -207,7 +177,7 @@ func TestFIFOOrdering(t *testing.T) {
 	}
 	// Order holds within a tag only: a receive matches its own tag even
 	// when a message with another tag was sent first.
-	_, err = Run(cfg, func(c *Comm) {
+	_, err = Run(line4(), func(c *Comm) {
 		switch c.Rank() {
 		case 0:
 			first := c.Isend(1, 5, "five", 8)
@@ -219,35 +189,9 @@ func TestFIFOOrdering(t *testing.T) {
 				tag  int
 				want string
 			}{{6, "six"}, {5, "five"}} {
-				data, st := c.Recv(0, m.tag)
-				if data.(string) != m.want || st.Tag != m.tag {
-					t.Errorf("Recv(0, %d) got %v %+v, want %q", m.tag, data, st, m.want)
+				if data := c.Recv(0, m.tag); data.(string) != m.want {
+					t.Errorf("Recv(0, %d) got %v, want %q", m.tag, data, m.want)
 				}
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWildcards(t *testing.T) {
-	cfg := line4()
-	_, err := Run(cfg, func(c *Comm) {
-		switch c.Rank() {
-		case 1, 2, 3:
-			c.Send(0, c.Rank(), c.Rank()*10, 8)
-		case 0:
-			seen := map[int]bool{}
-			for i := 0; i < 3; i++ {
-				data, st := c.Recv(AnySource, AnyTag)
-				if data.(int) != st.Source*10 || st.Tag != st.Source {
-					t.Errorf("mismatched wildcard recv: %v %+v", data, st)
-				}
-				if seen[st.Source] {
-					t.Errorf("duplicate source %d", st.Source)
-				}
-				seen[st.Source] = true
 			}
 		}
 	})
@@ -257,8 +201,7 @@ func TestWildcards(t *testing.T) {
 }
 
 func TestDeadlockDetection(t *testing.T) {
-	cfg := line4()
-	_, err := Run(cfg, func(c *Comm) {
+	_, err := Run(line4(), func(c *Comm) {
 		if c.Rank() == 0 {
 			c.Recv(1, 9) // no one sends
 		}
@@ -269,11 +212,22 @@ func TestDeadlockDetection(t *testing.T) {
 	if !strings.Contains(err.Error(), "deadlock") {
 		t.Errorf("error %q should mention deadlock", err)
 	}
+	// The report lists the unmatched operations in rank order, whatever
+	// order the ranks reached the engine in.
+	_, err = Run(line4(), func(c *Comm) {
+		if c.Rank() == 0 {
+			c.Recv(1, 2)
+		} else {
+			c.Send(0, 1, nil, 8)
+		}
+	})
+	if want := "[r1->r0 tag1 r2->r0 tag1 r3->r0 tag1 ]"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("deadlock report %v should list %s", err, want)
+	}
 }
 
 func TestRankPanicPropagates(t *testing.T) {
-	cfg := line4()
-	_, err := Run(cfg, func(c *Comm) {
+	_, err := Run(line4(), func(c *Comm) {
 		if c.Rank() == 2 {
 			panic("boom")
 		}
@@ -286,28 +240,8 @@ func TestRankPanicPropagates(t *testing.T) {
 	}
 }
 
-func TestBarrierSynchronizes(t *testing.T) {
-	cfg := line4()
-	var after [4]float64
-	_, err := Run(cfg, func(c *Comm) {
-		c.Compute(float64(c.Rank()) * 0.25) // stagger arrivals
-		c.Barrier()
-		after[c.Rank()] = c.Now()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// No rank may leave the barrier before the slowest arrival (0.75s).
-	for r, ts := range after {
-		if ts < 0.75 {
-			t.Errorf("rank %d left barrier at %v, before slowest arrival", r, ts)
-		}
-	}
-}
-
 func TestBcast(t *testing.T) {
-	cfg := Config{Topology: torus.MustNew(8)}
-	_, err := Run(cfg, func(c *Comm) {
+	_, err := Run(torus.MustNew(8), func(c *Comm) {
 		buf := make([]float64, 4)
 		if c.Rank() == 3 {
 			copy(buf, []float64{1, 2, 3, 4})
@@ -326,8 +260,12 @@ func TestBcast(t *testing.T) {
 }
 
 func TestReduceAndAllreduce(t *testing.T) {
-	cfg := Config{Topology: torus.MustNew(8), Ranks: 7} // non-power-of-2
-	_, err := Run(cfg, func(c *Comm) {
+	maxOp := func(acc, src []float64) {
+		for i := range acc {
+			acc[i] = math.Max(acc[i], src[i])
+		}
+	}
+	_, err := Run(torus.MustNew(7), func(c *Comm) { // non-power-of-2
 		mine := []float64{float64(c.Rank()), 1}
 		sum := c.Reduce(2, mine, SumOp)
 		if c.Rank() == 2 {
@@ -341,7 +279,7 @@ func TestReduceAndAllreduce(t *testing.T) {
 		if all[0] != 21 || all[1] != 7 {
 			t.Errorf("allreduce = %v at rank %d", all, c.Rank())
 		}
-		mx := c.Allreduce(mine, MaxOp)
+		mx := c.Allreduce(mine, maxOp)
 		if mx[0] != 6 || mx[1] != 1 {
 			t.Errorf("allreduce max = %v", mx)
 		}
@@ -350,7 +288,7 @@ func TestReduceAndAllreduce(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A single rank reduces its own buffer without sending anything.
-	stats, err := Run(Config{Topology: torus.MustNew(2), Ranks: 1}, func(c *Comm) {
+	stats, err := Run(torus.MustNew(1), func(c *Comm) {
 		if all := c.Allreduce([]float64{7}, SumOp); all[0] != 7 {
 			t.Errorf("single-rank allreduce = %v", all)
 		}
@@ -363,19 +301,21 @@ func TestReduceAndAllreduce(t *testing.T) {
 	}
 }
 
+// TestDeterminismAcrossRuns: messages of rank-dependent sizes finish
+// at staggered times, so flows start while others are in flight, and
+// the run still ends at the same float under any GOMAXPROCS.
 func TestDeterminismAcrossRuns(t *testing.T) {
+	tor := torus.MustNew(8, 2)
+	r := route.NewRouter(tor)
 	run := func(procs int) Stats {
 		old := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(old)
-		tor := torus.MustNew(8, 2)
-		cfg := Config{Topology: tor}
-		stats, err := Run(cfg, func(c *Comm) {
-			r := route.NewRouter(tor)
-			peer := r.FurthestNode(c.e.cfg.RankToNode[c.Rank()])
+		stats, err := Run(tor, func(c *Comm) {
+			peer := r.FurthestNode(c.Rank())
+			bytes := 1e8 * float64(1+c.Rank()%3)
 			for round := 0; round < 3; round++ {
-				c.Sendrecv(peer, 1, nil, 1e8, peer, 1)
+				c.Sendrecv(peer, 1, nil, bytes, peer, 1)
 			}
-			c.Compute(1e-3)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -395,10 +335,9 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 // underlying Figures 3 and 4.
 func TestPairingMatchesStaticPrediction(t *testing.T) {
 	tor := torus.MustNew(8, 4, 2)
-	cfg := Config{Topology: tor, AlphaSec: 1e-9, PerHopSec: 0}
 	const bytes = 2e9
 	r := route.NewRouter(tor)
-	stats, err := Run(cfg, func(c *Comm) {
+	stats, err := Run(tor, func(c *Comm) {
 		peer := r.FurthestNode(c.Rank())
 		c.Sendrecv(peer, 1, nil, bytes, peer, 1)
 	})
@@ -420,7 +359,6 @@ func TestInvalidArgsPanicBecomeErrors(t *testing.T) {
 		"bad dst":      func(c *Comm) { c.Send(99, 1, nil, 8) },
 		"neg bytes":    func(c *Comm) { c.Send(0, 1, nil, -8) },
 		"neg tag":      func(c *Comm) { c.Send(0, -3, nil, 8) },
-		"neg compute":  func(c *Comm) { c.Compute(-1) },
 		"bad recv src": func(c *Comm) { c.Recv(99, 1) },
 		"bad root":     func(c *Comm) { c.Bcast(99, nil) },
 	}
@@ -436,34 +374,13 @@ func TestInvalidArgsPanicBecomeErrors(t *testing.T) {
 	}
 }
 
-func TestMultiRankPerNode(t *testing.T) {
-	// Two ranks per node; messages between co-located ranks cost only
-	// latency.
-	tor := torus.MustNew(2)
-	cfg := Config{Topology: tor, Ranks: 4, RankToNode: []int{0, 0, 1, 1}, AlphaSec: 1e-6}
-	stats, err := Run(cfg, func(c *Comm) {
-		switch c.Rank() {
-		case 0:
-			c.Send(1, 1, nil, 1e9)
-		case 1:
-			c.Recv(0, 1)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(stats.Elapsed-1e-6) > 1e-12 {
-		t.Errorf("intra-node transfer took %v, want latency only", stats.Elapsed)
-	}
-}
-
 func BenchmarkEngineSendrecvRound(b *testing.B) {
 	tor := torus.MustNew(8, 4, 4, 4, 2) // 2 midplanes, 1024 nodes
 	r := route.NewRouter(tor)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := Run(Config{Topology: tor}, func(c *Comm) {
+		_, err := Run(tor, func(c *Comm) {
 			peer := r.FurthestNode(c.Rank())
 			c.Sendrecv(peer, 1, nil, 1e8, peer, 1)
 		})
