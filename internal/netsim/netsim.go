@@ -42,13 +42,13 @@
 // The simulator core is built around dense, index-addressed state;
 // there are no maps on any per-flow or per-link hot path:
 //
-//   - Flows live in a free-list-backed arena ([]flow). Public FlowIDs
-//     are dense and monotonically increasing; a sliding id→slot window
-//     translates them to arena slots in O(1) and is compacted when the
-//     simulator drains. A recycled slot keeps its route's backing
-//     array. Grow sizes the arena, the window, the completion buffer
-//     and the CSR index for a known batch of starts, and reserves one
-//     route block: each slot that needs a longer route takes the next
+//   - Flows live in a free-list-backed arena ([]flow), reset when the
+//     simulator drains. Public FlowIDs are dense and monotonically
+//     increasing; each slot records its flow's ID, and Advance reports
+//     completions by ID. A recycled slot keeps its route's backing
+//     array. Grow sizes the arena, the completion buffer and the CSR
+//     index for a known batch of starts, and reserves one route block:
+//     each slot that needs a longer route takes the next
 //     capacity-limited region of it, never handed out twice, so a
 //     batch of N starts costs a few allocations rather than N.
 //   - The link→flows index is a CSR layout (flat offset/count arrays
@@ -56,7 +56,7 @@
 //     length) pass per rate epoch that searches for a bottleneck — an
 //     epoch being any run of starts/completions between rate
 //     recomputations — and scoped to the links actually touched by
-//     active flows, never to NumLinks.
+//     active flows, never to the whole link space.
 //   - Progressive filling keeps per-link remaining capacity and
 //     unfrozen-flow counts in flat []float64/[]int32 arrays indexed by
 //     link ID. No sorting is needed anywhere: iteration follows arena
@@ -163,12 +163,7 @@ type Sim struct {
 	// own.
 	routeBlock []int32
 
-	// FlowID translation: id2slot[id-idBase] is the arena slot of id,
-	// or -1 once completed. The window slides forward as old flows
-	// complete and resets entirely when the simulator drains.
-	nextID  FlowID
-	idBase  FlowID
-	id2slot []int32
+	nextID FlowID // the ID StartFlow assigns next; IDs are never reused
 
 	ratesDirty bool
 
@@ -242,27 +237,19 @@ func newSim(caps []float64) *Sim {
 // Now returns the current simulation time in seconds.
 func (s *Sim) Now() float64 { return s.now }
 
-// ActiveFlows returns the number of in-flight flows.
-func (s *Sim) ActiveFlows() int { return s.numLive }
-
-// NumLinks returns the number of directed links.
-func (s *Sim) NumLinks() int { return len(s.capacity) }
-
 // Grow sizes the simulator for flows more flows whose routes hold
 // links link IDs in all, in the manner of bytes.Buffer.Grow: it sizes
-// the flow arena, the id window, the completion buffer and the CSR
-// index, and reserves one block of links route entries that StartFlow
-// hands out as the new flows' routes. A caller that knows a batch of
-// starts calls it once, before the batch, so each array is allocated
-// once rather than grown step by step and the routes share one
-// allocation rather than one each. Grow panics if either count is
-// negative.
+// the flow arena, the completion buffer and the CSR index, and
+// reserves one block of links route entries that StartFlow hands out
+// as the new flows' routes. A caller that knows a batch of starts
+// calls it once, before the batch, so each array is allocated once
+// rather than grown step by step and the routes share one allocation
+// rather than one each. Grow panics if either count is negative.
 func (s *Sim) Grow(flows, links int) {
 	if flows < 0 || links < 0 {
 		panic(fmt.Sprintf("netsim: invalid Grow(%d, %d)", flows, links))
 	}
 	s.flows = slices.Grow(s.flows, flows)
-	s.id2slot = slices.Grow(s.id2slot, flows)
 	s.completedBuf = slices.Grow(s.completedBuf[:0], s.numLive+flows)
 	s.csr = slices.Grow(s.csr[:0], s.routeLen+links)
 	if len(s.routeBlock) < links {
@@ -284,19 +271,6 @@ func (s *Sim) allocSlot() int32 {
 		s.flows = append(s.flows, flow{})
 	}
 	return int32(len(s.flows) - 1)
-}
-
-// slotOf translates a FlowID to its arena slot; ok=false when the flow
-// is unknown or complete.
-func (s *Sim) slotOf(id FlowID) (int32, bool) {
-	if id < s.idBase || int(id-s.idBase) >= len(s.id2slot) {
-		return 0, false
-	}
-	sl := s.id2slot[id-s.idBase]
-	if sl < 0 {
-		return 0, false
-	}
-	return sl, true
 }
 
 // StartFlow injects a transfer of the given size over the route at the
@@ -345,7 +319,6 @@ func (s *Sim) StartFlow(links []int, bytes, latency float64) FlowID {
 	f.level = 0
 	f.live = true
 	s.nextID++
-	s.id2slot = append(s.id2slot, sl)
 	s.numLive++
 	if len(links) > 0 {
 		s.routed++
@@ -593,7 +566,6 @@ func (s *Sim) Advance(dt float64) []FlowID {
 				s.keep = l - 1 // its level and those above may change
 			}
 			f.live = false
-			s.id2slot[f.id-s.idBase] = -1
 			s.freeSlots = append(s.freeSlots, int32(i))
 			s.numLive--
 			if len(f.links) > 0 {
@@ -608,31 +580,13 @@ func (s *Sim) Advance(dt float64) []FlowID {
 	}
 	s.ratesDirty = true
 	slices.Sort(s.completedBuf)
-	s.compactIDWindow()
-	return s.completedBuf
-}
-
-// compactIDWindow reclaims id→slot translation space: fully when the
-// simulator drains (arena, free list and window all reset), and by
-// sliding the window past the completed prefix otherwise, so that a
-// long-running never-idle simulation stays bounded.
-func (s *Sim) compactIDWindow() {
 	if s.numLive == 0 {
-		s.flows = s.flows[:0] // slots (and their links arrays) are recycled via allocSlot
+		// A drained arena starts over; allocSlot recycles its slots and
+		// their links arrays.
+		s.flows = s.flows[:0]
 		s.freeSlots = s.freeSlots[:0]
-		s.id2slot = s.id2slot[:0]
-		s.idBase = s.nextID
-		return
 	}
-	trim := 0
-	for trim < len(s.id2slot) && s.id2slot[trim] < 0 {
-		trim++
-	}
-	if trim > 0 {
-		n := copy(s.id2slot, s.id2slot[trim:])
-		s.id2slot = s.id2slot[:n]
-		s.idBase += FlowID(trim)
-	}
+	return s.completedBuf
 }
 
 // Step advances to the next flow completion and returns the completed
@@ -663,15 +617,4 @@ func (s *Sim) RunUntilIdle() float64 {
 			return s.now - start
 		}
 	}
-}
-
-// FlowRate returns the current fair rate of an active flow
-// (bytes/sec), or ok=false if the flow is unknown or complete.
-func (s *Sim) FlowRate(id FlowID) (float64, bool) {
-	sl, ok := s.slotOf(id)
-	if !ok {
-		return 0, false
-	}
-	s.recomputeRates()
-	return s.flows[sl].rate, true
 }

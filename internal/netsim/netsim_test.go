@@ -7,6 +7,22 @@ import (
 	"testing/quick"
 )
 
+// FlowRate returns the current fair rate of a live flow (bytes/sec),
+// or ok=false if the flow is unknown or complete. It scans the arena:
+// the simulator itself never looks a flow up by ID.
+func (s *Sim) FlowRate(id FlowID) (float64, bool) {
+	for i := range s.flows {
+		if f := &s.flows[i]; f.live && f.id == id {
+			s.recomputeRates()
+			return f.rate, true
+		}
+	}
+	return 0, false
+}
+
+// ActiveFlows returns the number of in-flight flows.
+func (s *Sim) ActiveFlows() int { return s.numLive }
+
 func TestSingleFlow(t *testing.T) {
 	s := New(4, 100) // 100 B/s links
 	id := s.StartFlow([]int{0, 1}, 1000, 0)

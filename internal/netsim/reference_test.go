@@ -195,9 +195,9 @@ func TestNoLinkOversubscribedAfterRecompute(t *testing.T) {
 	}
 }
 
-// TestSlotReuseAndIDWindow exercises arena slot recycling and the
-// sliding FlowID window: IDs stay monotonic and stale IDs stay dead
-// across drain/refill cycles.
+// TestSlotReuseAndIDWindow exercises arena slot recycling across
+// drain/refill cycles: FlowIDs stay monotonic, and a completed flow's
+// ID never names a live flow again.
 func TestSlotReuseAndIDWindow(t *testing.T) {
 	s := New(4, 100)
 	var lastID FlowID = -1
@@ -220,8 +220,9 @@ func TestSlotReuseAndIDWindow(t *testing.T) {
 	}
 }
 
-// TestStaggeredPartialCompletion checks the sliding window when only a
-// prefix (and a non-prefix subset) of flows completes.
+// TestStaggeredPartialCompletion checks completion batches and the
+// survivors' rates when only a prefix (and a non-prefix subset) of
+// flows completes.
 func TestStaggeredPartialCompletion(t *testing.T) {
 	s := New(2, 100)
 	a := s.StartFlow([]int{0}, 100, 0) // alone on link 0: done at t=1
