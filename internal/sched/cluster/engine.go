@@ -252,14 +252,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// Machine returns the resolved host.
-func (e *Engine) Machine() *bgq.Machine { return e.m }
-
 // Now returns the virtual clock.
 func (e *Engine) Now() float64 { return e.st.Now() }
-
-// Submitted returns the total jobs ever accepted (the next engine ID).
-func (e *Engine) Submitted() int { return len(e.jobs) }
 
 func (e *Engine) emit(ev Event) {
 	if e.cfg.OnEvent != nil {

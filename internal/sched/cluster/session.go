@@ -315,10 +315,3 @@ func (s *Session) Abort() {
 		close(s.stop)
 	}
 }
-
-// Closed reports whether the session has ended.
-func (s *Session) Closed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}

@@ -195,10 +195,6 @@ func (st *Stepper) Active() int { return len(st.active) }
 // Idle reports whether no queued or running work remains.
 func (st *Stepper) Idle() bool { return len(st.queue) == 0 && len(st.active) == 0 }
 
-// FreeMidplanes returns the machine's free (unoccupied, unblocked)
-// midplane count.
-func (st *Stepper) FreeMidplanes() int { return st.grid.FreeMidplanes() }
-
 // Totals exposes the running aggregates of the schedule so far.
 func (st *Stepper) Totals() (makespanSec, totalWaitSec, totalRunSec, midplaneSeconds float64) {
 	return st.res.MakespanSec, st.res.TotalWaitSec, st.res.TotalRunSec, st.res.MidplaneSeconds

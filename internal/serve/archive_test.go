@@ -313,7 +313,10 @@ func TestShutdownWaitsForPersist(t *testing.T) {
 		return fakeResult(key), nil
 	}
 	for i := 0; i < 200; i++ {
-		st := store.NewMemory(0)
+		st, err := store.OpenFS(t.TempDir(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
 		s := newServer(Options{Store: st}, run)
 		key := Key{ID: fmt.Sprintf("sweep:%04d", i)}
 		if _, err := s.cache.do(context.Background(), key, netpart.RunOptions{}, nil, nil); err != nil {

@@ -19,18 +19,12 @@
 // the experiment descriptor metadata. Round-tripping is byte-exact:
 // the bytes and tags read back are the bytes and tags written.
 //
-// Two backends implement Store: Memory (tests, ephemeral daemons)
-// and FS (a directory of checksummed blob files with atomic
-// tmp+rename writes, corrupt/partial-blob tolerance, and
-// LRU-by-access eviction under a byte budget). Both are safe for
-// concurrent use.
+// FS implements Store: a directory of checksummed blob files with
+// atomic tmp+rename writes, corrupt/partial-blob tolerance, and
+// LRU-by-access eviction under a byte budget, safe for concurrent use.
+// The serving layer and the benchmark name the Store interface, not
+// the backend.
 package store
-
-import (
-	"fmt"
-	"sort"
-	"sync"
-)
 
 // Meta is the experiment descriptor persisted alongside a result's
 // encodings, enough to list an archive entry without decoding bodies.
@@ -60,7 +54,8 @@ type Blob struct {
 
 // Size returns the blob's accounted payload size: the sum of its
 // encoding bodies. Header and metadata overhead is deliberately
-// excluded so the byte budget is comparable across backends.
+// excluded, so the byte budget counts what the results weigh, not how
+// a backend frames them.
 func (b *Blob) Size() int64 {
 	var n int64
 	for _, e := range b.Encodings {
@@ -89,7 +84,7 @@ type Stats struct {
 	Evictions int64  `json:"evictions"`
 	// Corrupt counts blobs dropped because their bytes did not
 	// survive: truncated files, checksum mismatches, unparseable
-	// headers. Always zero for the memory backend.
+	// headers.
 	Corrupt int64 `json:"corrupt,omitempty"`
 }
 
@@ -115,135 +110,4 @@ type Store interface {
 	List(after string, limit int) []Info
 	// Stats returns an observability snapshot.
 	Stats() Stats
-}
-
-// Memory is the in-memory Store: the FS backend's semantics (byte
-// budget, LRU eviction, content-addressed immutability) without the
-// files. Useful in tests and for ephemeral daemons that want archive
-// endpoints without persistence.
-type Memory struct {
-	maxBytes int64
-
-	mu    sync.Mutex
-	blobs map[string]*memEntry
-	bytes int64
-	clock int64 // logical access clock for LRU
-
-	hits, misses, puts, deletes, evictions int64
-}
-
-type memEntry struct {
-	blob   *Blob
-	size   int64
-	access int64
-}
-
-// NewMemory returns an in-memory store bounded by maxBytes (0 means
-// unbounded).
-func NewMemory(maxBytes int64) *Memory {
-	return &Memory{maxBytes: maxBytes, blobs: map[string]*memEntry{}}
-}
-
-// Get implements Store.
-func (m *Memory) Get(id string) (*Blob, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	e, ok := m.blobs[id]
-	if !ok {
-		m.misses++
-		return nil, false
-	}
-	m.clock++
-	e.access = m.clock
-	m.hits++
-	return e.blob, true
-}
-
-// Put implements Store.
-func (m *Memory) Put(blob *Blob) error {
-	if blob == nil || blob.ID == "" {
-		return fmt.Errorf("store: put without an ID")
-	}
-	size := blob.Size()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.blobs[blob.ID]; ok {
-		return nil // content-addressed: already present means already identical
-	}
-	if m.maxBytes > 0 && size > m.maxBytes {
-		return fmt.Errorf("store: blob %s (%d bytes) exceeds the %d-byte budget", blob.ID, size, m.maxBytes)
-	}
-	for m.maxBytes > 0 && m.bytes+size > m.maxBytes {
-		m.evictOldestLocked()
-	}
-	m.clock++
-	m.blobs[blob.ID] = &memEntry{blob: blob, size: size, access: m.clock}
-	m.bytes += size
-	m.puts++
-	return nil
-}
-
-// evictOldestLocked drops the least-recently-accessed entry. Callers
-// hold m.mu and guarantee the map is non-empty via the byte budget.
-func (m *Memory) evictOldestLocked() {
-	var victim string
-	var oldest int64
-	for id, e := range m.blobs {
-		if victim == "" || e.access < oldest {
-			victim, oldest = id, e.access
-		}
-	}
-	if victim == "" {
-		return
-	}
-	m.bytes -= m.blobs[victim].size
-	delete(m.blobs, victim)
-	m.evictions++
-}
-
-// Delete implements Store.
-func (m *Memory) Delete(id string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if e, ok := m.blobs[id]; ok {
-		m.bytes -= e.size
-		delete(m.blobs, id)
-		m.deletes++
-	}
-	return nil
-}
-
-// List implements Store.
-func (m *Memory) List(after string, limit int) []Info {
-	m.mu.Lock()
-	infos := make([]Info, 0, len(m.blobs))
-	for id, e := range m.blobs {
-		if id <= after {
-			continue
-		}
-		infos = append(infos, Info{ID: id, Bytes: e.size, Meta: e.blob.Meta})
-	}
-	m.mu.Unlock()
-	sort.Slice(infos, func(i, j int) bool { return infos[i].ID < infos[j].ID })
-	if limit > 0 && len(infos) > limit {
-		infos = infos[:limit]
-	}
-	return infos
-}
-
-// Stats implements Store.
-func (m *Memory) Stats() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return Stats{
-		Backend:   "memory",
-		Entries:   len(m.blobs),
-		Bytes:     m.bytes,
-		MaxBytes:  m.maxBytes,
-		Hits:      m.hits,
-		Misses:    m.misses,
-		Puts:      m.puts,
-		Deletes:   m.deletes,
-		Evictions: m.evictions,
-	}
 }

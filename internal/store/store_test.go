@@ -25,12 +25,10 @@ func testBlob(id string, pad int) *Blob {
 	}
 }
 
-// backends runs a subtest against both Store implementations.
+// backends runs fn as a subtest against the FS backend; open returns
+// a fresh store in its own directory.
 func backends(t *testing.T, fn func(t *testing.T, open func(maxBytes int64) Store)) {
 	t.Helper()
-	t.Run("memory", func(t *testing.T) {
-		fn(t, func(maxBytes int64) Store { return NewMemory(maxBytes) })
-	})
 	t.Run("fs", func(t *testing.T) {
 		fn(t, func(maxBytes int64) Store {
 			s, err := OpenFS(t.TempDir(), maxBytes)
@@ -43,7 +41,7 @@ func backends(t *testing.T, fn func(t *testing.T, open func(maxBytes int64) Stor
 }
 
 // TestRoundTrip: Put then Get returns byte-exact bodies, tags and
-// meta on both backends.
+// meta.
 func TestRoundTrip(t *testing.T) {
 	backends(t, func(t *testing.T, open func(int64) Store) {
 		s := open(0)
