@@ -48,38 +48,46 @@ func TestPingPong(t *testing.T) {
 
 // TestLatencyFloor: a message too small to notice the bandwidth takes
 // exactly its latency, the startup cost plus the per-hop cost of its
-// route; a message a rank sends itself crosses no link and costs the
-// startup alone, whatever its size.
+// route.
 func TestLatencyFloor(t *testing.T) {
-	alpha, hop := float64(alphaSec), float64(perHopSec)
-	for _, tc := range []struct {
-		name  string
-		dst   int
-		bytes float64
-		want  float64
-	}{
-		{"one hop", 1, 8, alpha + hop},
-		{"self", 0, 1e9, alpha},
-	} {
-		stats, err := Run(line4(), func(c *Comm) {
-			if c.Rank() != 0 {
-				if c.Rank() == tc.dst {
-					c.Recv(0, 1)
-				}
-				return
-			}
-			req := c.Isend(tc.dst, 1, nil, tc.bytes)
-			if tc.dst == 0 {
-				c.Recv(0, 1)
-			}
-			req.Wait()
-		})
-		if err != nil {
-			t.Fatal(err)
+	stats, err := Run(line4(), func(c *Comm) {
+		switch c.Rank() {
+		case 0:
+			c.Isend(1, 1, nil, 8).Wait()
+		case 1:
+			c.Recv(0, 1)
 		}
-		if stats.Elapsed != tc.want {
-			t.Errorf("%s: elapsed = %v, want %v", tc.name, stats.Elapsed, tc.want)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := float64(alphaSec) + perHopSec; stats.Elapsed != want {
+		t.Errorf("elapsed = %v, want %v", stats.Elapsed, want)
+	}
+}
+
+// TestMultiRankPerNode: the rank layout. A torus runs one rank per
+// node, so the only ranks that share a node are a rank and itself; a
+// message between them crosses no link and costs the startup latency
+// alone, whatever its size.
+func TestMultiRankPerNode(t *testing.T) {
+	tor := line4()
+	stats, err := Run(tor, func(c *Comm) {
+		if c.Size() != tor.NumVertices() {
+			t.Errorf("size = %d, want one rank per node (%d)", c.Size(), tor.NumVertices())
 		}
+		if c.Rank() != 0 {
+			return
+		}
+		req := c.Isend(0, 1, nil, 1e9)
+		c.Recv(0, 1)
+		req.Wait()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Elapsed != alphaSec {
+		t.Errorf("co-located transfer took %v, want latency only (%v)", stats.Elapsed, float64(alphaSec))
 	}
 }
 
