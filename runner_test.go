@@ -272,8 +272,9 @@ func TestRunnerCorruptedCatalog(t *testing.T) {
 }
 
 // TestResultGolden locks the byte-deterministic encodings: one table
-// and one figure Result, JSON and CSV, against checked-in golden
-// files. Regenerate with UPDATE_GOLDEN=1 go test -run TestResultGolden.
+// and three figure Results (figure6 and the two pairing figures, whose
+// full-precision times nothing else pins), JSON and CSV, against
+// checked-in golden files. Regenerate with UPDATE_GOLDEN=1 go test -run TestResultGolden.
 func TestResultGolden(t *testing.T) {
 	runner := NewRunner()
 	ctx := context.Background()
@@ -287,6 +288,10 @@ func TestResultGolden(t *testing.T) {
 		{"table4", "csv", (*Result).CSV, "table4.csv"},
 		{"figure6", "json", (*Result).JSON, "figure6.json"},
 		{"figure6", "csv", (*Result).CSV, "figure6.csv"},
+		{"figure3", "json", (*Result).JSON, "figure3.json"},
+		{"figure3", "csv", (*Result).CSV, "figure3.csv"},
+		{"figure4", "json", (*Result).JSON, "figure4.json"},
+		{"figure4", "csv", (*Result).CSV, "figure4.csv"},
 	} {
 		t.Run(tc.id+"/"+tc.enc, func(t *testing.T) {
 			res, err := runner.Run(ctx, tc.id)
