@@ -11,14 +11,16 @@
 //	contention -experiment matmul    # Table 3 and Figure 5
 //	contention -experiment scaling   # Table 4 and Figure 6
 //	contention -run figure3          # one registered artifact by ID
-//	contention -full                 # simulate every pairing round
 //	contention -workers 4            # bound the worker pool
 //	contention -chart                # ASCII charts as well as tables
 //	contention -json                 # machine-readable results
 //	contention -progress             # per-point progress on stderr
 //
-// Interrupting the process (Ctrl-C) cancels the in-flight simulation
-// promptly.
+// Figures 3 and 4 report the flow-level time of every pairing round
+// from the routed link loads, which is what a max-min fair simulation
+// of those equal, simultaneous flows computes; no round is simulated.
+// Interrupting the process (Ctrl-C) cancels the in-flight experiment
+// between its rows and points.
 package main
 
 import (
@@ -42,7 +44,6 @@ var suites = map[string][]string{
 func main() {
 	experiment := flag.String("experiment", "all", "pairing, matmul, scaling, or all")
 	runID := flag.String("run", "", "run one registered experiment by ID (overrides -experiment)")
-	full := flag.Bool("full", false, "simulate every pairing round (slower; identical results in the fluid model)")
 	workers := flag.Int("workers", 0, "worker pool bound (0 = all CPUs, 1 = sequential)")
 	chart := flag.Bool("chart", false, "render ASCII charts")
 	jsonOut := flag.Bool("json", false, "emit results as JSON instead of rendered tables")
@@ -61,7 +62,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	opts := []netpart.Option{netpart.WithWorkers(*workers), netpart.WithFullRounds(*full)}
+	opts := []netpart.Option{netpart.WithWorkers(*workers)}
 	if *progress {
 		opts = append(opts, netpart.WithProgress(func(p netpart.Progress) {
 			fmt.Fprintf(os.Stderr, "%s: %d/%d\n", p.Experiment, p.Done, p.Total)

@@ -27,16 +27,13 @@ func main() {
 	addr := flag.String("addr", "localhost:8080", "netpartd address")
 	id := flag.String("id", "figure3", "experiment ID to run")
 	workers := flag.Int("workers", 0, "worker-pool bound for the run (0 = server default)")
-	fullRounds := flag.Bool("full-rounds", false, "simulate every pairing round")
 	format := flag.String("format", "json", "result encoding: json, csv or markdown")
 	flag.Parse()
 	log.SetFlags(0)
 	base := "http://" + *addr
 
 	// Submit the run.
-	body, err := json.Marshal(map[string]any{
-		"experiment": *id, "workers": *workers, "full_rounds": *fullRounds,
-	})
+	body, err := json.Marshal(map[string]any{"experiment": *id, "workers": *workers})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,10 +4,6 @@ import (
 	"context"
 	"errors"
 	"testing"
-	"time"
-
-	"netpart/internal/bgq"
-	"netpart/internal/model"
 )
 
 // TestPreCanceledContext verifies every generator path returns
@@ -25,11 +21,6 @@ func TestPreCanceledContext(t *testing.T) {
 		{"Figure2", func() error { _, err := c.Figure2(ctx); return err }},
 		{"Figure3", func() error { _, err := c.Figure3(ctx); return err }},
 		{"Figure5", func() error { _, err := c.Figure5(ctx); return err }},
-		{"SimulatePairing", func() error {
-			cfg := model.PaperPairing(bgq.MustPartition(2, 1, 1, 1))
-			_, err := SimulatePairing(ctx, cfg, true)
-			return err
-		}},
 	}
 	for _, ck := range checks {
 		if err := ck.run(); !errors.Is(err, context.Canceled) {
@@ -91,33 +82,5 @@ func TestCancelAfterAllUnitsComplete(t *testing.T) {
 			t.Errorf("Workers=%d: err = %v, want nil (cancel landed after completion)", workers, err)
 		}
 		cancel()
-	}
-}
-
-// TestMidRunCancelSimulation cancels a pairing simulation that would
-// otherwise run an absurd number of rounds, and requires it to return
-// ctx.Err() promptly (the between-rounds / per-flow-batch checks).
-func TestMidRunCancelSimulation(t *testing.T) {
-	cfg := model.PairingConfig{
-		Partition:      bgq.MustPartition(2, 1, 1, 1),
-		Rounds:         1 << 30, // would take months without cancellation
-		ChunkBytes:     1e8,
-		ChunksPerRound: 2,
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := SimulatePairing(ctx, cfg, true)
-		done <- err
-	}()
-	time.Sleep(10 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("err = %v, want context.Canceled", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("simulation did not abort after cancellation")
 	}
 }

@@ -12,9 +12,8 @@ import (
 )
 
 // Config parameterizes one experiment run. The zero value is ready to
-// use: it runs on a GOMAXPROCS-sized worker pool, simulates pairing
-// experiments on the one-round fast path, and resolves machines from
-// the built-in bgq catalog. Configs are plain values — concurrent runs
+// use: it runs on a GOMAXPROCS-sized worker pool and resolves machines
+// from the built-in bgq catalog. Configs are plain values — concurrent runs
 // with different configs do not interfere (there is no package-global
 // tuning state).
 type Config struct {
@@ -24,13 +23,6 @@ type Config struct {
 	// (TestParallelDriversMatchSequential): units land in
 	// index-addressed slots no matter how they interleave.
 	Workers int
-
-	// FullRounds makes the pairing experiments (Figures 3, 4)
-	// simulate every communication round end-to-end instead of
-	// simulating one round with full event resolution and scaling
-	// (the rounds are identical in the fluid model, so the results
-	// agree to floating point; see TestFullRoundSimulationAtScale).
-	FullRounds bool
 
 	// Progress, when non-nil, is called after each completed unit of
 	// a generator's main loop (a table row, a figure point) with the

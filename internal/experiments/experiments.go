@@ -1,17 +1,17 @@
 // Package experiments regenerates every table and figure of the
 // paper's evaluation: the partition-analysis tables (1, 2, 5, 6, 7)
 // and bandwidth figures (1, 2, 7) from the exact isoperimetric
-// machinery, the bisection-pairing experiment (Figures 3, 4) through
-// the flow-level network simulator, and the matrix-multiplication
-// experiments (Tables 3, 4; Figures 5, 6) through the calibrated CAPS
-// cost model.
+// machinery, the bisection-pairing experiment (Figures 3, 4) from the
+// routed link loads, which equal the flow-level simulation's time by
+// the makespan theorem (netsim package comment), and the
+// matrix-multiplication experiments (Tables 3, 4; Figures 5, 6)
+// through the calibrated CAPS cost model.
 //
 // Every generator is a method on Config, takes a context, and returns
 // an error: per-call worker pools replace the old package-global
 // tuning knob, catalog inconsistencies surface instead of producing
 // zero rows, and cancellation aborts long sweeps promptly (the worker
-// pool stops handing out units; the pairing simulator checks between
-// rounds and flow batches). The public artifact registry over these
+// pool stops handing out units). The public artifact registry over these
 // generators is the root netpart package's Registry/Runner API; the
 // per-experiment index lives in DESIGN.md and the measured-vs-paper
 // record in EXPERIMENTS.md.

@@ -5,9 +5,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"netpart/internal/bgq"
-	"netpart/internal/model"
 )
 
 func TestTable1Contents(t *testing.T) {
@@ -206,24 +203,6 @@ func TestFigure4Shape(t *testing.T) {
 	if times[4].SimSec != times[8].SimSec || times[8].SimSec != times[16].SimSec {
 		t.Errorf("4/8/16 midplane worst-case times should match: %v %v %v",
 			times[4].SimSec, times[8].SimSec, times[16].SimSec)
-	}
-}
-
-func TestSimulatePairingFullRoundsConsistent(t *testing.T) {
-	// On a small partition, simulating every round must agree with the
-	// one-round-scaled fast path.
-	p := bgq.MustPartition(1, 1, 1, 1)
-	cfg := model.PairingConfig{Partition: p, Rounds: 3, ChunkBytes: 1e8, ChunksPerRound: 2}
-	fast, err := SimulatePairing(context.Background(), cfg, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := SimulatePairing(context.Background(), cfg, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(fast-full)/full > 1e-9 {
-		t.Errorf("fast %v vs full %v", fast, full)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"netpart/internal/bgq"
 	"netpart/internal/model"
-	"netpart/internal/netsim"
 	"netpart/internal/route"
 	"netpart/internal/tabulate"
 	"netpart/internal/torus"
@@ -20,7 +19,7 @@ type PairingPoint struct {
 	Midplanes   int
 	Partition   bgq.Partition
 	BisectionBW int
-	SimSec      float64 // flow-level simulation
+	SimSec      float64 // flow-level time, from the routed link loads (pairingTime)
 	StaticSec   float64 // closed-form bottleneck model
 }
 
@@ -34,24 +33,15 @@ type PairingFigure struct {
 	PointsB []PairingPoint
 }
 
-// simCancelStride bounds how many flow starts a pairing simulation
-// runs between context checks, so cancellation lands promptly even
-// inside a single large round (12288 flows at 24 midplanes).
-const simCancelStride = 256
-
-// SimulatePairing runs the §4.1 bisection-pairing benchmark on a
-// partition through the flow-level simulator and returns the total
-// completion time for the counted rounds. Rounds are identical in the
-// fluid model (every pair exchanges the same volume and the pattern is
-// symmetric), so one round is simulated with full event resolution and
-// scaled; set fullRounds to simulate every round end-to-end instead.
-// The simulator is sized once for a round's flows and routes (their
-// DOR hop counts), and later rounds reuse the drained slots. The
-// context is checked between rounds and every simCancelStride flow
-// starts; a canceled simulation returns ctx.Err() promptly.
-func SimulatePairing(ctx context.Context, cfg model.PairingConfig, fullRounds bool) (float64, error) {
-	shape := cfg.Partition.NodeShape()
-	tor, err := torus.New(shape...)
+// pairingTime returns the completion time of the §4.1
+// bisection-pairing benchmark on a partition: cfg.Rounds times the
+// busiest DOR link's load over its capacity. Every pairing flow
+// carries RoundBytes and all start at once with no latency, so by the
+// makespan theorem (netsim package comment) this is the time a
+// flow-level simulation of the rounds reports
+// (TestPairingMatchesSimulation).
+func pairingTime(cfg model.PairingConfig) (float64, error) {
+	tor, err := torus.New(cfg.Partition.NodeShape()...)
 	if err != nil {
 		return 0, err
 	}
@@ -60,42 +50,10 @@ func SimulatePairing(ctx context.Context, cfg model.PairingConfig, fullRounds bo
 	if err != nil {
 		return 0, err
 	}
-	rounds := cfg.Rounds
-	simRounds := 1
-	if fullRounds {
-		simRounds = rounds
-	}
-	hops := 0
-	for _, d := range demands {
-		hops += r.HopCount(d.Src, d.Dst)
-	}
-	sim := netsim.New(r.NumLinks(), model.LinkBytesPerSec)
-	sim.Grow(len(demands), hops)
-	total := 0.0
-	buf := make([]int, 0, 64)
-	for round := 0; round < simRounds; round++ {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		for di, d := range demands {
-			if di%simCancelStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return 0, err
-				}
-			}
-			buf = r.Route(d.Src, d.Dst, buf[:0])
-			sim.StartFlow(buf, d.Bytes, 0)
-		}
-		total += sim.RunUntilIdle()
-	}
-	if !fullRounds {
-		total *= float64(rounds)
-	}
-	return total, nil
+	return float64(cfg.Rounds) * r.PredictTransferTime(demands, model.LinkBytesPerSec), nil
 }
 
-// pairingPoints measures two partition series through the flow-level
-// simulator on the worker pool. Points are interleaved (A0, B0, A1,
+// pairingPoints measures two partition series on the worker pool. Points are interleaved (A0, B0, A1,
 // B1, ...) so the expensive large-partition pairs spread across
 // workers, and results land in index-addressed slots, keeping the
 // output identical to the sequential order.
@@ -107,7 +65,7 @@ func (c Config) pairingPoints(ctx context.Context, a, b []bgq.Partition) (ptsA, 
 		if i%2 == 1 {
 			p = b[i/2]
 		}
-		pt, err := c.pairingPoint(ctx, p)
+		pt, err := pairingPoint(p)
 		if err != nil {
 			return err
 		}
@@ -126,9 +84,9 @@ func (c Config) pairingPoints(ctx context.Context, a, b []bgq.Partition) (ptsA, 
 }
 
 // pairingPoint measures one partition.
-func (c Config) pairingPoint(ctx context.Context, p bgq.Partition) (PairingPoint, error) {
+func pairingPoint(p bgq.Partition) (PairingPoint, error) {
 	cfg := model.PaperPairing(p)
-	sim, err := SimulatePairing(ctx, cfg, c.FullRounds)
+	sim, err := pairingTime(cfg)
 	if err != nil {
 		return PairingPoint{}, err
 	}
@@ -143,7 +101,7 @@ func (c Config) pairingPoint(ctx context.Context, p bgq.Partition) (PairingPoint
 
 // Figure3 reproduces paper Figure 3: the bisection-pairing experiment
 // on Mira's current vs proposed partitions at 4, 8, 16 and 24
-// midplanes. Set Config.FullRounds to simulate every round end-to-end.
+// midplanes.
 func (c Config) Figure3(ctx context.Context) (PairingFigure, error) {
 	fig := PairingFigure{
 		Title:   "Figure 3: Mira bisection pairing (26 rounds, 16 x 0.1342 GB per round)",
@@ -177,7 +135,7 @@ func (c Config) Figure3(ctx context.Context) (PairingFigure, error) {
 
 // Figure4 reproduces paper Figure 4: the bisection-pairing experiment
 // on JUQUEEN's worst vs best partitions at 4, 6, 8, 12 and 16
-// midplanes. Set Config.FullRounds to simulate every round end-to-end.
+// midplanes.
 func (c Config) Figure4(ctx context.Context) (PairingFigure, error) {
 	fig := PairingFigure{
 		Title:   "Figure 4: JUQUEEN bisection pairing (26 rounds, 16 x 0.1342 GB per round)",

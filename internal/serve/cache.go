@@ -16,42 +16,24 @@ import (
 	"netpart/internal/store"
 )
 
-// Key identifies one cacheable result: an experiment ID plus the
-// options that can change its bytes. Keys are built from normalized
-// options (Experiment.Normalize), so the worker count and irrelevant
-// FullRounds flags never fragment the cache: two requests with the
-// same Key are guaranteed byte-identical encodings.
+// Key identifies one cacheable result by its experiment ID. No run
+// option can change a result's bytes (the worker count cannot), so two
+// requests with the same Key are guaranteed byte-identical encodings.
 //
 // Dynamic experiments (user-defined scenarios and sweeps) use the
 // same key space: their IDs are content hashes of the normalized
-// definition ("scenario:<hash>", "sweep:<hash>"), so the ID alone is
-// the result identity and FullRounds stays false. Registry keys are
+// definition ("scenario:<hash>", "sweep:<hash>"). Registry keys are
 // bounded by construction and never evicted; dynamic keys are
 // unbounded under sustained traffic, so the cache retains at most
 // maxDynamicEntries of them (oldest-insertion eviction).
 type Key struct {
-	ID         string
-	FullRounds bool
+	ID string
 }
 
 // dynamic reports whether the key belongs to a user-defined
 // experiment. Dynamic IDs always contain a ':', registry IDs never
 // do.
 func (k Key) dynamic() bool { return strings.ContainsRune(k.ID, ':') }
-
-func keyFor(exp netpart.Experiment, opts netpart.RunOptions) Key {
-	n := exp.Normalize(opts)
-	return Key{ID: exp.ID, FullRounds: n.FullRounds}
-}
-
-// String renders the key in the canonical query form the API
-// documents ("figure3?full_rounds=true"); dynamic keys are their ID.
-func (k Key) String() string {
-	if k.dynamic() {
-		return k.ID
-	}
-	return fmt.Sprintf("%s?full_rounds=%t", k.ID, k.FullRounds)
-}
 
 // encoding is one negotiated representation of a finished result:
 // its body bytes and the strong ETag over them. Because the
@@ -431,7 +413,6 @@ func (c *cache) persist(key Key, e *entry) {
 			Title:      e.res.Experiment.Title,
 			Kind:       string(e.res.Experiment.Kind),
 			Cost:       string(e.res.Experiment.Cost),
-			FullRounds: e.res.Meta.FullRounds,
 		},
 	}
 	for _, ct := range persistedEncodings {
@@ -445,7 +426,7 @@ func (c *cache) persist(key Key, e *entry) {
 	}
 	if len(blob.Encodings) == 0 || c.store.Put(blob) != nil {
 		c.m.cachePersistErrs.Inc()
-		c.log.Warn("write-behind persist failed", "key", key.String())
+		c.log.Warn("write-behind persist failed", "key", key.ID)
 		return
 	}
 	c.m.cachePersists.Inc()

@@ -161,8 +161,8 @@ func gatedServer(t *testing.T, opts Options) (*Server, *httptest.Server, *gate) 
 // fakeResult fabricates a deterministic Result for a key.
 func fakeResult(key Key) *netpart.Result {
 	exp, _ := netpart.Lookup(key.ID)
-	tab := netpart.Table{Title: "fake " + key.ID, Headers: []string{"key", "full_rounds"}}
-	tab.AddRow(key.ID, key.FullRounds)
+	tab := netpart.Table{Title: "fake " + key.ID, Headers: []string{"key"}}
+	tab.AddRow(key.ID)
 	return &netpart.Result{Experiment: exp, Table: tab}
 }
 

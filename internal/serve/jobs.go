@@ -48,7 +48,7 @@ type Job struct {
 	ID         string
 	Experiment netpart.Experiment // synthesized descriptor for sweeps and traces
 	Opts       netpart.RunOptions // as submitted
-	Key        Key                // normalized cache identity
+	Key        Key                // cache identity
 	Created    time.Time
 
 	kind   *jobKind
@@ -193,7 +193,7 @@ func (m *jobManager) submit(k *jobKind, sub *submission, reqID string) (*Job, er
 		ID:         id,
 		Experiment: sub.exp,
 		Opts:       sub.opts,
-		Key:        keyFor(sub.exp, sub.opts),
+		Key:        Key{ID: sub.exp.ID},
 		Created:    time.Now(),
 		kind:       k,
 		cancel:     cancel,

@@ -320,9 +320,9 @@ func TestSweepStampede(t *testing.T) {
 		}
 		job, _ := s.jobs.lookup(id)
 		if key == "" {
-			key = job.Key.String()
-		} else if job.Key.String() != key {
-			t.Fatalf("keys diverge: %s vs %s", job.Key, key)
+			key = job.Key.ID
+		} else if job.Key.ID != key {
+			t.Fatalf("keys diverge: %s vs %s", job.Key.ID, key)
 		}
 	}
 	if got := g.calls.Load(); got != 1 {

@@ -8,12 +8,11 @@
 //
 //   - Admission is per cost class: each class (cheap / moderate /
 //     heavy) has its own concurrency bound, so registry lookups and
-//     closed-form tables never queue behind a multi-second flow-level
-//     pairing simulation.
-//   - Identical concurrent requests coalesce: the cache keys on
-//     (experiment ID, normalized options) — normalization strips
-//     options that cannot change result bytes — and singleflights
-//     concurrent misses onto one Runner.Run.
+//     closed-form tables never queue behind a large sweep, trace or
+//     scenario.
+//   - Identical concurrent requests coalesce: the cache keys on the
+//     experiment ID alone — no run option can change result bytes —
+//     and singleflights concurrent misses onto one Runner.Run.
 //   - Client disconnects propagate: a synchronous request that goes
 //     away detaches from its flight, and the run itself is canceled
 //     as soon as its last waiter is gone.
@@ -332,16 +331,13 @@ func (s *Server) runTask(ctx context.Context, key Key, opts netpart.RunOptions, 
 		return nil, err
 	}
 	defer release()
-	// Workers from the leading request (or the server default);
-	// FullRounds from the normalized key, so the cached Result's
-	// metadata matches its cache identity.
+	// Workers from the leading request (or the server default).
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = s.opts.Workers
 	}
 	ropts := []netpart.Option{
 		netpart.WithWorkers(workers),
-		netpart.WithFullRounds(key.FullRounds),
 		netpart.WithProgress(func(p netpart.Progress) { publish(progressEvent(p)) }),
 	}
 	if s.peers != nil {
@@ -402,7 +398,7 @@ func jobDocFor(j *Job) jobDoc {
 		Experiment: j.Experiment.ID,
 		Status:     status,
 		Options:    j.Opts,
-		Key:        j.Key.String(),
+		Key:        j.Key.ID,
 		Links: map[string]string{
 			"self":   j.path(),
 			"events": j.path() + "/events",
@@ -550,23 +546,15 @@ func negotiate(r *http.Request) (string, error) {
 	return best, nil
 }
 
-// parseRunOptions reads workers/full_rounds from query parameters.
+// parseRunOptions reads workers from the query parameters.
 func parseRunOptions(r *http.Request) (netpart.RunOptions, error) {
 	var opts netpart.RunOptions
-	q := r.URL.Query()
-	if v := q.Get("workers"); v != "" {
+	if v := r.URL.Query().Get("workers"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
 			return opts, fmt.Errorf("bad workers %q", v)
 		}
 		opts.Workers = n
-	}
-	if v := q.Get("full_rounds"); v != "" {
-		b, err := strconv.ParseBool(v)
-		if err != nil {
-			return opts, fmt.Errorf("bad full_rounds %q", v)
-		}
-		opts.FullRounds = b
 	}
 	return opts, nil
 }
@@ -672,7 +660,7 @@ func (s *Server) handleSyncResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	e, err := s.cache.do(r.Context(), keyFor(exp, opts), opts, nil, nil)
+	e, err := s.cache.do(r.Context(), Key{ID: exp.ID}, opts, nil, nil)
 	if err != nil {
 		writeRunError(w, err)
 		return
@@ -702,7 +690,6 @@ func writeRunError(w http.ResponseWriter, err error) {
 type submitDoc struct {
 	Experiment string `json:"experiment"`
 	Workers    int    `json:"workers"`
-	FullRounds bool   `json:"full_rounds"`
 }
 
 // maxSubmitBody bounds the POST /v1/runs request body; every other
@@ -726,5 +713,5 @@ func decodeRun(w http.ResponseWriter, r *http.Request) *submission {
 		writeError(w, http.StatusBadRequest, "bad workers %d", req.Workers)
 		return nil
 	}
-	return &submission{exp: exp, opts: netpart.RunOptions{Workers: req.Workers, FullRounds: req.FullRounds}}
+	return &submission{exp: exp, opts: netpart.RunOptions{Workers: req.Workers}}
 }

@@ -199,7 +199,6 @@ func TestSyncResultErrors(t *testing.T) {
 	}{
 		{"/v1/experiments/table99/result", nil, http.StatusNotFound},
 		{"/v1/experiments/table3/result?workers=lots", nil, http.StatusBadRequest},
-		{"/v1/experiments/table3/result?full_rounds=perhaps", nil, http.StatusBadRequest},
 		{"/v1/experiments/table3/result?format=yaml", nil, http.StatusNotAcceptable},
 		{"/v1/experiments/table3/result", map[string]string{"Accept": "image/png"}, http.StatusNotAcceptable},
 	} {
@@ -215,7 +214,7 @@ func TestSyncResultErrors(t *testing.T) {
 func TestSubmitAndFetchResult(t *testing.T) {
 	s, ts := realServer(t, Options{Workers: 2})
 	job := submit(t, ts, map[string]any{"experiment": "table4"})
-	if job.Experiment != "table4" || job.Key != "table4?full_rounds=false" {
+	if job.Experiment != "table4" || job.Key != "table4" {
 		t.Fatalf("job doc %+v", job)
 	}
 	if got := await(t, s, job.ID); got != StatusDone {
@@ -267,24 +266,12 @@ func TestSubmitErrors(t *testing.T) {
 }
 
 // TestNormalizationCoalescesIrrelevantOptions pins the cache-key
-// semantics: full_rounds on a non-pairing experiment normalizes away
-// (same key, shared cache entry), while on a pairing experiment it is
-// a distinct key.
+// semantics: the worker count cannot change result bytes, so a
+// request with ?workers= shares the cache entry of one without.
 func TestNormalizationCoalescesIrrelevantOptions(t *testing.T) {
-	table3, _ := netpart.Lookup("table3")
-	figure3, _ := netpart.Lookup("figure3")
-	if k := keyFor(table3, netpart.RunOptions{Workers: 8, FullRounds: true}); k != (Key{ID: "table3"}) {
-		t.Errorf("table3 key = %v", k)
-	}
-	if k := keyFor(figure3, netpart.RunOptions{FullRounds: true}); k != (Key{ID: "figure3", FullRounds: true}) {
-		t.Errorf("figure3 key = %v", k)
-	}
-
-	// Over HTTP: requesting table3 with full_rounds=true serves the
-	// same cached bytes as without.
 	_, ts := realServer(t, Options{})
 	_, hdrA, bodyA := get(t, ts.URL+"/v1/experiments/table3/result", nil)
-	_, hdrB, bodyB := get(t, ts.URL+"/v1/experiments/table3/result?full_rounds=true&workers=3", nil)
+	_, hdrB, bodyB := get(t, ts.URL+"/v1/experiments/table3/result?workers=3", nil)
 	if !bytes.Equal(bodyA, bodyB) || hdrA.Get("ETag") != hdrB.Get("ETag") {
 		t.Error("normalized-identical requests produced different bytes")
 	}

@@ -22,7 +22,7 @@ import (
 // per-run token, and a terminal done frame.
 func TestSSEStreamFraming(t *testing.T) {
 	_, ts, g := gatedServer(t, Options{})
-	job := submit(t, ts, map[string]any{"experiment": "figure3", "full_rounds": true})
+	job := submit(t, ts, map[string]any{"experiment": "figure3"})
 	info := g.next(t)
 
 	body, _ := openSSE(t, ts, job.ID)

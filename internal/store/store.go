@@ -33,7 +33,6 @@ type Meta struct {
 	Title      string `json:"title"`
 	Kind       string `json:"kind"`
 	Cost       string `json:"cost"`
-	FullRounds bool   `json:"full_rounds,omitempty"`
 }
 
 // Encoding is one rendered representation of a result: the negotiated

@@ -20,8 +20,7 @@ const (
 )
 
 // Cost classifies an experiment's expected runtime, so callers can
-// schedule heavy artifacts (flow-level simulations) differently from
-// closed-form ones.
+// schedule heavy artifacts differently from cheap ones.
 type Cost string
 
 const (
@@ -32,8 +31,10 @@ const (
 	// the CAPS cost model: milliseconds once the bisection cache is
 	// warm, longer on first contact.
 	CostModerate Cost = "moderate"
-	// CostHeavy experiments run the flow-level network simulator at
-	// full machine scale: seconds.
+	// CostHeavy experiments route every demand of the paper's pairing
+	// benchmark at full machine scale (Figures 3/4). No registry
+	// experiment runs the flow-level simulator; the class is on the
+	// wire, so the pairing figures keep it.
 	CostHeavy Cost = "heavy"
 )
 
@@ -56,11 +57,6 @@ type Experiment struct {
 	Kind  Kind
 	Cost  Cost
 
-	// usesFullRounds marks generators that consult Config.FullRounds
-	// (the flow-level pairing simulations); for every other experiment
-	// the option cannot change the result and Normalize clears it.
-	usesFullRounds bool
-
 	run func(ctx context.Context, cfg experiments.Config) (artifact, error)
 }
 
@@ -72,13 +68,6 @@ func tableExp(id, title string, cost Cost,
 			t, err := gen(cfg, ctx)
 			return artifact{table: t}, err
 		}}
-}
-
-// pairing marks an experiment whose generator consults
-// Config.FullRounds (see Experiment.usesFullRounds).
-func pairing(e Experiment) Experiment {
-	e.usesFullRounds = true
-	return e
 }
 
 // figureExp registers a figure-producing generator through an adapter
@@ -112,10 +101,10 @@ var registry = []Experiment{
 		experiments.Config.Figure1, BWFigure.Table, BWFigure.Chart),
 	figureExp("figure2", "JUQUEEN best/worst normalized bisection bandwidth", CostModerate,
 		experiments.Config.Figure2, BWFigure.Table, BWFigure.Chart),
-	pairing(figureExp("figure3", "Mira bisection pairing (flow-level simulation)", CostHeavy,
-		experiments.Config.Figure3, PairingFigure.Table, PairingFigure.Chart)),
-	pairing(figureExp("figure4", "JUQUEEN bisection pairing (flow-level simulation)", CostHeavy,
-		experiments.Config.Figure4, PairingFigure.Table, PairingFigure.Chart)),
+	figureExp("figure3", "Mira bisection pairing (flow-level simulation)", CostHeavy,
+		experiments.Config.Figure3, PairingFigure.Table, PairingFigure.Chart),
+	figureExp("figure4", "JUQUEEN bisection pairing (flow-level simulation)", CostHeavy,
+		experiments.Config.Figure4, PairingFigure.Table, PairingFigure.Chart),
 	figureExp("figure5", "Mira matrix multiplication communication time", CostModerate,
 		experiments.Config.Figure5, MatmulFigure.Table, MatmulFigure.Chart),
 	figureExp("figure6", "Mira strong scaling (n=9408)", CostCheap,

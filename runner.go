@@ -36,12 +36,6 @@ type Option func(*Runner)
 // sequential path. Output is byte-identical regardless of pool size.
 func WithWorkers(n int) Option { return func(r *Runner) { r.workers = n } }
 
-// WithFullRounds makes the pairing experiments (figure3, figure4)
-// simulate every communication round end-to-end instead of simulating
-// one round and scaling (the rounds are identical in the fluid model,
-// so results agree to floating point; full rounds cost ~26x).
-func WithFullRounds(b bool) Option { return func(r *Runner) { r.fullRounds = b } }
-
 // WithProgress installs a progress callback. Calls are serialized
 // across every Run of the Runner (so a callback may update shared
 // state without its own locking), but may arrive from worker
@@ -81,7 +75,6 @@ func WithTraceRunner(fn func(ctx context.Context, spec TraceSpec) (*TraceOutcome
 // side.
 type Runner struct {
 	workers     int
-	fullRounds  bool
 	progress    func(Progress)
 	machines    func(string) (*Machine, error)
 	scenarioRun func(ctx context.Context, spec ScenarioSpec) (*ScenarioOutcome, error)
@@ -105,10 +98,9 @@ func NewRunner(opts ...Option) *Runner {
 // run to run (Elapsed, resolved Workers) are deliberately excluded
 // from the serialized encodings, which must be byte-deterministic.
 type RunMeta struct {
-	Run        string        // per-run token (matches Progress.Run)
-	Workers    int           // resolved worker-pool bound
-	FullRounds bool          // whether pairing rounds were simulated individually
-	Elapsed    time.Duration // wall-clock time of the run
+	Run     string        // per-run token (matches Progress.Run)
+	Workers int           // resolved worker-pool bound
+	Elapsed time.Duration // wall-clock time of the run
 }
 
 // Result is the uniform output of Runner.Run: the experiment
@@ -125,8 +117,7 @@ type Result struct {
 
 // Run executes the experiment registered under id and returns its
 // Result. The context cancels the run: the worker pool stops handing
-// out rows, the pairing simulator aborts between rounds and flow
-// batches, and Run returns ctx.Err().
+// out rows and points, and Run returns ctx.Err().
 func (r *Runner) Run(ctx context.Context, id string) (*Result, error) {
 	exp, ok := Lookup(id)
 	if !ok {
@@ -137,10 +128,9 @@ func (r *Runner) Run(ctx context.Context, id string) (*Result, error) {
 	}
 	token := fmt.Sprintf("%s#%d", exp.ID, runSeq.Add(1))
 	cfg := experiments.Config{
-		Workers:    r.workers,
-		FullRounds: r.fullRounds,
-		Machines:   r.machines,
-		RunToken:   token,
+		Workers:  r.workers,
+		Machines: r.machines,
+		RunToken: token,
 	}
 	if r.progress != nil {
 		fn := r.progress
@@ -161,10 +151,9 @@ func (r *Runner) Run(ctx context.Context, id string) (*Result, error) {
 		Chart:      art.chart,
 		Data:       art.data,
 		Meta: RunMeta{
-			Run:        token,
-			Workers:    cfg.ResolvedWorkers(),
-			FullRounds: cfg.FullRounds,
-			Elapsed:    time.Since(start),
+			Run:     token,
+			Workers: cfg.ResolvedWorkers(),
+			Elapsed: time.Since(start),
 		},
 	}, nil
 }
@@ -186,7 +175,12 @@ func (r *Runner) RunAll(ctx context.Context) ([]*Result, error) {
 
 // resultDoc fixes the JSON shape of a Result. Run-varying metadata
 // (elapsed time, resolved worker count) is excluded so the encoding is
-// byte-deterministic for a given artifact and options.
+// byte-deterministic for a given artifact.
+//
+// FullRounds is always false, and still true to its name: no pairing
+// round is simulated one by one. The member stays because result
+// bytes are pinned: every testdata golden and the advisor and
+// fleet-sweep ETag digests in bench/golden.json include it.
 type resultDoc struct {
 	ID         string              `json:"id"`
 	Title      string              `json:"title"`
@@ -202,12 +196,11 @@ type resultDoc struct {
 // missing points as nulls.
 func (res *Result) JSON() ([]byte, error) {
 	doc := resultDoc{
-		ID:         res.Experiment.ID,
-		Title:      res.Experiment.Title,
-		Kind:       res.Experiment.Kind,
-		Cost:       res.Experiment.Cost,
-		FullRounds: res.Meta.FullRounds,
-		Table:      res.Table.Data(),
+		ID:    res.Experiment.ID,
+		Title: res.Experiment.Title,
+		Kind:  res.Experiment.Kind,
+		Cost:  res.Experiment.Cost,
+		Table: res.Table.Data(),
 	}
 	if res.Chart != nil {
 		d := res.Chart.Data()
@@ -231,31 +224,8 @@ func (res *Result) Markdown() []byte {
 }
 
 // RunOptions bundles the per-run Runner knobs a serving or batch
-// frontend accepts over the wire. The zero value means defaults
-// (CPU-count worker pool, one-round-scaled pairing fast path).
+// frontend accepts over the wire. The zero value means defaults (a
+// CPU-count worker pool).
 type RunOptions struct {
-	Workers    int  `json:"workers,omitempty"`
-	FullRounds bool `json:"full_rounds,omitempty"`
-}
-
-// Options expands o into the equivalent Runner options.
-func (o RunOptions) Options() []Option {
-	return []Option{WithWorkers(o.Workers), WithFullRounds(o.FullRounds)}
-}
-
-// Normalize canonicalizes options for result identity under this
-// experiment: two requests whose normalized options agree are
-// guaranteed byte-identical Result encodings, so a result cache may
-// key on (ID, normalized options) and coalesce them. Workers is
-// always zeroed (output is byte-identical at any pool size), and
-// FullRounds is cleared for experiments whose generators never
-// consult it (every artifact except the flow-level pairing
-// simulations). Frontends should run with the normalized options so
-// the cached Result's metadata matches its cache identity.
-func (e Experiment) Normalize(o RunOptions) RunOptions {
-	o.Workers = 0
-	if !e.usesFullRounds {
-		o.FullRounds = false
-	}
-	return o
+	Workers int `json:"workers,omitempty"`
 }

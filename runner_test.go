@@ -188,21 +188,6 @@ func TestRunTokensDistinguishConcurrentRuns(t *testing.T) {
 	}
 }
 
-// TestNormalizeOptions pins the cache-identity contract: Workers
-// never matters, FullRounds only for the pairing simulations.
-func TestNormalizeOptions(t *testing.T) {
-	for _, exp := range Registry() {
-		got := exp.Normalize(RunOptions{Workers: 8, FullRounds: true})
-		if got.Workers != 0 {
-			t.Errorf("%s: Workers survived normalization", exp.ID)
-		}
-		wantFull := exp.ID == "figure3" || exp.ID == "figure4"
-		if got.FullRounds != wantFull {
-			t.Errorf("%s: normalized FullRounds = %v, want %v", exp.ID, got.FullRounds, wantFull)
-		}
-	}
-}
-
 // TestResultMarkdown: the Markdown encoding is deterministic and
 // carries the table grid.
 func TestResultMarkdown(t *testing.T) {
