@@ -40,10 +40,10 @@ const (
 	// MaxAllToAllMidplanes bounds jobs declaring the quadratic
 	// all-to-all pattern.
 	MaxAllToAllMidplanes = 128
-	// DefaultMaxSessionJobs bounds the total jobs one session accepts
-	// over its lifetime (sessions are open-ended, so the bound is per
+	// MaxSessionJobs bounds the total jobs one session accepts over
+	// its lifetime (sessions are open-ended, so the bound is per
 	// session, not per submission).
-	DefaultMaxSessionJobs = 65536
+	MaxSessionJobs = 65536
 	// MaxTimeScale bounds a real-time session's virtual seconds per
 	// wall second.
 	MaxTimeScale = 1e6

@@ -60,9 +60,6 @@ type SessionOptions struct {
 	// or the background clock of a real-time session — so they must
 	// not call back into the session and should not block.
 	OnEvent func(Event)
-	// MaxJobs bounds the session's lifetime accepted-job count
-	// (default DefaultMaxSessionJobs).
-	MaxJobs int
 }
 
 // Session is a live simulated cluster: an Engine behind a mutex, a
@@ -86,7 +83,6 @@ type Session struct {
 	byID    map[string]int // client job ID → engine ID
 	ids     []string       // engine ID → client job ID
 	horizon float64        // latest submitted arrival (free-running advance target)
-	maxJobs int
 
 	scale float64
 	epoch time.Time
@@ -110,13 +106,9 @@ func Open(spec Spec, opts SessionOptions) (*Session, error) {
 	s := &Session{
 		spec:    norm,
 		byID:    map[string]int{},
-		maxJobs: opts.MaxJobs,
 		scale:   norm.TimeScale,
 		epoch:   time.Now(),
 		onEvent: opts.OnEvent,
-	}
-	if s.maxJobs <= 0 {
-		s.maxJobs = DefaultMaxSessionJobs
 	}
 	s.eng, err = NewEngine(Config{
 		Machine:  m,
@@ -204,8 +196,8 @@ func (s *Session) Submit(ctx context.Context, jobs []SubmitJob) (Receipt, error)
 			rec.Duplicates++
 			continue
 		}
-		if len(s.ids)+len(batch) >= s.maxJobs {
-			return Receipt{}, fmt.Errorf("cluster: session job bound %d reached", s.maxJobs)
+		if len(s.ids)+len(batch) >= MaxSessionJobs {
+			return Receipt{}, fmt.Errorf("cluster: session job bound %d reached", MaxSessionJobs)
 		}
 		arrival := sj.ArrivalSec
 		if math.IsNaN(arrival) || math.IsInf(arrival, 0) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -216,5 +217,30 @@ func TestSessionSubmitValidation(t *testing.T) {
 	}
 	if met, err := sess.Close(ctx); err != nil || met.Jobs != 1 {
 		t.Fatalf("metrics %+v err %v, want exactly the one accepted job", met, err)
+	}
+}
+
+// TestSessionJobBound: a batch that would take the session past
+// MaxSessionJobs is rejected whole, so nothing of it is enqueued.
+func TestSessionJobBound(t *testing.T) {
+	sess, err := Open(Spec{Machine: "2x2x2x1"}, SessionOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	batch := make([]SubmitJob, MaxSessionJobs+1)
+	for i := range batch {
+		batch[i] = SubmitJob{ID: fmt.Sprintf("j%d", i), Midplanes: 1, RuntimeSec: 60}
+	}
+	want := fmt.Sprintf("session job bound %d reached", MaxSessionJobs)
+	if _, err := sess.Submit(ctx, batch); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
+	snap, err := sess.Snapshot(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Submitted != 0 {
+		t.Fatalf("snapshot submitted %d after the rejected batch, want 0", snap.Submitted)
 	}
 }
