@@ -463,12 +463,6 @@ func (s Spec) Normalize() (Spec, error) {
 	return n, nil
 }
 
-// Validate reports whether the spec normalizes cleanly.
-func (s Spec) Validate() error {
-	_, err := s.Normalize()
-	return err
-}
-
 // Key returns the canonical JSON encoding of the spec — the
 // scenario's cache identity. Call on a normalized Spec; Key on a
 // non-normalized spec distinguishes specs that normalize identically.

@@ -51,7 +51,7 @@ func TestParseSWF(t *testing.T) {
 	}
 	// The parsed trace embeds in a Spec that validates.
 	spec := Spec{Machine: "juqueen", Jobs: jobs}
-	if err := spec.Validate(); err != nil {
+	if _, err := spec.Normalize(); err != nil {
 		t.Fatalf("parsed trace does not validate: %v", err)
 	}
 }

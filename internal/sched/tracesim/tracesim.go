@@ -313,12 +313,6 @@ func (s Spec) Normalize() (Spec, error) {
 	return n, nil
 }
 
-// Validate reports whether the spec normalizes cleanly.
-func (s Spec) Validate() error {
-	_, err := s.Normalize()
-	return err
-}
-
 // Key returns the canonical JSON encoding of the spec — the trace's
 // cache identity. Call on a normalized Spec.
 func (s Spec) Key() string {

@@ -84,7 +84,7 @@ func TestNormalizeRejections(t *testing.T) {
 		{Machine: "juqueen", Synthetic: &Synthetic{Jobs: 4, Pattern: PatternPairing}}, // pattern without fraction
 	}
 	for i, s := range cases {
-		if err := s.Validate(); err == nil {
+		if _, err := s.Normalize(); err == nil {
 			t.Errorf("case %d (%+v) accepted", i, s)
 		}
 	}

@@ -117,12 +117,6 @@ func (s Shape) Equal(o Shape) bool {
 	return true
 }
 
-// EqualCanonical reports whether two shapes are identical up to
-// reordering of dimensions (i.e. they are rotations of each other).
-func (s Shape) EqualCanonical(o Shape) bool {
-	return s.Canonical().Equal(o.Canonical())
-}
-
 // FitsIn reports whether a cuboid of this shape can be placed inside a
 // host torus of shape host, allowing any assignment of cuboid
 // dimensions to host dimensions. Shapes of different rank are compared
