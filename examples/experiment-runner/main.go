@@ -9,7 +9,7 @@
 //	experiment-runner                 # run all 14 artifacts
 //	experiment-runner -id figure3     # one artifact
 //	experiment-runner -json           # JSON results
-//	experiment-runner -max-cost moderate   # skip the heavy simulations
+//	experiment-runner -max-cost moderate   # skip the heavy pairing figures
 //	experiment-runner -timeout 100ms  # demonstrate prompt cancellation
 package main
 
@@ -42,8 +42,7 @@ func main() {
 	}
 
 	// Ctrl-C or the -timeout deadline cancels in-flight sweeps
-	// promptly: the worker pools stop handing out rows and the
-	// flow-level simulator aborts between rounds.
+	// promptly: the worker pools stop handing out rows and points.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	if *timeout > 0 {

@@ -53,10 +53,11 @@ func pairingTime(cfg model.PairingConfig) (float64, error) {
 	return float64(cfg.Rounds) * r.PredictTransferTime(demands, model.LinkBytesPerSec), nil
 }
 
-// pairingPoints measures two partition series on the worker pool. Points are interleaved (A0, B0, A1,
-// B1, ...) so the expensive large-partition pairs spread across
-// workers, and results land in index-addressed slots, keeping the
-// output identical to the sequential order.
+// pairingPoints measures two partition series on the worker pool.
+// Points are interleaved (A0, B0, A1, B1, ...) so the expensive
+// large-partition pairs spread across workers, and results land in
+// index-addressed slots, keeping the output identical to the
+// sequential order.
 func (c Config) pairingPoints(ctx context.Context, a, b []bgq.Partition) (ptsA, ptsB []PairingPoint, err error) {
 	n := len(a)
 	pts := make([]PairingPoint, 2*n)

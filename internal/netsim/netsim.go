@@ -29,13 +29,13 @@
 //     is the static time.
 //   - Rounds run back to back, so r rounds take r times as long.
 //
-// Every scenario workload has that shape, so a scenario computes its
-// simulated time in closed form and runs no simulation. In floats the
+// Every scenario workload has that shape, and so does the paper's
+// bisection-pairing benchmark (Figures 3/4), so both compute their
+// simulated time in closed form and run no simulation. In floats the
 // simulated makespan stays within a few ulps per rate epoch of the
 // static time (TestEqualSizeMakespanIsStatic). With unequal sizes or
 // staggered starts it can run longer (TestUnequalSizesCanOutlastStatic):
-// those are the workloads of the mpi engine, and Figures 3/4 simulate
-// the paper's own experiment.
+// those are the workloads of the mpi engine.
 //
 // # Architecture
 //

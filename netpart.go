@@ -35,8 +35,8 @@
 //	}
 //
 // Runs are cancelable: pass a context with a deadline or cancel
-// function, and long sweeps (the worker pool driving table rows, the
-// flow-level pairing simulations) abort promptly with ctx.Err().
+// function, and long sweeps (the worker pool driving table rows and
+// figure points) abort promptly with ctx.Err().
 // Results render as text (Result.Table, Result.Chart), serialize to
 // JSON and CSV byte-deterministically, and for figures carry the
 // typed point data in Result.Data (BWFigure, PairingFigure,
