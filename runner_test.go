@@ -210,7 +210,7 @@ func TestResultMarkdown(t *testing.T) {
 }
 
 // TestRunPreCanceled: a dead context returns ctx.Err() from both a
-// table-driver experiment and a pairing figure without work.
+// table experiment and a pairing figure without work.
 func TestRunPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -222,9 +222,9 @@ func TestRunPreCanceled(t *testing.T) {
 	}
 }
 
-// TestRunMidRunCanceled cancels from the progress callback: the table
-// driver pool and the pairing figure's point pool must stop handing
-// out units and surface ctx.Err().
+// TestRunMidRunCanceled cancels from the progress callback: the
+// table's row pool and the pairing figure's point pool must stop
+// handing out units and surface ctx.Err().
 func TestRunMidRunCanceled(t *testing.T) {
 	for _, id := range []string{"table7", "figure4"} {
 		ctx, cancel := context.WithCancel(context.Background())
