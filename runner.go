@@ -177,8 +177,8 @@ func (r *Runner) RunAll(ctx context.Context) ([]*Result, error) {
 // (elapsed time, resolved worker count) is excluded so the encoding is
 // byte-deterministic for a given artifact.
 //
-// FullRounds is always false, and still true to its name: no pairing
-// round is simulated one by one. The member stays because result
+// The rounds flag says whether pairing rounds are simulated one by
+// one. None is, so the flag is always false. It stays because result
 // bytes are pinned: every testdata golden and the advisor and
 // fleet-sweep ETag digests in bench/golden.json include it.
 type resultDoc struct {
@@ -186,7 +186,7 @@ type resultDoc struct {
 	Title      string              `json:"title"`
 	Kind       Kind                `json:"kind"`
 	Cost       Cost                `json:"cost"`
-	FullRounds bool                `json:"full_rounds"`
+	FullRounds bool                `json:"full_rounds"` // the rounds flag: always false
 	Table      tabulate.TableData  `json:"table"`
 	Chart      *tabulate.ChartData `json:"chart,omitempty"`
 }
