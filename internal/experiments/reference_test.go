@@ -59,9 +59,7 @@ func simulatePairing(cfg model.PairingConfig, fullRounds bool) (float64, error) 
 // size and all start at once, so by the makespan theorem one simulated
 // round, scaled, takes exactly the busiest link's load over its
 // capacity: pairingTime must equal it bit for bit on every Figure 3/4
-// partition. Simulating all 26 rounds back to back adds one rounded
-// interval to the clock per round, so it is held to the 1e-12 relative
-// bound netsim's TestEqualSizeMakespanIsStatic uses.
+// partition.
 func TestPairingMatchesSimulation(t *testing.T) {
 	ctx := context.Background()
 	var parts []bgq.Partition
@@ -91,8 +89,16 @@ func TestPairingMatchesSimulation(t *testing.T) {
 			t.Errorf("%v: closed form %v, one simulated round scaled %v", p, got, sim)
 		}
 	}
+}
+
+// TestFullRoundSimulationAtScale holds the closed form to all 26
+// rounds simulated back to back at the real 4-midplane scale (2048
+// nodes, 2048 flows per round). Each simulated round adds one rounded
+// interval to the clock, so the two are held to the 1e-12 relative
+// bound netsim's TestEqualSizeMakespanIsStatic uses.
+func TestFullRoundSimulationAtScale(t *testing.T) {
 	if testing.Short() {
-		return
+		t.Skip("26 full rounds at 2048 nodes")
 	}
 	for _, p := range []bgq.Partition{
 		bgq.MustPartition(4, 1, 1, 1),
@@ -110,5 +116,33 @@ func TestPairingMatchesSimulation(t *testing.T) {
 		if math.Abs(got-full)/full > 1e-12 {
 			t.Errorf("%v: closed form %v, %d simulated rounds %v", p, got, cfg.Rounds, full)
 		}
+	}
+}
+
+// TestSimulatePairingFullRoundsConsistent checks the reference's two
+// modes against each other and the closed form on a small partition
+// with a non-paper configuration: simulating every round must agree
+// with one round, scaled, within the same bound, and the closed form
+// must equal the scaled round bit for bit.
+func TestSimulatePairingFullRoundsConsistent(t *testing.T) {
+	p := bgq.MustPartition(1, 1, 1, 1)
+	cfg := model.PairingConfig{Partition: p, Rounds: 3, ChunkBytes: 1e8, ChunksPerRound: 2}
+	scaled, err := simulatePairing(cfg, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := simulatePairing(cfg, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(scaled-full)/full > 1e-12 {
+		t.Errorf("one round scaled %v, %d simulated rounds %v", scaled, cfg.Rounds, full)
+	}
+	got, err := pairingTime(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(got) != math.Float64bits(scaled) {
+		t.Errorf("closed form %v, one simulated round scaled %v", got, scaled)
 	}
 }
