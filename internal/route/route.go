@@ -7,6 +7,22 @@
 // flow's ring distance is exactly half, so all tied traffic shares the
 // positive-direction links, which is the contention regime the paper's
 // bisection-pairing experiment measures.
+//
+// # One source stands for every source
+//
+// DOR is translation-invariant: the route from s to t depends only on
+// the coordinate offset δ = t − s, because each ring's direction and
+// step count come from that ring's offset alone. So the route from s to
+// s + δ is node 0's route to δ shifted by s: a hop of node 0's route
+// that leaves node u along dimension d in direction dir becomes, for
+// source s, the hop that leaves u + s in the same class (d, dir).
+// Consider a translation-invariant demand set: every node s sends
+// bytes to s + δ for each δ in one list of offsets, which are node 0's
+// destinations. Fix a link (v, d, dir). Each class-(d, dir) hop of node
+// 0's routes, leaving u, lands on that link for exactly one source,
+// s = v − u. So every link of the class receives the same additions of
+// bytes, one for each class-(d, dir) hop on node 0's routes, and
+// ClassLoads gets the whole load map from node 0's routes alone.
 package route
 
 import (
@@ -243,6 +259,34 @@ func MaxLoad(load []float64) (float64, int) {
 		}
 	}
 	return maxV, maxI
+}
+
+// ClassLoads returns the DOR link loads of a translation-invariant
+// demand set: every node s sends bytes to s + δ for each offset δ, and
+// dsts lists node 0's destinations, 0 + δ. Every link of a class
+// (dimension d, direction dir) carries the same load (the package
+// comment proves it), so the result has one entry per class, indexed
+// like node 0's links: entry LinkID(0, d, dir) = 2d + dir. A class's
+// entry is bytes added once for each class hop on node 0's routes, one
+// addition at a time as LoadMap sums a link, so it equals LoadMap's
+// load on every link of the class bit for bit.
+func (r *Router) ClassLoads(dsts []int, bytes float64) []float64 {
+	hops := make([]int, 2*r.rank)
+	buf := make([]int, 0, 64)
+	for _, t := range dsts {
+		buf = r.Route(0, t, buf[:0])
+		for _, l := range buf {
+			// LinkID(u, d, dir) = 2·D·u + 2d + dir.
+			hops[l%len(hops)]++
+		}
+	}
+	loads := make([]float64, len(hops))
+	for c, k := range hops {
+		for ; k > 0; k-- {
+			loads[c] += bytes
+		}
+	}
+	return loads
 }
 
 // PredictTransferTime returns the static contention-model estimate for

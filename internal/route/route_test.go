@@ -1,6 +1,7 @@
 package route
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -224,6 +225,60 @@ func TestPredictTransferTimePanics(t *testing.T) {
 		}
 	}()
 	r.PredictTransferTime(nil, 0)
+}
+
+// TestClassLoadsMatchLoadMap is the package comment's theorem, link
+// by link: every node sends to itself plus each of node 0's offsets,
+// and LoadMap's load on every link, by math.Float64bits, is the
+// ClassLoads entry of the link's class. The offset sets are the
+// furthest node, the neighbours, every other node, and a few arbitrary
+// ones; the shapes cover odd, even, length-2 and length-1 rings; the
+// byte volumes include two that do not add exactly.
+func TestClassLoadsMatchLoadMap(t *testing.T) {
+	for _, dims := range []torus.Shape{
+		{7}, {2}, {1}, {6, 4, 2}, {5, 3, 7}, {1, 6, 1, 3}, {2, 2, 2, 2}, {4, 1, 5, 2},
+	} {
+		tor := torus.MustNew(dims...)
+		r := NewRouter(tor)
+		n := tor.NumVertices()
+		all := make([]int, 0, n)
+		for v := 1; v < n; v++ {
+			all = append(all, v)
+		}
+		offsets := [][]int{
+			{r.FurthestNode(0)},
+			tor.Neighbors(0, nil),
+			all,
+			{n - 1, n / 2, n / 2, 0},
+			{n / 3},
+		}
+		coord, off := make(torus.Coord, len(dims)), make(torus.Coord, len(dims))
+		for _, dsts := range offsets {
+			for _, bytes := range []float64{1 << 27, 0.1, 1e9 / 3} {
+				var demands []Demand
+				for s := 0; s < n; s++ {
+					coord = tor.CoordOf(s, coord)
+					for _, dst := range dsts {
+						off = tor.CoordOf(dst, off)
+						for d, a := range dims {
+							off[d] = (off[d] + coord[d]) % a
+						}
+						demands = append(demands, Demand{Src: s, Dst: tor.Index(off), Bytes: bytes})
+					}
+				}
+				load := r.LoadMap(demands)
+				class := r.ClassLoads(dsts, bytes)
+				if len(class) != 2*len(dims) {
+					t.Fatalf("%v: %d classes, want %d", dims, len(class), 2*len(dims))
+				}
+				for l, b := range load {
+					if c := class[l%len(class)]; math.Float64bits(b) != math.Float64bits(c) {
+						t.Fatalf("%v offsets %v bytes %v: link %s load %v, class load %v", dims, dsts, bytes, r.LinkString(l), b, c)
+					}
+				}
+			}
+		}
+	}
 }
 
 func TestLoadConservation(t *testing.T) {

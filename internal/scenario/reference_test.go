@@ -22,7 +22,14 @@ import (
 // per-directed-link capacity vector, sum the loads and the
 // alone-times in two loops over the stored routes, and simulate from
 // the stored routes.
-func referenceAnalyze(ctx context.Context, s Spec, net *network, demands []route.Demand, out *Outcome) error {
+func referenceAnalyze(ctx context.Context, s Spec, net *network, out *Outcome) error {
+	demands, err := s.demands(net, out)
+	if err != nil {
+		return err
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	routes, caps, linkName, err := s.routesAndCapacities(net, demands)
 	if err != nil {
 		return err

@@ -5,13 +5,16 @@ import (
 	"fmt"
 	"math/rand"
 
+	"netpart/internal/model"
 	"netpart/internal/route"
 	"netpart/internal/tabulate"
+	"netpart/internal/torus"
 	"netpart/internal/workload"
 )
 
-// cancelStride bounds the demands the analysis pass routes between
-// context checks.
+// cancelStride bounds the demands an analysis pass handles between
+// context checks: the general pass routes them, the one-source pass
+// adds their bytes to total_bytes.
 const cancelStride = 256
 
 // Outcome is the result of running one scenario: the resolved
@@ -83,12 +86,12 @@ func Run(ctx context.Context, spec Spec) (*Outcome, error) {
 	return runWith(ctx, spec, analyze)
 }
 
-// analyzer fills an outcome's static analysis and, when the spec
-// enables it, its flow-level time from the resolved network and
-// demands. Run passes analyze; the package's tests pass the reference
-// analysis the one pass replaced, which still simulates, and compare
-// outcomes.
-type analyzer func(ctx context.Context, s Spec, net *network, demands []route.Demand, out *Outcome) error
+// analyzer fills an outcome's workload figures, its static analysis
+// and, when the spec enables it, its flow-level time from the resolved
+// network. Run passes analyze; the package's tests pass the reference
+// analysis the one pass replaced, which still simulates, and the
+// one-source pass, and compare outcomes.
+type analyzer func(ctx context.Context, s Spec, net *network, out *Outcome) error
 
 func runWith(ctx context.Context, spec Spec, an analyzer) (*Outcome, error) {
 	norm, err := spec.Normalize()
@@ -116,17 +119,7 @@ func runWith(ctx context.Context, spec Spec, an analyzer) (*Outcome, error) {
 		out.BisectionBW = net.partition.BisectionBW()
 	}
 
-	demands, err := norm.demands(net)
-	if err != nil {
-		return nil, err
-	}
-	out.Demands = len(demands)
-	out.TotalBytes = workload.TotalBytes(demands)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	if err := an(ctx, norm, net, demands, out); err != nil {
+	if err := an(ctx, norm, net, out); err != nil {
 		return nil, err
 	}
 
@@ -164,8 +157,20 @@ func runWith(ctx context.Context, spec Spec, an analyzer) (*Outcome, error) {
 	return out, nil
 }
 
-// demands builds the workload on the resolved network.
-func (s Spec) demands(net *network) ([]route.Demand, error) {
+// demands builds the workload on the resolved network and records its
+// demand count and total bytes in the outcome.
+func (s Spec) demands(net *network, out *Outcome) ([]route.Demand, error) {
+	demands, err := s.generate(net)
+	if err != nil {
+		return nil, err
+	}
+	out.Demands = len(demands)
+	out.TotalBytes = workload.TotalBytes(demands)
+	return demands, nil
+}
+
+// generate runs the spec's workload generator on the resolved network.
+func (s Spec) generate(net *network) ([]route.Demand, error) {
 	w := s.Workload
 	if net.router != nil {
 		switch w.Pattern {
@@ -201,23 +206,30 @@ func (s Spec) demands(net *network) ([]route.Demand, error) {
 	return nil, fmt.Errorf("scenario: pattern %q is not available on %s topologies", w.Pattern, s.Topology.Kind)
 }
 
-// analyze is the §4.1 static contention model. It is one pass over
-// the demands: each is routed into one reused buffer, and its bytes
-// are added to the loads of the links on its route, in
-// demand-then-hop order, while its alone-time on those links is
-// taken. No route is kept, so a pass holds only the demands and one
-// load per directed link (plus one capacity per link when degraded
-// links scale some of them, or edge weights set them). With Spec.Sim,
-// the flow-level time is the static time per round: every scenario
-// workload has equal flow sizes and starts all its flows at once with
-// no latency, and for such flows the max-min fair makespan is the
-// static time (the netsim package comment proves it).
-func analyze(ctx context.Context, s Spec, net *network, demands []route.Demand, out *Outcome) error {
+// analyze is the general pass of the §4.1 static contention model,
+// for every spec: it builds the demands, then makes one pass over them.
+// Each is routed into one reused buffer, and its bytes are added to the
+// loads of the links on its route, in demand-then-hop order, while its
+// alone-time on those links is taken. No route is kept, so a pass holds
+// only the demands and one load per directed link (plus one capacity
+// per link when degraded links scale some of them, or edge weights set
+// them). With Spec.Sim, the flow-level time is the static time per
+// round: every scenario workload has equal flow sizes and starts all
+// its flows at once with no latency, and for such flows the max-min
+// fair makespan is the static time (the netsim package comment proves
+// it).
+func analyze(ctx context.Context, s Spec, net *network, out *Outcome) error {
+	demands, err := s.demands(net, out)
+	if err != nil {
+		return err
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	routeOf := net.routing(demands)
 	caps := net.capacities()
 	load := make([]float64, net.numLinks())
 	var buf []int
-	var err error
 	for i, d := range demands {
 		if i%cancelStride == 0 {
 			if err := ctx.Err(); err != nil {
@@ -264,6 +276,126 @@ func analyze(ctx context.Context, s Spec, net *network, demands []route.Demand, 
 	}
 	if out.ActiveLinks > 0 {
 		out.MeanLinkBytes /= float64(out.ActiveLinks)
+	}
+	if out.IdealSec > 0 {
+		out.ContentionX = out.StaticSec / out.IdealSec
+	}
+
+	if s.Sim.Enabled {
+		out.SimSec = float64(s.Sim.Rounds) * out.StaticSec
+		out.SimRounds = s.Sim.Rounds
+	}
+	return nil
+}
+
+// oneSourceApplies reports whether the one-source pass gives the
+// spec's outcome: a translation-invariant pattern (pairing, neighbor,
+// longest-dim or all-to-all) on a DOR-routed torus, hypercube or
+// partition on which no directed link is removed or degraded.
+// Midplane-scoped failures qualify, since they only steer placement;
+// so does a link model that changes no link (factor 1, or no link
+// selected).
+func oneSourceApplies(s Spec, net *network) bool {
+	if net.router == nil || net.dorFailed != nil || net.dorCap != nil {
+		return false
+	}
+	switch s.Workload.Pattern {
+	case PatternPairing, PatternNeighbor, PatternLongestDim, PatternAllToAll:
+		return true
+	}
+	return false
+}
+
+// sourceDestinations returns node 0's destinations under a
+// translation-invariant pattern, the ones its generator gives node 0.
+// Every node v sends to v plus each of them, since each generator
+// sends from v to v plus the same offsets.
+func (s Spec) sourceDestinations(net *network) []int {
+	n := net.vertices
+	switch s.Workload.Pattern {
+	case PatternPairing:
+		if t := net.router.FurthestNode(0); t != 0 {
+			return []int{t}
+		}
+	case PatternNeighbor:
+		return net.tor.Neighbors(0, nil)
+	case PatternLongestDim:
+		dims := net.tor.Dims()
+		d := workload.LongestDim(dims)
+		if dims[d] >= 2 {
+			c := make(torus.Coord, len(dims))
+			c[d] = dims[d] / 2
+			return []int{net.tor.Index(c)}
+		}
+	case PatternAllToAll:
+		dsts := make([]int, n-1)
+		for i := range dsts {
+			dsts[i] = i + 1
+		}
+		return dsts
+	}
+	return nil
+}
+
+// analyzeOneSource is the one-source pass: the general pass's outcome,
+// bit for bit, for a spec oneSourceApplies accepts, from node 0's
+// demands alone. The route package comment proves that every link of
+// a class (dimension, direction) then carries the same load: bytes B
+// added once for each class hop on node 0's routes. So the pass routes
+// node 0's demands once (route.ClassLoads) and derives every field
+// from the class loads, keeping the general pass's float order:
+//   - total_bytes is B added once per demand, as workload.TotalBytes
+//     adds it;
+//   - mean_link_bytes sums the class loads node by node, in link-ID
+//     order, as the general pass's scan of the load vector does;
+//   - the bottleneck is node 0's link in the first maximal class, in
+//     (dimension, direction) order, the first maximal link of that scan;
+//   - ideal_sec is B over the link capacity once any demand exists, as
+//     every demand's route has a hop.
+//
+// It builds no demand list and no load vector.
+func analyzeOneSource(ctx context.Context, s Spec, net *network, out *Outcome) error {
+	b := s.Workload.Bytes
+	dsts := s.sourceDestinations(net)
+	out.Demands = net.vertices * len(dsts)
+	for i := 0; i < out.Demands; i++ {
+		if i%cancelStride == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		out.TotalBytes += b
+	}
+
+	loads := net.router.ClassLoads(dsts, b)
+	active := make([]float64, 0, len(loads))
+	maxSec, maxClass := 0.0, -1
+	for c, l := range loads {
+		if l <= 0 {
+			continue
+		}
+		active = append(active, l)
+		if sec := l / model.LinkBytesPerSec; sec > maxSec {
+			maxSec, maxClass = sec, c
+		}
+	}
+	out.ActiveLinks = net.vertices * len(active)
+	for v := 0; v < net.vertices; v++ {
+		for _, l := range active {
+			out.MeanLinkBytes += l
+		}
+	}
+	out.StaticSec = maxSec
+	if maxClass >= 0 {
+		// Node 0's link of class c has ID c.
+		out.Bottleneck = net.linkName(maxClass)
+		out.MaxLinkBytes = loads[maxClass]
+	}
+	if out.ActiveLinks > 0 {
+		out.MeanLinkBytes /= float64(out.ActiveLinks)
+	}
+	if out.Demands > 0 {
+		out.IdealSec = b / model.LinkBytesPerSec
 	}
 	if out.IdealSec > 0 {
 		out.ContentionX = out.StaticSec / out.IdealSec

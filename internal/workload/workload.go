@@ -129,12 +129,7 @@ func LongestDimShift(t *torus.Torus, bytes float64) ([]route.Demand, error) {
 		return nil, err
 	}
 	dims := t.Dims()
-	longest := 0
-	for i, a := range dims {
-		if a > dims[longest] {
-			longest = i
-		}
-	}
+	longest := LongestDim(dims)
 	strides := make([]int, len(dims))
 	s := 1
 	for i := len(dims) - 1; i >= 0; i-- {
@@ -155,6 +150,18 @@ func LongestDimShift(t *torus.Torus, bytes float64) ([]route.Demand, error) {
 		}
 	}
 	return demands, nil
+}
+
+// LongestDim returns the dimension LongestDimShift shifts along: the
+// longest, the first of them on a tie.
+func LongestDim(dims torus.Shape) int {
+	longest := 0
+	for i, a := range dims {
+		if a > dims[longest] {
+			longest = i
+		}
+	}
+	return longest
 }
 
 // TotalBytes sums the demand volumes.
