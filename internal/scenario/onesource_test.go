@@ -9,6 +9,7 @@ import (
 
 	"netpart/internal/faults"
 	"netpart/internal/sched"
+	"netpart/internal/torus"
 )
 
 // oneSourcePatterns are the translation-invariant patterns.
@@ -124,7 +125,7 @@ func sameOutcome(t *testing.T, name string, got *Outcome, gotErr error, want *Ou
 		return
 	}
 	if !bytes.Equal(gb, wb) {
-		t.Fatalf("%s: one-source outcome\n%s\ngeneral pass\n%s", name, gb, wb)
+		t.Fatalf("%s: outcome\n%s\ngeneral pass\n%s", name, gb, wb)
 	}
 }
 
@@ -160,4 +161,42 @@ func TestOneSourceMatchesGeneral(t *testing.T) {
 		t.Fatalf("%d specs: %d outcomes compared (%d with failed midplanes), %d errors; the matrix lost coverage", len(specs), compared, failedMidplanes, errs)
 	}
 	t.Logf("%d specs: %d identical outcomes (%d with failed midplanes), %d identical errors", len(specs), compared, failedMidplanes, errs)
+}
+
+// FuzzOneSourceMatchesGeneral holds Run to the general pass on fuzzed
+// translation-invariant specs: a torus of rank 1–4 with ring lengths
+// 1–9 (one nibble of lens each) or a hypercube Q1–Q10, one of the four
+// patterns, any byte volume and the simulation on or off. Both give
+// the same outcome JSON or the same error. The seed corpus in
+// testdata adds byte volumes that underflow, overflow or fail
+// Normalize.
+func FuzzOneSourceMatchesGeneral(f *testing.F) {
+	f.Add(uint8(6), uint16(0x3817), uint8(0), 0.1, true)         // 8x2x9x4 pairing
+	f.Add(uint8(4), uint16(0x0714), uint8(1), 1e9/3, false)      // 5x2x8 neighbor
+	f.Add(uint8(2), uint16(0x0060), uint8(2), 1.0*(1<<27), true) // 1x7 longest-dim
+	f.Add(uint8(17), uint16(0), uint8(3), 1e9/3, false)          // Q9 all-to-all
+	f.Fuzz(func(t *testing.T, topo uint8, lens uint16, pattern uint8, bytes float64, sim bool) {
+		spec := Spec{
+			Workload: WorkloadSpec{Pattern: oneSourcePatterns[int(pattern)%len(oneSourcePatterns)], Bytes: bytes},
+			Sim:      SimSpec{Enabled: sim},
+		}
+		if topo%2 == 1 {
+			spec.Topology = TopologySpec{Kind: KindHypercube, Dim: 1 + int(topo/2)%10}
+		} else {
+			sh := make(torus.Shape, 1+int(topo/2)%4)
+			for i := range sh {
+				sh[i] = 1 + int(lens>>(4*i)&0xf)%9
+			}
+			spec.Topology = TopologySpec{Kind: KindTorus, Shape: sh.String()}
+		}
+		// All-to-all is quadratic: 512 vertices keep an input's general
+		// pass near 50 ms.
+		if spec.Workload.Pattern == PatternAllToAll && spec.EstVertices() > 512 {
+			t.Skip()
+		}
+		ctx := context.Background()
+		got, gotErr := Run(ctx, spec)
+		want, wantErr := runWith(ctx, spec, analyze)
+		sameOutcome(t, fmt.Sprintf("%+v %+v sim=%v", spec.Topology, spec.Workload, sim), got, gotErr, want, wantErr)
+	})
 }

@@ -78,20 +78,31 @@ type Robustness struct {
 	ContentionDeltaX float64 `json:"contention_delta_x"`
 }
 
-// Run executes the scenario: normalize, resolve the topology, build
-// the workload and run the static analysis, which also gives the
-// flow-level time when Spec.Sim asks for it. The context is checked
-// between phases and every cancelStride demands routed.
+// Run executes the scenario: normalize, resolve the topology, then
+// build the workload and run the static analysis, which also gives the
+// flow-level time when Spec.Sim asks for it. A translation-invariant
+// pattern on a healthy DOR torus takes the one-source pass; every other
+// spec takes the general pass (oneSourceApplies draws the line). The
+// context is checked between phases and every cancelStride demands.
 func Run(ctx context.Context, spec Spec) (*Outcome, error) {
-	return runWith(ctx, spec, analyze)
+	return runWith(ctx, spec, analyzeCheapest)
 }
 
 // analyzer fills an outcome's workload figures, its static analysis
 // and, when the spec enables it, its flow-level time from the resolved
-// network. Run passes analyze; the package's tests pass the reference
-// analysis the one pass replaced, which still simulates, and the
-// one-source pass, and compare outcomes.
+// network. Run passes analyzeCheapest; the package's tests pass the
+// general pass, and the reference analysis the general pass replaced,
+// which still simulates, and compare outcomes.
 type analyzer func(ctx context.Context, s Spec, net *network, out *Outcome) error
+
+// analyzeCheapest runs the one-source pass where it applies and the
+// general pass everywhere else.
+func analyzeCheapest(ctx context.Context, s Spec, net *network, out *Outcome) error {
+	if oneSourceApplies(s, net) {
+		return analyzeOneSource(ctx, s, net, out)
+	}
+	return analyze(ctx, s, net, out)
+}
 
 func runWith(ctx context.Context, spec Spec, an analyzer) (*Outcome, error) {
 	norm, err := spec.Normalize()

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"netpart/internal/faults"
 	"netpart/internal/model"
 	"netpart/internal/route"
 	"netpart/internal/torus"
@@ -255,6 +256,77 @@ func TestRunCancelsMidPass(t *testing.T) {
 		Workload: WorkloadSpec{Pattern: PatternAllToAll},
 		Sim:      SimSpec{Enabled: true},
 	})
+	returned := time.Now()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if n := ctx.calls.Load(); n != ctx.cancelAt {
+		t.Fatalf("Run returned after %d context checks, want it to stop at the cancelled check %d", n, ctx.cancelAt)
+	}
+	if lag := returned.Sub(ctx.cancelledAt); lag > time.Second {
+		t.Errorf("Run returned %v after the cancellation, want within 1s", lag)
+	}
+}
+
+// keepsGeneralPass fails the test unless Run takes the general pass
+// for the spec.
+func keepsGeneralPass(t *testing.T, spec Spec) {
+	t.Helper()
+	norm, err := spec.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := norm.resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if oneSourceApplies(norm, net) {
+		t.Fatalf("%s takes the one-source pass", norm.Title())
+	}
+}
+
+// TestGeneralPassChecksContext is TestRoutingChecksContext on a spec
+// that keeps the general pass, a Q12 permutation: the pass checks the
+// context at least once every cancelStride demands, and a context
+// cancelled mid-pass stops it.
+func TestGeneralPassChecksContext(t *testing.T) {
+	spec := Spec{
+		Topology: TopologySpec{Kind: KindHypercube, Dim: 12},
+		Workload: WorkloadSpec{Pattern: PatternPermutation},
+	}
+	keepsGeneralPass(t, spec)
+	ctx := &countingCtx{Context: context.Background()}
+	out, err := Run(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if min := int64(out.Demands / cancelStride); ctx.calls.Load() < min {
+		t.Fatalf("%d demands routed with %d context checks, want at least %d", out.Demands, ctx.calls.Load(), min)
+	}
+	cancelled := &countingCtx{Context: context.Background(), cancelAt: 10}
+	if _, err := Run(cancelled, spec); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled mid-pass: err = %v, want context.Canceled", err)
+	}
+}
+
+// TestGeneralPassCancelsMidPass is TestRunCancelsMidPass on a spec
+// that keeps the general pass: the Mira 2-midplane all-to-all with
+// degraded links, whose 1,047,552 demands the pass routes with a
+// context check every cancelStride of them. The context cancels itself
+// at its 1,000th check, and the pass must stop at that very check.
+func TestGeneralPassCancelsMidPass(t *testing.T) {
+	if testing.Short() {
+		t.Skip("routes a million-demand all-to-all")
+	}
+	spec := Spec{
+		Topology: TopologySpec{Kind: KindPartition, Machine: "mira", Midplanes: 2},
+		Workload: WorkloadSpec{Pattern: PatternAllToAll},
+		Sim:      SimSpec{Enabled: true},
+		Failures: &faults.Spec{Model: faults.ModelRandomLinks, Fraction: 0.05, Factor: 0.5, Seed: 1},
+	}
+	keepsGeneralPass(t, spec)
+	ctx := &countingCtx{Context: context.Background(), cancelAt: 1000}
+	_, err := Run(ctx, spec)
 	returned := time.Now()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
