@@ -10,7 +10,6 @@ import (
 	"netpart/internal/route"
 	"netpart/internal/tabulate"
 	"netpart/internal/torus"
-	"netpart/internal/workload"
 )
 
 // PairingPoint is one bar of Figures 3/4: a partition geometry and its
@@ -35,22 +34,21 @@ type PairingFigure struct {
 
 // pairingTime returns the completion time of the §4.1
 // bisection-pairing benchmark on a partition: cfg.Rounds times the
-// busiest DOR link's load over its capacity. Every pairing flow
-// carries RoundBytes and all start at once with no latency, so by the
-// makespan theorem (netsim package comment) this is the time a
-// flow-level simulation of the rounds reports
-// (TestPairingMatchesSimulation).
+// busiest DOR link's load over its capacity. The pairing sends every
+// node to itself plus the same offset, so node 0's one demand gives
+// every link's load (route.ClassLoads), bit for bit the load of
+// routing all of them. Every pairing flow carries RoundBytes and all
+// start at once with no latency, so by the makespan theorem (netsim
+// package comment) this is the time a flow-level simulation of the
+// rounds reports (TestPairingMatchesSimulation).
 func pairingTime(cfg model.PairingConfig) (float64, error) {
 	tor, err := torus.New(cfg.Partition.NodeShape()...)
 	if err != nil {
 		return 0, err
 	}
 	r := route.NewRouter(tor)
-	demands, err := workload.BisectionPairing(r, cfg.RoundBytes())
-	if err != nil {
-		return 0, err
-	}
-	return float64(cfg.Rounds) * r.PredictTransferTime(demands, model.LinkBytesPerSec), nil
+	maxLoad, _ := route.MaxLoad(r.ClassLoads([]int{r.FurthestNode(0)}, cfg.RoundBytes()))
+	return float64(cfg.Rounds) * (maxLoad / model.LinkBytesPerSec), nil
 }
 
 // pairingPoints measures two partition series on the worker pool.
