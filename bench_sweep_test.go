@@ -83,13 +83,37 @@ func BenchmarkSweepStatic64Sequential(b *testing.B) {
 }
 
 // BenchmarkScenarioStatic is the single-point cost: one mid-size
-// static scenario through the full Run path.
+// static scenario through the full Run path (a pairing, so the
+// one-source pass).
 func BenchmarkScenarioStatic(b *testing.B) {
 	runner := NewRunner()
 	ctx := context.Background()
 	spec := ScenarioSpec{
 		Topology: ScenarioTopology{Kind: "torus", Shape: "16x16x8"},
 		Workload: ScenarioWorkload{Pattern: "pairing", Bytes: 1e9},
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := runner.RunScenario(ctx, spec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkScenarioAllToAllSim is the largest all-to-all Normalize
+// admits, simulated: a 16x16x16 torus, 16.8M demands. The pattern is
+// translation-invariant, so the one-source pass routes node 0's 4,095
+// demands and builds no demand list; the 10% B/op bound of the bench
+// guard fails if the general pass comes back, which built the demands
+// and a 2·D·N load vector, about 400 MB an op.
+func BenchmarkScenarioAllToAllSim(b *testing.B) {
+	runner := NewRunner()
+	ctx := context.Background()
+	spec := ScenarioSpec{
+		Topology: ScenarioTopology{Kind: "torus", Shape: "16x16x16"},
+		Workload: ScenarioWorkload{Pattern: "all-to-all"},
+		Sim:      ScenarioSim{Enabled: true},
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -125,14 +149,19 @@ func BenchmarkScenarioMinhopSim(b *testing.B) {
 // BenchmarkScenarioPartition is the partition-scenario cost at the
 // advisor workload's costliest cells: the static analysis of a
 // 96-midplane partition (Sequoia under the halo exchange, Mira under
-// bisection pairing, both about 49k nodes), and the simulated specs of
-// an 8-midplane Mira pairing, permutation and halo exchange (the most
-// flows of any cell the advisor simulates), the largest size the
-// advisor simulates. A simulated spec's flow-level time is the static
-// time per round, so the mira8-*-sim cases check that such a spec
-// costs only its static pass: had the simulation come back, each
-// would allocate several times the bytes, and the 10% B/op bound of
-// the bench guard fails.
+// bisection pairing and a random permutation, all about 49k nodes),
+// and the simulated specs of an 8-midplane Mira pairing, permutation
+// and halo exchange (the most flows of any cell the advisor
+// simulates), the largest size the advisor simulates. Both passes are
+// guarded. The halo exchange and the pairing are translation-invariant,
+// so they take the one-source pass, which routes node 0's demands and
+// builds no demand list or load vector: had the general pass come
+// back, sequoia96-neighbor-static would allocate about 14.6 MB an op,
+// not kilobytes, and the 10% B/op bound of the bench guard fails.
+// mira96-permutation-static keeps the general pass, which routes every
+// demand. A simulated spec's flow-level time is the static time per
+// round, so the mira8-*-sim cases check that such a spec costs only
+// its static pass, one-source or general.
 func BenchmarkScenarioPartition(b *testing.B) {
 	cases := []struct {
 		name     string
@@ -143,6 +172,7 @@ func BenchmarkScenarioPartition(b *testing.B) {
 	}{
 		{"sequoia96-neighbor-static", "sequoia", 96, "neighbor", false},
 		{"mira96-pairing-static", "mira", 96, "pairing", false},
+		{"mira96-permutation-static", "mira", 96, "permutation", false},
 		{"mira8-pairing-sim", "mira", 8, "pairing", true},
 		{"mira8-permutation-sim", "mira", 8, "permutation", true},
 		{"mira8-neighbor-sim", "mira", 8, "neighbor", true},

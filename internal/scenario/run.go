@@ -369,14 +369,16 @@ func analyzeOneSource(ctx context.Context, s Spec, net *network, out *Outcome) e
 	b := s.Workload.Bytes
 	dsts := s.sourceDestinations(net)
 	out.Demands = net.vertices * len(dsts)
-	for i := 0; i < out.Demands; i++ {
-		if i%cancelStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
+	total := 0.0
+	for done := 0; done < out.Demands; done += cancelStride {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		out.TotalBytes += b
+		for i := min(cancelStride, out.Demands-done); i > 0; i-- {
+			total += b
+		}
 	}
+	out.TotalBytes = total
 
 	loads := net.router.ClassLoads(dsts, b)
 	active := make([]float64, 0, len(loads))
@@ -391,11 +393,13 @@ func analyzeOneSource(ctx context.Context, s Spec, net *network, out *Outcome) e
 		}
 	}
 	out.ActiveLinks = net.vertices * len(active)
+	sum := 0.0
 	for v := 0; v < net.vertices; v++ {
 		for _, l := range active {
-			out.MeanLinkBytes += l
+			sum += l
 		}
 	}
+	out.MeanLinkBytes = sum
 	out.StaticSec = maxSec
 	if maxClass >= 0 {
 		// Node 0's link of class c has ID c.
