@@ -125,7 +125,7 @@ func sameOutcome(t *testing.T, name string, got *Outcome, gotErr error, want *Ou
 		return
 	}
 	if !bytes.Equal(gb, wb) {
-		t.Fatalf("%s: outcome\n%s\ngeneral pass\n%s", name, gb, wb)
+		t.Fatalf("%s: one-source outcome\n%s\ngeneral pass\n%s", name, gb, wb)
 	}
 }
 

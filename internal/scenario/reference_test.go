@@ -15,6 +15,7 @@ import (
 	"netpart/internal/model"
 	"netpart/internal/netsim"
 	"netpart/internal/route"
+	"netpart/internal/workload"
 )
 
 // referenceAnalyze is the analysis analyze's one pass replaced, kept
@@ -23,10 +24,12 @@ import (
 // alone-times in two loops over the stored routes, and simulate from
 // the stored routes.
 func referenceAnalyze(ctx context.Context, s Spec, net *network, out *Outcome) error {
-	demands, err := s.demands(net, out)
+	demands, err := s.demands(net)
 	if err != nil {
 		return err
 	}
+	out.Demands = len(demands)
+	out.TotalBytes = workload.TotalBytes(demands)
 	if err := ctx.Err(); err != nil {
 		return err
 	}

@@ -168,20 +168,8 @@ func runWith(ctx context.Context, spec Spec, an analyzer) (*Outcome, error) {
 	return out, nil
 }
 
-// demands builds the workload on the resolved network and records its
-// demand count and total bytes in the outcome.
-func (s Spec) demands(net *network, out *Outcome) ([]route.Demand, error) {
-	demands, err := s.generate(net)
-	if err != nil {
-		return nil, err
-	}
-	out.Demands = len(demands)
-	out.TotalBytes = workload.TotalBytes(demands)
-	return demands, nil
-}
-
-// generate runs the spec's workload generator on the resolved network.
-func (s Spec) generate(net *network) ([]route.Demand, error) {
+// demands builds the workload on the resolved network.
+func (s Spec) demands(net *network) ([]route.Demand, error) {
 	w := s.Workload
 	if net.router != nil {
 		switch w.Pattern {
@@ -230,10 +218,12 @@ func (s Spec) generate(net *network) ([]route.Demand, error) {
 // fair makespan is the static time (the netsim package comment proves
 // it).
 func analyze(ctx context.Context, s Spec, net *network, out *Outcome) error {
-	demands, err := s.demands(net, out)
+	demands, err := s.demands(net)
 	if err != nil {
 		return err
 	}
+	out.Demands = len(demands)
+	out.TotalBytes = workload.TotalBytes(demands)
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -322,7 +312,6 @@ func oneSourceApplies(s Spec, net *network) bool {
 // Every node v sends to v plus each of them, since each generator
 // sends from v to v plus the same offsets.
 func (s Spec) sourceDestinations(net *network) []int {
-	n := net.vertices
 	switch s.Workload.Pattern {
 	case PatternPairing:
 		if t := net.router.FurthestNode(0); t != 0 {
@@ -339,7 +328,7 @@ func (s Spec) sourceDestinations(net *network) []int {
 			return []int{net.tor.Index(c)}
 		}
 	case PatternAllToAll:
-		dsts := make([]int, n-1)
+		dsts := make([]int, net.vertices-1)
 		for i := range dsts {
 			dsts[i] = i + 1
 		}
@@ -399,15 +388,14 @@ func analyzeOneSource(ctx context.Context, s Spec, net *network, out *Outcome) e
 			sum += l
 		}
 	}
-	out.MeanLinkBytes = sum
+	if out.ActiveLinks > 0 {
+		out.MeanLinkBytes = sum / float64(out.ActiveLinks)
+	}
 	out.StaticSec = maxSec
 	if maxClass >= 0 {
 		// Node 0's link of class c has ID c.
 		out.Bottleneck = net.linkName(maxClass)
 		out.MaxLinkBytes = loads[maxClass]
-	}
-	if out.ActiveLinks > 0 {
-		out.MeanLinkBytes /= float64(out.ActiveLinks)
 	}
 	if out.Demands > 0 {
 		out.IdealSec = b / model.LinkBytesPerSec

@@ -44,10 +44,12 @@ func MemoCounts() (hits, misses, evictions uint64) {
 var patternSec = memoPatternSec
 
 // memoPatternSec scores one pattern round on the midplane-level torus
-// of the geometry with scenario.Run's static analysis under DOR: one
-// pass that routes each demand once. The pattern's flows have equal
-// sizes and start together, so the static time is also the round's
-// max-min fair time (the netsim package comment proves it). Length-1
+// of the geometry with scenario.Run's static analysis under DOR. Every
+// pattern the scorer knows is translation-invariant, so a miss takes
+// Run's one-source pass: it routes node 0's demands once and builds no
+// demand list. The pattern's flows have equal sizes and start
+// together, so the static time is also the round's max-min fair time
+// (the netsim package comment proves it). Length-1
 // dimensions carry no links and are dropped, so the torus is the real
 // communication graph of the cuboid; a geometry with no remaining
 // dimension (a single midplane) scores zero.
