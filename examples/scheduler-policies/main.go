@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -26,7 +27,7 @@ func main() {
 	}
 	for _, pol := range []sched.PlacementPolicy{sched.FirstFit{}, sched.BestBisection{}, sched.ContentionAware{}} {
 		for _, backfill := range []bool{false, true} {
-			res, err := sched.RunWithOptions(m, pol, jobs, sched.Options{Backfill: backfill})
+			res, err := sched.RunContext(context.Background(), m, pol, jobs, sched.Options{Backfill: backfill})
 			if err != nil {
 				log.Fatal(err)
 			}

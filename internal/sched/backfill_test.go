@@ -15,11 +15,11 @@ func TestBackfillRunsShortJobInShadow(t *testing.T) {
 		{ID: 1, Midplanes: 56, ArrivalSec: 1, BaseDurationSec: 10}, // must wait for job 0
 		{ID: 2, Midplanes: 4, ArrivalSec: 2, BaseDurationSec: 50},  // fits before job 0 ends
 	}
-	plain, err := Run(m, FirstFit{}, jobs)
+	plain, err := RunContext(t.Context(), m, FirstFit{}, jobs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := RunWithOptions(m, FirstFit{}, jobs, Options{Backfill: true})
+	back, err := RunContext(t.Context(), m, FirstFit{}, jobs, Options{Backfill: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestBackfillRespectsShadow(t *testing.T) {
 		{ID: 1, Midplanes: 56, ArrivalSec: 1, BaseDurationSec: 10},
 		{ID: 2, Midplanes: 4, ArrivalSec: 2, BaseDurationSec: 200}, // too long to hide
 	}
-	back, err := RunWithOptions(m, FirstFit{}, jobs, Options{Backfill: true})
+	back, err := RunContext(t.Context(), m, FirstFit{}, jobs, Options{Backfill: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,14 +83,14 @@ func TestBackfillStretchAware(t *testing.T) {
 		{ID: 1, Midplanes: 56, ArrivalSec: 1, BaseDurationSec: 10},
 		{ID: 2, Midplanes: 8, ArrivalSec: 2, BaseDurationSec: 60, ContentionBound: true},
 	}
-	ff, err := RunWithOptions(m, FirstFit{}, jobs, Options{Backfill: true})
+	ff, err := RunContext(t.Context(), m, FirstFit{}, jobs, Options{Backfill: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ff.Allocations[2].StartSec < 100 {
 		t.Errorf("stretched job backfilled under first-fit: start %v", ff.Allocations[2].StartSec)
 	}
-	ca, err := RunWithOptions(m, ContentionAware{}, jobs, Options{Backfill: true})
+	ca, err := RunContext(t.Context(), m, ContentionAware{}, jobs, Options{Backfill: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,11 +106,11 @@ func TestBackfillNoCandidates(t *testing.T) {
 		{ID: 0, Midplanes: 56, ArrivalSec: 0, BaseDurationSec: 5},
 		{ID: 1, Midplanes: 56, ArrivalSec: 0, BaseDurationSec: 5},
 	}
-	plain, err := Run(m, FirstFit{}, jobs)
+	plain, err := RunContext(t.Context(), m, FirstFit{}, jobs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := RunWithOptions(m, FirstFit{}, jobs, Options{Backfill: true})
+	back, err := RunContext(t.Context(), m, FirstFit{}, jobs, Options{Backfill: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestBackfillSkipsHopelessCandidates(t *testing.T) {
 			return job.BaseDurationSec
 		},
 	}
-	res, err := RunWithOptions(m, FirstFit{}, jobs, opts)
+	res, err := RunContext(t.Context(), m, FirstFit{}, jobs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

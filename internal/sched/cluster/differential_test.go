@@ -104,14 +104,14 @@ func runCaptured(t *testing.T, spec tracesim.Spec) (resultJSON, eventsJSON []byt
 	return resultJSON, eventsJSON
 }
 
-// TestDifferentialOracle holds the cached contention scorer — the
-// contention memo over scenario.Run's static pass — byte-identical
-// to the uncached reference scorer on every trace of the matrix: same
+// TestDifferentialOracle holds the fast contention scorer — the
+// closed form of the busiest link class's hop count — byte-identical
+// to the routed reference scorer on every trace of the matrix: same
 // Result JSON (the golden shape), same event stream. Both runs place
 // through sched's memoized plan scan, so the harness isolates the
 // scorer; sched's own tests hold placement to its reference
-// enumeration. Any divergence is a correctness bug in a scorer cache,
-// not a tolerance question.
+// enumeration. Any divergence is a correctness bug in the closed
+// form, not a tolerance question.
 func TestDifferentialOracle(t *testing.T) {
 	for name, spec := range differentialSpecs(t) {
 		t.Run(name, func(t *testing.T) {

@@ -65,13 +65,13 @@ func buildFlowSet(geom torus.Shape, pattern string) (*routedFlows, error) {
 	return fs, nil
 }
 
-// referencePatternSec is the uncached reference scorer: a fresh torus,
+// referencePatternSec is the routed reference scorer: a fresh torus,
 // router and demand list per call, touching no process-wide state. A
 // round's time is the largest link load over the link rate, computed
 // from its own flow set: the flows have equal sizes and start
 // together, so that is the round's max-min fair makespan (netsim's
 // TestEqualSizeMakespanIsStatic holds the simulator to it). The
-// differential tests hold memoPatternSec to it byte for byte.
+// differential tests hold closedFormPatternSec to it byte for byte.
 func referencePatternSec(geom torus.Shape, pattern string) (score, error) {
 	fs, err := buildFlowSet(geom, pattern)
 	if err != nil {

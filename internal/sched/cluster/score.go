@@ -1,22 +1,14 @@
 package cluster
 
 import (
-	"context"
 	"fmt"
-	"strconv"
 
 	"netpart/internal/bgq"
-	"netpart/internal/lru"
+	"netpart/internal/model"
 	"netpart/internal/scenario"
 	"netpart/internal/sched"
 	"netpart/internal/torus"
 )
-
-// memoBound bounds the contention memo. The working set is small —
-// the geometries of the machine catalog × three patterns — but the
-// bound (iso's bisection-cache size) holds it against adversarial
-// custom-machine streams.
-const memoBound = 4096
 
 // score is one pattern round on one geometry: its max-min fair round
 // time and its routed flow count.
@@ -25,68 +17,67 @@ type score struct {
 	flows int
 }
 
-// memo caches scores by midplane torus and pattern ("4x2|pairing").
-// A score is machine-independent and a deterministic function of the
-// key, so one process-wide memo serves every simulation, grid point,
-// serving flight and cluster session without re-running the
-// analysis.
-var memo = lru.New[string, score](memoBound)
-
-// MemoCounts returns the process-wide contention-memo hits, misses and
-// evictions since process start.
-func MemoCounts() (hits, misses, evictions uint64) {
-	return memo.Counts()
-}
-
 // patternSec is the scorer's pattern-round timer. Production never
 // reassigns it; it is a variable so the differential tests can swap
-// in the uncached reference scorer.
-var patternSec = memoPatternSec
+// in the routed reference scorer.
+var patternSec = closedFormPatternSec
 
-// memoPatternSec scores one pattern round on the midplane-level torus
-// of the geometry with scenario.Run's static analysis under DOR. Every
-// pattern the scorer knows is translation-invariant, so a miss takes
-// Run's one-source pass: it routes node 0's demands once and builds no
-// demand list. The pattern's flows have equal sizes and start
-// together, so the static time is also the round's max-min fair time
-// (the netsim package comment proves it). Length-1
-// dimensions carry no links and are dropped, so the torus is the real
-// communication graph of the cuboid; a geometry with no remaining
-// dimension (a single midplane) scores zero.
-func memoPatternSec(geom torus.Shape, pattern string) (score, error) {
+// closedFormPatternSec scores one pattern round on the midplane-level
+// torus of the geometry under DOR, from the ring lengths alone. It
+// allocates nothing and keeps no state.
+//
+// Every pattern the scorer knows is translation-invariant, so every
+// link of a class (dimension, direction) carries scenario.DefaultBytes
+// once per class hop on node 0's routes (the route package comment
+// proves it). With N midplanes and a ring of length a in a dimension,
+// h = ⌊a/2⌋, node 0's hops per class have closed forms:
+//
+//   - pairing: node 0 sends to the offset h on every ring, and DOR
+//     breaks the half-ring tie toward Plus, so the ring's Plus class
+//     carries h and its Minus class nothing. One flow per node.
+//   - neighbor: one hop to each neighbour, so every class that exists
+//     carries 1. Torus.Neighbors lists one neighbour on a 2-ring, so a
+//     node has min(a−1, 2) flows per ring.
+//   - all-to-all: each ring offset δ is shared by N/a destinations, and
+//     offsets δ ≤ h take δ Plus hops, so the Plus class carries
+//     (N/a)·h(h+1)/2. The Minus class carries (N/a)·(a−h−1)(a−h)/2,
+//     which is never larger. N−1 flows per node.
+//
+// The round's time is the busiest class's load over the link rate. The
+// pattern's flows have equal sizes and start together, so that is also
+// the round's max-min fair time (the netsim package comment proves
+// it). DefaultBytes is 2^27, so k·DefaultBytes is exact for every
+// reachable hop count k, and equals bit for bit the k additions of
+// DefaultBytes that a routed pass makes on the busiest link.
+//
+// Length-1 dimensions carry no links and are skipped, so a geometry
+// with no longer ring (a single midplane) scores zero.
+func closedFormPatternSec(geom torus.Shape, pattern string) (score, error) {
 	if !knownPattern(pattern) {
 		return score{}, fmt.Errorf("cluster: unknown pattern %q", pattern)
 	}
-	var buf [64]byte
-	b := buf[:0]
-	for _, d := range geom {
-		if d > 1 {
-			if len(b) > 0 {
-				b = append(b, 'x')
-			}
-			b = strconv.AppendInt(b, int64(d), 10)
+	n := geom.Volume()
+	maxHops, perNode := 0, 0
+	for _, a := range geom {
+		if a == 1 {
+			continue
 		}
+		h := a / 2
+		var hops int
+		switch pattern {
+		case PatternPairing:
+			hops, perNode = h, 1
+		case PatternNeighbor:
+			hops, perNode = 1, perNode+min(a-1, 2)
+		case PatternAllToAll:
+			hops, perNode = n/a*(h*(h+1)/2), n-1
+		}
+		maxHops = max(maxHops, hops)
 	}
-	if len(b) == 0 {
+	if maxHops == 0 {
 		return score{}, nil
 	}
-	shapeLen := len(b)
-	key := string(append(append(b, '|'), pattern...))
-	if s, ok := memo.Get(key); ok {
-		return s, nil
-	}
-	// The score serves every later caller of the memo, so no one
-	// caller's context bounds the run.
-	out, err := scenario.Run(context.Background(), scenario.Spec{
-		Topology: scenario.TopologySpec{Kind: scenario.KindTorus, Shape: key[:shapeLen]},
-		Workload: scenario.WorkloadSpec{Pattern: pattern},
-	})
-	if err != nil {
-		return score{}, fmt.Errorf("cluster: geometry %s: %w", geom, err)
-	}
-	s := score{sec: out.StaticSec, flows: out.Demands}
-	memo.Put(key, s)
-	return s, nil
+	return score{sec: float64(maxHops) * scenario.DefaultBytes / model.LinkBytesPerSec, flows: n * perNode}, nil
 }
 
 // dilation scores one placement on machine m: the max-min fair round

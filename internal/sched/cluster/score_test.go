@@ -4,11 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 
 	"netpart/internal/bgq"
-	"netpart/internal/lru"
 	"netpart/internal/sched"
 	"netpart/internal/torus"
 )
@@ -16,13 +14,13 @@ import (
 // TestPatternSecDegenerateGeometries: geometries whose torus has no
 // links — every dimension length 1, or a single midplane — score a
 // zero round time instead of analyzing an empty torus, on both the
-// cached path and the reference.
+// closed form and the reference.
 func TestPatternSecDegenerateGeometries(t *testing.T) {
 	for _, geom := range []torus.Shape{{1, 1, 1, 1}, {1}} {
 		for _, pattern := range []string{PatternPairing, PatternAllToAll, PatternNeighbor} {
-			s, err := memoPatternSec(geom, pattern)
+			s, err := closedFormPatternSec(geom, pattern)
 			if err != nil || s != (score{}) {
-				t.Fatalf("cached %v/%s: score=%+v err=%v", geom, pattern, s, err)
+				t.Fatalf("closed form %v/%s: score=%+v err=%v", geom, pattern, s, err)
 			}
 			s, err = referencePatternSec(geom, pattern)
 			if err != nil || s != (score{}) {
@@ -32,7 +30,7 @@ func TestPatternSecDegenerateGeometries(t *testing.T) {
 	}
 	// Length-1 dimensions are dropped, not routed: 4x1x1x1 must
 	// score exactly like its 1-dimensional squeeze.
-	full, err := memoPatternSec(torus.Shape{4, 1, 1, 1}, PatternNeighbor)
+	full, err := closedFormPatternSec(torus.Shape{4, 1, 1, 1}, PatternNeighbor)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,10 +46,10 @@ func TestPatternSecDegenerateGeometries(t *testing.T) {
 // TestPatternSecUnknownPattern: an unrecognized pattern is an error on
 // every path (normalizeJob rejects it at the API boundary, but the
 // scorer must not silently score it if reached another way), and the
-// error is not cached as a value.
+// error comes back on every call.
 func TestPatternSecUnknownPattern(t *testing.T) {
-	for i := 0; i < 2; i++ { // second call must re-fail, not hit a memo
-		if _, err := memoPatternSec(torus.Shape{2, 2}, "bogus"); err == nil || !strings.Contains(err.Error(), "unknown pattern") {
+	for i := 0; i < 2; i++ { // second call must fail the same way
+		if _, err := closedFormPatternSec(torus.Shape{2, 2}, "bogus"); err == nil || !strings.Contains(err.Error(), "unknown pattern") {
 			t.Fatalf("call %d: err = %v", i, err)
 		}
 	}
@@ -60,74 +58,35 @@ func TestPatternSecUnknownPattern(t *testing.T) {
 	}
 }
 
-// TestMemoCountsUnderConcurrency: 16 goroutines hammering the scorer
-// on a mixed key set keep the memo accounting exact — every call
-// increments exactly one of hits/misses, so the counters sum to the
-// call count (the invariant the observability layer rates on).
-func TestMemoCountsUnderConcurrency(t *testing.T) {
-	h0, m0, _ := MemoCounts()
-	const goroutines, perG = 16, 200
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				// Unique-ish geometries per goroutine mix first-touch
-				// misses with cross-goroutine hits.
-				geom := torus.Shape{2 + (g+i)%3, 1 + i%2}
-				if _, err := memoPatternSec(geom, PatternPairing); err != nil {
-					t.Errorf("goroutine %d: %v", g, err)
-					return
+// TestPatternSecAllocatesNothing: scoring any catalog geometry under
+// any of the three patterns allocates nothing, so a trace's scores add
+// no garbage however many placements it makes.
+func TestPatternSecAllocatesNothing(t *testing.T) {
+	var geoms []torus.Shape
+	for _, m := range bgq.Catalog() {
+		for n := 1; n <= m.Midplanes(); n++ {
+			geoms = append(geoms, torus.EnumerateGeometries(m.Grid, len(m.Grid), n)...)
+		}
+	}
+	patterns := []string{PatternPairing, PatternNeighbor, PatternAllToAll}
+	allocs := testing.AllocsPerRun(10, func() {
+		for _, geom := range geoms {
+			for _, pattern := range patterns {
+				if _, err := closedFormPatternSec(geom, pattern); err != nil {
+					t.Fatalf("%v/%s: %v", geom, pattern, err)
 				}
 			}
-		}(g)
-	}
-	wg.Wait()
-	h1, m1, _ := MemoCounts()
-	if got, want := (h1-h0)+(m1-m0), uint64(goroutines*perG); got != want {
-		t.Fatalf("hits+misses grew by %d, want %d calls", got, want)
+		}
+	})
+	if calls := len(geoms) * len(patterns); allocs != 0 {
+		t.Fatalf("%v allocs over %d calls (%.2f per call), want 0", allocs, calls, allocs/float64(calls))
 	}
 }
 
-// TestMemoEvictionSameResults shrinks the contention memo to one
-// entry so alternating geometries evict on every score, and checks
-// the scores still match the reference — eviction recomputes, never
-// corrupts.
-func TestMemoEvictionSameResults(t *testing.T) {
-	saved := memo
-	memo = lru.New[string, score](1)
-	defer func() { memo = saved }()
-
-	geoms := []torus.Shape{{2, 2, 2}, {4, 2}, {2, 4}, {8}}
-	want := map[string]score{}
-	for _, geom := range geoms {
-		s, err := referencePatternSec(geom, PatternAllToAll)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[geom.String()] = s
-	}
-	for round := 0; round < 3; round++ {
-		for _, geom := range geoms {
-			s, err := memoPatternSec(geom, PatternAllToAll)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if s != want[geom.String()] {
-				t.Fatalf("round %d %v: %+v, reference %+v", round, geom, s, want[geom.String()])
-			}
-		}
-	}
-	if _, _, ev := memo.Counts(); ev == 0 {
-		t.Fatal("capacity-1 memo never evicted")
-	}
-}
-
-// TestMemoMatchesReferenceInEveryOrientation holds the memo to the
-// reference scorer, round time and flow count, on every orientation of
-// every geometry of the catalog machines: placed lenses arrive in
-// host-dimension order, so each permutation of a geometry's
+// TestMemoMatchesReferenceInEveryOrientation holds the closed form
+// to the reference scorer, round time and flow count, on every
+// orientation of every geometry of the catalog machines: placed lenses
+// arrive in host-dimension order, so each permutation of a geometry's
 // dimensions is a key the scorer can see. All-to-all is checked up to
 // MaxAllToAllMidplanes, the bound NormalizeJob admits. Under -short it
 // checks JUQUEEN only.
@@ -150,7 +109,7 @@ func TestMemoMatchesReferenceInEveryOrientation(t *testing.T) {
 							continue
 						}
 						seen[key] = true
-						got, err := memoPatternSec(lens, pattern)
+						got, err := closedFormPatternSec(lens, pattern)
 						if err != nil {
 							t.Fatalf("%s: %v", key, err)
 						}
@@ -159,7 +118,7 @@ func TestMemoMatchesReferenceInEveryOrientation(t *testing.T) {
 							t.Fatalf("%s: reference: %v", key, err)
 						}
 						if got != want {
-							t.Fatalf("%s on %s: memo %+v, reference %+v", key, m.Name, got, want)
+							t.Fatalf("%s on %s: closed form %+v, reference %+v", key, m.Name, got, want)
 						}
 					}
 				}

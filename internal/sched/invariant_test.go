@@ -108,7 +108,7 @@ func TestScheduleInvariants(t *testing.T) {
 		}
 		for _, pol := range []PlacementPolicy{FirstFit{}, BestBisection{}, ContentionAware{}} {
 			for _, backfill := range []bool{false, true} {
-				res, err := RunWithOptions(m, pol, jobs, Options{Backfill: backfill})
+				res, err := RunContext(t.Context(), m, pol, jobs, Options{Backfill: backfill})
 				if err != nil {
 					t.Fatalf("seed %d %s backfill=%v: %v", seed, pol.Name(), backfill, err)
 				}
@@ -164,7 +164,7 @@ func TestScheduleInvariants(t *testing.T) {
 func TestNeverFitsTyped(t *testing.T) {
 	m := bgq.Juqueen() // 7x2x2x2, 56 midplanes
 	for _, midplanes := range []int{9, 57, 100} {
-		_, err := Run(m, FirstFit{}, []Job{{ID: 3, Midplanes: midplanes, BaseDurationSec: 1}})
+		_, err := RunContext(t.Context(), m, FirstFit{}, []Job{{ID: 3, Midplanes: midplanes, BaseDurationSec: 1}}, Options{})
 		var nf *NeverFitsError
 		if !errors.As(err, &nf) {
 			t.Fatalf("%d midplanes: err = %v, want NeverFitsError", midplanes, err)
@@ -174,7 +174,7 @@ func TestNeverFitsTyped(t *testing.T) {
 		}
 	}
 	// Feasible sizes do not trip it.
-	if _, err := Run(m, FirstFit{}, []Job{{ID: 0, Midplanes: 8, BaseDurationSec: 1}}); err != nil {
+	if _, err := RunContext(t.Context(), m, FirstFit{}, []Job{{ID: 0, Midplanes: 8, BaseDurationSec: 1}}, Options{}); err != nil {
 		t.Fatalf("feasible job failed: %v", err)
 	}
 }
@@ -195,7 +195,7 @@ func TestJobValidation(t *testing.T) {
 		{ID: 0, Midplanes: 4, BaseDurationSec: 1, ArrivalSec: math.Inf(1)},
 	}
 	for i, j := range bad {
-		if _, err := Run(m, FirstFit{}, []Job{j}); err == nil {
+		if _, err := RunContext(t.Context(), m, FirstFit{}, []Job{j}, Options{}); err == nil {
 			t.Errorf("bad job %d (%+v) accepted", i, j)
 		}
 	}
@@ -231,7 +231,7 @@ func TestDurationHookAndEvents(t *testing.T) {
 			finishes = append(finishes, a)
 		},
 	}
-	res, err := RunWithOptions(m, FirstFit{}, jobs, opts)
+	res, err := RunContext(t.Context(), m, FirstFit{}, jobs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

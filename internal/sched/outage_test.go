@@ -82,7 +82,7 @@ func TestHardOutageKillsAndRequeues(t *testing.T) {
 	jobs := []Job{{ID: 0, Midplanes: 8, ArrivalSec: 0, BaseDurationSec: 100}}
 	outages, heals := 0, 0
 	kills := 0
-	res, err := RunWithOptions(m, FirstFit{}, jobs, Options{
+	res, err := RunContext(t.Context(), m, FirstFit{}, jobs, Options{
 		Outages: []Outage{{StartSec: 50, EndSec: 60, Cells: []int{0}, Factor: 0}},
 		OnOutage: func(_ int, open bool, timeSec float64, free int) {
 			if open {
@@ -145,7 +145,7 @@ func TestHardOutageKillsAndRequeues(t *testing.T) {
 func TestCompletionAtOutageOpenIsSpared(t *testing.T) {
 	m := tinyMachine(t)
 	jobs := []Job{{ID: 0, Midplanes: 8, ArrivalSec: 0, BaseDurationSec: 50}}
-	res, err := RunWithOptions(m, FirstFit{}, jobs, Options{
+	res, err := RunContext(t.Context(), m, FirstFit{}, jobs, Options{
 		Outages: []Outage{{StartSec: 50, EndSec: 60, Cells: []int{0}, Factor: 0}},
 	})
 	if err != nil {
@@ -162,7 +162,7 @@ func TestCompletionAtOutageOpenIsSpared(t *testing.T) {
 func TestDegradeOutageRepricesMidRun(t *testing.T) {
 	m := tinyMachine(t)
 	jobs := []Job{{ID: 0, Midplanes: 8, ArrivalSec: 0, BaseDurationSec: 100}}
-	res, err := RunWithOptions(m, FirstFit{}, jobs, Options{
+	res, err := RunContext(t.Context(), m, FirstFit{}, jobs, Options{
 		Outages: []Outage{{StartSec: 20, EndSec: 40, Cells: []int{0}, Factor: 0.5}},
 	})
 	if err != nil {
@@ -185,7 +185,7 @@ func TestDegradeOutageRepricesMidRun(t *testing.T) {
 func TestDegradeOutagePricesNewJobs(t *testing.T) {
 	m := tinyMachine(t)
 	jobs := []Job{{ID: 0, Midplanes: 8, ArrivalSec: 0, BaseDurationSec: 100}}
-	res, err := RunWithOptions(m, FirstFit{}, jobs, Options{
+	res, err := RunContext(t.Context(), m, FirstFit{}, jobs, Options{
 		Outages: []Outage{{StartSec: 0, EndSec: math.Inf(1), Cells: []int{0}, Factor: 0.5}},
 	})
 	if err != nil {
@@ -200,7 +200,7 @@ func TestPermanentOutageStarves(t *testing.T) {
 	m := tinyMachine(t)
 	cells := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	jobs := []Job{{ID: 0, Midplanes: 1, ArrivalSec: 0, BaseDurationSec: 10}}
-	_, err := RunWithOptions(m, FirstFit{}, jobs, Options{
+	_, err := RunContext(t.Context(), m, FirstFit{}, jobs, Options{
 		Outages: []Outage{{StartSec: 0, EndSec: math.Inf(1), Cells: cells, Factor: 0}},
 	})
 	var starved *StarvedError
@@ -221,7 +221,7 @@ func TestBackfillSkipsInfiniteShadow(t *testing.T) {
 		{ID: 0, Midplanes: 8, ArrivalSec: 0, BaseDurationSec: 10},
 		{ID: 1, Midplanes: 1, ArrivalSec: 0, BaseDurationSec: 1},
 	}
-	_, err := RunWithOptions(m, FirstFit{}, jobs, Options{
+	_, err := RunContext(t.Context(), m, FirstFit{}, jobs, Options{
 		Backfill: true,
 		Outages:  []Outage{{StartSec: 0, EndSec: math.Inf(1), Cells: []int{0, 1, 2, 3}, Factor: 0}},
 	})
@@ -244,7 +244,7 @@ func TestOutageValidation(t *testing.T) {
 		{StartSec: 0, EndSec: 10, Cells: []int{-1}, Factor: 0},
 	}
 	for i, o := range bad {
-		if _, err := RunWithOptions(m, FirstFit{}, jobs, Options{Outages: []Outage{o}}); err == nil {
+		if _, err := RunContext(t.Context(), m, FirstFit{}, jobs, Options{Outages: []Outage{o}}); err == nil {
 			t.Errorf("outage %d (%+v) accepted", i, o)
 		}
 	}
@@ -388,7 +388,7 @@ func TestNoJobOnFailedMidplaneInvariant(t *testing.T) {
 						release(a, "kill")
 					},
 				}
-				res, err := RunWithOptions(m, pl, sc.jobs, opts)
+				res, err := RunContext(t.Context(), m, pl, sc.jobs, opts)
 				rerunWithReference(t, m, pl, sc.jobs, opts, res, err)
 				if err != nil {
 					var starved *StarvedError
@@ -426,11 +426,11 @@ func TestOutageDeterminism(t *testing.T) {
 			{StartSec: 80, EndSec: 200, Cells: []int{10, 11}, Factor: 0.25},
 		},
 	}
-	a, err := RunWithOptions(m, BestBisection{}, jobs, opts)
+	a, err := RunContext(t.Context(), m, BestBisection{}, jobs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunWithOptions(m, BestBisection{}, jobs, opts)
+	b, err := RunContext(t.Context(), m, BestBisection{}, jobs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -118,7 +118,7 @@ func rerunWithReference(t *testing.T, m *bgq.Machine, policy PlacementPolicy, jo
 	fill = referenceFill
 	defer func() { fill = saved }()
 	opts.OnStart, opts.OnFinish, opts.OnOutage, opts.OnKill = nil, nil, nil, nil
-	ref, err := RunWithOptions(m, policy, jobs, opts)
+	ref, err := RunContext(t.Context(), m, policy, jobs, opts)
 	if !reflect.DeepEqual(err, fastErr) {
 		t.Fatalf("%s on %s backfill=%v: reference rerun error %v, fast run error %v", policy.Name(), m.Name, opts.Backfill, err, fastErr)
 	}

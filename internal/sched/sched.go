@@ -465,17 +465,6 @@ func validateOutage(i int, o Outage, cells int) error {
 	return nil
 }
 
-// Run schedules the jobs FCFS under the policy and returns the
-// outcome. Jobs must fit the machine; an infeasible size fails.
-func Run(m *bgq.Machine, policy PlacementPolicy, jobs []Job) (Result, error) {
-	return RunWithOptions(m, policy, jobs, Options{})
-}
-
-// RunWithOptions is Run with scheduling options.
-func RunWithOptions(m *bgq.Machine, policy PlacementPolicy, jobs []Job, opts Options) (Result, error) {
-	return RunContext(context.Background(), m, policy, jobs, opts)
-}
-
 // validateJob rejects jobs the scheduling loop cannot make sense of:
 // non-positive sizes, non-positive or non-finite runtimes, negative or
 // non-finite arrivals.
@@ -492,9 +481,10 @@ func validateJob(j Job) error {
 	return nil
 }
 
-// RunContext is RunWithOptions with cancellation: the context is
-// checked once per event-loop iteration, so a canceled simulation
-// stops between events and returns ctx.Err().
+// RunContext schedules the jobs under the policy and options and
+// returns the outcome. Jobs must fit the machine; an infeasible size
+// fails. The context is checked once per event-loop iteration, so a
+// canceled simulation stops between events and returns ctx.Err().
 //
 // It is a Stepper (the incremental form of the event loop) driven to
 // completion: submit everything, drain, snapshot. The operation order

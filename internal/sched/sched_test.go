@@ -148,7 +148,7 @@ func TestPoliciesPickExpectedGeometry(t *testing.T) {
 func TestRunSingleJob(t *testing.T) {
 	m := bgq.Juqueen()
 	jobs := []Job{{ID: 0, Midplanes: 8, BaseDurationSec: 100, ContentionBound: true}}
-	res, err := Run(m, ContentionAware{}, jobs)
+	res, err := RunContext(t.Context(), m, ContentionAware{}, jobs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestRunSingleJob(t *testing.T) {
 	}
 	// The same job under first-fit lands on the worst geometry and
 	// stretches 2x.
-	res2, err := Run(m, FirstFit{}, jobs)
+	res2, err := RunContext(t.Context(), m, FirstFit{}, jobs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,11 +179,11 @@ func TestRunQueueContention(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		jobs = append(jobs, Job{ID: i, Midplanes: 8, ArrivalSec: 0, BaseDurationSec: 50, ContentionBound: true})
 	}
-	aware, err := Run(m, ContentionAware{}, jobs)
+	aware, err := RunContext(t.Context(), m, ContentionAware{}, jobs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := Run(m, FirstFit{}, jobs)
+	naive, err := RunContext(t.Context(), m, FirstFit{}, jobs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestRunArrivalOrderAndWaits(t *testing.T) {
 		{ID: 0, Midplanes: 56, ArrivalSec: 0, BaseDurationSec: 10},
 		{ID: 1, Midplanes: 56, ArrivalSec: 1, BaseDurationSec: 10},
 	}
-	res, err := Run(m, FirstFit{}, jobs)
+	res, err := RunContext(t.Context(), m, FirstFit{}, jobs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,10 +224,10 @@ func TestRunArrivalOrderAndWaits(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	m := bgq.Juqueen()
-	if _, err := Run(m, FirstFit{}, []Job{{ID: 0, Midplanes: 9, BaseDurationSec: 1}}); err == nil {
+	if _, err := RunContext(t.Context(), m, FirstFit{}, []Job{{ID: 0, Midplanes: 9, BaseDurationSec: 1}}, Options{}); err == nil {
 		t.Error("9 midplanes infeasible on JUQUEEN should fail")
 	}
-	if _, err := Run(m, FirstFit{}, []Job{{ID: 0, Midplanes: 8, BaseDurationSec: 0}}); err == nil {
+	if _, err := RunContext(t.Context(), m, FirstFit{}, []Job{{ID: 0, Midplanes: 8, BaseDurationSec: 0}}, Options{}); err == nil {
 		t.Error("zero duration should fail")
 	}
 }
@@ -250,7 +250,7 @@ func TestNoOverlapInvariant(t *testing.T) {
 			})
 		}
 		for _, pol := range []PlacementPolicy{FirstFit{}, BestBisection{}, ContentionAware{}} {
-			res, err := Run(m, pol, jobs)
+			res, err := RunContext(t.Context(), m, pol, jobs, Options{})
 			if err != nil {
 				return false
 			}
@@ -287,7 +287,7 @@ func BenchmarkSchedulerPolicies(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(m, ContentionAware{}, jobs); err != nil {
+		if _, err := RunContext(b.Context(), m, ContentionAware{}, jobs, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -11,7 +11,6 @@ import (
 	"netpart/internal/iso"
 	"netpart/internal/obs"
 	"netpart/internal/sched"
-	"netpart/internal/sched/cluster"
 	"netpart/internal/sched/tracesim"
 	"netpart/internal/store"
 )
@@ -28,9 +27,9 @@ import (
 //   - cache / store / cluster / peers: hits, misses, persists,
 //     sessions and per-peer dispatch health (the only copy: healthz
 //     carries them inside its registry snapshot)
-//   - simulation internals: stepper events and the bounded
-//     contention-memo, plan, healthy-baseline and bisection caches,
-//     sampled from their process-wide counters at scrape time
+//   - simulation internals: stepper events and the bounded plan,
+//     healthy-baseline and bisection caches, sampled from their
+//     process-wide counters at scrape time
 //
 // The registry serves Prometheus text at GET /metrics and rides the
 // /v1/healthz document as a JSON snapshot.
@@ -113,7 +112,6 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		"Process-wide scheduler stepper events processed (starts, finishes, boundaries).",
 		func() float64 { return float64(sched.StepperEventsProcessed()) })
 	registerCacheCounts(reg, "sched_plan_cache", "placement-plan", sched.PlanCacheCounts)
-	registerCacheCounts(reg, "sim_contention_memo", "contention-memo", cluster.MemoCounts)
 	registerCacheCounts(reg, "sim_healthy_cache", "trace healthy-baseline", tracesim.HealthyCacheCounts)
 	registerCacheCounts(reg, "sim_bisection_cache", "cuboid bisection", iso.BisectionCacheCounts)
 	return m

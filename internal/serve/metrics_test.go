@@ -79,8 +79,6 @@ func TestMetricsExposition(t *testing.T) {
 		`netpart_http_requests_total{endpoint="/v1/healthz",method="GET",code="200"} 1`,
 		"# TYPE netpart_http_request_duration_seconds histogram",
 		`netpart_http_request_duration_seconds_bucket{endpoint="/v1/healthz",le="+Inf"} 1`,
-		"# TYPE netpart_sim_contention_memo_hits_total counter",
-		"# TYPE netpart_sim_contention_memo_evictions_total counter",
 		"# TYPE netpart_sched_plan_cache_hits_total counter",
 		"# TYPE netpart_sim_healthy_cache_hits_total counter",
 		"# TYPE netpart_sim_bisection_cache_hits_total counter",
