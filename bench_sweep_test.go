@@ -27,7 +27,7 @@ func benchGrid() SweepGrid {
 		Axes: []SweepAxis{
 			{Path: "topology.shape", Values: sweep.Strings("4x4", "8x4", "8x8", "16x8", "8x8x2", "16x4", "4x4x4", "8x4x2")},
 			{Path: "workload.pattern", Values: sweep.Strings("pairing", "permutation", "neighbor", "longest-dim")},
-			{Path: "workload.seed", Values: sweep.Ints(1, 2), Zip: ""},
+			{Path: "workload.seed", Values: sweep.Values(1, 2), Zip: ""},
 		},
 	}
 }

@@ -94,13 +94,13 @@ func registryIndex() {
 	fmt.Println("### Trace-driven scheduling simulations")
 	fmt.Println()
 	fmt.Println("`POST /v1/traces` (in-process: `Runner.RunTrace` / `Runner.RunTraceGrid`)")
-	fmt.Println("replays a multi-job trace — inline JSON, a seeded synthetic generator")
-	fmt.Println("(Poisson / heavy-tail / burst arrivals × size and runtime")
-	fmt.Println("distributions), or an SWF file parsed with `tracesim.ParseSWF` —")
-	fmt.Println("through the `internal/sched` queue under first-fit, best-bisection or")
-	fmt.Println("contention-aware placement, with per-job contention scored at")
-	fmt.Println("placement time via the route/netsim machinery. Every trace Result")
-	fmt.Println("carries this metrics schema (see `tracesim.Metrics`):")
+	fmt.Println("replays a multi-job trace — an inline JSON job list or a seeded")
+	fmt.Println("synthetic generator (Poisson / heavy-tail / burst arrivals × size and")
+	fmt.Println("runtime distributions) — through the `internal/sched` queue under")
+	fmt.Println("first-fit, best-bisection or contention-aware placement. A patterned")
+	fmt.Println("job's contention is scored at placement time in closed form: the")
+	fmt.Println("busiest DOR link class's load on its placed geometry over the link")
+	fmt.Println("rate. Every trace Result carries this metrics schema (see `tracesim.Metrics`):")
 	fmt.Println()
 	fmt.Println("| metric | meaning |")
 	fmt.Println("|---|---|")

@@ -65,11 +65,11 @@ func main() {
 			sim.StartFlow(r.Route(d.Src, d.Dst, nil), d.Bytes, 0)
 		}
 		elapsed := sim.RunUntilIdle()
-		gap := "-"
-		if lb.Seconds > 0 {
-			gap = fmt.Sprintf("%.2fx", elapsed/lb.Seconds)
+		gap, err := contbound.RoutingGap(r, pat.demands, 2e9)
+		if err != nil {
+			log.Fatal(err)
 		}
-		t.AddRow(pat.name, lb.Seconds, elapsed, gap, lb.Witness)
+		t.AddRow(pat.name, lb.Seconds, elapsed, fmt.Sprintf("%.2fx", gap), lb.Witness)
 	}
 	fmt.Print(t.Render())
 

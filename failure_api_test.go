@@ -24,7 +24,7 @@ func failureSweepGrid() netpart.SweepGrid {
 		},
 		Axes: []netpart.SweepAxis{
 			{Path: "topology.policy", Values: sweep.Strings("first-fit", "best-bisection", "contention-aware")},
-			{Path: "failures.fraction", Values: sweep.Floats(0, 0.05, 0.10)},
+			{Path: "failures.fraction", Values: sweep.Values(0, 0.05, 0.10)},
 		},
 	}
 }
@@ -131,7 +131,7 @@ func TestDisconnectingPointIsIsolated(t *testing.T) {
 			// 0.01 of 32 links rounds to zero removed — still healthy.
 			// Fraction 1 removes every link: DOR's fixed paths cannot
 			// reroute, so that one point must fail typed.
-			{Path: "failures.fraction", Values: sweep.Floats(0, 0.01, 1)},
+			{Path: "failures.fraction", Values: sweep.Values(0, 0.01, 1)},
 		},
 	}
 	res, err := netpart.NewRunner(netpart.WithWorkers(2)).RunSweep(context.Background(), grid, nil)

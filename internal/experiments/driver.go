@@ -36,17 +36,11 @@ type Config struct {
 	// multiplexed progress consumer without it; the root Runner mints
 	// a unique token per Run call.
 	RunToken string
-
-	// Machines resolves a machine name ("mira", "juqueen", "sequoia",
-	// "juqueen48", "juqueen54") to its model. Nil means the built-in
-	// bgq catalog. Tests substitute corrupted or hypothetical
-	// catalogs here; generators surface resolution errors instead of
-	// emitting zero rows.
-	Machines func(name string) (*bgq.Machine, error)
 }
 
-// DefaultMachines resolves machine names from the built-in bgq
-// catalog; it is the resolver a Config with a nil Machines field uses.
+// DefaultMachines resolves a machine name ("mira", "juqueen",
+// "sequoia", "juqueen48", "juqueen54") to its model in the built-in
+// bgq catalog.
 func DefaultMachines(name string) (*bgq.Machine, error) {
 	switch name {
 	case "mira":
@@ -64,20 +58,9 @@ func DefaultMachines(name string) (*bgq.Machine, error) {
 	}
 }
 
-// machine resolves one machine through the config's resolver.
+// machine resolves one machine from the built-in catalog.
 func (c Config) machine(name string) (*bgq.Machine, error) {
-	resolve := c.Machines
-	if resolve == nil {
-		resolve = DefaultMachines
-	}
-	m, err := resolve(name)
-	if err != nil {
-		return nil, err
-	}
-	if m == nil {
-		return nil, fmt.Errorf("experiments: machine catalog returned no %q", name)
-	}
-	return m, nil
+	return DefaultMachines(name)
 }
 
 // ResolvedWorkers returns the pool size a run with this config uses:

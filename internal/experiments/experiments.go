@@ -92,9 +92,8 @@ func (c Config) Table2(ctx context.Context) (tabulate.Table, error) {
 }
 
 // extremes returns the worst and best geometries of a feasible size,
-// as an error rather than a zero partition when the size is infeasible
-// (a corrupted catalog, or a caller-supplied machine too small for the
-// experiment's hardcoded sizes).
+// and an error rather than a zero partition when no cuboid of that
+// size fits the machine.
 func extremes(m *bgq.Machine, size int) (worst, best bgq.Partition, err error) {
 	worst, ok := m.Worst(size)
 	if !ok {

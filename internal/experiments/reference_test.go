@@ -16,9 +16,8 @@ import (
 // simulatePairing is the flow-level reference for pairingTime: it runs
 // the §4.1 bisection-pairing benchmark on a partition through netsim.
 // It simulates one round and scales it to cfg.Rounds, or, with
-// fullRounds, simulates every round back to back. The simulator is
-// sized once for a round's flows and routes (their DOR hop counts), and
-// later rounds reuse the drained slots.
+// fullRounds, simulates every round back to back. Later rounds reuse
+// the drained slots.
 func simulatePairing(cfg model.PairingConfig, fullRounds bool) (float64, error) {
 	tor, err := torus.New(cfg.Partition.NodeShape()...)
 	if err != nil {
@@ -33,12 +32,7 @@ func simulatePairing(cfg model.PairingConfig, fullRounds bool) (float64, error) 
 	if fullRounds {
 		simRounds = cfg.Rounds
 	}
-	hops := 0
-	for _, d := range demands {
-		hops += r.HopCount(d.Src, d.Dst)
-	}
 	sim := netsim.New(r.NumLinks(), model.LinkBytesPerSec)
-	sim.Grow(len(demands), hops)
 	total := 0.0
 	buf := make([]int, 0, 64)
 	for round := 0; round < simRounds; round++ {

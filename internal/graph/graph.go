@@ -53,23 +53,6 @@ func (g *Graph) AddEdge(u, v int, w float64) {
 	g.adj[v][u] += w
 }
 
-// HasEdge reports whether {u,v} is an edge.
-func (g *Graph) HasEdge(u, v int) bool {
-	if u < 0 || u >= g.n || v < 0 || v >= g.n {
-		return false
-	}
-	_, ok := g.adj[u][v]
-	return ok
-}
-
-// EdgeWeight returns the weight of edge {u,v}, or 0 if absent.
-func (g *Graph) EdgeWeight(u, v int) float64 {
-	if u < 0 || u >= g.n || v < 0 || v >= g.n {
-		return 0
-	}
-	return g.adj[u][v]
-}
-
 // Degree returns the weighted degree of vertex u.
 func (g *Graph) Degree(u int) float64 {
 	d := 0.0
@@ -86,17 +69,6 @@ func (g *Graph) NumEdges() int {
 		c += len(g.adj[u])
 	}
 	return c / 2
-}
-
-// TotalWeight returns the sum of edge weights.
-func (g *Graph) TotalWeight() float64 {
-	w := 0.0
-	for u := range g.adj {
-		for _, ew := range g.adj[u] {
-			w += ew
-		}
-	}
-	return w / 2
 }
 
 // Neighbors calls fn for every neighbour of u, in ascending vertex

@@ -5,6 +5,36 @@ import (
 	"testing"
 )
 
+// Inspection helpers for the tests below.
+
+// HasEdge reports whether {u,v} is an edge.
+func (g *Graph) HasEdge(u, v int) bool {
+	if u < 0 || u >= g.n || v < 0 || v >= g.n {
+		return false
+	}
+	_, ok := g.adj[u][v]
+	return ok
+}
+
+// EdgeWeight returns the weight of edge {u,v}, or 0 if absent.
+func (g *Graph) EdgeWeight(u, v int) float64 {
+	if u < 0 || u >= g.n || v < 0 || v >= g.n {
+		return 0
+	}
+	return g.adj[u][v]
+}
+
+// TotalWeight returns the sum of edge weights.
+func (g *Graph) TotalWeight() float64 {
+	w := 0.0
+	for u := range g.adj {
+		for _, ew := range g.adj[u] {
+			w += ew
+		}
+	}
+	return w / 2
+}
+
 func cycle(n int) *Graph {
 	g := New(n)
 	for i := 0; i < n; i++ {

@@ -18,24 +18,6 @@ import (
 	"netpart/internal/torus"
 )
 
-// BollobasLeader evaluates the right-hand side of Theorem 2.1 — the
-// edge-isoperimetric lower bound for a cubic D-dimensional torus
-// [n]^D and subset size t <= n^D / 2:
-//
-//	|E(S, S̄)| >= min_{r in 0..D-1} 2 (D-r) n^{r/(D-r)} t^{(D-r-1)/(D-r)}
-//
-// It returns the bound value and the minimizing r. The bound is tight
-// whenever (t / n^r)^{1/(D-r)} is an integer (see AttainingCuboid).
-// Dimension lengths are assumed >= 3 (the simple-graph edge counting
-// the theorem is stated for); see TorusBound for the general handling.
-func BollobasLeader(n, D, t int) (float64, int) {
-	dims := make(torus.Shape, D)
-	for i := range dims {
-		dims[i] = n
-	}
-	return TorusBound(dims, t)
-}
-
 // TorusBound evaluates the right-hand side of Theorem 3.1 — the
 // paper's generalized edge-isoperimetric bound for an arbitrary torus
 // with dimensions a_1 >= a_2 >= ... >= a_D and subset size t <= |V|/2:

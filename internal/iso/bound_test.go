@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"netpart/internal/bgq"
 	"netpart/internal/iso"
 	"netpart/internal/topo"
 	"netpart/internal/torus"
@@ -221,6 +222,25 @@ func TestBisectionMatches2NLOnBGQShapes(t *testing.T) {
 		}
 		if exact.Perimeter != closed {
 			t.Errorf("%v: exact bisection %d (cuboid %v) != 2N/L %d", sh, exact.Perimeter, exact.Lens, closed)
+		}
+	}
+}
+
+// TestBisectionMatches2NL: the exact isoperimetric bisection equals the
+// 2N/L closed form of [12] for every geometry of every cataloged
+// machine.
+func TestBisectionMatches2NL(t *testing.T) {
+	for _, m := range []*bgq.Machine{bgq.Mira(), bgq.Juqueen(), bgq.Sequoia(), bgq.Juqueen54(), bgq.Juqueen48()} {
+		for _, size := range m.FeasibleSizes() {
+			for _, p := range m.Geometries(size) {
+				closed, err := iso.BisectionBandwidth2NL(p.NodeShape())
+				if err != nil {
+					t.Fatalf("%s %v: %v", m.Name, p, err)
+				}
+				if got := p.BisectionBW(); got != closed {
+					t.Errorf("%s %v: exact %d != 2N/L %d", m.Name, p, got, closed)
+				}
+			}
 		}
 	}
 }

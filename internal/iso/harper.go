@@ -39,20 +39,6 @@ func harperRec(D, t int) int {
 	return harperRec(D-1, m) + (half - m)
 }
 
-// HarperSet returns the isoperimetric subset of size t in Q_D realizing
-// HarperPerimeter: the initial segment {0, 1, ..., t-1} of the natural
-// binary order (vertices identified with their bitstrings).
-func HarperSet(D, t int) ([]int, error) {
-	if _, err := HarperPerimeter(D, t); err != nil {
-		return nil, err
-	}
-	s := make([]int, t)
-	for i := range s {
-		s[i] = i
-	}
-	return s, nil
-}
-
 // HypercubeBisection returns the bisection width of Q_D, which equals
 // 2^{D-1} (cut all edges in one dimension).
 func HypercubeBisection(D int) (int, error) {

@@ -15,10 +15,6 @@ import (
 // initial segment of the lexicographic order in which the coordinate of
 // the largest clique varies fastest, i.e. whole copies of the largest
 // cliques are filled first.
-//
-// Weights may be supplied for weighted HyperX variants via
-// WeightedCliqueProductPerimeter; this function is the unit-weight
-// case.
 func LindseyPerimeter(dims torus.Shape, t int) (int, error) {
 	if err := dims.Validate(); err != nil {
 		return 0, err
@@ -33,22 +29,6 @@ func LindseyPerimeter(dims torus.Shape, t int) (int, error) {
 	asc := dims.Clone()
 	sort.Ints(asc)
 	return cliqueSegmentPerimeter(asc, t), nil
-}
-
-// CliqueSegmentPerimeter returns the exact perimeter of the initial
-// segment of size t of the lexicographic order on
-// K_{dims[0]} x ... x K_{dims[D-1]} with the *last* coordinate varying
-// fastest. Unlike LindseyPerimeter it does not reorder dimensions, so
-// it can evaluate non-optimal orders (used by tests to confirm the
-// descending-size rule is the right one).
-func CliqueSegmentPerimeter(dims torus.Shape, t int) (int, error) {
-	if err := dims.Validate(); err != nil {
-		return 0, err
-	}
-	if t < 0 || t > dims.Volume() {
-		return 0, fmt.Errorf("iso: subset size %d out of range [0, %d]", t, dims.Volume())
-	}
-	return cliqueSegmentPerimeter(dims, t), nil
 }
 
 // cliqueSegmentPerimeter computes the perimeter of a lex initial

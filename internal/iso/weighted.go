@@ -99,41 +99,3 @@ func MinWeightedCuboidPerimeter(dims torus.Shape, w Weights, t int) (torus.Shape
 	}
 	return bestLens, best, nil
 }
-
-// WeightedCliqueProductPerimeter returns the weighted perimeter of the
-// initial lexicographic segment of size t in the clique product
-// K_{dims[0]} x ... (last coordinate fastest), where dimension-i clique
-// edges carry weight w[i]. Pair it with an enumeration over dimension
-// orders to solve weighted HyperX/Dragonfly-group instances, for which
-// no closed-form ordering rule is known in general.
-func WeightedCliqueProductPerimeter(dims torus.Shape, w Weights, t int) (float64, error) {
-	if err := dims.Validate(); err != nil {
-		return 0, err
-	}
-	if err := w.validate(len(dims)); err != nil {
-		return 0, err
-	}
-	if t < 0 || t > dims.Volume() {
-		return 0, fmt.Errorf("iso: subset size %d out of range [0, %d]", t, dims.Volume())
-	}
-	return weightedCliqueSegment(dims, w, t), nil
-}
-
-func weightedCliqueSegment(dims torus.Shape, w Weights, t int) float64 {
-	if t == 0 || t == dims.Volume() {
-		return 0
-	}
-	a := dims[0]
-	if len(dims) == 1 {
-		return w[0] * float64(t*(a-t))
-	}
-	rest := dims[1:]
-	M := rest.Volume()
-	q := t / M
-	m := t % M
-	cut := w[0] * float64(m*(q+1)*(a-q-1)+(M-m)*q*(a-q))
-	if m > 0 {
-		cut += weightedCliqueSegment(rest, w[1:], m)
-	}
-	return cut
-}

@@ -107,13 +107,6 @@ func (c *Cache[K, V]) Put(key K, val V) {
 	c.pushFront(e)
 }
 
-// Len returns the current entry count.
-func (c *Cache[K, V]) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.items)
-}
-
 // Counts returns cumulative hits, misses and evictions.
 func (c *Cache[K, V]) Counts() (hits, misses, evictions uint64) {
 	c.mu.Lock()

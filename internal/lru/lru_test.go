@@ -31,8 +31,8 @@ func TestBasicGetPut(t *testing.T) {
 	if hits != 3 || misses != 2 || evictions != 1 {
 		t.Fatalf("counts = %d/%d/%d", hits, misses, evictions)
 	}
-	if c.Len() != 2 {
-		t.Fatalf("len = %d", c.Len())
+	if n := len(c.items); n != 2 {
+		t.Fatalf("len = %d", n)
 	}
 }
 
@@ -58,8 +58,8 @@ func TestCapacityOne(t *testing.T) {
 			t.Fatalf("just-inserted %d = %v, %v", i, v, ok)
 		}
 	}
-	if c.Len() != 1 {
-		t.Fatalf("len = %d", c.Len())
+	if n := len(c.items); n != 1 {
+		t.Fatalf("len = %d", n)
 	}
 }
 
@@ -87,8 +87,8 @@ func TestConcurrentAccess(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if c.Len() > 16 {
-		t.Fatalf("len %d exceeds capacity", c.Len())
+	if n := len(c.items); n > 16 {
+		t.Fatalf("len %d exceeds capacity", n)
 	}
 	hits, misses, _ := c.Counts()
 	if hits+misses != 8*500 {

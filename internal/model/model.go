@@ -18,7 +18,6 @@ package model
 
 import (
 	"fmt"
-	"math"
 
 	"netpart/internal/bgq"
 	"netpart/internal/strassen"
@@ -112,11 +111,6 @@ type Prediction struct {
 	LocalSec     float64
 }
 
-// TotalSec returns compute plus communication (no overlap assumed;
-// the paper reports the two components separately and excludes
-// overlappable costs, as do we).
-func (p Prediction) TotalSec() float64 { return p.ComputeSec + p.CommSec }
-
 // PredictMatmul estimates computation and communication times for a
 // CAPS execution in the given partition:
 //
@@ -143,7 +137,7 @@ func PredictMatmul(cfg MatmulConfig) (Prediction, error) {
 		LocalSec:     (1 - BisectFraction) * volume / (LocalBytesPerNodePerSec * nodes),
 	}
 	comm := p.BisectionSec + p.LocalSec + float64(cfg.BFSSteps)*StepOverheadSec
-	if strassen.WorkingSetBytes(cfg.N, cfg.BFSSteps) > nodes*L2BytesPerNode {
+	if strassen.WorkingSetBytes(cfg.N, cfg.BFSSteps) > CombinedL2Bytes(cfg.Partition) {
 		p.MemoryBound = true
 		comm *= MemPenalty
 	}
@@ -217,14 +211,4 @@ func SpeedupBound(worse, better bgq.Partition) (float64, error) {
 		return 0, fmt.Errorf("model: partitions %v and %v differ in size", worse, better)
 	}
 	return float64(better.BisectionBW()) / float64(worse.BisectionBW()), nil
-}
-
-// EffectiveGflops converts a prediction into an aggregate Gflop/s
-// figure for reporting.
-func EffectiveGflops(cfg MatmulConfig, p Prediction) float64 {
-	total := strassen.ClassicalFlopCount(cfg.N)
-	if p.TotalSec() <= 0 {
-		return math.Inf(1)
-	}
-	return total / p.TotalSec() / 1e9
 }

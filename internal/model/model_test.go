@@ -260,17 +260,3 @@ func TestCombinedL2(t *testing.T) {
 		}
 	}
 }
-
-func TestEffectiveGflops(t *testing.T) {
-	mira := bgq.Mira()
-	p, _ := mira.Predefined(4)
-	cfg := table3Config(4, p)
-	pred, err := PredictMatmul(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := EffectiveGflops(cfg, pred)
-	if g <= 0 || math.IsInf(g, 1) {
-		t.Errorf("gflops = %v", g)
-	}
-}

@@ -46,11 +46,7 @@
 //     simulator drains. Public FlowIDs are dense and monotonically
 //     increasing; each slot records its flow's ID, and Advance reports
 //     completions by ID. A recycled slot keeps its route's backing
-//     array. Grow sizes the arena, the completion buffer and the CSR
-//     index for a known batch of starts, and reserves one route block:
-//     each slot that needs a longer route takes the next
-//     capacity-limited region of it, never handed out twice, so a
-//     batch of N starts costs a few allocations rather than N.
+//     array.
 //   - The link→flows index is a CSR layout (flat offset/count arrays
 //     into one shared slot slice), rebuilt in a single O(total route
 //     length) pass per rate epoch that searches for a bottleneck — an
@@ -120,8 +116,7 @@ type FlowID int
 
 // flow is one arena slot. The links slice's backing array is retained
 // and reused when the slot is recycled, so steady-state flow injection
-// does not allocate; a slot whose route outgrows it takes a region of
-// the block Grow reserved, or a new array when none is left.
+// does not allocate; a slot whose route outgrows it takes a new array.
 type flow struct {
 	id        FlowID
 	links     []int32 // route (directed link IDs); immutable while live
@@ -156,12 +151,6 @@ type Sim struct {
 	// Live flows with a non-empty route, and their total route length.
 	routed   int
 	routeLen int
-
-	// The unclaimed rest of the route block Grow reserved. StartFlow
-	// cuts a slot's route from its front as a capacity-limited region,
-	// so no region is handed out twice and a recycled slot keeps its
-	// own.
-	routeBlock []int32
 
 	nextID FlowID // the ID StartFlow assigns next; IDs are never reused
 
@@ -237,26 +226,6 @@ func newSim(caps []float64) *Sim {
 // Now returns the current simulation time in seconds.
 func (s *Sim) Now() float64 { return s.now }
 
-// Grow sizes the simulator for flows more flows whose routes hold
-// links link IDs in all, in the manner of bytes.Buffer.Grow: it sizes
-// the flow arena, the completion buffer and the CSR index, and
-// reserves one block of links route entries that StartFlow hands out
-// as the new flows' routes. A caller that knows a batch of starts
-// calls it once, before the batch, so each array is allocated once
-// rather than grown step by step and the routes share one allocation
-// rather than one each. Grow panics if either count is negative.
-func (s *Sim) Grow(flows, links int) {
-	if flows < 0 || links < 0 {
-		panic(fmt.Sprintf("netsim: invalid Grow(%d, %d)", flows, links))
-	}
-	s.flows = slices.Grow(s.flows, flows)
-	s.completedBuf = slices.Grow(s.completedBuf[:0], s.numLive+flows)
-	s.csr = slices.Grow(s.csr[:0], s.routeLen+links)
-	if len(s.routeBlock) < links {
-		s.routeBlock = make([]int32, links)
-	}
-}
-
 // allocSlot returns a free arena slot, preferring recycled slots (and
 // their retained links backing arrays) over arena growth.
 func (s *Sim) allocSlot() int32 {
@@ -300,13 +269,9 @@ func (s *Sim) StartFlow(links []int, bytes, latency float64) FlowID {
 	sl := s.allocSlot()
 	f := &s.flows[sl]
 	f.id = s.nextID
-	switch n := len(links); {
-	case cap(f.links) >= n:
+	if n := len(links); cap(f.links) >= n {
 		f.links = f.links[:n]
-	case len(s.routeBlock) >= n:
-		f.links = s.routeBlock[:n:n]
-		s.routeBlock = s.routeBlock[n:]
-	default:
+	} else {
 		f.links = make([]int32, n)
 	}
 	for i, l := range links {

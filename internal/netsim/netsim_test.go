@@ -258,7 +258,6 @@ func TestPanicsOnBadInput(t *testing.T) {
 		"bad link":     func() { s.StartFlow([]int{5}, 1, 0) },
 		"dup link":     func() { s.StartFlow([]int{0, 0}, 1, 0) },
 		"neg advance":  func() { s.Advance(-1) },
-		"neg grow":     func() { s.Grow(0, -1) },
 		"neg capacity": func() { New(1, -5) },
 		"neg links":    func() { New(-1, 5) },
 	} {

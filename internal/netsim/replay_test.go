@@ -185,67 +185,3 @@ func TestPureReplaySkipsLinkIndex(t *testing.T) {
 	}
 	t.Logf("%d pure-replay epochs checked", checked)
 }
-
-// TestGrowMatchesUngrown drives two simulators in lockstep over rounds
-// of starts: one calls Grow before every round, its twin never does.
-// Route lengths change from round to round, so some recycled slots
-// reuse their route region and others outgrow it, and some rounds
-// start while flows of the last are still live. A region handed out
-// twice would give two live flows one route. Times, completion
-// batches and every live rate must agree bit for bit.
-func TestGrowMatchesUngrown(t *testing.T) {
-	rng := rand.New(rand.NewSource(24))
-	for trial := 0; trial < 100; trial++ {
-		nLinks := 4 + rng.Intn(28)
-		caps := make([]float64, nLinks)
-		for i := range caps {
-			caps[i] = 1e5 + 1e6*rng.Float64()
-		}
-		grown, plain := NewWithCapacities(caps), NewWithCapacities(caps)
-		var ids []FlowID
-		for round := 0; round < 6; round++ {
-			n := 1 + rng.Intn(24)
-			routes := make([][]int, n)
-			hops := 0
-			for i := range routes {
-				routes[i] = rng.Perm(nLinks)[:rng.Intn(nLinks+1)]
-				hops += len(routes[i])
-			}
-			grown.Grow(n, hops)
-			for _, r := range routes {
-				size := float64(1+rng.Intn(4)) * 1e6
-				id := grown.StartFlow(r, size, 0)
-				if plain.StartFlow(r, size, 0) != id {
-					t.Fatalf("trial %d round %d: flow ids diverged", trial, round)
-				}
-				ids = append(ids, id)
-			}
-			// Most rounds run to idle; the rest stop after a few steps.
-			steps := math.MaxInt
-			if rng.Intn(3) == 0 {
-				steps = rng.Intn(n)
-			}
-			for step := 0; step < steps; step++ {
-				for _, id := range ids {
-					ra, okA := grown.FlowRate(id)
-					rb, okB := plain.FlowRate(id)
-					if okA != okB || math.Float64bits(ra) != math.Float64bits(rb) {
-						t.Fatalf("trial %d round %d: flow %d rate %v (%v), without Grow %v (%v)",
-							trial, round, id, ra, okA, rb, okB)
-					}
-				}
-				doneA, okA := grown.Step()
-				doneA = slices.Clone(doneA)
-				doneB, okB := plain.Step()
-				if okA != okB || math.Float64bits(grown.Now()) != math.Float64bits(plain.Now()) || !slices.Equal(doneA, doneB) {
-					t.Fatalf("trial %d round %d: completed %v at %v (%v), without Grow %v at %v (%v)",
-						trial, round, doneA, grown.Now(), okA, doneB, plain.Now(), okB)
-				}
-				if !okA {
-					break
-				}
-				ids = slices.DeleteFunc(ids, func(id FlowID) bool { return slices.Contains(doneA, id) })
-			}
-		}
-	}
-}

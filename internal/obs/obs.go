@@ -176,9 +176,6 @@ type Gauge struct {
 	bits atomic.Uint64
 }
 
-// Set replaces the value.
-func (g *Gauge) Set(v float64) { g.bits.Store(floatBits(v)) }
-
 // Add adds d (negative to subtract).
 func (g *Gauge) Add(d float64) {
 	for {
@@ -191,12 +188,6 @@ func (g *Gauge) Add(d float64) {
 
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return bitsFloat(g.bits.Load()) }
-
-// Gauge returns the single unlabeled gauge with this name.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	f := r.family(name, help, typeGauge, nil, nil)
-	return f.get(nil, func() any { return &Gauge{} }).(*Gauge)
-}
 
 // GaugeVec is a gauge family with labels.
 type GaugeVec struct{ f *family }
@@ -278,16 +269,6 @@ func newHistogram(bounds []float64) *Histogram {
 		}
 	}
 	return &Histogram{bounds: bounds, counts: make([]atomic.Int64, len(bounds)+1)}
-}
-
-// Histogram returns the single unlabeled histogram with this name.
-// Buckets are fixed at family creation (LatencyBuckets when nil).
-func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	if buckets == nil {
-		buckets = LatencyBuckets
-	}
-	f := r.family(name, help, typeHistogram, nil, buckets)
-	return f.get(nil, func() any { return newHistogram(f.buckets) }).(*Histogram)
 }
 
 // HistogramVec is a histogram family with labels.

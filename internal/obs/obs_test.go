@@ -20,8 +20,8 @@ func TestExpositionGolden(t *testing.T) {
 	reqs.With("/v1/b", "500").Add(2)
 	reqs.With("/v1/a", "200").Add(7)
 	reqs.With("/v1/a", "404").Inc()
-	r.Gauge("test_inflight", "In-flight requests.").Set(3)
-	h := r.Histogram("test_latency_seconds", "Latency.", []float64{0.1, 1, 10})
+	r.GaugeVec("test_inflight", "In-flight requests.").With().Add(3)
+	h := r.HistogramVec("test_latency_seconds", "Latency.", []float64{0.1, 1, 10}).With()
 	h.Observe(0.05)
 	h.Observe(0.5)
 	h.Observe(0.5)
@@ -73,8 +73,8 @@ func TestConcurrentUpdatesDuringScrape(t *testing.T) {
 	r := New()
 	c := r.Counter("hot_counter_total", "c")
 	cv := r.CounterVec("hot_labeled_total", "c", "worker")
-	g := r.Gauge("hot_gauge", "g")
-	h := r.Histogram("hot_hist_seconds", "h", nil)
+	g := r.GaugeVec("hot_gauge", "g").With()
+	h := r.HistogramVec("hot_hist_seconds", "h", nil).With()
 	hv := r.HistogramVec("hot_hist_labeled_seconds", "h", []float64{0.01, 0.1, 1}, "class")
 
 	const workers, perWorker = 8, 2000
@@ -143,13 +143,13 @@ func TestGetOrCreate(t *testing.T) {
 			t.Error("redefinition with different type did not panic")
 		}
 	}()
-	r.Gauge("once_total", "help")
+	r.GaugeVec("once_total", "help")
 }
 
 // TestHistogramSum checks the CAS float accumulation.
 func TestHistogramSum(t *testing.T) {
 	r := New()
-	h := r.Histogram("sum_seconds", "h", []float64{1})
+	h := r.HistogramVec("sum_seconds", "h", []float64{1}).With()
 	h.Observe(0.25)
 	h.Observe(0.5)
 	if got := h.Sum(); math.Abs(got-0.75) > 1e-12 {
@@ -161,7 +161,7 @@ func TestHistogramSum(t *testing.T) {
 func TestSnapshotJSONShape(t *testing.T) {
 	r := New()
 	r.CounterVec("snap_total", "c", "k").With("v").Add(5)
-	h := r.Histogram("snap_seconds", "h", nil)
+	h := r.HistogramVec("snap_seconds", "h", nil).With()
 	h.Observe(2)
 	snap := r.Snapshot()
 	if len(snap) != 2 {

@@ -54,6 +54,29 @@ func FuzzRoute(f *testing.F) {
 	})
 }
 
+// HopCount returns the number of hops on the DOR path (equals the
+// torus graph distance, since DOR takes the shorter way per ring).
+func (r *Router) HopCount(src, dst int) int {
+	h := 0
+	for d := 0; d < r.rank; d++ {
+		a := r.dims[d]
+		if a == 1 {
+			continue
+		}
+		sc := src / r.strides[d] % a
+		dc := dst / r.strides[d] % a
+		delta := dc - sc
+		if delta < 0 {
+			delta += a
+		}
+		if delta > a-delta {
+			delta = a - delta
+		}
+		h += delta
+	}
+	return h
+}
+
 // referenceRoute is the per-hop div/mod DOR walker Route replaced: it
 // recomputes the current node's ring coordinate with a division and a
 // modulus on every hop.

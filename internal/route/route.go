@@ -192,29 +192,6 @@ func (r *Router) Route(src, dst int, buf []int) []int {
 	return buf
 }
 
-// HopCount returns the number of hops on the DOR path (equals the
-// torus graph distance, since DOR takes the shorter way per ring).
-func (r *Router) HopCount(src, dst int) int {
-	h := 0
-	for d := 0; d < r.rank; d++ {
-		a := r.dims[d]
-		if a == 1 {
-			continue
-		}
-		sc := src / r.strides[d] % a
-		dc := dst / r.strides[d] % a
-		delta := dc - sc
-		if delta < 0 {
-			delta += a
-		}
-		if delta > a-delta {
-			delta = a - delta
-		}
-		h += delta
-	}
-	return h
-}
-
 // FurthestNode returns the node at maximal DOR hop distance from src:
 // offset by half of every ring (rounded down), the pairing scheme of
 // the bisection-pairing benchmark [12].

@@ -437,7 +437,7 @@ func (s Spec) Normalize() (Spec, error) {
 				return Spec{}, fmt.Errorf("scenario: failed midplanes are removed whole; capacity factors only apply to link models")
 			}
 			if f.Model == faults.ModelMidplanes {
-				m, err := resolveMachine(t.Machine)
+				m, err := ResolveMachine(t.Machine)
 				if err != nil {
 					return Spec{}, err
 				}

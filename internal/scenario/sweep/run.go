@@ -145,16 +145,6 @@ func RunEach[S PointSpec[S], O, P any](ctx context.Context, f Family[S], name st
 	return res, nil
 }
 
-// Run expands the grid and executes it. Equivalent to Expand followed
-// by RunPoints.
-func Run(ctx context.Context, g Grid, opts Options) (*Result, error) {
-	points, err := g.Expand()
-	if err != nil {
-		return nil, err
-	}
-	return RunPoints(ctx, g, points, opts)
-}
-
 // RunPoints executes pre-expanded sweep points (see RunEach).
 func RunPoints(ctx context.Context, g Grid, points []Point, opts Options) (*Result, error) {
 	res, err := RunEach(ctx, family, g.Name, g.Axes, points, opts, scenario.Run,

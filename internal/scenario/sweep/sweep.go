@@ -56,9 +56,9 @@ type Axis struct {
 	Zip    string            `json:"zip,omitempty"`
 }
 
-// Strings builds axis values from strings (convenience for Go-side
+// Values builds axis values from Go values (convenience for Go-side
 // grid construction).
-func Strings(vals ...string) []json.RawMessage {
+func Values[T any](vals ...T) []json.RawMessage {
 	out := make([]json.RawMessage, len(vals))
 	for i, v := range vals {
 		b, _ := json.Marshal(v)
@@ -67,25 +67,8 @@ func Strings(vals ...string) []json.RawMessage {
 	return out
 }
 
-// Ints builds axis values from ints.
-func Ints(vals ...int) []json.RawMessage {
-	out := make([]json.RawMessage, len(vals))
-	for i, v := range vals {
-		b, _ := json.Marshal(v)
-		out[i] = b
-	}
-	return out
-}
-
-// Floats builds axis values from floats.
-func Floats(vals ...float64) []json.RawMessage {
-	out := make([]json.RawMessage, len(vals))
-	for i, v := range vals {
-		b, _ := json.Marshal(v)
-		out[i] = b
-	}
-	return out
-}
+// Strings builds axis values from strings.
+func Strings(vals ...string) []json.RawMessage { return Values(vals...) }
 
 // Grid is a declarative sweep: a base scenario plus swept axes.
 type Grid struct {

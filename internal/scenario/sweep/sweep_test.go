@@ -58,7 +58,7 @@ func TestExpandZip(t *testing.T) {
 		Base: torusBase(scenario.PatternPermutation),
 		Axes: []Axis{
 			{Path: "topology.shape", Values: Strings("4x4", "8x8"), Zip: "size"},
-			{Path: "workload.seed", Values: Ints(1, 2), Zip: "size"},
+			{Path: "workload.seed", Values: Values(1, 2), Zip: "size"},
 			{Path: "workload.pattern", Values: Strings("permutation", "pairing")},
 		},
 	}
@@ -79,7 +79,7 @@ func TestExpandZip(t *testing.T) {
 		t.Errorf("point 2: %+v", pts[2].Spec)
 	}
 
-	g.Axes[1].Values = Ints(1, 2, 3)
+	g.Axes[1].Values = Values(1, 2, 3)
 	if _, err := g.Expand(); err == nil || !strings.Contains(err.Error(), "zip") {
 		t.Errorf("length-mismatched zip accepted: %v", err)
 	}
@@ -91,14 +91,14 @@ func TestExpandRejections(t *testing.T) {
 		grid Grid
 		want string
 	}{
-		{"empty path", Grid{Base: torusBase("pairing"), Axes: []Axis{{Path: " ", Values: Ints(1)}}}, "empty path"},
+		{"empty path", Grid{Base: torusBase("pairing"), Axes: []Axis{{Path: " ", Values: Values(1)}}}, "empty path"},
 		{"no values", Grid{Base: torusBase("pairing"), Axes: []Axis{{Path: "workload.seed"}}}, "no values"},
-		{"unknown field", Grid{Base: torusBase("pairing"), Axes: []Axis{{Path: "workload.burst", Values: Ints(1)}}}, "unknown field"},
+		{"unknown field", Grid{Base: torusBase("pairing"), Axes: []Axis{{Path: "workload.burst", Values: Values(1)}}}, "unknown field"},
 		{"type mismatch", Grid{Base: torusBase("pairing"), Axes: []Axis{{Path: "workload.bytes", Values: Strings("lots")}}}, "cannot unmarshal"},
 		{"invalid point", Grid{Base: torusBase("pairing"), Axes: []Axis{{Path: "topology.shape", Values: Strings("4x4", "0x4")}}}, "shape"},
-		{"path through scalar", Grid{Base: torusBase("pairing"), Axes: []Axis{{Path: "workload.pattern.fast", Values: Ints(1)}}}, "non-object"},
-		{"too many points", Grid{Base: torusBase("pairing"), MaxPoints: 3, Axes: []Axis{{Path: "workload.seed", Values: Ints(1, 2, 3, 4)}}}, "point bound"},
-		{"bad max", Grid{Base: torusBase("pairing"), MaxPoints: -1, Axes: []Axis{{Path: "workload.seed", Values: Ints(1)}}}, "max_points"},
+		{"path through scalar", Grid{Base: torusBase("pairing"), Axes: []Axis{{Path: "workload.pattern.fast", Values: Values(1)}}}, "non-object"},
+		{"too many points", Grid{Base: torusBase("pairing"), MaxPoints: 3, Axes: []Axis{{Path: "workload.seed", Values: Values(1, 2, 3, 4)}}}, "point bound"},
+		{"bad max", Grid{Base: torusBase("pairing"), MaxPoints: -1, Axes: []Axis{{Path: "workload.seed", Values: Values(1)}}}, "max_points"},
 	}
 	for _, tc := range cases {
 		_, err := tc.grid.Expand()
@@ -173,9 +173,9 @@ func TestCostDerivation(t *testing.T) {
 	}
 	many := Grid{
 		Base: torusBase(scenario.PatternPairing),
-		Axes: []Axis{{Path: "workload.seed", Values: Ints(1, 2)}, {Path: "workload.pattern", Values: Strings("permutation")}},
+		Axes: []Axis{{Path: "workload.seed", Values: Values(1, 2)}, {Path: "workload.pattern", Values: Strings("permutation")}},
 	}
-	many.Axes[0].Values = Ints(make([]int, 40)...)
+	many.Axes[0].Values = Values(make([]int, 40)...)
 	for i := range many.Axes[0].Values {
 		many.Axes[0].Values[i], _ = json.Marshal(i + 1)
 	}
@@ -216,7 +216,7 @@ func shapePatternPolicyPoints(t *testing.T) (Grid, []Point) {
 	// matching iters axis.
 	g.Base.Workload.Iters = 0
 	g.Axes[1].Zip = "pattern"
-	g.Axes = append(g.Axes, Axis{Path: "workload.iters", Values: Ints(0, 0, 0, 0, 64), Zip: "pattern"})
+	g.Axes = append(g.Axes, Axis{Path: "workload.iters", Values: Values(0, 0, 0, 0, 64), Zip: "pattern"})
 	pts, err := g.Expand()
 	if err != nil {
 		t.Fatal(err)
@@ -334,7 +334,11 @@ func TestSweepPartialFailureIsolation(t *testing.T) {
 			{Path: "topology.policy", Values: Strings("best-case", "predefined", "worst-case")},
 		},
 	}
-	res, err := Run(context.Background(), g, Options{Workers: 4})
+	points, err := g.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunPoints(context.Background(), g, points, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,11 +71,7 @@ func CanonicalMachine(name string) (string, error) {
 // ResolveMachine resolves a canonical machine reference to its model:
 // the catalog machine, or a hypothetical one built from an explicit
 // midplane grid shape.
-func ResolveMachine(name string) (*bgq.Machine, error) { return resolveMachine(name) }
-
-// resolveMachine returns the catalog machine or a hypothetical one
-// built from an explicit midplane grid shape.
-func resolveMachine(name string) (*bgq.Machine, error) {
+func ResolveMachine(name string) (*bgq.Machine, error) {
 	if catalogMachine(name) {
 		return experiments.DefaultMachines(name)
 	}
@@ -110,7 +106,7 @@ func (e *PartitionError) Unwrap() error { return e.err }
 // for the bgq geometry policies, which pick a geometry without a
 // location).
 func resolvePartition(t TopologySpec, blocked []int) (*bgq.Machine, bgq.Partition, error) {
-	m, err := resolveMachine(t.Machine)
+	m, err := ResolveMachine(t.Machine)
 	if err != nil {
 		return nil, bgq.Partition{}, err
 	}
@@ -218,7 +214,7 @@ func (s Spec) resolve() (*network, error) {
 	// Midplane-scoped failures block cells before placement.
 	var blockedCells []int
 	if f := s.Failures; f != nil && f.MidplaneScoped() {
-		m, err := resolveMachine(t.Machine)
+		m, err := ResolveMachine(t.Machine)
 		if err != nil {
 			return nil, err
 		}

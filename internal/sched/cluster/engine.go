@@ -417,12 +417,6 @@ func (e *Engine) Advance(ctx context.Context, to float64) error {
 	return e.st.Advance(ctx, to)
 }
 
-// Step executes the next pending scheduler action and reports whether
-// anything happened.
-func (e *Engine) Step(ctx context.Context) (bool, error) {
-	return e.st.Step(ctx)
-}
-
 // Drain runs every submitted job to completion — the batch semantics,
 // including the starvation error contract and any deferred contention
 // scorer error.
@@ -432,9 +426,6 @@ func (e *Engine) Drain(ctx context.Context) error {
 	}
 	return e.scoreErr
 }
-
-// Idle reports whether no queued or running work remains.
-func (e *Engine) Idle() bool { return e.st.Idle() }
 
 // Outcomes returns the finished jobs in engine-ID order (a copy).
 func (e *Engine) Outcomes() []JobOutcome {

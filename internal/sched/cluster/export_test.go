@@ -1,6 +1,9 @@
 package cluster
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // UseReference switches every engine built until t ends onto the
 // reference scorer: contention scores from fresh tori, routers and
@@ -13,3 +16,12 @@ func UseReference(t testing.TB) {
 	patternSec = referencePatternSec
 	t.Cleanup(func() { patternSec = fastSec })
 }
+
+// Step executes the next pending scheduler action and reports whether
+// anything happened.
+func (e *Engine) Step(ctx context.Context) (bool, error) {
+	return e.st.Step(ctx)
+}
+
+// Idle reports whether no queued or running work remains.
+func (e *Engine) Idle() bool { return e.st.Idle() }

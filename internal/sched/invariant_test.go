@@ -33,7 +33,7 @@ func TestOccupyReleaseInverse(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		g := NewGrid(bgq.Juqueen())
-		total := g.Machine().Midplanes()
+		total := g.machine.Midplanes()
 		type live struct {
 			id     int
 			pl     Placement
@@ -263,7 +263,7 @@ func TestDurationHookAndEvents(t *testing.T) {
 // with and without the contention-bound hint, the runtime is never
 // below BaseDurationSec.
 func TestDefaultDurationAtLeastBase(t *testing.T) {
-	for _, m := range bgq.Catalog() {
+	for _, m := range []*bgq.Machine{bgq.Mira(), bgq.Juqueen(), bgq.Sequoia(), bgq.Juqueen54(), bgq.Juqueen48()} {
 		st, err := NewStepper(m, FirstFit{}, Options{})
 		if err != nil {
 			t.Fatal(err)

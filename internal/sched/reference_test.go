@@ -2,6 +2,7 @@ package sched
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"netpart/internal/bgq"
@@ -24,7 +25,7 @@ func (g *Grid) candidates(midplanes int) []Placement {
 		for _, lens := range torus.Placements(g.dims, geo) {
 			g.forEachOrigin(func(origin torus.Coord) {
 				if g.fits(origin, lens) {
-					out = append(out, Placement{Origin: origin.Clone(), Lens: lens.Clone()})
+					out = append(out, Placement{Origin: slices.Clone(origin), Lens: lens.Clone()})
 				}
 			})
 		}

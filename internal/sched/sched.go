@@ -115,9 +115,6 @@ func (g *Grid) rowBit(c int) (int, uint64) {
 	return c/s0*s1 + c%s1, 1 << uint(c%s0/s1)
 }
 
-// Machine returns the underlying machine.
-func (g *Grid) Machine() *bgq.Machine { return g.machine }
-
 // FreeMidplanes returns the number of midplanes that are neither
 // occupied nor blocked by a failure.
 func (g *Grid) FreeMidplanes() int { return g.free }

@@ -104,7 +104,7 @@ func TestGridDeterministicAcrossWorkers(t *testing.T) {
 		},
 		Axes: []sweep.Axis{
 			{Path: "policy", Values: sweep.Strings(allPolicies...)},
-			{Path: "synthetic.rate_hz", Values: sweep.Floats(0.02, 0.1)},
+			{Path: "synthetic.rate_hz", Values: sweep.Values(0.02, 0.1)},
 		},
 	}
 	points, err := grid.Expand()

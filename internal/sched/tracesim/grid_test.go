@@ -23,7 +23,7 @@ func TestGridExpand(t *testing.T) {
 		Base: Spec{Machine: "juqueen", Synthetic: &Synthetic{Jobs: 5}},
 		Axes: []sweep.Axis{
 			{Path: "policy", Values: sweep.Strings("first-fit", "contention-aware")},
-			{Path: "synthetic.rate_hz", Values: sweep.Floats(0.01, 0.1)},
+			{Path: "synthetic.rate_hz", Values: sweep.Values(0.01, 0.1)},
 			{Path: "backfill", Values: boolValues(false, true)},
 		},
 	}
@@ -62,17 +62,17 @@ func TestGridExpand(t *testing.T) {
 func TestGridExpandRejections(t *testing.T) {
 	base := Spec{Machine: "juqueen", Synthetic: &Synthetic{Jobs: 5}}
 	cases := []Grid{
-		{Base: base, Axes: []sweep.Axis{{Path: "", Values: sweep.Ints(1)}}},
+		{Base: base, Axes: []sweep.Axis{{Path: "", Values: sweep.Values(1)}}},
 		{Base: base, Axes: []sweep.Axis{{Path: "policy", Values: nil}}},
 		{Base: base, Axes: []sweep.Axis{{Path: "policy", Values: sweep.Strings("no-such-policy")}}},
-		{Base: base, Axes: []sweep.Axis{{Path: "nonexistent_field", Values: sweep.Ints(1)}}},
-		{Base: base, Axes: []sweep.Axis{{Path: "synthetic.jobs", Values: sweep.Ints(0)}}},
-		{Base: base, MaxPoints: HardMaxGridPoints + 1, Axes: []sweep.Axis{{Path: "synthetic.seed", Values: sweep.Ints(1, 2)}}},
-		{Base: base, MaxPoints: 1, Axes: []sweep.Axis{{Path: "synthetic.seed", Values: sweep.Ints(1, 2)}}},
+		{Base: base, Axes: []sweep.Axis{{Path: "nonexistent_field", Values: sweep.Values(1)}}},
+		{Base: base, Axes: []sweep.Axis{{Path: "synthetic.jobs", Values: sweep.Values(0)}}},
+		{Base: base, MaxPoints: HardMaxGridPoints + 1, Axes: []sweep.Axis{{Path: "synthetic.seed", Values: sweep.Values(1, 2)}}},
+		{Base: base, MaxPoints: 1, Axes: []sweep.Axis{{Path: "synthetic.seed", Values: sweep.Values(1, 2)}}},
 		// 17 max-length points exceed the MaxGridJobs total bound.
 		{Base: Spec{Machine: "juqueen", Synthetic: &Synthetic{Jobs: MaxJobs}},
 			Axes: []sweep.Axis{{Path: "synthetic.seed",
-				Values: sweep.Ints(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17)}}},
+				Values: sweep.Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17)}}},
 	}
 	for i, g := range cases {
 		if _, err := g.Expand(); err == nil {
@@ -139,7 +139,7 @@ func TestGridCostNeverCheap(t *testing.T) {
 		t.Errorf("small grid cost = %q", c)
 	}
 	big := Grid{Base: Spec{Machine: "juqueen", Synthetic: &Synthetic{Jobs: 3}},
-		Axes: []sweep.Axis{{Path: "synthetic.seed", Values: sweep.Ints(1, 2, 3, 4, 5, 6, 7, 8, 9)}}}
+		Axes: []sweep.Axis{{Path: "synthetic.seed", Values: sweep.Values(1, 2, 3, 4, 5, 6, 7, 8, 9)}}}
 	bigPoints, err := big.Expand()
 	if err != nil {
 		t.Fatal(err)

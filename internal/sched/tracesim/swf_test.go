@@ -1,11 +1,145 @@
 package tracesim
 
 import (
+	"bufio"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
+
+// The SWF traces under testdata/ are test fixtures: ParseSWF reads
+// them into inline job lists for the golden, determinism and replay
+// tests.
+
+// SWFOptions tunes the Standard Workload Format mapping.
+type SWFOptions struct {
+	// ProcsPerMidplane scales SWF processor counts to midplanes
+	// (ceiling division). Zero means 1: the trace's processor counts
+	// are already midplane counts.
+	ProcsPerMidplane int
+	// MaxJobs truncates the parse after this many usable jobs (0 = no
+	// truncation; the MaxJobs package bound still applies to the
+	// resulting Spec).
+	MaxJobs int
+	// Pattern is the communication pattern imposed on every
+	// ContentionEvery-th *usable* job (SWF carries no communication
+	// information, so contention-boundness has to be declared here;
+	// skipped lines — cancelled or unrecorded jobs — do not advance
+	// the count, so the assignment is deterministic over the jobs that
+	// actually enter the trace). An empty Pattern with
+	// ContentionEvery > 0 still marks those jobs ContentionBound, so
+	// they stretch by the bisection-ratio model instead of a
+	// pattern-scored round time.
+	Pattern string
+	// ContentionEvery marks every n-th usable job (0 = none).
+	ContentionEvery int
+}
+
+// ParseSWF parses a Standard Workload Format trace — the archive
+// format of the Parallel Workloads Archive: `;` header/comment lines,
+// then one job per line with ≥ 9 whitespace-separated fields — into
+// inline trace entries ready to embed in a Spec.
+//
+// Field mapping (1-based SWF columns):
+//
+//	2  submit time     → ArrivalSec, shifted so the first job arrives at 0
+//	4  run time        → RuntimeSec (fallback: 9, requested time)
+//	5  allocated procs → Midplanes  (fallback: 8, requested procs),
+//	                     scaled by ProcsPerMidplane
+//
+// Jobs with no usable runtime or processor count (both the primary
+// and fallback fields missing, i.e. -1 in the archive convention) are
+// skipped, matching the archive's "cleaned trace" guidance; malformed
+// lines are errors.
+func ParseSWF(r io.Reader, opts SWFOptions) ([]JobSpec, error) {
+	perMid := opts.ProcsPerMidplane
+	if perMid <= 0 {
+		perMid = 1
+	}
+	if opts.Pattern != "" && !knownPattern(strings.ToLower(opts.Pattern)) {
+		return nil, fmt.Errorf("tracesim: swf: unknown pattern %q (want pairing, all-to-all or neighbor)", opts.Pattern)
+	}
+
+	var jobs []JobSpec
+	firstSubmit, haveFirst := 0.0, false
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	lineNo := 0
+	for sc.Scan() {
+		lineNo++
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, ";") {
+			continue
+		}
+		fields := strings.Fields(line)
+		if len(fields) < 9 {
+			return nil, fmt.Errorf("tracesim: swf line %d: %d fields, want >= 9", lineNo, len(fields))
+		}
+		num := func(i int) (float64, error) {
+			v, err := strconv.ParseFloat(fields[i-1], 64)
+			if err != nil {
+				return 0, fmt.Errorf("tracesim: swf line %d field %d: %w", lineNo, i, err)
+			}
+			return v, nil
+		}
+		submit, err := num(2)
+		if err != nil {
+			return nil, err
+		}
+		runSec, err := num(4)
+		if err != nil {
+			return nil, err
+		}
+		procs, err := num(5)
+		if err != nil {
+			return nil, err
+		}
+		if runSec <= 0 {
+			if runSec, err = num(9); err != nil {
+				return nil, err
+			}
+		}
+		if procs <= 0 {
+			if procs, err = num(8); err != nil {
+				return nil, err
+			}
+		}
+		if runSec <= 0 || procs <= 0 {
+			continue // cancelled or unrecorded job
+		}
+		if !haveFirst {
+			firstSubmit, haveFirst = submit, true
+		}
+		arrival := submit - firstSubmit
+		if arrival < 0 {
+			return nil, fmt.Errorf("tracesim: swf line %d: submit time %v precedes the trace start", lineNo, submit)
+		}
+		job := JobSpec{
+			Midplanes:  (int(procs) + perMid - 1) / perMid,
+			ArrivalSec: arrival,
+			RuntimeSec: runSec,
+		}
+		if opts.ContentionEvery > 0 && len(jobs)%opts.ContentionEvery == 0 {
+			job.Pattern = strings.ToLower(opts.Pattern)
+			job.ContentionBound = true
+		}
+		jobs = append(jobs, job)
+		if opts.MaxJobs > 0 && len(jobs) >= opts.MaxJobs {
+			break
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("tracesim: swf: %w", err)
+	}
+	if len(jobs) == 0 {
+		return nil, fmt.Errorf("tracesim: swf: no usable jobs in trace")
+	}
+	return jobs, nil
+}
 
 func parseSample(t *testing.T, opts SWFOptions) []JobSpec {
 	t.Helper()

@@ -7,17 +7,17 @@
 //
 // A Spec composes a machine (the internal/scenario machine references:
 // catalog names or explicit midplane grids), a placement policy, and a
-// job trace from one of three sources — an inline job list, a seeded
+// job trace from one of two sources — an inline job list or a seeded
 // synthetic generator (Poisson / heavy-tail / burst arrivals × size
-// and runtime distributions), or an SWF-style trace file parsed with
-// ParseSWF into the inline form. Per-job contention is scored at
-// placement time through scenario.Run's contention model: a job that
+// and runtime distributions). Per-job contention is scored at
+// placement time by the internal/sched/cluster scorer: a job that
 // declares a communication pattern has its placed geometry's max-min
-// fair round time (the static bottleneck time, which the netsim
-// package comment shows it equals) compared against the best
-// geometry of the same size, and the resulting dilation stretches its
-// runtime — so allocation geometry feeds back into queue wait, exactly
-// the avoidable contention the paper argues the scheduler owns.
+// fair round time (the busiest DOR link class's load over the link
+// rate, in closed form from the ring lengths) compared against the
+// best geometry of the same size, and the resulting dilation stretches
+// its runtime — so allocation geometry feeds back into queue wait,
+// exactly the avoidable contention the paper argues the scheduler
+// owns.
 //
 // Specs are wire-friendly, validated and normalized: Normalize fills
 // defaults and canonicalizes spellings so a normalized Spec's

@@ -354,7 +354,7 @@ func BenchmarkArchiveReplay(b *testing.B) {
 	}
 	resp.Body.Close()
 	j, _ := s.jobs.lookup(job.ID)
-	<-j.Done()
+	<-j.done
 	s.cache.persists.Wait()
 
 	url := ts.URL + "/v1/archive/" + job.Experiment

@@ -63,7 +63,7 @@ func healthSnapshot(t *testing.T, ts *httptest.Server) healthDoc {
 // /metrics exposes — by family name and label pairs.
 func metric(t *testing.T, s *Server, name string, labelPairs ...string) float64 {
 	t.Helper()
-	for _, fam := range s.Metrics().Snapshot() {
+	for _, fam := range s.metrics.reg.Snapshot() {
 		if fam.Name != name {
 			continue
 		}
@@ -299,7 +299,7 @@ func tryAwait(s *Server, id string) (Status, error) {
 		return "", fmt.Errorf("no job %s", id)
 	}
 	select {
-	case <-job.Done():
+	case <-job.done:
 	case <-time.After(10 * time.Second):
 		return "", fmt.Errorf("job %s did not finish", id)
 	}

@@ -86,9 +86,6 @@ func (j *Job) Entry() *entry {
 // job coalesced onto its flight has been canceled or abandoned.
 func (j *Job) Cancel() { j.cancel() }
 
-// Done is closed when the job reaches a terminal status.
-func (j *Job) Done() <-chan struct{} { return j.done }
-
 // observe is the job's sink on its flight: it records the latest
 // progress for status documents, then relays the event to the job's
 // streams.

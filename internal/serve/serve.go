@@ -250,11 +250,6 @@ func newServer(opts Options, run runFunc) *Server {
 	return s
 }
 
-// Metrics returns the server's metrics registry (the one /metrics
-// exposes), for callers that want to register process-level metrics
-// alongside the server's.
-func (s *Server) Metrics() *obs.Registry { return s.metrics.reg }
-
 // Handler returns the HTTP handler serving the /v1 API.
 func (s *Server) Handler() http.Handler { return s.mux }
 

@@ -164,7 +164,3 @@ func factorSevens(ranks int) (f, k int) {
 	}
 	return f, k
 }
-
-// FactorSevens is the exported form of the f*7^k decomposition used in
-// Tables 3 and 4.
-func FactorSevens(ranks int) (f, k int) { return factorSevens(ranks) }

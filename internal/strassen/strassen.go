@@ -8,10 +8,3 @@
 // Nothing here multiplies matrices: the paper's matmul results come
 // from this accounting, not from executing the algorithm.
 package strassen
-
-// ClassicalFlopCount returns 2n^3 - n^2, the classical multiplication
-// flop count.
-func ClassicalFlopCount(n int) float64 {
-	fn := float64(n)
-	return 2*fn*fn*fn - fn*fn
-}

@@ -30,13 +30,6 @@ func TestCostsBasics(t *testing.T) {
 	}
 }
 
-func TestFlopCount(t *testing.T) {
-	// n^3 multiplications and n^2 (n-1) additions: 2*512 - 64 at n=8.
-	if got := ClassicalFlopCount(8); got != 960 {
-		t.Errorf("ClassicalFlopCount(8) = %v, want 960", got)
-	}
-}
-
 func TestCostsErrors(t *testing.T) {
 	if _, err := Costs(4, 6, AllBFS(1)); err == nil {
 		t.Error("P not divisible by 7 should fail")
@@ -105,9 +98,9 @@ func TestFactorSevens(t *testing.T) {
 	for _, c := range []struct{ ranks, f, k int }{
 		{31213, 13, 4}, {117649, 1, 6}, {2401, 1, 4}, {4802, 2, 4}, {9604, 4, 4}, {6, 6, 0},
 	} {
-		f, k := FactorSevens(c.ranks)
+		f, k := factorSevens(c.ranks)
 		if f != c.f || k != c.k {
-			t.Errorf("FactorSevens(%d) = (%d,%d), want (%d,%d)", c.ranks, f, k, c.f, c.k)
+			t.Errorf("factorSevens(%d) = (%d,%d), want (%d,%d)", c.ranks, f, k, c.f, c.k)
 		}
 	}
 }

@@ -121,26 +121,6 @@ func dedupeShapes(shapes []Shape) []Shape {
 	return out
 }
 
-// Divisors returns the positive divisors of n in ascending order.
-func Divisors(n int) []int {
-	if n < 1 {
-		return nil
-	}
-	var small, large []int
-	for d := 1; d*d <= n; d++ {
-		if n%d == 0 {
-			small = append(small, d)
-			if d != n/d {
-				large = append(large, n/d)
-			}
-		}
-	}
-	for i := len(large) - 1; i >= 0; i-- {
-		small = append(small, large[i])
-	}
-	return small
-}
-
 // Placements returns every origin-zero-distinct placement of a cuboid
 // with the given canonical lengths inside the host shape: all
 // assignments of lengths to host dimensions (as length vectors in host

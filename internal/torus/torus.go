@@ -252,13 +252,6 @@ func (t *Torus) String() string {
 // Coord is a vertex coordinate vector.
 type Coord []int
 
-// Clone returns a copy of the coordinate.
-func (c Coord) Clone() Coord {
-	out := make(Coord, len(c))
-	copy(out, c)
-	return out
-}
-
 // Index converts a coordinate to a linear vertex index (row-major,
 // first dimension slowest).
 func (t *Torus) Index(c Coord) int {

@@ -197,7 +197,7 @@ func TestNeighborsInPlace(t *testing.T) {
 			c := tor.CoordOf(u, nil)
 			for i, a := range dims {
 				for _, step := range []int{1, a - 1}[:dimDegree(a)] {
-					nc := c.Clone()
+					nc := slices.Clone(c)
 					nc[i] = (c[i] + step) % a
 					want = append(want, tor.Index(nc))
 				}
@@ -457,31 +457,6 @@ func TestEnumerateGeometriesCompleteByBruteForce(t *testing.T) {
 				t.Errorf("vol %d: missing %s", vol, k)
 			}
 		}
-	}
-}
-
-func TestDivisors(t *testing.T) {
-	cases := map[int][]int{
-		1:  {1},
-		12: {1, 2, 3, 4, 6, 12},
-		17: {1, 17},
-		36: {1, 2, 3, 4, 6, 9, 12, 18, 36},
-	}
-	for n, want := range cases {
-		got := Divisors(n)
-		if len(got) != len(want) {
-			t.Errorf("Divisors(%d) = %v, want %v", n, got, want)
-			continue
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("Divisors(%d) = %v, want %v", n, got, want)
-				break
-			}
-		}
-	}
-	if Divisors(0) != nil {
-		t.Error("Divisors(0) should be nil")
 	}
 }
 

@@ -42,12 +42,6 @@ func WithWorkers(n int) Option { return func(r *Runner) { r.workers = n } }
 // goroutines; completion order is not row order.
 func WithProgress(fn func(Progress)) Option { return func(r *Runner) { r.progress = fn } }
 
-// withMachines substitutes the machine catalog; test-only (corrupted
-// and hypothetical catalogs), hence unexported.
-func withMachines(fn func(string) (*Machine, error)) Option {
-	return func(r *Runner) { r.machines = fn }
-}
-
 // WithScenarioRunner substitutes the per-point scenario executor used
 // by RunSweep — the seam a distributed frontend uses to dispatch grid
 // points to worker daemons (and fall back to local execution on peer
@@ -76,7 +70,6 @@ func WithTraceRunner(fn func(ctx context.Context, spec TraceSpec) (*TraceOutcome
 type Runner struct {
 	workers     int
 	progress    func(Progress)
-	machines    func(string) (*Machine, error)
 	scenarioRun func(ctx context.Context, spec ScenarioSpec) (*ScenarioOutcome, error)
 	traceRun    func(ctx context.Context, spec TraceSpec) (*TraceOutcome, error)
 
@@ -129,7 +122,6 @@ func (r *Runner) Run(ctx context.Context, id string) (*Result, error) {
 	token := fmt.Sprintf("%s#%d", exp.ID, runSeq.Add(1))
 	cfg := experiments.Config{
 		Workers:  r.workers,
-		Machines: r.machines,
 		RunToken: token,
 	}
 	if r.progress != nil {

@@ -10,9 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"netpart/internal/bgq"
-	"netpart/internal/torus"
 )
 
 // TestRegistryStable pins the public contract of the registry: exactly
@@ -233,26 +230,6 @@ func TestRunMidRunCanceled(t *testing.T) {
 			t.Errorf("%s: err = %v, want context.Canceled", id, err)
 		}
 		cancel()
-	}
-}
-
-// TestRunnerCorruptedCatalog: catalog failures surface as errors from
-// Run, never as silently truncated results.
-func TestRunnerCorruptedCatalog(t *testing.T) {
-	bare, err := bgq.NewMachine("Mira", torus.Shape{4, 4, 3, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runner := NewRunner(withMachines(func(name string) (*Machine, error) {
-		if name == "mira" {
-			return bare, nil // lost its predefined partition list
-		}
-		return nil, fmt.Errorf("catalog store unreachable")
-	}))
-	for _, id := range []string{"table1", "table2", "figure1", "figure3"} {
-		if _, err := runner.Run(context.Background(), id); err == nil {
-			t.Errorf("%s: corrupted catalog produced no error", id)
-		}
 	}
 }
 

@@ -145,7 +145,7 @@ func TestSweepGolden(t *testing.T) {
 		Axes: []netpart.SweepAxis{
 			{Path: "topology.policy", Values: sweep.Strings("best-case", "worst-case", "first-fit", "contention-aware")},
 			{Path: "workload.pattern", Values: sweep.Strings("pairing", "adversarial"), Zip: "p"},
-			{Path: "workload.iters", Values: sweep.Ints(0, 128), Zip: "p"},
+			{Path: "workload.iters", Values: sweep.Values(0, 128), Zip: "p"},
 		},
 	}
 	res, err := netpart.NewRunner(netpart.WithWorkers(4)).RunSweep(context.Background(), grid, nil)

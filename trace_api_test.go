@@ -120,7 +120,7 @@ func TestRunTraceGridPublicAPI(t *testing.T) {
 		},
 		Axes: []netpart.SweepAxis{
 			{Path: "policy", Values: sweep.Strings("first-fit", "contention-aware")},
-			{Path: "synthetic.rate_hz", Values: sweep.Floats(0.02, 0.08)},
+			{Path: "synthetic.rate_hz", Values: sweep.Values(0.02, 0.08)},
 		},
 	}
 	var want []byte
@@ -170,7 +170,7 @@ func TestTraceGridGolden(t *testing.T) {
 		},
 		Axes: []netpart.SweepAxis{
 			{Path: "policy", Values: sweep.Strings("first-fit", "contention-aware")},
-			{Path: "synthetic.rate_hz", Values: sweep.Floats(0.02, 0.2)},
+			{Path: "synthetic.rate_hz", Values: sweep.Values(0.02, 0.2)},
 		},
 	}
 	res, err := netpart.NewRunner(netpart.WithWorkers(4)).RunTraceGrid(context.Background(), grid, nil)
