@@ -11,31 +11,37 @@ import (
 	"log"
 	"math/rand"
 
-	"netpart/internal/bgq"
-	"netpart/internal/sched"
-	"netpart/internal/tabulate"
+	"netpart"
 )
 
 func main() {
 	jobs := syntheticStream(40, 2020)
-	m := bgq.Juqueen()
+	runner := netpart.NewRunner()
 
-	t := tabulate.Table{
-		Title: fmt.Sprintf("%d-job stream on %s (60%% contention-bound)", len(jobs), m.Name),
+	t := netpart.Table{
+		Title: fmt.Sprintf("%d-job stream on %s (60%% contention-bound)", len(jobs), netpart.Juqueen().Name),
 		Headers: []string{"policy", "backfill", "makespan (h)", "avg wait (h)",
 			"avg stretch", "machine-hours"},
 	}
-	for _, pol := range []sched.PlacementPolicy{sched.FirstFit{}, sched.BestBisection{}, sched.ContentionAware{}} {
+	for _, policy := range []string{"first-fit", "best-bisection", "contention-aware"} {
 		for _, backfill := range []bool{false, true} {
-			res, err := sched.RunContext(context.Background(), m, pol, jobs, sched.Options{Backfill: backfill})
+			spec := netpart.TraceSpec{Machine: "juqueen", Policy: policy, Backfill: backfill, Jobs: jobs}
+			res, err := runner.RunTrace(context.Background(), spec, nil)
 			if err != nil {
 				log.Fatal(err)
 			}
-			t.AddRow(pol.Name(), backfill,
-				fmt.Sprintf("%.2f", res.MakespanSec/3600),
-				fmt.Sprintf("%.2f", res.TotalWaitSec/float64(len(jobs))/3600),
-				fmt.Sprintf("%.3f", res.AvgStretch()),
-				fmt.Sprintf("%.1f", res.MidplaneSeconds/3600))
+			out := res.Data.(*netpart.TraceOutcome)
+			// Metrics.AvgStretch counts the queue wait too; this column
+			// is the geometry's share alone.
+			stretch := 0.0
+			for _, j := range out.Jobs {
+				stretch += j.RuntimeSec / j.BaseSec
+			}
+			t.AddRow(policy, backfill,
+				fmt.Sprintf("%.2f", out.Metrics.MakespanSec/3600),
+				fmt.Sprintf("%.2f", out.Metrics.AvgWaitSec/3600),
+				fmt.Sprintf("%.3f", stretch/float64(len(out.Jobs))),
+				fmt.Sprintf("%.1f", out.Metrics.MidplaneSeconds/3600))
 		}
 	}
 	fmt.Print(t.Render())
@@ -50,18 +56,17 @@ func main() {
 
 // syntheticStream generates a reproducible job mix: sizes weighted
 // toward small jobs, Poisson-ish arrivals, 60% contention-bound.
-func syntheticStream(n int, seed int64) []sched.Job {
+func syntheticStream(n int, seed int64) []netpart.TraceJob {
 	rng := rand.New(rand.NewSource(seed))
 	sizes := []int{1, 2, 4, 4, 8, 8, 8, 12, 16, 24, 28}
-	jobs := make([]sched.Job, n)
+	jobs := make([]netpart.TraceJob, n)
 	arrival := 0.0
 	for i := range jobs {
 		arrival += rng.ExpFloat64() * 600 // ~10 min between submissions
-		jobs[i] = sched.Job{
-			ID:              i,
+		jobs[i] = netpart.TraceJob{
 			Midplanes:       sizes[rng.Intn(len(sizes))],
 			ArrivalSec:      arrival,
-			BaseDurationSec: 900 + rng.Float64()*5400, // 15-105 min
+			RuntimeSec:      900 + rng.Float64()*5400, // 15-105 min
 			ContentionBound: rng.Float64() < 0.6,
 		}
 	}

@@ -16,11 +16,12 @@ import (
 	"testing"
 )
 
-// testOnlyExports names the exported functions and methods of internal
-// packages that only tests reference, with the reason each stays in
-// production code. An entry whose function gains a program caller or
-// is gone fails TestExportsHaveProgramCallers, so the list only
-// shrinks.
+// testOnlyExports names the functions and methods of internal packages
+// that no program root reaches, with the reason each stays in
+// production code. An entry whose function becomes reachable or is
+// gone fails TestExportsHaveProgramCallers, so the list only shrinks.
+// An entry may be added only when the guard itself gets stricter and
+// finds a function it used to pass.
 var testOnlyExports = map[string]string{
 	"netsim.NewWithCapacities": "scenario's reference analysis (internal/scenario/reference_test.go) simulates degraded links, " +
 		"which need per-link capacities; netsim's own tests use it as well",
@@ -28,37 +29,32 @@ var testOnlyExports = map[string]string{
 		"internal/sched/cluster/export_test.go, cluster's TestLiveContentionTotals",
 	"graph.(*Graph).IsRegular": "topo's tests check that the generated topologies are regular; graph's TestIsRegular",
 	"graph.(*Graph).Connected": "topo's tests check that the generated topologies are connected; graph's TestConnected",
+	"graph.(*Graph).Degree":    "IsRegular calls it, and topo's tests check vertex degrees with it",
 }
 
 // exemptMethods are the method names that fmt, errors, net/http and
 // encoding/json call through interfaces no program spells out.
 var exemptMethods = map[string]bool{"String": true, "Error": true, "Unwrap": true, "MarshalJSON": true, "UnmarshalJSON": true}
 
-// TestExportsHaveProgramCallers fails when an exported function or
-// method of an internal package is referenced only from _test.go
-// files. A caller is any non-test file of the main module or of the
-// bench module. Exempt are methods of the types the root package
-// aliases (importers call them through the facade), methods that
-// implement an interface the programs use, and exemptMethods.
+// TestExportsHaveProgramCallers fails when a function or method of an
+// internal package, exported or not, is not reachable from a program
+// root: only _test.go files, or functions that only they reach, call
+// it. The program is every non-test file of the main module and of the
+// bench module. The roots are:
+//   - main and init of every program package;
+//   - the root package's exported functions and methods, and the
+//     methods of the types it aliases (importers call them through the
+//     facade);
+//   - methods that implement an interface the programs use, and
+//     exemptMethods;
+//   - package-level variable initializers.
+//
+// A function is reachable when a root or a reachable function refers
+// to it, so a chain of functions that only tests reach is caught
+// whole, not just at its head.
 func TestExportsHaveProgramCallers(t *testing.T) {
 	prog := loadProgram(t)
-
-	used := make(map[*types.Func][]token.Pos)
-	note := func(obj types.Object, pos token.Pos) {
-		if fn, ok := obj.(*types.Func); ok {
-			fn = fn.Origin()
-			used[fn] = append(used[fn], pos)
-		}
-	}
-	for id, obj := range prog.info.Uses {
-		note(obj, id.Pos())
-	}
-	for sel, s := range prog.info.Selections {
-		note(s.Obj(), sel.Sel.Pos())
-	}
-
-	facade := prog.facadeMethods()
-	ifaces := prog.usedInterfaces()
+	reached := prog.reachable()
 
 	var offenders []string // in package, file and line order
 	candidates := make(map[string]bool)
@@ -70,27 +66,17 @@ func TestExportsHaveProgramCallers(t *testing.T) {
 		for _, f := range prog.files[path] {
 			for _, d := range f.Decls {
 				fd, ok := d.(*ast.FuncDecl)
-				if !ok || !fd.Name.IsExported() {
+				if !ok || fd.Name.Name == "init" {
 					continue
 				}
 				fn := prog.info.Defs[fd.Name].(*types.Func)
-				if fd.Recv != nil && (exemptMethods[fn.Name()] || facade[fn] || implementsUsed(fn, ifaces)) {
-					continue
-				}
 				name := rel + "." + funcName(fn)
 				candidates[name] = true
-				called := false
-				for _, pos := range used[fn] {
-					if pos < fd.Pos() || pos >= fd.End() {
-						called = true
-						break
-					}
-				}
 				reason, allowed := testOnlyExports[name]
 				switch {
-				case called && allowed:
-					t.Errorf("%s: %s has a program caller; remove its testOnlyExports entry (%q)", prog.fset.Position(fd.Pos()), name, reason)
-				case !called && !allowed:
+				case reached[fn] && allowed:
+					t.Errorf("%s: %s is reachable from a program root; remove its testOnlyExports entry (%q)", prog.fset.Position(fd.Pos()), name, reason)
+				case !reached[fn] && !allowed:
 					offenders = append(offenders, fmt.Sprintf("\t%s: %s\n", prog.fset.Position(fd.Pos()), name))
 				}
 			}
@@ -98,14 +84,76 @@ func TestExportsHaveProgramCallers(t *testing.T) {
 	}
 	for name := range testOnlyExports {
 		if !candidates[name] {
-			t.Errorf("testOnlyExports names %s, which is not an exported function or method of an internal package", name)
+			t.Errorf("testOnlyExports names %s, which is not a function or method of an internal package", name)
 		}
 	}
 	if len(offenders) > 0 {
-		t.Errorf("%d exported functions or methods are referenced only from _test.go files:\n%s"+
+		t.Errorf("%d functions or methods of internal packages are reachable only from _test.go files:\n%s"+
 			"Give each a program caller that replaces code doing the same job, delete it with the tests that check only it, "+
 			"or move it into its package's _test.go files.", len(offenders), strings.Join(offenders, ""))
 	}
+}
+
+// reachable returns every function that a program root refers to,
+// directly or through reachable functions. A function with no body in
+// the program (the standard library's, an interface's method) is
+// reached but refers to nothing.
+func (p *program) reachable() map[*types.Func]bool {
+	facade := p.facadeMethods()
+	ifaces := p.usedInterfaces()
+	decls := make(map[*types.Func]*ast.FuncDecl)
+	var work []ast.Node // roots, then the bodies of newly reached functions
+	reached := make(map[*types.Func]bool)
+	for _, path := range p.order {
+		for _, f := range p.files[path] {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.GenDecl:
+					if d.Tok == token.VAR {
+						work = append(work, d)
+					}
+				case *ast.FuncDecl:
+					fn, _ := p.info.Defs[d.Name].(*types.Func)
+					decls[fn] = d
+					name := d.Name.Name
+					if d.Recv == nil && (name == "init" || name == "main" && f.Name.Name == "main") ||
+						path == "netpart" && d.Name.IsExported() ||
+						d.Recv != nil && (exemptMethods[name] || facade[fn] || implementsUsed(fn, ifaces)) {
+						reached[fn] = true
+						work = append(work, d)
+					}
+				}
+			}
+		}
+	}
+	for len(work) > 0 {
+		n := work[len(work)-1]
+		work = work[:len(work)-1]
+		ast.Inspect(n, func(n ast.Node) bool {
+			var obj types.Object
+			switch n := n.(type) {
+			case *ast.Ident:
+				obj = p.info.Uses[n]
+			case *ast.SelectorExpr:
+				if sel, ok := p.info.Selections[n]; ok {
+					obj = sel.Obj()
+				}
+			}
+			fn, ok := obj.(*types.Func)
+			if !ok {
+				return true
+			}
+			fn = fn.Origin()
+			if !reached[fn] {
+				reached[fn] = true
+				if d, ok := decls[fn]; ok {
+					work = append(work, d)
+				}
+			}
+			return true
+		})
+	}
+	return reached
 }
 
 // funcName renders a function as Name and a method as T.Name or

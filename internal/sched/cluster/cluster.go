@@ -96,7 +96,10 @@ type Job struct {
 	ContentionBound bool `json:"contention_bound,omitempty"`
 }
 
-func knownPattern(p string) bool {
+// KnownPattern reports whether p is a communication pattern the
+// contention scorer knows: the one pattern set of jobs, traces and
+// synthetic generators.
+func KnownPattern(p string) bool {
 	switch p {
 	case PatternPairing, PatternAllToAll, PatternNeighbor:
 		return true
@@ -104,7 +107,9 @@ func knownPattern(p string) bool {
 	return false
 }
 
-func finitePositive(v float64) bool {
+// FinitePositive reports whether v is a positive finite number, the
+// rule for runtimes, rates and weights.
+func FinitePositive(v float64) bool {
 	return v > 0 && !math.IsInf(v, 0) && !math.IsNaN(v)
 }
 
@@ -116,7 +121,7 @@ func NormalizeJob(i int, j Job) (Job, error) {
 	if j.Midplanes < 1 {
 		return Job{}, fmt.Errorf("job %d requests %d midplanes, want >= 1", i, j.Midplanes)
 	}
-	if !finitePositive(j.RuntimeSec) {
+	if !FinitePositive(j.RuntimeSec) {
 		return Job{}, fmt.Errorf("job %d runtime %v is not positive and finite", i, j.RuntimeSec)
 	}
 	if j.ArrivalSec < 0 || math.IsInf(j.ArrivalSec, 0) || math.IsNaN(j.ArrivalSec) {
@@ -124,7 +129,7 @@ func NormalizeJob(i int, j Job) (Job, error) {
 	}
 	j.Pattern = strings.ToLower(strings.TrimSpace(j.Pattern))
 	if j.Pattern != "" {
-		if !knownPattern(j.Pattern) {
+		if !KnownPattern(j.Pattern) {
 			return Job{}, fmt.Errorf("job %d pattern %q (want pairing, all-to-all or neighbor)", i, j.Pattern)
 		}
 		if j.Pattern == PatternAllToAll && j.Midplanes > MaxAllToAllMidplanes {

@@ -173,7 +173,6 @@ type Engine struct {
 	dilations []float64
 	restarts  []int
 	outcomes  []JobOutcome // completion order
-	free      int
 	patterned int
 	failCells []int
 	scoreErr  error
@@ -203,7 +202,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if !ok {
 		return nil, fmt.Errorf("cluster: unknown policy %q", cfg.Policy)
 	}
-	e := &Engine{m: m, cfg: cfg, free: m.Midplanes()}
+	e := &Engine{m: m, cfg: cfg}
 
 	// Failure model: resolve the affected cells once, then one sched
 	// outage per window (no windows: the failure holds for the whole
@@ -282,13 +281,12 @@ func (e *Engine) dropLive(a sched.Allocation) {
 }
 
 func (e *Engine) onStart(a sched.Allocation) {
-	e.free -= a.Job.Midplanes
 	e.placeLive(a)
 	base := Event{
 		TimeSec: a.StartSec, Job: a.Job.ID,
 		Midplanes: a.Job.Midplanes, Geometry: a.Placement.Lens.String(),
 		Dilation:      e.dilations[a.Job.ID],
-		FreeMidplanes: e.free, Backfilled: a.Backfilled,
+		FreeMidplanes: e.st.FreeMidplanes(), Backfilled: a.Backfilled,
 	}
 	place := base
 	place.Kind = "place"
@@ -305,59 +303,56 @@ func (e *Engine) onStart(a sched.Allocation) {
 }
 
 func (e *Engine) onFinish(a sched.Allocation) {
-	e.free += a.Job.Midplanes
 	e.dropLive(a)
 	js := e.jobs[a.Job.ID]
+	geometry := a.Placement.Lens.String()
 	// Killed jobs are requeued with their arrival reset to the kill
 	// time; the outcome reports against the originally submitted
 	// arrival, so wait and stretch include the evicted partial run.
-	out := JobOutcome{
-		ID:         a.Job.ID,
-		Midplanes:  a.Job.Midplanes,
-		ArrivalSec: js.ArrivalSec,
-		StartSec:   a.StartSec,
-		EndSec:     a.EndSec,
-		WaitSec:    a.StartSec - js.ArrivalSec,
-		RuntimeSec: a.EndSec - a.StartSec,
-		BaseSec:    a.Job.BaseDurationSec,
-		Dilation:   e.dilations[a.Job.ID],
-		Stretch:    (a.EndSec - js.ArrivalSec) / a.Job.BaseDurationSec,
-		Geometry:   a.Placement.Lens.String(),
-		Pattern:    js.Pattern,
-		Backfilled: a.Backfilled,
-		Restarts:   e.restarts[a.Job.ID],
-	}
-	out.BisectionBW = a.Placement.Partition().BisectionBW()
-	e.outcomes = append(e.outcomes, out)
+	e.outcomes = append(e.outcomes, JobOutcome{
+		ID:          a.Job.ID,
+		Midplanes:   a.Job.Midplanes,
+		ArrivalSec:  js.ArrivalSec,
+		StartSec:    a.StartSec,
+		EndSec:      a.EndSec,
+		WaitSec:     a.StartSec - js.ArrivalSec,
+		RuntimeSec:  a.EndSec - a.StartSec,
+		BaseSec:     a.Job.BaseDurationSec,
+		Dilation:    e.dilations[a.Job.ID],
+		Stretch:     (a.EndSec - js.ArrivalSec) / a.Job.BaseDurationSec,
+		Geometry:    geometry,
+		BisectionBW: a.Placement.BisectionBW,
+		Pattern:     js.Pattern,
+		Backfilled:  a.Backfilled,
+		Restarts:    e.restarts[a.Job.ID],
+	})
 	e.emit(Event{
 		Kind: "finish", TimeSec: a.EndSec, Job: a.Job.ID,
-		Midplanes: a.Job.Midplanes, Geometry: a.Placement.Lens.String(),
+		Midplanes: a.Job.Midplanes, Geometry: geometry,
 		Dilation:      e.dilations[a.Job.ID],
-		FreeMidplanes: e.free, Backfilled: a.Backfilled,
+		FreeMidplanes: e.st.FreeMidplanes(), Backfilled: a.Backfilled,
 	})
 }
 
-func (e *Engine) onOutage(_ int, open bool, timeSec float64, gridFree int) {
-	e.free = gridFree // resync: blocking/healing changes free capacity
+func (e *Engine) onOutage(_ int, open bool, timeSec float64, free int) {
 	kind := "outage"
 	if !open {
 		kind = "heal"
 	}
 	e.emit(Event{
 		Kind: kind, TimeSec: timeSec, Job: -1,
-		Midplanes: len(e.failCells), FreeMidplanes: e.free,
+		Midplanes: len(e.failCells), FreeMidplanes: free,
 	})
 }
 
-func (e *Engine) onKill(a sched.Allocation, timeSec float64, gridFree int) {
-	e.free = gridFree
+func (e *Engine) onKill(a sched.Allocation, timeSec float64, free int) {
 	e.dropLive(a)
 	e.restarts[a.Job.ID]++
 	e.emit(Event{
 		Kind: "kill", TimeSec: timeSec, Job: a.Job.ID,
 		Midplanes: a.Job.Midplanes, Geometry: a.Placement.Lens.String(),
 		Dilation:      e.dilations[a.Job.ID],
-		FreeMidplanes: e.free, Backfilled: a.Backfilled,
+		FreeMidplanes: free, Backfilled: a.Backfilled,
 	})
 }
 
@@ -404,7 +399,7 @@ func (e *Engine) Submit(jobs []Job) (int, error) {
 		}
 		e.emit(Event{
 			Kind: "submit", TimeSec: nj.ArrivalSec, Job: base + i,
-			Midplanes: nj.Midplanes, FreeMidplanes: e.free,
+			Midplanes: nj.Midplanes, FreeMidplanes: e.st.FreeMidplanes(),
 		})
 	}
 	return base, nil
@@ -440,7 +435,7 @@ func (e *Engine) Outcomes() []JobOutcome {
 // run — see HealthyMetrics). Patterned counts submitted jobs, the
 // rest reduce over finished ones.
 func (e *Engine) Metrics() Metrics {
-	makespan, _, totalRun, midplaneSec := e.st.Totals()
+	makespan, totalRun, midplaneSec := e.st.Totals()
 	met := reduce(e.Outcomes(), e.m.Midplanes(), makespan, totalRun, midplaneSec)
 	met.Patterned = e.patterned
 	if f := e.cfg.Failures; f != nil {
@@ -502,7 +497,7 @@ func (e *Engine) Snapshot() Snapshot {
 		Queued:           e.st.Queued(),
 		Finished:         len(e.outcomes),
 		Kills:            e.st.Kills(),
-		FreeMidplanes:    e.free,
+		FreeMidplanes:    e.st.FreeMidplanes(),
 		MachineMidplanes: e.m.Midplanes(),
 		Stuck:            e.st.Stuck(),
 

@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"netpart/internal/bgq"
@@ -133,5 +135,50 @@ func TestLiveContentionTotals(t *testing.T) {
 			}
 			t.Logf("%d steps, %d kills", steps, snap.Kills)
 		})
+	}
+}
+
+// TestFreeCountWhenFinishMeetsOutage: two jobs end at the instant a
+// hard window opens over the second one's midplane. The first finish
+// comes before the window, which spares the second (it is due at that
+// instant) and blocks its midplane under it, so the second finish
+// frees nothing. Every event and the snapshot must report the grid's
+// free count, 3 of 4; an engine-side count that adds back every
+// finished job's midplanes reports 4.
+func TestFreeCountWhenFinishMeetsOutage(t *testing.T) {
+	m, err := bgq.NewMachine("line", torus.Shape{4, 1, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := (&faults.Spec{
+		Model: faults.ModelMidplanes, Midplanes: []int{1},
+		Windows: []faults.Window{{StartSec: 50, EndSec: 100}},
+	}).Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []Event
+	eng, err := NewEngine(Config{Machine: m, Policy: PolicyFirstFit, Failures: &f, OnEvent: func(ev Event) { events = append(events, ev) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Submit([]Job{{Midplanes: 1, RuntimeSec: 50}, {Midplanes: 1, RuntimeSec: 50}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Drain(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, ev := range events {
+		if ev.TimeSec == 50 {
+			got = append(got, fmt.Sprintf("%s %d free %d", ev.Kind, ev.Job, ev.FreeMidplanes))
+		}
+	}
+	want := []string{"finish 0 free 3", "outage -1 free 3", "finish 1 free 3"}
+	if !slices.Equal(got, want) {
+		t.Errorf("events at t=50: %q, want %q", got, want)
+	}
+	if free := eng.Snapshot().FreeMidplanes; free != 3 {
+		t.Errorf("snapshot free midplanes %d, want 3", free)
 	}
 }

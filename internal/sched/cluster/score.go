@@ -53,7 +53,7 @@ var patternSec = closedFormPatternSec
 // Length-1 dimensions carry no links and are skipped, so a geometry
 // with no longer ring (a single midplane) scores zero.
 func closedFormPatternSec(geom torus.Shape, pattern string) (score, error) {
-	if !knownPattern(pattern) {
+	if !KnownPattern(pattern) {
 		return score{}, fmt.Errorf("cluster: unknown pattern %q", pattern)
 	}
 	n := geom.Volume()
@@ -98,7 +98,7 @@ func dilation(m *bgq.Machine, j Job, pl sched.Placement) (float64, int, error) {
 		return 1, 0, nil
 	}
 	if j.Pattern == "" {
-		return float64(best.BisectionBW()) / float64(pl.Partition().BisectionBW()), 0, nil
+		return float64(best.BisectionBW()) / float64(pl.BisectionBW), 0, nil
 	}
 	bestScore, err := patternSec(best.Geometry(), j.Pattern)
 	if err != nil {

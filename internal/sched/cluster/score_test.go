@@ -240,7 +240,10 @@ func TestDilationAtLeastOne(t *testing.T) {
 		for n := 1; n <= m.Midplanes(); n++ {
 			for _, geo := range torus.EnumerateGeometries(m.Grid, len(m.Grid), n) {
 				for _, lens := range torus.Placements(m.Grid, geo) {
+					// A zero bandwidth would make the bisection ratio +Inf
+					// and pass the check vacuously.
 					pl := sched.Placement{Origin: make(torus.Coord, len(lens)), Lens: lens}
+					pl.BisectionBW = pl.Partition().BisectionBW()
 					for _, j := range jobs {
 						j.Midplanes, j.RuntimeSec = n, 1
 						nj, err := NormalizeJob(0, j)

@@ -250,7 +250,7 @@ type placeAnswer struct {
 	version uint64
 	ok      bool
 	origin  [planRank]int
-	lens    torus.Shape // the plan's lens: shared, never handed out
+	lp      lensPlan // the plan's lens and its bandwidth; the lens is shared, never handed out
 }
 
 // placement builds a Placement that owns its Origin and Lens, so a
@@ -260,8 +260,8 @@ type placeAnswer struct {
 func (a *placeAnswer) placement() Placement {
 	buf := make([]int, 2*planRank)
 	copy(buf, a.origin[:])
-	copy(buf[planRank:], a.lens)
-	return Placement{Origin: buf[:planRank:planRank], Lens: buf[planRank:]}
+	copy(buf[planRank:], a.lp.lens)
+	return Placement{Origin: buf[:planRank:planRank], Lens: buf[planRank:], BisectionBW: a.lp.bw}
 }
 
 // placeFirst fills the answer with the first lens of the list that
@@ -273,7 +273,7 @@ func (g *Grid) placeFirst(lenses []lensPlan, a *placeAnswer) {
 	for li := range lenses {
 		lp := &lenses[li]
 		if origin, ok := g.firstOrigin(lp.lens); ok {
-			a.ok, a.origin, a.lens = true, origin, lp.lens
+			a.ok, a.origin, a.lp = true, origin, *lp
 			return
 		}
 	}

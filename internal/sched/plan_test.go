@@ -53,9 +53,9 @@ func checkPlanAgainstOracle(t *testing.T, g *Grid, sizes []int) {
 					continue
 				}
 				want := referenceChoose(job, pc.policy, cands)
-				if !coordEqual(pl.Origin, want.Origin) || pl.Lens.String() != want.Lens.String() {
-					t.Fatalf("size %d policy %s cb=%v query %d: Place %v/%v, oracle %v/%v",
-						size, pc.policy.Name(), pc.contentionBound, query, pl.Origin, pl.Lens, want.Origin, want.Lens)
+				if !coordEqual(pl.Origin, want.Origin) || pl.Lens.String() != want.Lens.String() || pl.BisectionBW != want.BisectionBW {
+					t.Fatalf("size %d policy %s cb=%v query %d: Place %v/%v/%d, oracle %v/%v/%d",
+						size, pc.policy.Name(), pc.contentionBound, query, pl.Origin, pl.Lens, pl.BisectionBW, want.Origin, want.Lens, want.BisectionBW)
 				}
 				for i := range pl.Origin {
 					pl.Origin[i] = -1

@@ -18,14 +18,17 @@ import (
 
 // candidates enumerates every feasible placement of a midplane count,
 // in deterministic order: geometries (canonical order), then length
-// assignments, then origins (lexicographic).
+// assignments, then origins (lexicographic). Each carries its
+// partition's bisection bandwidth, computed from the lens rather than
+// read from a plan.
 func (g *Grid) candidates(midplanes int) []Placement {
 	var out []Placement
 	for _, geo := range torus.EnumerateGeometries(g.dims, len(g.dims), midplanes) {
 		for _, lens := range torus.Placements(g.dims, geo) {
+			bw := Placement{Lens: lens}.Partition().BisectionBW()
 			g.forEachOrigin(func(origin torus.Coord) {
 				if g.fits(origin, lens) {
-					out = append(out, Placement{Origin: slices.Clone(origin), Lens: lens.Clone()})
+					out = append(out, Placement{Origin: slices.Clone(origin), Lens: lens.Clone(), BisectionBW: bw})
 				}
 			})
 		}
@@ -82,10 +85,9 @@ func referenceChoose(job Job, policy PlacementPolicy, cands []Placement) Placeme
 		}
 	}
 	best := cands[0]
-	bestBW := best.Partition().BisectionBW()
 	for _, c := range cands[1:] {
-		if bw := c.Partition().BisectionBW(); bw > bestBW {
-			best, bestBW = c, bw
+		if c.BisectionBW > best.BisectionBW {
+			best = c
 		}
 	}
 	return best
@@ -105,14 +107,15 @@ func referenceFill(g *Grid, a *placeAnswer, midplanes int, bestBisection bool) {
 		policy = BestBisection{}
 	}
 	pl := referenceChoose(Job{Midplanes: midplanes}, policy, cands)
-	a.ok, a.lens = true, pl.Lens
+	a.ok, a.lp = true, lensPlan{lens: pl.Lens, bw: pl.BisectionBW}
 	copy(a.origin[:], pl.Origin)
 }
 
 // rerunWithReference runs a schedule again with every placement
 // answered by the reference enumeration and requires the fast run's
-// Result and error exactly. The observation hooks are dropped: they
-// cannot change the schedule, and callers' hooks track the fast run.
+// Result and error exactly, the placements' carried bandwidths
+// included. The observation hooks are dropped: they cannot change the
+// schedule, and callers' hooks track the fast run.
 func rerunWithReference(t *testing.T, m *bgq.Machine, policy PlacementPolicy, jobs []Job, opts Options, fast Result, fastErr error) {
 	t.Helper()
 	saved := fill

@@ -7,14 +7,14 @@
 // policy that maximizes the internal bisection of the allocated
 // partition for jobs declared contention-bound.
 //
-// The payoff modeled is the paper's central observation: a
-// contention-bound job on a partition with bisection B runs
-// best-B / B times longer than on the best geometry of the same size,
-// so allocation geometry feeds directly back into queue throughput.
+// The payoff is the paper's central observation: a contention-bound
+// job runs longer on a worse geometry than on the best geometry of the
+// same size, so allocation geometry feeds directly back into queue
+// throughput. The runtime model is the caller's (Options.Duration);
+// the cluster engine's contention scorer is the one programs use.
 package sched
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -220,6 +220,9 @@ func (g *Grid) release(jobID int, origin torus.Coord, lens torus.Shape) {
 type Placement struct {
 	Origin torus.Coord
 	Lens   torus.Shape
+	// BisectionBW is the internal bisection bandwidth of the partition
+	// (Partition().BisectionBW()), carried from the placement plan.
+	BisectionBW int
 }
 
 // Partition returns the bgq partition of the placement.
@@ -343,16 +346,6 @@ type Outage struct {
 	Factor float64
 }
 
-// Kill records a job evicted mid-run by a hard outage. The job is
-// requeued with its arrival reset to the kill time; its eventual
-// successful run appears in Allocations as usual.
-type Kill struct {
-	Job       Job
-	Placement Placement
-	StartSec  float64
-	KillSec   float64
-}
-
 // Allocation records a placed job.
 type Allocation struct {
 	Job       Job
@@ -362,37 +355,6 @@ type Allocation struct {
 	// Backfilled marks jobs admitted ahead of the queue head by the
 	// EASY backfill path.
 	Backfilled bool
-}
-
-// Result summarizes a scheduling run.
-type Result struct {
-	Policy      string
-	Allocations []Allocation
-	// Kills records jobs evicted by hard outages (each killed run's
-	// partial work counts toward nothing; the job's final successful
-	// run is in Allocations).
-	Kills []Kill
-	// MakespanSec is the completion time of the last job.
-	MakespanSec float64
-	// TotalWaitSec sums queue waits.
-	TotalWaitSec float64
-	// TotalRunSec sums actual runtimes (stretched by bad geometries).
-	TotalRunSec float64
-	// MidplaneSeconds is the utilization integral (allocated midplanes
-	// x time).
-	MidplaneSeconds float64
-}
-
-// AvgStretch returns mean actual/base runtime over jobs.
-func (r Result) AvgStretch() float64 {
-	if len(r.Allocations) == 0 {
-		return 1
-	}
-	s := 0.0
-	for _, a := range r.Allocations {
-		s += (a.EndSec - a.StartSec) / a.Job.BaseDurationSec
-	}
-	return s / float64(len(r.Allocations))
 }
 
 // Options tunes the scheduling loop.
@@ -405,16 +367,13 @@ type Options struct {
 	// head's start is never delayed.
 	Backfill bool
 
-	// Duration computes a job's actual runtime on a placement. Nil
-	// means the built-in model: BaseDurationSec, stretched by
-	// bestBW/placedBW for contention-bound jobs. The trace simulator
-	// substitutes a dilation scored by scenario.Run's contention
-	// model here, so runtime feedback from allocation geometry flows
+	// Duration computes a job's actual runtime on a placement; it is
+	// required. The cluster engine supplies the contention scorer's
+	// dilation here, so runtime feedback from allocation geometry flows
 	// back into the queue.
 	//
 	// Contract: the hook never returns less than job.BaseDurationSec
-	// (a geometry can only slow a job down; the built-in model
-	// multiplies by bestBW/placedBW ≥ 1). Backfill relies on it: a
+	// (a geometry can only slow a job down). Backfill relies on it: a
 	// candidate whose base runtime alone overshoots the head's shadow
 	// is skipped without being placed or passed to the hook. So the
 	// hook is not called for every queued job on every attempt, and
@@ -476,28 +435,4 @@ func validateJob(j Job) error {
 		return fmt.Errorf("sched: job %d arrival %v is not non-negative and finite", j.ID, j.ArrivalSec)
 	}
 	return nil
-}
-
-// RunContext schedules the jobs under the policy and options and
-// returns the outcome. Jobs must fit the machine; an infeasible size
-// fails. The context is checked once per event-loop iteration, so a
-// canceled simulation stops between events and returns ctx.Err().
-//
-// It is a Stepper (the incremental form of the event loop) driven to
-// completion: submit everything, drain, snapshot. The operation order
-// — validation, boundary application, placement attempts, float
-// accumulation — is exactly the incremental core's, so batch and
-// incremental runs of one workload are byte-identical.
-func RunContext(ctx context.Context, m *bgq.Machine, policy PlacementPolicy, jobs []Job, opts Options) (Result, error) {
-	st, err := NewStepper(m, policy, opts)
-	if err != nil {
-		return Result{}, err
-	}
-	if err := st.Submit(jobs...); err != nil {
-		return Result{}, err
-	}
-	if err := st.Drain(ctx); err != nil {
-		return Result{}, err
-	}
-	return st.Result(), nil
 }

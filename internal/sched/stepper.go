@@ -2,6 +2,7 @@ package sched
 
 import (
 	"context"
+	"errors"
 	"math"
 	"sort"
 	"sync/atomic"
@@ -21,14 +22,14 @@ var stepperEvents atomic.Uint64
 // applied by all Steppers since process start.
 func StepperEventsProcessed() uint64 { return stepperEvents.Load() }
 
-// Stepper is the incremental form of the scheduling event loop: the
-// exact machinery of RunContext — FCFS head placement with EASY
-// backfill, outage boundaries, degrade repricing, hard-outage kill and
-// requeue — factored so jobs can be injected while the simulation is
-// in flight and the clock advanced in bounded increments. RunContext
-// is a Stepper driven to completion in one call, so a Submit-then-
-// Drain sequence is byte-identical (same event order, same float
-// accumulation order) to the batch run it replaced.
+// Stepper is the scheduling event loop — FCFS head placement with
+// EASY backfill, outage boundaries, degrade repricing, hard-outage
+// kill and requeue — driven in pieces: jobs can be injected while the
+// simulation is in flight and the clock advanced in bounded
+// increments, and any such sequence schedules exactly as one Submit of
+// every job followed by one Drain. It keeps no record of the schedule
+// beyond running totals; callers observe starts, finishes, kills and
+// outage boundaries through the Options hooks.
 //
 // A Stepper is not safe for concurrent use; callers serialize access
 // (the cluster session layer wraps one in a mutex).
@@ -40,7 +41,14 @@ type Stepper struct {
 	queue  []Job
 	active []running
 	now    float64
-	res    Result
+
+	// Running totals: the latest completion, the summed actual
+	// runtimes and midplane-seconds (a killed run's unserved remainder
+	// is taken back), and the hard-outage evictions.
+	makespanSec     float64
+	totalRunSec     float64
+	midplaneSeconds float64
+	kills           int
 
 	boundaries []boundary
 	masks      [][]bool
@@ -50,8 +58,7 @@ type Stepper struct {
 	// fits memoizes, per midplane count across Submit calls, whether
 	// any cuboid of that size fits the empty machine (its plan has a
 	// lens).
-	fits        map[int]bool
-	jobDuration func(Job, Placement) float64
+	fits map[int]bool
 
 	// ends indexes the running jobs by end time: one (end, midplanes)
 	// pair per active allocation, kept sorted as jobs start, finish,
@@ -91,15 +98,17 @@ const (
 	evArrival
 )
 
-// NewStepper validates the outage windows and prepares an empty
-// schedule at time zero. Jobs arrive later via Submit.
+// NewStepper validates the options and prepares an empty schedule at
+// time zero. Jobs arrive later via Submit.
 func NewStepper(m *bgq.Machine, policy PlacementPolicy, opts Options) (*Stepper, error) {
+	if opts.Duration == nil {
+		return nil, errors.New("sched: stepper needs a Duration model")
+	}
 	st := &Stepper{
 		m:      m,
 		policy: policy,
 		opts:   opts,
 		grid:   NewGrid(m),
-		res:    Result{Policy: policy.Name()},
 		fits:   map[int]bool{},
 	}
 	for i, o := range opts.Outages {
@@ -136,19 +145,6 @@ func NewStepper(m *bgq.Machine, policy PlacementPolicy, opts Options) (*Stepper,
 		}
 		return a.outage < b.outage
 	})
-	// jobDuration applies the configured runtime model (default: the
-	// contention-bound bisection stretch) for a placement.
-	st.jobDuration = opts.Duration
-	if st.jobDuration == nil {
-		st.jobDuration = func(job Job, pl Placement) float64 {
-			duration := job.BaseDurationSec
-			if job.ContentionBound {
-				best, _ := m.Best(job.Midplanes)
-				duration *= float64(best.BisectionBW()) / float64(pl.Partition().BisectionBW())
-			}
-			return duration
-		}
-	}
 	return st, nil
 }
 
@@ -195,24 +191,20 @@ func (st *Stepper) Active() int { return len(st.active) }
 // Idle reports whether no queued or running work remains.
 func (st *Stepper) Idle() bool { return len(st.queue) == 0 && len(st.active) == 0 }
 
-// Totals exposes the running aggregates of the schedule so far.
-func (st *Stepper) Totals() (makespanSec, totalWaitSec, totalRunSec, midplaneSeconds float64) {
-	return st.res.MakespanSec, st.res.TotalWaitSec, st.res.TotalRunSec, st.res.MidplaneSeconds
+// Totals returns the running aggregates of the schedule so far: the
+// latest completion, the summed actual runtimes and the utilization
+// integral (allocated midplanes x time). A killed run counts only up
+// to its kill.
+func (st *Stepper) Totals() (makespanSec, totalRunSec, midplaneSeconds float64) {
+	return st.makespanSec, st.totalRunSec, st.midplaneSeconds
 }
 
 // Kills returns the number of hard-outage evictions so far.
-func (st *Stepper) Kills() int { return len(st.res.Kills) }
+func (st *Stepper) Kills() int { return st.kills }
 
-// Result snapshots the schedule so far: allocations sorted by job ID
-// (the batch contract), in fresh slices so later stepping does not
-// mutate the snapshot.
-func (st *Stepper) Result() Result {
-	res := st.res
-	res.Allocations = append([]Allocation(nil), st.res.Allocations...)
-	res.Kills = append([]Kill(nil), st.res.Kills...)
-	sort.Slice(res.Allocations, func(i, j int) bool { return res.Allocations[i].Job.ID < res.Allocations[j].Job.ID })
-	return res
-}
+// FreeMidplanes returns the number of midplanes that are neither
+// occupied nor inside an open hard-outage window.
+func (st *Stepper) FreeMidplanes() int { return st.grid.FreeMidplanes() }
 
 func (st *Stepper) finishEarliest() int {
 	best := -1
@@ -254,9 +246,8 @@ func (st *Stepper) startJob(job Job, pl Placement, p, duration float64, backfill
 	st.grid.occupy(job.ID, pl.Origin, pl.Lens)
 	st.active = append(st.active, running{alloc, p})
 	st.addEnd(alloc.EndSec, job.Midplanes)
-	st.res.TotalWaitSec += st.now - job.ArrivalSec
-	st.res.TotalRunSec += duration
-	st.res.MidplaneSeconds += float64(job.Midplanes) * duration
+	st.totalRunSec += duration
+	st.midplaneSeconds += float64(job.Midplanes) * duration
 	if st.opts.OnStart != nil {
 		st.opts.OnStart(alloc)
 	}
@@ -278,9 +269,9 @@ func (st *Stepper) applyBoundary(b boundary) {
 				remaining := a.EndSec - st.now
 				st.grid.release(a.Job.ID, a.Placement.Origin, a.Placement.Lens)
 				st.removeEnd(a.EndSec, a.Job.Midplanes)
-				st.res.TotalRunSec -= remaining
-				st.res.MidplaneSeconds -= float64(a.Job.Midplanes) * remaining
-				st.res.Kills = append(st.res.Kills, Kill{Job: a.Job, Placement: a.Placement, StartSec: a.StartSec, KillSec: st.now})
+				st.totalRunSec -= remaining
+				st.midplaneSeconds -= float64(a.Job.Midplanes) * remaining
+				st.kills++
 				st.active = append(st.active[:i], st.active[i+1:]...)
 				requeued := a.Job
 				requeued.ArrivalSec = st.now
@@ -319,8 +310,8 @@ func (st *Stepper) applyBoundary(b boundary) {
 			st.removeEnd(a.EndSec, a.Job.Midplanes)
 			a.EndSec = st.now + adjusted
 			st.addEnd(a.EndSec, a.Job.Midplanes)
-			st.res.TotalRunSec += adjusted - remaining
-			st.res.MidplaneSeconds += float64(a.Job.Midplanes) * (adjusted - remaining)
+			st.totalRunSec += adjusted - remaining
+			st.midplaneSeconds += float64(a.Job.Midplanes) * (adjusted - remaining)
 			st.active[i].price = newP
 		}
 	}
@@ -388,7 +379,7 @@ func (st *Stepper) tryStart() bool {
 	job := st.queue[0]
 	if pl, ok := st.grid.Place(job, st.policy); ok {
 		p := st.price(pl)
-		st.startJob(job, pl, p, st.jobDuration(job, pl)*p, false)
+		st.startJob(job, pl, p, st.opts.Duration(job, pl)*p, false)
 		st.queue = st.queue[1:]
 		return true
 	}
@@ -420,7 +411,7 @@ func (st *Stepper) tryStart() bool {
 			continue
 		}
 		p := st.price(pl)
-		if duration := st.jobDuration(cand, pl) * p; st.now+duration <= shadow {
+		if duration := st.opts.Duration(cand, pl) * p; st.now+duration <= shadow {
 			st.startJob(cand, pl, p, duration, true)
 			st.queue = append(st.queue[:i], st.queue[i+1:]...)
 			return true
@@ -458,9 +449,9 @@ func (st *Stepper) nextEvent() (kind, fi int, t float64) {
 }
 
 // applyEvent advances the clock to the selected event. Completions
-// release and record the allocation; boundary and arrival times are
-// only clock moves — the top-of-loop applyDue and tryStart act on
-// them.
+// release the allocation and report it to OnFinish; boundary and
+// arrival times are only clock moves — the next step's applyDue and
+// tryStart act on them.
 func (st *Stepper) applyEvent(kind, fi int, t float64) {
 	stepperEvents.Add(1)
 	st.now = t
@@ -470,14 +461,30 @@ func (st *Stepper) applyEvent(kind, fi int, t float64) {
 	a := st.active[fi].alloc
 	st.grid.release(a.Job.ID, a.Placement.Origin, a.Placement.Lens)
 	st.removeEnd(a.EndSec, a.Job.Midplanes)
-	st.res.Allocations = append(st.res.Allocations, a)
 	st.active = append(st.active[:fi], st.active[fi+1:]...)
-	if a.EndSec > st.res.MakespanSec {
-		st.res.MakespanSec = a.EndSec
+	if a.EndSec > st.makespanSec {
+		st.makespanSec = a.EndSec
 	}
 	if st.opts.OnFinish != nil {
 		st.opts.OnFinish(a)
 	}
+}
+
+// step is the one loop body of Step, Advance and Drain: it applies
+// the due outage boundaries, then starts one job or, when none can
+// start, advances the clock to the next event if that event is at or
+// before horizon. False means it did neither.
+func (st *Stepper) step(horizon float64) bool {
+	st.applyDue()
+	if st.tryStart() {
+		return true
+	}
+	kind, fi, t := st.nextEvent()
+	if kind == evNone || t > horizon {
+		return false
+	}
+	st.applyEvent(kind, fi, t)
+	return true
 }
 
 // Step executes the next pending scheduler action — due boundaries,
@@ -489,16 +496,7 @@ func (st *Stepper) Step(ctx context.Context) (bool, error) {
 	if err := ctx.Err(); err != nil {
 		return false, err
 	}
-	st.applyDue()
-	if st.tryStart() {
-		return true, nil
-	}
-	kind, fi, t := st.nextEvent()
-	if kind == evNone {
-		return false, nil
-	}
-	st.applyEvent(kind, fi, t)
-	return true, nil
+	return st.step(math.Inf(1)), nil
 }
 
 // Advance processes every event with a timestamp at or before `to` and
@@ -520,15 +518,9 @@ func (st *Stepper) Advance(ctx context.Context, to float64) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		st.applyDue()
-		if st.tryStart() {
-			continue
-		}
-		kind, fi, t := st.nextEvent()
-		if kind == evNone || t > to {
+		if !st.step(to) {
 			break
 		}
-		st.applyEvent(kind, fi, t)
 	}
 	if !math.IsInf(to, 1) && to > st.now {
 		st.now = to
@@ -536,36 +528,32 @@ func (st *Stepper) Advance(ctx context.Context, to float64) error {
 	return nil
 }
 
-// Drain runs the schedule to completion: the batch semantics of
-// RunContext, including its error contract — a head job that can
-// never start is a StarvedError (when outage boundaries exist) or a
-// NeverFitsError. The context is checked once per event-loop
-// iteration.
+// Drain runs the schedule to completion. A head job that can never
+// start is a StarvedError (when outage boundaries exist) or a
+// NeverFitsError. Each iteration first applies the boundaries due at
+// the clock; an idle stepper then returns nil without reading the
+// context, and otherwise the context is checked before the step.
 func (st *Stepper) Drain(ctx context.Context) error {
 	for {
 		st.applyDue()
-		if len(st.queue) == 0 && len(st.active) == 0 {
+		if st.Idle() {
 			return nil
 		}
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if st.tryStart() {
+		if st.step(math.Inf(1)) {
 			continue
 		}
-		kind, fi, t := st.nextEvent()
-		if kind == evNone {
-			if len(st.boundaries) > 0 {
-				// The head cannot be placed and nothing will ever free
-				// or heal a midplane: a permanent outage starved it.
-				return &StarvedError{Job: st.queue[0].ID, Midplanes: st.queue[0].Midplanes, Machine: st.m.Name}
-			}
-			// Unreachable after the Submit feasibility pass: the head
-			// could be placed on an empty machine, and with nothing
-			// running and no future arrival the machine is empty.
-			return &NeverFitsError{Job: st.queue[0].ID, Midplanes: st.queue[0].Midplanes, Machine: st.m.Name}
+		if len(st.boundaries) > 0 {
+			// The head cannot be placed and nothing will ever free or
+			// heal a midplane: a permanent outage starved it.
+			return &StarvedError{Job: st.queue[0].ID, Midplanes: st.queue[0].Midplanes, Machine: st.m.Name}
 		}
-		st.applyEvent(kind, fi, t)
+		// Unreachable after the Submit feasibility pass: the head could
+		// be placed on an empty machine, and with nothing running and no
+		// future arrival the machine is empty.
+		return &NeverFitsError{Job: st.queue[0].ID, Midplanes: st.queue[0].Midplanes, Machine: st.m.Name}
 	}
 }
 

@@ -62,7 +62,7 @@ func checkEndIndex(t *testing.T, st *Stepper) {
 
 // TestStepperMatchesBatch: a Stepper fed the trace incrementally —
 // jobs injected in chunks while the clock is mid-flight, time advanced
-// in bounded increments, the tail single-stepped — produces a Result
+// in bounded increments, the tail single-stepped — records a Result
 // identical to RunContext's one-call batch schedule. After every
 // increment and step the end-time index matches the running jobs,
 // across the hard-outage kill and the degrade repricing.
@@ -77,7 +77,7 @@ func TestStepperMatchesBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st, err := NewStepper(m, FirstFit{}, opts)
+	st, rec, err := newRecordedStepper(m, FirstFit{}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestStepperMatchesBatch(t *testing.T) {
 		}
 		checkEndIndex(t, st)
 	}
-	got := st.Result()
+	got := rec.result(st)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("incremental schedule differs from batch:\n got %+v\nwant %+v", got, want)
 	}
@@ -124,7 +124,7 @@ func TestStepperMatchesBatch(t *testing.T) {
 // earlier arrivals — the clock never runs backwards for it.
 func TestStepperLateSubmission(t *testing.T) {
 	m := bgq.Juqueen()
-	st, err := NewStepper(m, FirstFit{}, Options{})
+	st, rec, err := newRecordedStepper(m, FirstFit{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestStepperLateSubmission(t *testing.T) {
 	if err := st.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	res := st.Result()
+	res := rec.result(st)
 	if res.Allocations[1].StartSec != 50 {
 		t.Errorf("late job started at %v, want 50", res.Allocations[1].StartSec)
 	}
@@ -156,7 +156,7 @@ func TestStepperLateSubmission(t *testing.T) {
 // Submit batch, leaving the queue untouched.
 func TestStepperRejectsBatchWhole(t *testing.T) {
 	m := bgq.Juqueen()
-	st, err := NewStepper(m, FirstFit{}, Options{})
+	st, _, err := newRecordedStepper(m, FirstFit{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,5 +169,13 @@ func TestStepperRejectsBatchWhole(t *testing.T) {
 	}
 	if st.Queued() != 0 {
 		t.Fatalf("queue holds %d jobs after a rejected batch", st.Queued())
+	}
+}
+
+// TestStepperNeedsDuration: the runtime model is the caller's, so a
+// Stepper without one is refused at construction.
+func TestStepperNeedsDuration(t *testing.T) {
+	if _, err := NewStepper(bgq.Juqueen(), FirstFit{}, Options{}); err == nil {
+		t.Fatal("NewStepper accepted options without a Duration model")
 	}
 }

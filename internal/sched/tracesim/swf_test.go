@@ -9,6 +9,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"netpart/internal/sched/cluster"
 )
 
 // The SWF traces under testdata/ are test fixtures: ParseSWF reads
@@ -60,7 +62,7 @@ func ParseSWF(r io.Reader, opts SWFOptions) ([]JobSpec, error) {
 	if perMid <= 0 {
 		perMid = 1
 	}
-	if opts.Pattern != "" && !knownPattern(strings.ToLower(opts.Pattern)) {
+	if opts.Pattern != "" && !cluster.KnownPattern(strings.ToLower(opts.Pattern)) {
 		return nil, fmt.Errorf("tracesim: swf: unknown pattern %q (want pairing, all-to-all or neighbor)", opts.Pattern)
 	}
 

@@ -76,9 +76,10 @@ const (
 const (
 	// MaxJobs bounds one trace (inline or synthetic).
 	MaxJobs = 4096
-	// MaxAllToAllMidplanes bounds jobs declaring the quadratic
-	// all-to-all pattern (the dilation scorer routes every ordered
-	// midplane pair of the placed geometry).
+	// MaxAllToAllMidplanes bounds jobs declaring the all-to-all
+	// pattern. It is the cluster session bound, so a trace admits the
+	// jobs a session does; the scorer takes an all-to-all round in
+	// closed form from the ring lengths, so it caps no scoring work.
 	MaxAllToAllMidplanes = cluster.MaxAllToAllMidplanes
 	// DefaultSeed seeds synthetic traces.
 	DefaultSeed = int64(1)
@@ -162,18 +163,6 @@ type Spec struct {
 // trace shares with a cluster session.
 var hostRules = cluster.HostRules{Prefix: "tracesim", Noun: "trace", Runs: "trace simulations"}
 
-func knownPattern(p string) bool {
-	switch p {
-	case PatternPairing, PatternAllToAll, PatternNeighbor:
-		return true
-	}
-	return false
-}
-
-func finitePositive(v float64) bool {
-	return v > 0 && !math.IsInf(v, 0) && !math.IsNaN(v)
-}
-
 // normalizeSynthetic validates the generator and fills its defaults.
 func (sy Synthetic) normalize() (Synthetic, error) {
 	n := Synthetic{Jobs: sy.Jobs}
@@ -208,7 +197,7 @@ func (sy Synthetic) normalize() (Synthetic, error) {
 	if n.RateHz == 0 {
 		n.RateHz = DefaultRateHz
 	}
-	if !finitePositive(n.RateHz) {
+	if !cluster.FinitePositive(n.RateHz) {
 		return Synthetic{}, fmt.Errorf("tracesim: arrival rate %v is not positive and finite", sy.RateHz)
 	}
 	n.Sizes = sy.Sizes
@@ -226,7 +215,7 @@ func (sy Synthetic) normalize() (Synthetic, error) {
 			return Synthetic{}, fmt.Errorf("tracesim: %d size weights for %d sizes", len(sy.SizeWeights), len(n.Sizes))
 		}
 		for i, w := range sy.SizeWeights {
-			if !finitePositive(w) {
+			if !cluster.FinitePositive(w) {
 				return Synthetic{}, fmt.Errorf("tracesim: size weight[%d] = %v is not positive and finite", i, w)
 			}
 		}
@@ -245,7 +234,7 @@ func (sy Synthetic) normalize() (Synthetic, error) {
 	if n.MeanRuntimeSec == 0 {
 		n.MeanRuntimeSec = DefaultMeanRuntimeSec
 	}
-	if !finitePositive(n.MeanRuntimeSec) {
+	if !cluster.FinitePositive(n.MeanRuntimeSec) {
 		return Synthetic{}, fmt.Errorf("tracesim: mean runtime %v is not positive and finite", sy.MeanRuntimeSec)
 	}
 	if sy.PatternFraction < 0 || sy.PatternFraction > 1 || math.IsNaN(sy.PatternFraction) {
@@ -257,7 +246,7 @@ func (sy Synthetic) normalize() (Synthetic, error) {
 		if n.Pattern == "" {
 			n.Pattern = PatternPairing
 		}
-		if !knownPattern(n.Pattern) {
+		if !cluster.KnownPattern(n.Pattern) {
 			return Synthetic{}, fmt.Errorf("tracesim: unknown pattern %q (want pairing, all-to-all or neighbor)", sy.Pattern)
 		}
 		if n.Pattern == PatternAllToAll {
