@@ -3,6 +3,7 @@ package sched
 import (
 	"cmp"
 	"context"
+	"errors"
 	"reflect"
 	"slices"
 	"testing"
@@ -177,5 +178,33 @@ func TestStepperRejectsBatchWhole(t *testing.T) {
 func TestStepperNeedsDuration(t *testing.T) {
 	if _, err := NewStepper(bgq.Juqueen(), FirstFit{}, Options{}); err == nil {
 		t.Fatal("NewStepper accepted options without a Duration model")
+	}
+}
+
+// TestDrainIdleIgnoresContext: Drain returns nil on an idle stepper
+// before it reads the context, so a caller whose context is already
+// canceled can still close out a finished schedule; with work left, a
+// canceled context stops it.
+func TestDrainIdleIgnoresContext(t *testing.T) {
+	st, _, err := newRecordedStepper(bgq.Juqueen(), FirstFit{}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := st.Drain(canceled); err != nil {
+		t.Fatalf("idle drain under a canceled context: %v", err)
+	}
+	if err := st.Submit(Job{ID: 0, Midplanes: 2, BaseDurationSec: 10}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Drain(canceled); !errors.Is(err, context.Canceled) {
+		t.Fatalf("drain with work left under a canceled context: %v, want context.Canceled", err)
+	}
+	if err := st.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Drain(canceled); err != nil {
+		t.Fatalf("drain of a finished schedule under a canceled context: %v", err)
 	}
 }
